@@ -31,16 +31,3 @@ def items_of(mask: int) -> list[int]:
 
 def full_mask(m: int) -> int:
     return (1 << m) - 1
-
-
-def subsets_of(mask: int) -> Iterator[int]:
-    """All subsets of `mask` (including 0 and mask), ascending when mask is
-    contiguous low bits; otherwise in submask order."""
-    # Classic submask walk, descending; callers needing a specific order
-    # must impose their own tie-breaks.
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask

@@ -22,6 +22,7 @@ from .bits import items_of
 from .equilibria import MODES, verify
 from .errors import BadParams, MarketError
 from .instances import (
+    BUILTINS,
     FAMILIES,
     built_in,
     generate,
@@ -38,15 +39,6 @@ from .market import (
     revenue,
     singleton_partition,
     social_welfare,
-)
-
-_BUILTIN_CHOICES = (
-    "fig1a",
-    "fig1b",
-    "revenue_example",
-    "bundling_necessity",
-    "nonuniform_identical_budget",
-    "partition_reduction",
 )
 
 _MECHANISMS = (
@@ -88,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="write an instance file")
-    gen.add_argument("family", choices=_BUILTIN_CHOICES + FAMILIES)
+    gen.add_argument("family", choices=tuple(BUILTINS) + FAMILIES)
     gen.add_argument("--m", type=int)
     gen.add_argument("--n", type=int)
     gen.add_argument("--seed", type=int, default=0)
@@ -142,7 +134,7 @@ def _cmd_gen(args, out) -> int:
         params["weights"] = tuple(
             parse_rational(w, "--a") for w in args.a.split(",")
         )
-    if args.family in _BUILTIN_CHOICES:
+    if args.family in BUILTINS:
         inst = built_in(args.family, **params)
     else:
         if args.m is None or args.n is None:
@@ -285,13 +277,12 @@ def _cmd_bench(args, out) -> int:
     ratios = []
     for trial in range(args.trials):
         inst = generate(args.family, args.m, args.n, args.seed + trial)
-        _x, opt = oracle.optimal_integral(inst)
+        x, opt = oracle.optimal_integral(inst)
         if args.family == "random_superadditive":
             outcome = mechanisms.superadditive_mccwe(inst)
         elif args.family == "random_single_minded":
             outcome = mechanisms.single_minded_mccwe(inst)
         else:
-            x, _w = oracle.optimal_integral(inst)
             outcome = mechanisms.uniform_budget_additive_mccwe(inst, x)
         welfare = social_welfare(inst, outcome.allocation)
         ratios.append(Fraction(1) if opt == 0 else opt / welfare)

@@ -11,6 +11,10 @@ Modes:
 
 An agent with an empty bundle is buyer-stable only when no bundle set has
 positive utility (the empty set must itself be demanded).
+
+Demand comes from the one block-subset routine,
+`valuations.demand_utilities`: the correspondence and every buyer check
+read its utility table.
 """
 
 from __future__ import annotations
@@ -19,24 +23,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bits import bits_of
-from .errors import BadParams, SizeLimit
+from .errors import BadParams
 from .market import (
     Instance,
     Outcome,
     Partition,
     UNALLOCATED,
     induced_partition,
-    reduced_value_table,
     singleton_partition,
 )
-from .valuations import Valuation
+from .valuations import Valuation, demand_utilities, preferred
 
 WE = "we"
 CWE = "cwe"
 MCCWE = "mccwe"
 MODES = (WE, CWE, MCCWE)
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -58,16 +59,7 @@ class VerifyReport:
 
 def demand_correspondence(v: Valuation, partition: Partition, prices) -> frozenset[int]:
     """Every utility-maximizing bundle set (the full argmax, empty set included)."""
-    k = len(partition.blocks)
-    if k > 20:
-        raise SizeLimit(f"{k} blocks exceeds the demand enumeration cap")
-    table = reduced_value_table(v, partition)
-    utils = []
-    for mask in range(1 << k):
-        util = table[mask]
-        for j in bits_of(mask):
-            util -= prices[j]
-        utils.append(util)
+    utils = demand_utilities(v, partition, prices)
     best = max(utils)
     return frozenset(mask for mask, u in enumerate(utils) if u == best)
 
@@ -83,8 +75,6 @@ def verify(instance: Instance, outcome: Outcome, mode: str) -> VerifyReport:
     if mode == WE:
         if outcome.item_prices is None:
             raise BadParams("walrasian verification needs item prices")
-        if instance.m > 20:
-            raise SizeLimit("walrasian verification capped at 20 items")
         partition = singleton_partition(instance.m)
         prices = list(outcome.item_prices)
         owned = list(x.bundles)  # singleton blocks align with items
@@ -97,9 +87,6 @@ def verify(instance: Instance, outcome: Outcome, mode: str) -> VerifyReport:
         if outcome.prices is None:
             raise BadParams("bundle verification needs bundle prices")
         partition, owners = induced_partition(x)
-        k = len(partition.blocks)
-        if k > 20:
-            raise SizeLimit(f"{k} blocks exceeds the demand enumeration cap")
         prices = [
             outcome.x0_price if o == UNALLOCATED else outcome.prices[o] for o in owners
         ]
@@ -110,24 +97,13 @@ def verify(instance: Instance, outcome: Outcome, mode: str) -> VerifyReport:
                 Violation("seller", block=x.x0, price=outcome.x0_price)
             )
 
-    k = len(partition.blocks)
     for i, v in enumerate(instance.agents):
-        table = reduced_value_table(v, partition)
-        best_mask, best_util = 0, _ZERO
-        best_count = 0
-        for mask in range(1, 1 << k):
-            util = table[mask]
-            for j in bits_of(mask):
-                util -= prices[j]
-            count = mask.bit_count()
-            if util > best_util or (util == best_util and count < best_count):
-                best_mask, best_util, best_count = mask, util, count
-        own_util = table[owned[i]]
-        for j in bits_of(owned[i]):
-            own_util -= prices[j]
-        if own_util < best_util:
+        utils = demand_utilities(v, partition, prices)
+        best_mask = preferred(utils)
+        gap = utils[best_mask] - utils[owned[i]]
+        if gap > 0:
             buyer_violations.append(
-                Violation("buyer", agent=i, better_bundle=best_mask, gap=best_util - own_util)
+                Violation("buyer", agent=i, better_bundle=best_mask, gap=gap)
             )
 
     buyer_violations.sort(key=lambda viol: (-viol.gap, viol.agent))

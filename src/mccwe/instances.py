@@ -196,7 +196,7 @@ def partition_reduction(weights) -> Instance:
     )
 
 
-_BUILTINS = {
+BUILTINS = {
     "fig1a": fig1a,
     "fig1b": fig1b,
     "revenue_example": revenue_example,
@@ -207,9 +207,9 @@ _BUILTINS = {
 
 
 def built_in(name: str, **params) -> Instance:
-    if name not in _BUILTINS:
+    if name not in BUILTINS:
         raise BadParams(f"unknown built-in instance {name!r}")
-    return _BUILTINS[name](**params)
+    return BUILTINS[name](**params)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +311,7 @@ class InstanceSpec:
     params: dict = field(default_factory=dict)
 
     def build(self) -> Instance:
-        if self.family in _BUILTINS:
+        if self.family in BUILTINS:
             return built_in(self.family, **self.params)
         if self.family in FAMILIES:
             return generate(self.family, **self.params)
@@ -329,14 +329,13 @@ def parse_rational(text, where: str) -> Fraction:
         return Fraction(text)
     if not isinstance(text, str) or not (match := _RAT_RE.match(text)):
         raise ParseError(f"{where}: expected a rational like '3' or '3/4', got {text!r}")
-    num, den = match.group(1), match.group(2)
-    if den is not None and int(den) == 0:
+    try:
+        num, den = int(match.group(1)), int(match.group(2) or 1)
+    except ValueError as exc:  # more digits than int() will convert
+        raise ParseError(f"{where}: {exc}") from exc
+    if den == 0:
         raise ParseError(f"{where}: zero denominator")
-    return Fraction(int(num), int(den) if den else 1)
-
-
-def format_rational(value: Fraction) -> str:
-    return str(value)
+    return Fraction(num, den)
 
 
 def _want(obj, key, kind, where):
@@ -380,7 +379,7 @@ def _agent_to_json(v) -> dict:
     raise BadParams(f"unserializable valuation {type(v).__name__}")
 
 
-def _agent_from_json(obj, where):
+def _agent_from_json(obj, where, m):
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object")
     family = _want(obj, "family", str, where)
@@ -388,11 +387,9 @@ def _agent_from_json(obj, where):
         if family == "additive":
             return Additive(_rat_list(_want(obj, "item_values", list, where), where))
         if family == "single_minded":
-            desired = _want(obj, "desired", list, where)
-            if not all(isinstance(j, int) and j >= 0 for j in desired):
-                raise ParseError(f"{where}: desired must list item indices")
+            desired = _items_field(_want(obj, "desired", None, where), f"{where}.desired", m)
             return SingleMinded(
-                mask_of(desired), parse_rational(_want(obj, "value", None, where), where)
+                desired, parse_rational(_want(obj, "value", None, where), where)
             )
         if family == "superadditive_explicit":
             return SuperadditiveExplicit(
@@ -432,6 +429,8 @@ def _load_json(text: str, what: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{what}: line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal longer than int() will convert
+        raise ParseError(f"{what}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{what}: top level must be an object")
     if doc.get("format") != FORMAT_VERSION:
@@ -444,7 +443,7 @@ def parse_instance(text: str) -> Instance:
     m = _want(doc, "m", int, "instance")
     raw_agents = _want(doc, "agents", list, "instance")
     agents = tuple(
-        _agent_from_json(a, f"agents[{i}]") for i, a in enumerate(raw_agents)
+        _agent_from_json(a, f"agents[{i}]", m) for i, a in enumerate(raw_agents)
     )
     uniform = None
     if "uniform_item_values" in doc:
@@ -514,10 +513,11 @@ def parse_outcome(text: str, m: int | None = None) -> Outcome:
         body = doc.get("allocation")
         if not isinstance(body, dict):
             raise ParseError("outcome: missing allocation")
-        seen = list(body.get("x0", []))
-        for bundle in body.get("x", []):
-            seen.extend(bundle)
-        m = len(seen)
+        bundles = [_want(body, "x0", list, "allocation")]
+        bundles += _want(body, "x", list, "allocation")
+        if not all(isinstance(b, list) for b in bundles):
+            raise ParseError("allocation: bundles must be lists of item indices")
+        m = sum(len(b) for b in bundles)
     x = parse_allocation(doc, m)
     prices = _want(doc, "prices", dict, "outcome")
     try:

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .bits import bits_of, full_mask, items_of
-from .errors import BadParams, SizeLimit
+from .bits import bits_of, full_mask
+from .errors import BadParams
 
 if TYPE_CHECKING:  # pragma: no cover
     from .valuations import Valuation
@@ -20,8 +20,6 @@ if TYPE_CHECKING:  # pragma: no cover
 UNALLOCATED = -1
 
 _ZERO = Fraction(0)
-
-ENUMERATION_ITEM_CAP = 24
 
 
 @dataclass(frozen=True, eq=True)
@@ -66,10 +64,6 @@ class Instance:
     @property
     def n(self) -> int:
         return len(self.agents)
-
-    @property
-    def all_items(self) -> int:
-        return full_mask(self.m)
 
 
 @dataclass(frozen=True)
@@ -235,19 +229,3 @@ def full_surplus_outcome(instance: Instance, x: Allocation) -> Outcome:
     """Price every bundle at its owner's value (and x0 at zero)."""
     prices = tuple(v.value(b) for v, b in zip(instance.agents, x.bundles))
     return Outcome(x, prices=prices)
-
-
-def describe_items(instance: Instance, mask: int) -> str:
-    """Render an item set with metadata names when available."""
-    names = None
-    if instance.metadata:
-        names = instance.metadata.get("items")
-    labels = [
-        names[j] if names and j < len(names) else str(j) for j in items_of(mask)
-    ]
-    return "{" + ",".join(labels) + "}"
-
-
-def check_enumeration_cap(m: int) -> None:
-    if m > ENUMERATION_ITEM_CAP:
-        raise SizeLimit(f"{m} items exceeds the 2^m enumeration cap")

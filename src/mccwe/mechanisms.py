@@ -32,10 +32,10 @@ from .market import (
     Partition,
     UNALLOCATED,
     full_surplus_outcome,
-    social_welfare,
 )
 from .valuations import (
     SingleMinded,
+    demand_utilities,
     is_superadditive_family,
     is_uniform_budget_additive,
     relative_demand_query,
@@ -207,7 +207,7 @@ def superadditive_mccwe(
     merges = 0
     while True:
         move = _best_merge(instance, state.bundles, tables)
-        demand_gap = _best_merge_gap_by_demand(instance, state.bundles, tables)
+        demand_gap = _best_merge_gap_by_demand(instance, state.bundles)
         if move is None:
             assert demand_gap <= 0, "demand route found a merge enumeration missed"
             break
@@ -258,24 +258,14 @@ def _best_merge(instance, bundles, tables):
     return best
 
 
-def _best_merge_gap_by_demand(instance, bundles, tables):
+def _best_merge_gap_by_demand(instance, bundles):
     """The same maximal surplus, via one demand query per agent on the
-    bundled market at full-surplus prices."""
-    blocks = [(j, bundles[j]) for j in range(len(bundles)) if bundles[j]]
-    prices = [_value(instance, tables, j, b) for j, b in blocks]
-    k = len(blocks)
-    best = _ZERO
-    for i in range(len(instance.agents)):
-        for mask in range(1, 1 << k):
-            union = 0
-            cost = _ZERO
-            for idx in bits_of(mask):
-                union |= blocks[idx][1]
-                cost += prices[idx]
-            util = _value(instance, tables, i, union) - cost
-            if util > best:
-                best = util
-    return best
+    bundled market at full-surplus prices.  The merge phase leaves no item
+    unallocated, so the nonempty bundles partition the items."""
+    owners = {b: j for j, b in enumerate(bundles) if b}
+    partition = Partition(instance.m, tuple(owners))
+    prices = [instance.agents[owners[b]].value(b) for b in partition.blocks]
+    return max(max(demand_utilities(v, partition, prices)) for v in instance.agents)
 
 
 def single_minded_mccwe(

@@ -23,7 +23,6 @@ from .market import (
     Partition,
     UNALLOCATED,
     reduced_value_table,
-    social_welfare,
 )
 from .valuations import SingleMinded, value_table
 
@@ -52,10 +51,33 @@ class OracleBudget:
         self.used += states
 
 
-def _tables(instance: Instance):
+def _table_scorer(tables):
+    """Leaf score of a complete assignment: the sum of per-agent table lookups."""
+    n = len(tables)
+
+    def evaluate(masks, _x0):
+        total = _ZERO
+        for i in range(n):
+            total += tables[i][masks[i]]
+        return total
+
+    return evaluate
+
+
+def _item_scorer(instance: Instance):
+    """_table_scorer over item value tables, or, when 2^m exceeds _TABLE_CAP,
+    a scorer that queries the valuations directly."""
     if 1 << instance.m <= _TABLE_CAP:
-        return [value_table(v, instance.m) for v in instance.agents]
-    return None
+        return _table_scorer([value_table(v, instance.m) for v in instance.agents])
+    agents = instance.agents
+
+    def evaluate(masks, _x0):
+        total = _ZERO
+        for v, mask in zip(agents, masks):
+            total += v.value(mask)
+        return total
+
+    return evaluate
 
 
 class _Stop(Exception):
@@ -105,22 +127,8 @@ def optimal_integral(
     ):
         return _single_minded_optimum(instance, budget)
     budget.charge(states)
-    tables = _tables(instance)
-
+    evaluate = _item_scorer(instance)
     best = {"welfare": None, "bundles": None, "x0": 0}
-
-    if tables is not None:
-        def evaluate(masks, _x0):
-            total = _ZERO
-            for i in range(n):
-                total += tables[i][masks[i]]
-            return total
-    else:
-        def evaluate(masks, _x0):
-            total = _ZERO
-            for i, v in enumerate(instance.agents):
-                total += v.value(masks[i])
-            return total
 
     def on_candidate(welfare, masks, x0):
         if best["welfare"] is None or welfare > best["welfare"]:
@@ -132,25 +140,31 @@ def optimal_integral(
     return Allocation(m, best["x0"], best["bundles"]), best["welfare"]
 
 
+def _disjoint_winner_sets(instance):
+    """Yield (winners, welfare) for every agent set, in increasing mask
+    order, whose single-minded desired sets are pairwise disjoint."""
+    desired = [v.desired for v in instance.agents]
+    values = [v.value_if_served for v in instance.agents]
+    for winners in range(1 << instance.n):
+        union = 0
+        welfare = _ZERO
+        for i in bits_of(winners):
+            if union & desired[i]:
+                break
+            union |= desired[i]
+            welfare += values[i]
+        else:
+            yield winners, welfare
+
+
 def _single_minded_optimum(instance, budget):
     n = instance.n
     budget.charge(1 << n)
     desired = [v.desired for v in instance.agents]
-    values = [v.value_if_served for v in instance.agents]
 
     best_welfare = None
     best_vector = None
-    for winners in range(1 << n):
-        union = 0
-        ok = True
-        for i in bits_of(winners):
-            if union & desired[i]:
-                ok = False
-                break
-            union |= desired[i]
-        if not ok:
-            continue
-        welfare = sum((values[i] for i in bits_of(winners)), _ZERO)
+    for winners, welfare in _disjoint_winner_sets(instance):
         if best_welfare is not None and welfare < best_welfare:
             continue
         vector = []
@@ -184,15 +198,8 @@ def optimal_over_partition(
     n = instance.n
     k = len(partition.blocks)
     budget.charge((n + 1) ** k)
-    tables = [reduced_value_table(v, partition) for v in instance.agents]
-
+    evaluate = _table_scorer([reduced_value_table(v, partition) for v in instance.agents])
     best = {"welfare": None, "sets": None}
-
-    def evaluate(sets, _rest):
-        total = _ZERO
-        for i in range(n):
-            total += tables[i][sets[i]]
-        return total
 
     def on_candidate(welfare, sets, _rest):
         if best["welfare"] is None or welfare > best["welfare"]:
@@ -237,14 +244,7 @@ def best_mccwe(
     m, n = instance.m, instance.n
     states = (n + 1) ** m
     budget.charge(2 * states)
-    tables = _tables(instance)
-
-    def evaluate(masks, _x0):
-        total = _ZERO
-        for i in range(n):
-            total += tables[i][masks[i]] if tables else instance.agents[i].value(masks[i])
-        return total
-
+    evaluate = _item_scorer(instance)
     top = {"welfare": _ZERO}
 
     def track_top(welfare, _masks, _x0):
@@ -303,17 +303,7 @@ def best_single_minded_item_pricing(
     values = [v.value_if_served for v in instance.agents]
 
     best = _ZERO  # empty winner set is always feasible
-    for winners in range(1 << n):
-        union = 0
-        ok = True
-        for i in bits_of(winners):
-            if union & desired[i]:
-                ok = False
-                break
-            union |= desired[i]
-        if not ok:
-            continue
-        welfare = sum((values[i] for i in bits_of(winners)), _ZERO)
+    for winners, welfare in _disjoint_winner_sets(instance):
         if welfare <= best:
             continue
         rows = []

@@ -4,7 +4,10 @@ Five concrete families cover the package: additive, single-minded, explicit
 super-additive tables, budget-additive, and cardinality-capped additive.
 All of them answer exact value queries on item-set bitmasks; demand and
 relative-demand queries are answered by exhaustive enumeration, which is
-exact at desk scale.
+exact at desk scale.  `demand_utilities` is the package's one demand
+routine: every caller that needs the utility argmax over block subsets (the
+demand query and correspondence, the verifier, the merge-phase cross-check)
+reads its table, and `preferred` applies the tie-break below to it.
 
 Tie-breaking is fully deterministic everywhere: maximum utility (or density),
 then fewest elements, then numerically smallest bitmask.
@@ -180,24 +183,46 @@ def is_superadditive_family(v: Valuation) -> bool:
     return v.cap == 0 or len(positives) <= v.cap
 
 
-def demand_query(v: Valuation, partition: market.Partition, prices) -> int:
-    """Utility-maximizing bundle set at the given block prices.
+def demand_utilities(v: Valuation, partition: market.Partition, prices) -> list[Fraction]:
+    """Quasilinear utility of every bundle set at the given block prices.
 
-    Ties break toward fewer blocks, then the numerically smallest mask.
+    Indexed by bundle-set mask; the 20-block cap is checked before the
+    2^k table is built.
     """
     k = len(partition.blocks)
     if k > 20:
         raise SizeLimit(f"{k} blocks exceeds the demand enumeration cap")
-    values = market.reduced_value_table(v, partition)
-    best_mask, best_util, best_count = 0, _ZERO, 0
+    utils = market.reduced_value_table(v, partition)
+    costs = [_ZERO] * (1 << k)
     for mask in range(1, 1 << k):
-        util = values[mask]
-        for j in bits_of(mask):
-            util -= prices[j]
-        count = mask.bit_count()
-        if util > best_util or (util == best_util and count < best_count):
-            best_mask, best_util, best_count = mask, util, count
-    return best_mask
+        low = mask & -mask
+        cost = prices[low.bit_length() - 1]
+        if mask != low:  # a single block costs its price: no Fraction add of zero
+            cost += costs[mask ^ low]
+        costs[mask] = cost
+        utils[mask] -= cost
+    return utils
+
+
+def preferred(utils: list[Fraction]) -> int:
+    """The demanded bundle set in a utility table from `demand_utilities`.
+
+    Most utility wins; ties break toward fewer blocks, then the numerically
+    smallest mask.
+    """
+    best = 0
+    for mask in range(1, len(utils)):
+        util = utils[mask]
+        if util > utils[best] or (
+            util == utils[best] and mask.bit_count() < best.bit_count()
+        ):
+            best = mask
+    return best
+
+
+def demand_query(v: Valuation, partition: market.Partition, prices) -> int:
+    """Utility-maximizing bundle set at the given block prices (see `preferred`)."""
+    return preferred(demand_utilities(v, partition, prices))
 
 
 def relative_demand_query(

@@ -142,6 +142,11 @@ def test_parse_error_exit_code(tmp_path):
     broken.write_text("{not json")
     code, _ = run(["verify", "-i", str(broken), "-a", str(broken), "--mode", "we"])
     assert code == 2
+    huge = tmp_path / "huge.json"
+    agent = {"family": "additive", "item_values": ["9" * 5000]}
+    huge.write_text(json.dumps({"format": 1, "m": 1, "agents": [agent]}))
+    code, _ = run(["gap", "-i", str(huge)])
+    assert code == 2
 
 
 def test_solve_uba_uses_bruteforce_optimum_by_default(tmp_path):

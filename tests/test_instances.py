@@ -1,5 +1,7 @@
 """Built-in markets, random families, and serialization round-trips."""
 
+import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -176,3 +178,38 @@ def test_parse_outcome_price_arity_mismatch():
     assert broken != text
     with pytest.raises(ParseError, match="bundle"):
         parse_outcome(broken, 2)
+
+
+def test_parse_rational_rejects_more_digits_than_int_converts():
+    with pytest.raises(ParseError, match="f:"):
+        parse_rational("7" * 5000, "f")
+    with pytest.raises(ParseError, match="f:"):
+        parse_rational("1/" + "7" * 5000, "f")
+    with pytest.raises(ParseError, match="instance"):
+        parse_instance('{"format": 1, "m": ' + "7" * 5000 + "}")
+
+
+def test_parse_outcome_without_m_rejects_non_list_bundles():
+    doc = {"format": 1, "allocation": {"x0": [], "x": [5]}, "prices": {"agents": ["0"]}}
+    with pytest.raises(ParseError, match="allocation"):
+        parse_outcome(json.dumps(doc))
+    doc["allocation"] = {"x0": 3, "x": [[0]]}
+    with pytest.raises(ParseError, match="allocation"):
+        parse_outcome(json.dumps(doc))
+
+
+def test_single_minded_index_is_bounded_before_the_mask_is_built():
+    doc = {
+        "format": 1,
+        "m": 3,
+        "agents": [{"family": "single_minded", "desired": [10**8], "value": "1"}],
+    }
+    text = json.dumps(doc)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=r"agents\[0\]\.desired"):
+            parse_instance(text)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -21,9 +21,10 @@ from mccwe import (
     singleton_partition,
 )
 from mccwe.bits import mask_of
+from mccwe.equilibria import demand_correspondence
 from mccwe.errors import EmptyPool
-from mccwe.market import reduced_value_table
-from mccwe.valuations import is_superadditive_family, value_table
+from mccwe.market import reduced_value_table, utility
+from mccwe.valuations import demand_utilities, is_superadditive_family, value_table
 
 F = Fraction
 
@@ -157,6 +158,16 @@ def test_demand_query_dominates_every_bundle_set(data):
 
     best_util = util(best)
     assert all(util(mask) <= best_util for mask in range(1 << m))
+
+    # the shared routine against the pointwise reference, on coarser blocks too
+    labels = data.draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+    groups = [mask_of(j for j in range(m) if labels[j] == label) for label in range(m)]
+    coarse = Partition(m, tuple(b for b in groups if b))
+    for part in (p, coarse):
+        k = len(part.blocks)
+        utils = demand_utilities(v, part, prices[:k])
+        assert utils == [utility(v, part, mask, prices[:k]) for mask in range(1 << k)]
+        assert demand_query(v, part, prices[:k]) in demand_correspondence(v, part, prices[:k])
 
 
 @settings(max_examples=40, deadline=None)
