@@ -6,6 +6,7 @@ brute-force oracles at desk scale.
 
 from .errors import (
     BadParams,
+    CertificateError,
     EmptyPool,
     MalformedLP,
     MarketError,

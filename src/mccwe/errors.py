@@ -54,3 +54,7 @@ class ParseError(MarketError):
 
     The message names the offending line or field.
     """
+
+
+class CertificateError(MarketError):
+    """A computed result failed its own re-check: a bug, not bad input."""

@@ -1,20 +1,25 @@
-"""Brute-force ground truth: integral optima, block-restricted optima,
-exhaustive bundle-equilibrium search, and single-minded item-pricing bounds.
+"""Ground truth: integral optima, block-restricted optima, exhaustive
+bundle-equilibrium search, and single-minded item-pricing bounds.
 
-Enumeration is item-major base-(n+1) counting with agents as digits
-0..n-1 and "unallocated" last, so ties resolve to the lexicographically
-smallest assignment vector.  Every operation charges an enumeration budget
-up front and aborts with SizeLimit rather than exceed it.
+Optima come from an exact integer subset DP for winner determination
+(after Rothkopf, Pekec and Harstad, 1998): each agent's value table is
+scaled by the LCM of all denominators, and the tie-break is folded into the
+same integer key, so the DP returns the lexicographically smallest owner
+vector among the optima, item 0 most significant, agents as digits 0..n-1
+and "unallocated" last.  The supportable-optimum search walks that same
+order leaf by leaf.  Every operation charges an enumeration budget up front
+and aborts with SizeLimit rather than exceed it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import configlp
 from .bits import bits_of
-from .errors import NotSingleMinded, SizeLimit
+from .errors import CertificateError, NotSingleMinded, SizeLimit
 from .lp import GE, LE, OPTIMAL, LinearProgram, solve_lp
 from .market import (
     Allocation,
@@ -31,7 +36,7 @@ _ONE = Fraction(1)
 
 DEFAULT_STATE_LIMIT = 10_000_000
 
-# Above this table size, leaf evaluations query valuations directly.
+# Above this table size, optima and leaf evaluations query valuations directly.
 _TABLE_CAP = 1 << 20
 
 
@@ -64,11 +69,17 @@ def _table_scorer(tables):
     return evaluate
 
 
-def _item_scorer(instance: Instance):
-    """_table_scorer over item value tables, or, when 2^m exceeds _TABLE_CAP,
+def _item_tables(instance: Instance):
+    """Item value tables, or None when 2^m exceeds _TABLE_CAP."""
+    m = instance.m
+    return None if 1 << m > _TABLE_CAP else [value_table(v, m) for v in instance.agents]
+
+
+def _item_scorer(instance: Instance, tables):
+    """_table_scorer over `tables` from _item_tables, or, when they are None,
     a scorer that queries the valuations directly."""
-    if 1 << instance.m <= _TABLE_CAP:
-        return _table_scorer([value_table(v, instance.m) for v in instance.agents])
+    if tables is not None:
+        return _table_scorer(tables)
     agents = instance.agents
 
     def evaluate(masks, _x0):
@@ -110,14 +121,132 @@ def _search_assignments(m, n, evaluate, on_candidate):
         pass
 
 
+def _winner_determination(k, tables):
+    """Welfare-maximal assignment of k units to the agents behind `tables`.
+
+    Returns (sets, rest, welfare): one unit mask per agent, the unallocated
+    mask, and the welfare as the sum of the chosen Fraction table entries.
+    The DP runs on integer keys v_i(T)*scale*(n+1)^k - i*W(T), where scale
+    is the LCM of all denominators and W(T) is the sum of (n+1)^(k-1-j)
+    over units j in T; unallocated units count n*W.  A key's welfare part
+    outweighs every digit part, and the digit part is the owner vector read
+    in base n+1, so the one maximal key is the lexicographically smallest
+    optimal owner vector: the leaf walk's first strict maximum.
+    """
+    n = len(tables)
+    size = 1 << k
+    full = size - 1
+    weights = [0] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        weights[mask] = weights[mask ^ low] + (n + 1) ** (k - low.bit_length())
+    unit = (n + 1) ** k * lcm(*{value.denominator for table in tables for value in table})
+    keys = [
+        [value.numerator * (unit // value.denominator) - i * w for value, w in zip(table, weights)]
+        for i, table in enumerate(tables)
+    ]
+    unallocated = [-n * w for w in weights]
+
+    # best[S]: the maximal key of an assignment of S to "unallocated" and
+    # the agents folded in so far; choices[i][S]: agent i's share of it.
+    # The last agent is folded in for the full set only.
+    best = unallocated
+    choices = []
+    for key in keys[:-1]:
+        splits = [_best_split(s, best, key) for s in range(size)]
+        best = [top for top, _arg in splits]
+        choices.append([arg for _top, arg in splits])
+    top, arg = _best_split(full, best, keys[-1])
+
+    sets = [0] * n
+    sets[-1] = arg
+    rest = full ^ arg
+    for i in range(n - 2, -1, -1):
+        sets[i] = choices[i][rest]
+        rest ^= sets[i]
+
+    _check_assignment(full, sets, rest, keys, unallocated, top)
+    welfare = _ZERO
+    for table, t in zip(tables, sets):
+        welfare += table[t]
+    return tuple(sets), rest, welfare
+
+
+def _best_split(s, best, key):
+    """max over t ⊆ s of best[s ^ t] + key[t], and the t that attains it."""
+    top = best[0] + key[s]
+    arg = t = s
+    while t:
+        t = (t - 1) & s
+        val = best[s ^ t] + key[t]
+        if val > top:
+            top, arg = val, t
+    return top, arg
+
+
+def _check_assignment(full, sets, rest, keys, unallocated, top):
+    """Raise CertificateError unless `sets` are pairwise disjoint, `rest` is
+    their complement in `full`, and their keys add up to the DP maximum."""
+    covered = rest
+    total = unallocated[rest]
+    for i, t in enumerate(sets):
+        if covered & t:
+            raise CertificateError(f"reconstructed bundle of agent {i} overlaps another set")
+        covered |= t
+        total += keys[i][t]
+    if covered != full:
+        raise CertificateError("reconstructed sets do not cover every unit")
+    if total != top:
+        raise CertificateError(
+            f"reconstructed key {total} differs from the DP maximum {top}"
+        )
+
+
+def _single_agent_optimum(instance):
+    """The one-agent optimum over 2^m item sets by direct value queries,
+    for markets too large for value tables; same tie-break as the DP.
+    Above the cap, any budget short of 3^21 states admits one agent only."""
+    if instance.n != 1:
+        raise SizeLimit(
+            f"{instance.m} items exceed the {_TABLE_CAP}-entry table cap for "
+            f"{instance.n} agents"
+        )
+    v = instance.agents[0]
+    full = (1 << instance.m) - 1
+    top = v.value(full)
+    arg = full
+    for mask in range(full):
+        val = v.value(mask)
+        if val > top:
+            top, arg = val, mask
+        elif val == top:
+            # lowest item where the two sets differ: holding it is a 0 digit
+            diff = mask ^ arg
+            if mask & diff & -diff:
+                arg = mask
+    return Allocation(instance.m, full ^ arg, (arg,)), _ZERO + top
+
+
+def _item_optimum(instance, tables):
+    """The welfare optimum over items, charging no budget; `tables` come
+    from _item_tables."""
+    if tables is None:
+        return _single_agent_optimum(instance)
+    sets, rest, welfare = _winner_determination(instance.m, tables)
+    return Allocation(instance.m, rest, sets), welfare
+
+
 def optimal_integral(
     instance: Instance, budget: OracleBudget | None = None
 ) -> tuple[Allocation, Fraction]:
-    """Welfare-maximal allocation by exhaustive assignment enumeration.
+    """Welfare-maximal allocation by the exact integer subset DP.
 
-    Single-minded markets whose assignment space exceeds the budget fall
-    back to exact winner-set search over the 2^n disjoint-set families,
-    which returns the same value and the same lexicographic tie-break.
+    Ties go to the lexicographically smallest owner vector, which the DP
+    encodes in its integer key.  The budget is charged (n+1)^m states, the
+    size of the assignment space.  Single-minded markets whose assignment
+    space exceeds the budget fall back to exact winner-set search over the
+    2^n disjoint-set families, which returns the same value and the same
+    tie-break.
     """
     budget = budget or OracleBudget()
     m, n = instance.m, instance.n
@@ -127,17 +256,7 @@ def optimal_integral(
     ):
         return _single_minded_optimum(instance, budget)
     budget.charge(states)
-    evaluate = _item_scorer(instance)
-    best = {"welfare": None, "bundles": None, "x0": 0}
-
-    def on_candidate(welfare, masks, x0):
-        if best["welfare"] is None or welfare > best["welfare"]:
-            best["welfare"] = welfare
-            best["bundles"] = tuple(masks)
-            best["x0"] = x0
-
-    _search_assignments(m, n, evaluate, on_candidate)
-    return Allocation(m, best["x0"], best["bundles"]), best["welfare"]
+    return _item_optimum(instance, _item_tables(instance))
 
 
 def _disjoint_winner_sets(instance):
@@ -192,27 +311,22 @@ def optimal_over_partition(
     """Welfare-maximal assignment of whole blocks to agents.
 
     Returns one owner per block (UNALLOCATED for unassigned) and the value;
-    this realizes bundle-efficiency over the partition's blocks.
+    this realizes bundle-efficiency over the partition's blocks.  It is the
+    same integer subset DP as optimal_integral over reduced value tables,
+    with blocks as units and ties to the smallest block-major owner vector;
+    the budget is charged (n+1)^k states for k blocks.
     """
     budget = budget or OracleBudget()
-    n = instance.n
     k = len(partition.blocks)
-    budget.charge((n + 1) ** k)
-    evaluate = _table_scorer([reduced_value_table(v, partition) for v in instance.agents])
-    best = {"welfare": None, "sets": None}
-
-    def on_candidate(welfare, sets, _rest):
-        if best["welfare"] is None or welfare > best["welfare"]:
-            best["welfare"] = welfare
-            best["sets"] = tuple(sets)
-
-    _search_assignments(k, n, evaluate, on_candidate)
-
+    budget.charge((instance.n + 1) ** k)
+    sets, _rest, welfare = _winner_determination(
+        k, [reduced_value_table(v, partition) for v in instance.agents]
+    )
     owners = [UNALLOCATED] * k
-    for i, block_set in enumerate(best["sets"]):
+    for i, block_set in enumerate(sets):
         for j in bits_of(block_set):
             owners[j] = i
-    return tuple(owners), best["welfare"]
+    return tuple(owners), welfare
 
 
 def allocation_from_block_assignment(
@@ -234,25 +348,22 @@ def best_mccwe(
     """Max welfare over all supportable allocations, with supporting prices.
 
     Ties go to the first supportable allocation in enumeration order at the
-    winning welfare.  The search first walks the unconstrained-optimum
-    welfare level (where super-additive markets always succeed on the first
-    try); only if no allocation there is supportable does it rescan with
-    the usual prune-below-the-incumbent rule, so the expensive LP runs only
-    on strict improvements.
+    winning welfare.  The search first tries the unconstrained optimum (where
+    super-additive markets always succeed), then walks the rest of its
+    welfare level; only if no allocation there is supportable does it rescan
+    with the usual prune-below-the-incumbent rule, so the expensive LP runs
+    only on strict improvements.
     """
     budget = budget or OracleBudget()
     m, n = instance.m, instance.n
     states = (n + 1) ** m
     budget.charge(2 * states)
-    evaluate = _item_scorer(instance)
-    top = {"welfare": _ZERO}
+    tables = _item_tables(instance)
+    x, top = _item_optimum(instance, tables)
+    if configlp.is_mccwe_allocation(instance, x):
+        return configlp.supporting_prices(instance, x), top
 
-    def track_top(welfare, _masks, _x0):
-        if welfare > top["welfare"]:
-            top["welfare"] = welfare
-
-    _search_assignments(m, n, evaluate, track_top)
-
+    evaluate = _item_scorer(instance, tables)
     best = {"welfare": None, "bundles": None, "x0": 0}
 
     def record(welfare, masks, x0):
@@ -261,9 +372,9 @@ def best_mccwe(
         best["x0"] = x0
 
     def at_top_level(welfare, masks, x0):
-        if welfare == top["welfare"]:
-            x = Allocation(m, x0, tuple(masks))
-            if configlp.is_mccwe_allocation(instance, x):
+        if welfare == top:
+            candidate = Allocation(m, x0, tuple(masks))
+            if candidate != x and configlp.is_mccwe_allocation(instance, candidate):
                 record(welfare, masks, x0)
                 raise _Stop
 
@@ -272,11 +383,12 @@ def best_mccwe(
     if best["welfare"] is None:
         budget.charge(states)
 
+        # every allocation at the top level was just found unsupportable
         def on_improvement(welfare, masks, x0):
-            if best["welfare"] is not None and welfare <= best["welfare"]:
+            if welfare == top or (best["welfare"] is not None and welfare <= best["welfare"]):
                 return
-            x = Allocation(m, x0, tuple(masks))
-            if configlp.is_mccwe_allocation(instance, x):
+            candidate = Allocation(m, x0, tuple(masks))
+            if configlp.is_mccwe_allocation(instance, candidate):
                 record(welfare, masks, x0)
 
         _search_assignments(m, n, evaluate, on_improvement)

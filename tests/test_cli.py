@@ -3,6 +3,7 @@
 import io
 import json
 
+from mccwe import CertificateError
 from mccwe.cli import main
 
 
@@ -146,6 +147,18 @@ def test_parse_error_exit_code(tmp_path):
     agent = {"family": "additive", "item_values": ["9" * 5000]}
     huge.write_text(json.dumps({"format": 1, "m": 1, "agents": [agent]}))
     code, _ = run(["gap", "-i", str(huge)])
+    assert code == 2
+
+
+def test_certificate_error_exit_code(tmp_path, monkeypatch):
+    inst = tmp_path / "fig1b.json"
+    run(["gen", "fig1b", "-o", str(inst)])
+
+    def failed_check(_instance, budget=None):
+        raise CertificateError("reconstructed key differs from the DP maximum")
+
+    monkeypatch.setattr("mccwe.oracle.optimal_integral", failed_check)
+    code, _ = run(["oracle", "-i", str(inst)])
     assert code == 2
 
 

@@ -1,4 +1,5 @@
-"""Brute-force oracles: optima, budget caps, item-pricing bounds."""
+"""Oracles: optima, budget caps, item-pricing bounds, and the subset DP
+checked against the leaf-walk reference."""
 
 from fractions import Fraction
 
@@ -6,7 +7,9 @@ import pytest
 
 from mccwe import (
     Additive,
+    CertificateError,
     Instance,
+    MarketError,
     NotSingleMinded,
     Partition,
     SingleMinded,
@@ -15,11 +18,17 @@ from mccwe import (
     singleton_partition,
     social_welfare,
 )
-from mccwe.bits import mask_of
-from mccwe.instances import built_in, generate
+from mccwe.bits import bits_of, mask_of
+from mccwe.instances import SplitMix64, built_in, generate
+from mccwe.market import UNALLOCATED, reduced_value_table
 from mccwe.oracle import (
     OracleBudget,
+    _check_assignment,
+    _item_scorer,
+    _item_tables,
+    _search_assignments,
     _single_minded_optimum,
+    _table_scorer,
     allocation_from_block_assignment,
     best_mccwe,
     best_single_minded_item_pricing,
@@ -28,6 +37,69 @@ from mccwe.oracle import (
 )
 
 F = Fraction
+
+FAMILIES = ("random_superadditive", "random_single_minded", "random_uniform_budget_additive")
+
+# Every (m, n) with (n+1)^m <= 1024, m <= 8 and n <= 6: each leaf walk stays
+# small, and so does building a random super-additive table.
+SHAPES = tuple((m, n) for n in range(1, 7) for m in range(1, 9) if (n + 1) ** m <= 1024)
+
+
+def _leaf_walk(k, n, evaluate):
+    """First strict maximum of the (n+1)^k walk: (sets, rest, welfare)."""
+    best = {}
+
+    def on_candidate(welfare, sets, rest):
+        if not best or welfare > best["welfare"]:
+            best.update(welfare=welfare, sets=tuple(sets), rest=rest)
+
+    _search_assignments(k, n, evaluate, on_candidate)
+    return best["sets"], best["rest"], best["welfare"]
+
+
+def reference_integral(inst):
+    sets, rest, welfare = _leaf_walk(inst.m, inst.n, _item_scorer(inst, _item_tables(inst)))
+    return allocation(inst.m, sets, rest), welfare
+
+
+def reference_over_partition(inst, partition):
+    tables = [reduced_value_table(v, partition) for v in inst.agents]
+    sets, _rest, welfare = _leaf_walk(len(partition.blocks), inst.n, _table_scorer(tables))
+    owners = [UNALLOCATED] * len(partition.blocks)
+    for i, block_set in enumerate(sets):
+        for j in bits_of(block_set):
+            owners[j] = i
+    return tuple(owners), welfare
+
+
+class _RawTable:
+    """A value table with no structure: not monotone, so leaving an item
+    unallocated can beat handing it out.  `item_values` only sizes it."""
+
+    def __init__(self, m, rng):
+        self.item_values = (F(0),) * m
+        self.table = (F(0),) + tuple(F(rng.next_u64() % 3, 2) for _ in range((1 << m) - 1))
+
+    def value(self, mask):
+        return self.table[mask]
+
+
+def random_partition(m, rng):
+    """A partition of m items into at most m blocks, labels drawn from rng."""
+    blocks = {}
+    for j in range(m):
+        label = rng.next_u64() % m
+        blocks[label] = blocks.get(label, 0) | 1 << j
+    return Partition(m, tuple(blocks.values()))
+
+
+def assert_matches_reference(inst, partition):
+    x, welfare = optimal_integral(inst)
+    x_ref, welfare_ref = reference_integral(inst)
+    assert (x, str(welfare)) == (x_ref, str(welfare_ref))
+    owners, value = optimal_over_partition(inst, partition)
+    owners_ref, value_ref = reference_over_partition(inst, partition)
+    assert (owners, str(value)) == (owners_ref, str(value_ref))
 
 
 def test_single_agent_gets_everything():
@@ -50,7 +122,7 @@ def test_fig1b_optimal_integral():
 def test_single_minded_fast_path_matches_enumeration():
     for seed in range(40):
         inst = generate("random_single_minded", 5, 3, seed)
-        x_slow, w_slow = optimal_integral(inst)
+        x_slow, w_slow = reference_integral(inst)
         x_fast, w_fast = _single_minded_optimum(inst, OracleBudget())
         assert w_fast == w_slow
         assert x_fast == x_slow
@@ -124,3 +196,59 @@ def test_nonuniform_example_bundling_hurts():
     _out, best_bundled = best_mccwe(inst)
     # unbundled support is impossible at the optimum; the search settles lower
     assert best_bundled == 4
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_dp_matches_leaf_walk(family):
+    for seed in range(500):
+        m, n = SHAPES[seed % len(SHAPES)]
+        inst = generate(family, m, n, seed)
+        assert_matches_reference(inst, random_partition(m, SplitMix64(seed)))
+
+
+def test_dp_matches_leaf_walk_on_ties():
+    rng = SplitMix64(7)
+    for seed in range(200):
+        m, n = SHAPES[seed % len(SHAPES)]
+        identical = generate("random_uniform_budget_additive", m, n, seed, identical_budgets=True)
+        assert_matches_reference(identical, random_partition(m, rng))
+        family = FAMILIES[seed % len(FAMILIES)]
+        clones = Instance(m, generate(family, m, 1, seed).agents * n)
+        assert_matches_reference(clones, random_partition(m, rng))
+        single = generate(family, m, 1, seed + 1000)
+        assert_matches_reference(single, random_partition(m, rng))
+        raw = Instance(m, tuple(_RawTable(m, rng) for _ in range(n)))
+        assert_matches_reference(raw, random_partition(m, rng))
+    for m, n in SHAPES:
+        zeros = Instance(m, (Additive((F(0),) * m),) * n)
+        assert_matches_reference(zeros, random_partition(m, rng))
+        x, welfare = optimal_integral(zeros)
+        assert x.bundles == ((1 << m) - 1,) + (0,) * (n - 1) and welfare == 0
+
+
+def test_single_agent_sweep_above_table_cap(monkeypatch):
+    monkeypatch.setattr("mccwe.oracle._TABLE_CAP", 2)
+    rng = SplitMix64(11)
+    for seed in range(120):
+        family = FAMILIES[seed % len(FAMILIES)]
+        m = 2 + seed % 7
+        inst = generate(family, m, 1, seed, identical_budgets=family == FAMILIES[2])
+        assert optimal_integral(inst) == reference_integral(inst)
+        raw = Instance(m, (_RawTable(m, rng),))
+        assert optimal_integral(raw) == reference_integral(raw)
+    with pytest.raises(SizeLimit):
+        optimal_integral(generate("random_superadditive", 3, 2, 1))
+
+
+def test_assignment_check_rejects_bad_reconstructions():
+    # two units, one agent keyed by its set mask, unallocated units weigh 0
+    keys = [[0, 1, 2, 3]]
+    unallocated = [0, 0, 0, 0]
+    _check_assignment(0b11, (0b01,), 0b10, keys, unallocated, 1)
+    with pytest.raises(CertificateError, match="overlaps"):
+        _check_assignment(0b11, (0b01,), 0b11, keys, unallocated, 1)
+    with pytest.raises(CertificateError, match="cover"):
+        _check_assignment(0b11, (0b01,), 0b00, keys, unallocated, 1)
+    with pytest.raises(CertificateError, match="DP maximum"):
+        _check_assignment(0b11, (0b01,), 0b10, keys, unallocated, 3)
+    assert issubclass(CertificateError, MarketError)
