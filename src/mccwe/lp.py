@@ -12,8 +12,11 @@ Conventions
 * Constraint relations are the strings "<=", ">=", "=".
 * Dual values are reported in the original row orientation: rows with
   relation "<=" get duals >= 0, rows with ">=" get duals <= 0, equality rows
-  are free.  For every optimal result, primal feasibility, dual feasibility
-  and exact strong duality (c.x == y.b) are re-checked before returning.
+  are free.  They are read off the final reduced costs of each row's slack,
+  surplus or artificial column; no separate dual solve runs.
+* For every optimal result, primal feasibility, dual feasibility and exact
+  strong duality (c.x == y.b) are re-checked before returning.  A failed
+  check raises `CertificateError`, also under `python -O`.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import MalformedLP, SizeLimit
+from .errors import CertificateError, MalformedLP, SizeLimit
 
 Rat = Fraction
 
@@ -105,12 +108,14 @@ def _reduced_costs(tableau, basis, costs, ncols):
     return obj
 
 
-def _run_simplex(tableau, basis, obj):
-    """Bland-rule simplex to optimality; returns OPTIMAL or UNBOUNDED."""
-    ncols = len(obj) - 1
+def _run_simplex(tableau, basis, obj, n_enter):
+    """Bland-rule simplex to optimality; returns OPTIMAL or UNBOUNDED.
+
+    Only the columns below `n_enter` may enter the basis.
+    """
     while True:
         entering = -1
-        for j in range(ncols):
+        for j in range(n_enter):
             if obj[j] > 0:
                 entering = j
                 break
@@ -135,47 +140,32 @@ def _run_simplex(tableau, basis, obj):
         basis[leaving] = entering
 
 
-def _solve_dual(columns, rhs):
-    """Solve B^T y = c_B exactly by Gaussian elimination.
-
-    `columns` is the list of basis columns (each a list over rows); `rhs` is
-    c_B.  Returns y indexed by row.
-    """
-    size = len(rhs)
-    aug = [[columns[k][r] for r in range(size)] + [rhs[k]] for k in range(size)]
-    for col in range(size):
-        piv = next(r for r in range(col, size) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = _ONE / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [aug[r][k] - factor * aug[col][k] for k in range(size + 1)]
-    return [aug[r][-1] for r in range(size)]
-
-
 def _check_certificates(lp, primal, dual, value):
     n = len(lp.objective)
-    assert all(x >= 0 for x in primal), "primal negativity"
+    if any(x < 0 for x in primal):
+        raise CertificateError("primal negativity")
     for (coeffs, relation, rhs), y in zip(lp.constraints, dual):
         lhs = sum((coeffs[j] * primal[j] for j in range(n)), _ZERO)
         if relation == LE:
-            assert lhs <= rhs and y >= 0, "primal/dual sign violation on <= row"
+            if not (lhs <= rhs and y >= 0):
+                raise CertificateError("primal/dual sign violation on <= row")
         elif relation == GE:
-            assert lhs >= rhs and y <= 0, "primal/dual sign violation on >= row"
-        else:
-            assert lhs == rhs, "equality row violated"
+            if not (lhs >= rhs and y <= 0):
+                raise CertificateError("primal/dual sign violation on >= row")
+        elif lhs != rhs:
+            raise CertificateError("equality row violated")
     for j in range(n):
         col = sum(
             (coeffs[j] * y for (coeffs, _rel, _rhs), y in zip(lp.constraints, dual)),
             _ZERO,
         )
-        assert col >= lp.objective[j], "dual infeasibility"
+        if col < lp.objective[j]:
+            raise CertificateError("dual infeasibility")
     dual_value = sum(
         (rhs * y for (_c, _rel, rhs), y in zip(lp.constraints, dual)), _ZERO
     )
-    assert dual_value == value, "strong duality gap"
+    if dual_value != value:
+        raise CertificateError("strong duality gap")
 
 
 def solve_lp(lp: LinearProgram) -> LPSolution:
@@ -185,84 +175,76 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     unbounded.  Deterministic: Bland's rule fixes every pivot choice.
     """
     n = len(lp.objective)
-    m = len(lp.constraints)
 
-    # Standard form: rhs >= 0, one slack per <=, one surplus per >=,
-    # artificials for >= and = rows.
-    rows = []
-    flipped = []
-    for coeffs, relation, rhs in lp.constraints:
-        if rhs < 0:
-            rows.append(([-a for a in coeffs], _flip(relation), -rhs))
-            flipped.append(True)
-        else:
-            rows.append((list(coeffs), relation, rhs))
-            flipped.append(False)
+    # Standard form: rhs >= 0 (a row with rhs < 0 is negated, sign -1),
+    # one slack per <=, one surplus per >=, artificials for >= and = rows.
+    rows = [
+        ([-a for a in coeffs], _flip(relation), -rhs, -1)
+        if rhs < 0
+        else (list(coeffs), relation, rhs, 1)
+        for coeffs, relation, rhs in lp.constraints
+    ]
+    n_slack = sum(1 for _c, rel, _b, _s in rows if rel in (LE, GE))
+    n_art = sum(1 for _c, rel, _b, _s in rows if rel in (GE, EQ))
+    n_real = n + n_slack
+    ncols = n_real + n_art
 
-    n_slack = sum(1 for _c, rel, _b in rows if rel in (LE, GE))
-    slack_cols = {}
-    art_rows = [i for i, (_c, rel, _b) in enumerate(rows) if rel in (GE, EQ)]
-    n_art = len(art_rows)
-    ncols = n + n_slack + n_art
-
+    # Row i's dual is read off the final reduced cost of its dual column:
+    # y = -cost at its slack (<=), +cost at its surplus (>=), -cost at its
+    # artificial (=), negated again when the row was flipped.
     tableau = []
     basis = []
+    dual_cols = []
     slack_at = n
-    art_at = n + n_slack
-    for i, (coeffs, relation, rhs) in enumerate(rows):
+    art_at = n_real
+    for coeffs, relation, rhs, sign in rows:
         row = coeffs + [_ZERO] * (n_slack + n_art) + [rhs]
         if relation == LE:
             row[slack_at] = _ONE
-            slack_cols[i] = slack_at
+            dual_cols.append((slack_at, -sign))
             basis.append(slack_at)
             slack_at += 1
         elif relation == GE:
             row[slack_at] = -_ONE
-            slack_cols[i] = slack_at
+            dual_cols.append((slack_at, sign))
             slack_at += 1
             row[art_at] = _ONE
             basis.append(art_at)
             art_at += 1
         else:
             row[art_at] = _ONE
+            dual_cols.append((art_at, -sign))
             basis.append(art_at)
             art_at += 1
         tableau.append(row)
 
-    kept = list(range(m))
-
     if n_art:
-        costs = [_ZERO] * ncols
-        for j in range(n + n_slack, ncols):
-            costs[j] = -_ONE
+        costs = [_ZERO] * n_real + [-_ONE] * n_art
         obj = _reduced_costs(tableau, basis, costs, ncols)
-        status = _run_simplex(tableau, basis, obj)
-        assert status == OPTIMAL, "phase 1 cannot be unbounded"
+        if _run_simplex(tableau, basis, obj, ncols) != OPTIMAL:
+            raise CertificateError("phase 1 cannot be unbounded")
         if obj[-1] != 0:
             return LPSolution(INFEASIBLE, None, None, None)
-        # Pivot leftover artificials out of the basis; an all-zero row means
-        # the constraint was redundant and is dropped.
+        # Pivot leftover artificials out of the basis.  An all-zero row is
+        # redundant and is dropped; the artificial basic in it keeps reduced
+        # cost 0, so the row that owns that artificial reads a dual of 0.
         r = 0
         while r < len(tableau):
-            if basis[r] >= n + n_slack:
-                col = next(
-                    (j for j in range(n + n_slack) if tableau[r][j] != 0), None
-                )
+            if basis[r] >= n_real:
+                col = next((j for j in range(n_real) if tableau[r][j] != 0), None)
                 if col is None:
                     del tableau[r]
                     del basis[r]
-                    del kept[r]
                     continue
                 _pivot(tableau, obj, r, col)
                 basis[r] = col
             r += 1
-        tableau = [row[: n + n_slack] + [row[-1]] for row in tableau]
-        ncols = n + n_slack
 
+    # Phase 2 keeps the artificial columns, at cost 0, but never lets them
+    # enter: their reduced costs are the duals of the = rows.
     costs = list(lp.objective) + [_ZERO] * (ncols - n)
     obj = _reduced_costs(tableau, basis, costs, ncols)
-    status = _run_simplex(tableau, basis, obj)
-    if status == UNBOUNDED:
+    if _run_simplex(tableau, basis, obj, n_real) == UNBOUNDED:
         return LPSolution(UNBOUNDED, None, None, None)
 
     primal = [_ZERO] * n
@@ -270,24 +252,7 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         if b < n:
             primal[b] = tableau[r][-1]
     value = sum((lp.objective[j] * primal[j] for j in range(n)), _ZERO)
-
-    # Dual from the final basis: solve B^T y = c_B over the kept rows using
-    # the original standard-form columns, then undo row flips.
-    dual = [_ZERO] * m
-    if kept:
-        columns = []
-        for b in basis:
-            if b < n:
-                col = [rows[i][0][b] for i in kept]
-            else:
-                col = [_ZERO] * len(kept)
-                owner = next(i for i, c in slack_cols.items() if c == b)
-                if owner in kept:
-                    col[kept.index(owner)] = _ONE if rows[owner][1] == LE else -_ONE
-            columns.append(col)
-        y = _solve_dual(columns, [costs[b] for b in basis])
-        for pos, i in enumerate(kept):
-            dual[i] = -y[pos] if flipped[i] else y[pos]
+    dual = [sign * obj[col] for col, sign in dual_cols]
 
     _check_certificates(lp, primal, dual, value)
     return LPSolution(OPTIMAL, tuple(primal), tuple(dual), value)

@@ -235,7 +235,7 @@ def relative_demand_query(
     """
     if pool == 0:
         raise EmptyPool("relative-demand query over an empty pool")
-    if pool.bit_length() > 24:
+    if pool.bit_count() > 24:
         raise SizeLimit("relative-demand enumeration capped at 24 items")
     best_mask = 0
     best_val = _ZERO

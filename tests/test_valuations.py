@@ -22,7 +22,7 @@ from mccwe import (
 )
 from mccwe.bits import mask_of
 from mccwe.equilibria import demand_correspondence
-from mccwe.errors import EmptyPool
+from mccwe.errors import EmptyPool, SizeLimit
 from mccwe.market import reduced_value_table, utility
 from mccwe.valuations import demand_utilities, is_superadditive_family, value_table
 
@@ -109,6 +109,14 @@ def test_relative_demand_prefers_density_over_size():
 def test_relative_demand_empty_pool():
     with pytest.raises(EmptyPool):
         relative_demand_query(Additive((F(1),)), 0)
+
+
+def test_relative_demand_cap_counts_pool_items_not_positions():
+    # One item at position 30: two candidate subsets, not 2^31.
+    v = Additive((F(0),) * 30 + (F(3),))
+    assert relative_demand_query(v, 1 << 30) == (1 << 30, F(3))
+    with pytest.raises(SizeLimit):
+        relative_demand_query(Additive((F(1),) * 25), (1 << 25) - 1)
 
 
 def test_relative_demand_density_identity():
