@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotMCCWE, SizeLimit
+from .errors import CertificateError, NotMCCWE, SizeLimit
 from .lp import LE, MAX_VARIABLES, OPTIMAL, LinearProgram, solve_lp
 from .market import (
     Allocation,
@@ -24,10 +24,10 @@ from .market import (
     Partition,
     UNALLOCATED,
     induced_partition,
-    reduced_value_table,
     singleton_partition,
     social_welfare,
 )
+from .valuations import value_table
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -58,7 +58,7 @@ def build_config_lp(instance: Instance, partition: Partition) -> LinearProgram:
 
     objective = []
     for v in instance.agents:
-        table = reduced_value_table(v, partition)
+        table = value_table(v, partition)
         objective.extend(table[1:])
 
     rows = []
@@ -83,7 +83,8 @@ def fractional_opt(instance: Instance, partition: Partition) -> ConfigLPSolution
     """Exact fractional optimum with its dual certificate."""
     lp = build_config_lp(instance, partition)
     sol = solve_lp(lp)
-    assert sol.status == OPTIMAL, "configuration LPs are feasible and bounded"
+    if sol.status != OPTIMAL:
+        raise CertificateError("configuration LPs are feasible and bounded")
     n = instance.n
     k = len(partition.blocks)
     sets_per_agent = (1 << k) - 1
@@ -94,7 +95,8 @@ def fractional_opt(instance: Instance, partition: Partition) -> ConfigLPSolution
             y[(agent, offset + 1)] = val
     dual_u = sol.dual[:n]
     dual_q = sol.dual[n:]
-    assert sum(dual_u, _ZERO) + sum(dual_q, _ZERO) == sol.objective_value
+    if sum(dual_u, _ZERO) + sum(dual_q, _ZERO) != sol.objective_value:
+        raise CertificateError("configuration-LP duals do not sum to its optimum")
     return ConfigLPSolution(sol.objective_value, y, dual_u, dual_q)
 
 
@@ -130,7 +132,8 @@ def supporting_prices(instance: Instance, x: Allocation) -> Outcome:
         if owner == UNALLOCATED:
             # Complementary slackness: the unsold block's row is slack in the
             # integral optimum, so every optimal dual prices it at zero.
-            assert sol.dual_q[idx] == 0, "unallocated block priced by the dual"
+            if sol.dual_q[idx] != 0:
+                raise CertificateError("unallocated block priced by the dual")
         else:
             prices[owner] = sol.dual_q[idx]
     return Outcome(x, prices=tuple(prices))

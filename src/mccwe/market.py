@@ -177,16 +177,6 @@ def value_query(v: Valuation, item_set: int) -> Fraction:
     return v.value(item_set)
 
 
-def reduced_value_table(v: Valuation, partition: Partition) -> list[Fraction]:
-    """Value of every block subset in the reduced market, indexed by mask."""
-    k = len(partition.blocks)
-    unions = [0] * (1 << k)
-    for mask in range(1, 1 << k):
-        low = mask & -mask
-        unions[mask] = unions[mask ^ low] | partition.blocks[low.bit_length() - 1]
-    return [v.value(u) for u in unions]
-
-
 def reduced_value(v: Valuation, partition: Partition, bundle_set: int) -> Fraction:
     """Value of the union of the selected blocks."""
     union = 0

@@ -19,6 +19,7 @@ from fractions import Fraction
 from . import oracle as oracle_mod
 from .bits import bits_of, full_mask
 from .errors import (
+    CertificateError,
     NotIdenticalBudgets,
     NotSingleMinded,
     NotSuperadditive,
@@ -32,10 +33,10 @@ from .market import (
     Partition,
     UNALLOCATED,
     full_surplus_outcome,
+    singleton_partition,
 )
 from .valuations import (
     SingleMinded,
-    demand_utilities,
     is_superadditive_family,
     is_uniform_budget_additive,
     relative_demand_query,
@@ -166,8 +167,7 @@ def superadditive_mccwe(
     until no items remain, then a single winner takes everything if that
     beats the running welfare.  Phase 2 merges bundle groups toward the
     agent with the largest strict surplus over their current prices until
-    no such surplus exists; that surplus check is also answered through a
-    demand query on the bundled market and the two routes must agree.
+    no such surplus exists.
     """
     _require_superadditive(instance)
     m, n = instance.m, instance.n
@@ -177,9 +177,8 @@ def superadditive_mccwe(
         raise SizeLimit("merge phase capped at 16 agents")
     if trace is not None:
         trace.mechanism = "superadditive"
-    tables = (
-        [value_table(v, m) for v in instance.agents] if m <= 16 else None
-    )
+    items = singleton_partition(m)
+    tables = [value_table(v, items) for v in instance.agents] if m <= 16 else None
     state = _State(instance, _empty_allocation(instance), trace)
 
     pool = full_mask(m)
@@ -207,13 +206,11 @@ def superadditive_mccwe(
     merges = 0
     while True:
         move = _best_merge(instance, state.bundles, tables)
-        demand_gap = _best_merge_gap_by_demand(instance, state.bundles)
         if move is None:
-            assert demand_gap <= 0, "demand route found a merge enumeration missed"
             break
-        assert move[0] == demand_gap, "merge-gap routes disagree"
         merges += 1
-        assert merges <= n * n, "merge phase exceeded its halting bound"
+        if merges > n * n:
+            raise CertificateError("merge phase exceeded its halting bound")
         _gap, _size, agent, group_mask = move
         union = 0
         for j in bits_of(group_mask):
@@ -256,16 +253,6 @@ def _best_merge(instance, bundles, tables):
             ):
                 best = (gap, size, i, mask)
     return best
-
-
-def _best_merge_gap_by_demand(instance, bundles):
-    """The same maximal surplus, via one demand query per agent on the
-    bundled market at full-surplus prices.  The merge phase leaves no item
-    unallocated, so the nonempty bundles partition the items."""
-    owners = {b: j for j, b in enumerate(bundles) if b}
-    partition = Partition(instance.m, tuple(owners))
-    prices = [instance.agents[owners[b]].value(b) for b in partition.blocks]
-    return max(max(demand_utilities(v, partition, prices)) for v in instance.agents)
 
 
 def single_minded_mccwe(
@@ -386,7 +373,8 @@ def uniform_budget_additive_mccwe(
                     for other in range(n)
                 )
             ]
-            assert movable, "an envied bundle always holds a movable item"
+            if not movable:
+                raise CertificateError("an envied bundle always holds a movable item")
             j = min(movable, key=lambda j: (shared[j], j))
             recipient = None
             for other in range(n):
@@ -395,7 +383,8 @@ def uniform_budget_additive_mccwe(
                 ):
                     recipient = other
             moves += 1
-            assert moves <= n * instance.m, "rebalance exceeded its move bound"
+            if moves > n * instance.m:
+                raise CertificateError("rebalance exceeded its move bound")
             state.give("move", recipient, 1 << j)
 
     return full_surplus_outcome(instance, state.allocation())

@@ -6,9 +6,10 @@ Optima come from an exact integer subset DP for winner determination
 scaled by the LCM of all denominators, and the tie-break is folded into the
 same integer key, so the DP returns the lexicographically smallest owner
 vector among the optima, item 0 most significant, agents as digits 0..n-1
-and "unallocated" last.  The supportable-optimum search walks that same
-order leaf by leaf.  Every operation charges an enumeration budget up front
-and aborts with SizeLimit rather than exceed it.
+and "unallocated" last.  The supportable-optimum search steps through that
+same order with one odometer generator, `_assignments`.  Every operation
+charges an enumeration budget up front and aborts with SizeLimit rather
+than exceed it.
 """
 
 from __future__ import annotations
@@ -19,16 +20,9 @@ from math import lcm
 
 from . import configlp
 from .bits import bits_of
-from .errors import CertificateError, NotSingleMinded, SizeLimit
+from .errors import CertificateError, NotMCCWE, NotSingleMinded, SizeLimit
 from .lp import GE, LE, OPTIMAL, LinearProgram, solve_lp
-from .market import (
-    Allocation,
-    Instance,
-    Outcome,
-    Partition,
-    UNALLOCATED,
-    reduced_value_table,
-)
+from .market import Allocation, Instance, Outcome, Partition, UNALLOCATED, singleton_partition
 from .valuations import SingleMinded, value_table
 
 _ZERO = Fraction(0)
@@ -36,7 +30,7 @@ _ONE = Fraction(1)
 
 DEFAULT_STATE_LIMIT = 10_000_000
 
-# Above this table size, optima and leaf evaluations query valuations directly.
+# Above this table size, optima query valuations directly.
 _TABLE_CAP = 1 << 20
 
 
@@ -56,69 +50,43 @@ class OracleBudget:
         self.used += states
 
 
-def _table_scorer(tables):
-    """Leaf score of a complete assignment: the sum of per-agent table lookups."""
-    n = len(tables)
-
-    def evaluate(masks, _x0):
-        total = _ZERO
-        for i in range(n):
-            total += tables[i][masks[i]]
-        return total
-
-    return evaluate
-
-
 def _item_tables(instance: Instance):
     """Item value tables, or None when 2^m exceeds _TABLE_CAP."""
-    m = instance.m
-    return None if 1 << m > _TABLE_CAP else [value_table(v, m) for v in instance.agents]
+    if 1 << instance.m > _TABLE_CAP:
+        return None
+    items = singleton_partition(instance.m)
+    return [value_table(v, items) for v in instance.agents]
 
 
-def _item_scorer(instance: Instance, tables):
-    """_table_scorer over `tables` from _item_tables, or, when they are None,
-    a scorer that queries the valuations directly."""
-    if tables is not None:
-        return _table_scorer(tables)
-    agents = instance.agents
-
-    def evaluate(masks, _x0):
-        total = _ZERO
-        for v, mask in zip(agents, masks):
-            total += v.value(mask)
-        return total
-
-    return evaluate
-
-
-class _Stop(Exception):
-    """Raised by a candidate callback to end an assignment walk early."""
-
-
-def _search_assignments(m, n, evaluate, on_candidate):
-    """Walk all (n+1)^m digit vectors in lexicographic order.
-
-    `evaluate(masks, x0)` scores a complete assignment; `on_candidate`
-    decides whether a strictly better score was found (first maximum wins)
-    and may raise _Stop once nothing later can matter.
-    """
-    masks = [0] * n
-
-    def rec(j, x0):
-        if j == m:
-            on_candidate(evaluate(masks, x0), masks, x0)
+def _assignments(k, tables):
+    """Yield (welfare, sets, rest) for every assignment of k units to the
+    agents behind `tables` or to "unallocated", in lexicographic owner-vector
+    order: unit 0 most significant, agents as digits 0..n-1, "unallocated"
+    last.  `sets` holds the agents' unit masks and is updated in place."""
+    n = len(tables)
+    owners = [0] * k
+    sets = [(1 << k) - 1] + [0] * (n - 1)
+    rest = 0
+    while True:
+        welfare = _ZERO
+        for table, t in zip(tables, sets):
+            welfare += table[t]
+        yield welfare, sets, rest
+        j = k - 1
+        while j >= 0 and owners[j] == n:  # "unallocated" wraps to agent 0
+            rest ^= 1 << j
+            sets[0] |= 1 << j
+            owners[j] = 0
+            j -= 1
+        if j < 0:
             return
-        bit = 1 << j
-        for d in range(n):
-            masks[d] |= bit
-            rec(j + 1, x0)
-            masks[d] ^= bit
-        rec(j + 1, x0 | bit)
-
-    try:
-        rec(0, 0)
-    except _Stop:
-        pass
+        d = owners[j]
+        sets[d] ^= 1 << j
+        if d + 1 < n:
+            sets[d + 1] |= 1 << j
+        else:
+            rest |= 1 << j
+        owners[j] = d + 1
 
 
 def _winner_determination(k, tables):
@@ -131,7 +99,7 @@ def _winner_determination(k, tables):
     over units j in T; unallocated units count n*W.  A key's welfare part
     outweighs every digit part, and the digit part is the owner vector read
     in base n+1, so the one maximal key is the lexicographically smallest
-    optimal owner vector: the leaf walk's first strict maximum.
+    optimal owner vector: the first strict maximum in `_assignments` order.
     """
     n = len(tables)
     size = 1 << k
@@ -312,7 +280,7 @@ def optimal_over_partition(
 
     Returns one owner per block (UNALLOCATED for unassigned) and the value;
     this realizes bundle-efficiency over the partition's blocks.  It is the
-    same integer subset DP as optimal_integral over reduced value tables,
+    same integer subset DP as optimal_integral over block value tables,
     with blocks as units and ties to the smallest block-major owner vector;
     the budget is charged (n+1)^k states for k blocks.
     """
@@ -320,7 +288,7 @@ def optimal_over_partition(
     k = len(partition.blocks)
     budget.charge((instance.n + 1) ** k)
     sets, _rest, welfare = _winner_determination(
-        k, [reduced_value_table(v, partition) for v in instance.agents]
+        k, [value_table(v, partition) for v in instance.agents]
     )
     owners = [UNALLOCATED] * k
     for i, block_set in enumerate(sets):
@@ -342,6 +310,14 @@ def allocation_from_block_assignment(
     return Allocation(instance.m, x0, tuple(bundles))
 
 
+def _supported(instance, x):
+    """Supporting prices for `x`, or None when it is not supportable."""
+    try:
+        return configlp.supporting_prices(instance, x)
+    except NotMCCWE:
+        return None
+
+
 def best_mccwe(
     instance: Instance, budget: OracleBudget | None = None
 ) -> tuple[Outcome, Fraction]:
@@ -352,7 +328,7 @@ def best_mccwe(
     super-additive markets always succeed), then walks the rest of its
     welfare level; only if no allocation there is supportable does it rescan
     with the usual prune-below-the-incumbent rule, so the expensive LP runs
-    only on strict improvements.
+    only on strict improvements.  Each probe solves its LP once.
     """
     budget = budget or OracleBudget()
     m, n = instance.m, instance.n
@@ -360,41 +336,29 @@ def best_mccwe(
     budget.charge(2 * states)
     tables = _item_tables(instance)
     x, top = _item_optimum(instance, tables)
-    if configlp.is_mccwe_allocation(instance, x):
-        return configlp.supporting_prices(instance, x), top
-
-    evaluate = _item_scorer(instance, tables)
-    best = {"welfare": None, "bundles": None, "x0": 0}
-
-    def record(welfare, masks, x0):
-        best["welfare"] = welfare
-        best["bundles"] = tuple(masks)
-        best["x0"] = x0
-
-    def at_top_level(welfare, masks, x0):
+    outcome = _supported(instance, x)
+    if outcome is not None:
+        return outcome, top
+    # Without tables only one agent is admitted, and a one-agent optimum is
+    # supportable: its LP over at most two blocks peaks at max_T v(T) = top.
+    for welfare, sets, rest in _assignments(m, tables):
         if welfare == top:
-            candidate = Allocation(m, x0, tuple(masks))
-            if candidate != x and configlp.is_mccwe_allocation(instance, candidate):
-                record(welfare, masks, x0)
-                raise _Stop
+            candidate = Allocation(m, rest, tuple(sets))
+            if candidate != x:
+                outcome = _supported(instance, candidate)
+                if outcome is not None:
+                    return outcome, top
 
-    _search_assignments(m, n, evaluate, at_top_level)
-
-    if best["welfare"] is None:
-        budget.charge(states)
-
-        # every allocation at the top level was just found unsupportable
-        def on_improvement(welfare, masks, x0):
-            if welfare == top or (best["welfare"] is not None and welfare <= best["welfare"]):
-                return
-            candidate = Allocation(m, x0, tuple(masks))
-            if configlp.is_mccwe_allocation(instance, candidate):
-                record(welfare, masks, x0)
-
-        _search_assignments(m, n, evaluate, on_improvement)
-
-    x = Allocation(m, best["x0"], best["bundles"])
-    return configlp.supporting_prices(instance, x), best["welfare"]
+    budget.charge(states)
+    # every allocation at the top level was just found unsupportable
+    best = None
+    for welfare, sets, rest in _assignments(m, tables):
+        if welfare == top or (best is not None and welfare <= best):
+            continue
+        found = _supported(instance, Allocation(m, rest, tuple(sets)))
+        if found is not None:
+            outcome, best = found, welfare
+    return outcome, best
 
 
 def best_single_minded_item_pricing(

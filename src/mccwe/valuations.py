@@ -4,10 +4,12 @@ Five concrete families cover the package: additive, single-minded, explicit
 super-additive tables, budget-additive, and cardinality-capped additive.
 All of them answer exact value queries on item-set bitmasks; demand and
 relative-demand queries are answered by exhaustive enumeration, which is
-exact at desk scale.  `demand_utilities` is the package's one demand
-routine: every caller that needs the utility argmax over block subsets (the
-demand query and correspondence, the verifier, the merge-phase cross-check)
-reads its table, and `preferred` applies the tie-break below to it.
+exact at desk scale.  `value_table` is the package's one value-table
+builder, over items (the singleton partition) or over blocks.
+`demand_utilities` is the one demand routine: every caller that needs the
+utility argmax over block subsets (the demand query and correspondence and
+the verifier) reads its table, and `preferred` applies the tie-break below
+to it.
 
 Tie-breaking is fully deterministic everywhere: maximum utility (or density),
 then fewest elements, then numerically smallest bitmask.
@@ -143,27 +145,37 @@ Valuation = Union[
 ]
 
 
-def value_table(v: Valuation, m: int) -> list[Fraction]:
-    """v(mask) for every mask over m items, as a lookup list."""
-    size = 1 << m
-    if isinstance(v, SuperadditiveExplicit):
-        if len(v.table) != size:
-            raise BadParams("table size does not match the item count")
-        return list(v.table)
+def value_table(v: Valuation, partition: market.Partition) -> list[Fraction]:
+    """v of the union of the selected blocks, for every block-subset mask.
+
+    On the singleton partition a block-subset mask is its own item set, so
+    the table is v over all 2^m item sets.
+    """
+    blocks = partition.blocks
+    size = 1 << len(blocks)
     if isinstance(v, (Additive, BudgetAdditive)):
+        block_sums = [sum((v.item_values[j] for j in bits_of(b)), _ZERO) for b in blocks]
         sums = [_ZERO] * size
         for mask in range(1, size):
             low = mask & -mask
-            sums[mask] = sums[mask ^ low] + v.item_values[low.bit_length() - 1]
+            sums[mask] = sums[mask ^ low] + block_sums[low.bit_length() - 1]
         if isinstance(v, Additive):
             return sums
         return [min(v.budget, s) for s in sums]
+    if len(blocks) == partition.m:
+        unions = range(size)
+    else:
+        unions = [0] * size
+        for mask in range(1, size):
+            low = mask & -mask
+            unions[mask] = unions[mask ^ low] | blocks[low.bit_length() - 1]
+    if isinstance(v, SuperadditiveExplicit):
+        if len(v.table) != 1 << partition.m:
+            raise BadParams("table size does not match the item count")
+        return [v.table[u] for u in unions]
     if isinstance(v, SingleMinded):
-        return [
-            v.value_if_served if mask & v.desired == v.desired else _ZERO
-            for mask in range(size)
-        ]
-    return [v.value(mask) for mask in range(size)]
+        return [v.value_if_served if u & v.desired == v.desired else _ZERO for u in unions]
+    return [v.value(u) for u in unions]
 
 
 def is_superadditive_family(v: Valuation) -> bool:
@@ -192,7 +204,7 @@ def demand_utilities(v: Valuation, partition: market.Partition, prices) -> list[
     k = len(partition.blocks)
     if k > 20:
         raise SizeLimit(f"{k} blocks exceeds the demand enumeration cap")
-    utils = market.reduced_value_table(v, partition)
+    utils = value_table(v, partition)
     costs = [_ZERO] * (1 << k)
     for mask in range(1, 1 << k):
         low = mask & -mask
@@ -278,10 +290,11 @@ def classify(instance: market.Instance) -> ClassifyReport:
     if m > 20:
         raise SizeLimit("classification enumerations capped at 20 items")
     size = 1 << m
+    items = market.singleton_partition(m)
     monotone = normalized = True
     superadditive = subadditive = True
     for v in instance.agents:
-        table = value_table(v, m)
+        table = value_table(v, items)
         if table[0] != 0:
             normalized = False
         for mask in range(size):

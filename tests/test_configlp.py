@@ -1,11 +1,14 @@
 """Configuration LP: counts, optima, the supportability characterization."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from mccwe import (
+    Additive,
     BudgetAdditive,
+    CertificateError,
     reduced_value,
     Instance,
     NotMCCWE,
@@ -16,6 +19,7 @@ from mccwe import (
     social_welfare,
 )
 from mccwe.bits import mask_of
+from mccwe import configlp
 from mccwe.configlp import (
     build_config_lp,
     fractional_opt,
@@ -26,6 +30,7 @@ from mccwe.configlp import (
 )
 from mccwe.equilibria import MCCWE, verify
 from mccwe.instances import built_in, generate
+from mccwe.lp import INFEASIBLE, LPSolution, solve_lp
 from mccwe.oracle import optimal_integral, optimal_over_partition
 
 F = Fraction
@@ -173,3 +178,33 @@ def test_support_roundtrip_on_random_allocations():
         else:
             with pytest.raises(NotMCCWE):
                 supporting_prices(inst, x)
+
+
+def test_broken_lp_answers_raise_certificate_error(monkeypatch):
+    inst = built_in("fig1a")
+    p = singleton_partition(4)
+    monkeypatch.setattr(configlp, "solve_lp", lambda lp: LPSolution(INFEASIBLE, None, None, None))
+    with pytest.raises(CertificateError, match="feasible and bounded"):
+        fractional_opt(inst, p)
+
+    def off_by_one(lp):
+        sol = solve_lp(lp)
+        return replace(sol, dual=(sol.dual[0] + 1,) + sol.dual[1:])
+
+    monkeypatch.setattr(configlp, "solve_lp", off_by_one)
+    with pytest.raises(CertificateError, match="do not sum to its optimum"):
+        fractional_opt(inst, p)
+
+
+def test_priced_unallocated_block_raises_certificate_error(monkeypatch):
+    inst = Instance(2, (Additive((F(1), F(0))),))
+    x = allocation(2, [0b01])  # item 1 stays unallocated
+    assert supporting_prices(inst, x).allocation == x
+
+    def priced_everywhere(instance, partition):
+        sol = fractional_opt(instance, partition)
+        return replace(sol, dual_q=tuple(q + 1 for q in sol.dual_q))
+
+    monkeypatch.setattr(configlp, "fractional_opt", priced_everywhere)
+    with pytest.raises(CertificateError, match="unallocated block priced"):
+        supporting_prices(inst, x)

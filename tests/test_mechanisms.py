@@ -7,6 +7,7 @@ import pytest
 from mccwe import (
     Additive,
     BudgetAdditive,
+    CertificateError,
     Instance,
     NotIdenticalBudgets,
     NotSingleMinded,
@@ -19,11 +20,14 @@ from mccwe import (
     singleton_partition,
     social_welfare,
 )
-from mccwe.bits import full_mask, mask_of
+from mccwe.bits import bits_of, full_mask, mask_of
 from mccwe.equilibria import MCCWE, verify
 from mccwe.instances import built_in, generate
+from mccwe import mechanisms
 from mccwe.mechanisms import (
     MechanismTrace,
+    _best_merge,
+    _State,
     bundle_efficient_full_surplus,
     identical_budget_cleanup,
     log_bundling_mechanism,
@@ -33,6 +37,7 @@ from mccwe.mechanisms import (
     uniform_budget_additive_mccwe,
 )
 from mccwe.oracle import optimal_integral
+from mccwe.valuations import demand_utilities, value_table
 
 F = Fraction
 
@@ -397,3 +402,77 @@ def test_full_surplus_mechanisms_record_replayable_traces():
     assert trace.mechanism == "logbundle"
     assert trace.steps
     assert replay_trace(inst, _empty(inst), trace) == out.allocation
+
+
+def demand_merge_gap(instance, bundles):
+    """The largest merge surplus by the demand route: one demand_utilities
+    call per agent over the nonempty bundles, priced at the owners' values.
+    The merge phase leaves no item unallocated, so those bundles partition
+    the items."""
+    owners = {b: j for j, b in enumerate(bundles) if b}
+    partition = Partition(instance.m, tuple(owners))
+    prices = [instance.agents[owners[b]].value(b) for b in partition.blocks]
+    return max(max(demand_utilities(v, partition, prices)) for v in instance.agents)
+
+
+def test_merge_enumeration_matches_demand_route():
+    checked = 0
+    for seed in range(150):
+        for family, shapes in (
+            ("random_superadditive", ((5, 5), (4, 8))),
+            ("random_single_minded", ((3, 6), (4, 8), (5, 5))),
+        ):
+            m, n = shapes[seed % len(shapes)]
+            inst = generate(family, m, n, seed)
+            trace = MechanismTrace()
+            out = superadditive_mccwe(inst, trace)
+            tables = [value_table(v, singleton_partition(m)) for v in inst.agents]
+            state = _State(inst, _empty(inst), None)
+            for step in trace.steps:
+                if step.phase == "merge":
+                    gap, _size, agent, group = _best_merge(inst, state.bundles, tables)
+                    assert gap == demand_merge_gap(inst, state.bundles) > 0
+                    union = 0
+                    for j in bits_of(group):
+                        union |= state.bundles[j]
+                    assert (step.agent, step.items) == (agent, union)
+                    checked += 1
+                state.give(step.phase, step.agent, step.items)
+            assert state.allocation() == out.allocation
+            assert _best_merge(inst, state.bundles, tables) is None
+            assert demand_merge_gap(inst, state.bundles) <= 0
+    assert checked >= 20
+
+
+def test_merge_halting_bound_raises(monkeypatch):
+    inst = Instance(2, (SingleMinded(0b01, F(1)), SingleMinded(0b10, F(1))))
+    # a merge of agent 1's bundle into agent 0's that never stops paying
+    monkeypatch.setattr(
+        mechanisms, "_best_merge", lambda instance, bundles, tables: (F(1), 1, 0, 0b10)
+    )
+    with pytest.raises(CertificateError, match="halting bound"):
+        superadditive_mccwe(inst)
+
+
+def test_unmovable_envied_bundle_raises(monkeypatch):
+    # the top budget holds an item only the smaller budget values
+    inst = Instance(
+        1,
+        (BudgetAdditive(F(1), (F(3),)), BudgetAdditive(F(5), (F(0),))),
+        uniform_item_values=(F(3),),
+    )
+    monkeypatch.setattr(mechanisms, "_interested_prepass", lambda instance, state, phase: None)
+    with pytest.raises(CertificateError, match="movable item"):
+        uniform_budget_additive_mccwe(inst, allocation(1, [0, 0b1]))
+
+
+def test_rebalance_move_bound_raises(monkeypatch):
+    inst = Instance(
+        1,
+        (BudgetAdditive(F(1), (F(3),)), BudgetAdditive(F(5), (F(3),))),
+        uniform_item_values=(F(3),),
+    )
+    # moves that never land keep the envy alive
+    monkeypatch.setattr(_State, "give", lambda self, phase, agent, items: None)
+    with pytest.raises(CertificateError, match="move bound"):
+        uniform_budget_additive_mccwe(inst, allocation(1, [0b1, 0]))

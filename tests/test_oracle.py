@@ -1,12 +1,14 @@
-"""Oracles: optima, budget caps, item-pricing bounds, and the subset DP
-checked against the leaf-walk reference."""
+"""Oracles: optima, budget caps, item-pricing bounds, the subset DP checked
+against the assignment-walk reference, and best_mccwe against brute force."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from mccwe import (
     Additive,
+    BudgetAdditive,
     CertificateError,
     Instance,
     MarketError,
@@ -15,56 +17,54 @@ from mccwe import (
     SingleMinded,
     SizeLimit,
     allocation,
+    fractional_opt,
+    induced_partition,
     singleton_partition,
     social_welfare,
 )
 from mccwe.bits import bits_of, mask_of
 from mccwe.instances import SplitMix64, built_in, generate
-from mccwe.market import UNALLOCATED, reduced_value_table
+from mccwe.market import UNALLOCATED
 from mccwe.oracle import (
     OracleBudget,
+    _assignments,
     _check_assignment,
-    _item_scorer,
-    _item_tables,
-    _search_assignments,
     _single_minded_optimum,
-    _table_scorer,
     allocation_from_block_assignment,
     best_mccwe,
     best_single_minded_item_pricing,
     optimal_integral,
     optimal_over_partition,
 )
+from mccwe.valuations import value_table
 
 F = Fraction
 
 FAMILIES = ("random_superadditive", "random_single_minded", "random_uniform_budget_additive")
 
-# Every (m, n) with (n+1)^m <= 1024, m <= 8 and n <= 6: each leaf walk stays
+# Every (m, n) with (n+1)^m <= 1024, m <= 8 and n <= 6: each assignment walk stays
 # small, and so does building a random super-additive table.
 SHAPES = tuple((m, n) for n in range(1, 7) for m in range(1, 9) if (n + 1) ** m <= 1024)
 
 
-def _leaf_walk(k, n, evaluate):
-    """First strict maximum of the (n+1)^k walk: (sets, rest, welfare)."""
-    best = {}
-
-    def on_candidate(welfare, sets, rest):
-        if not best or welfare > best["welfare"]:
-            best.update(welfare=welfare, sets=tuple(sets), rest=rest)
-
-    _search_assignments(k, n, evaluate, on_candidate)
-    return best["sets"], best["rest"], best["welfare"]
+def _leaf_walk(partition, agents):
+    """First strict maximum of the (n+1)^k assignment walk over the blocks:
+    (sets, rest, welfare)."""
+    tables = [value_table(v, partition) for v in agents]
+    best = None
+    for welfare, sets, rest in _assignments(len(partition.blocks), tables):
+        if best is None or welfare > best[2]:
+            best = (tuple(sets), rest, welfare)
+    return best
 
 
 def reference_integral(inst):
-    sets, rest, welfare = _leaf_walk(inst.m, inst.n, _item_scorer(inst, _item_tables(inst)))
+    sets, rest, welfare = _leaf_walk(singleton_partition(inst.m), inst.agents)
     return allocation(inst.m, sets, rest), welfare
 
 
 def reference_over_partition(inst, partition):
-    tables = [reduced_value_table(v, partition) for v in inst.agents]
-    sets, _rest, welfare = _leaf_walk(len(partition.blocks), inst.n, _table_scorer(tables))
+    sets, _rest, welfare = _leaf_walk(partition, inst.agents)
     owners = [UNALLOCATED] * len(partition.blocks)
     for i, block_set in enumerate(sets):
         for j in bits_of(block_set):
@@ -252,3 +252,74 @@ def test_assignment_check_rejects_bad_reconstructions():
     with pytest.raises(CertificateError, match="DP maximum"):
         _check_assignment(0b11, (0b01,), 0b10, keys, unallocated, 3)
     assert issubclass(CertificateError, MarketError)
+
+
+def owner_vectors(k, n):
+    """(sets, rest) for every owner vector of k units in itertools.product
+    order: unit 0 most significant, digit n meaning "unallocated"."""
+    for digits in itertools.product(range(n + 1), repeat=k):
+        sets = [0] * (n + 1)
+        for j, d in enumerate(digits):
+            sets[d] |= 1 << j
+        yield tuple(sets[:n]), sets[n]
+
+
+def test_assignments_follow_owner_vector_order():
+    for k, n in ((1, 1), (2, 3), (3, 2)):
+        tables = [[F(0)] * (1 << k)] * n
+        walked = [(tuple(sets), rest) for _w, sets, rest in _assignments(k, tables)]
+        assert walked == list(owner_vectors(k, n))
+
+
+def brute_force_best_mccwe(inst, lp_cache):
+    """The first supportable allocation in owner-vector order at the top
+    supportable welfare, with its prices read off the configuration-LP
+    block duals."""
+    m, n = inst.m, inst.n
+    best = None
+    for sets, rest in owner_vectors(m, n):
+        x = allocation(m, sets, rest)
+        welfare = social_welfare(inst, x)
+        if best is not None and welfare <= best[1]:
+            continue
+        partition, owners = induced_partition(x)
+        if partition not in lp_cache:
+            lp_cache[partition] = fractional_opt(inst, partition)
+        if lp_cache[partition].value == welfare:
+            best = (x, welfare, lp_cache[partition].dual_q, owners)
+    x, welfare, dual_q, owners = best
+    prices = [F(0)] * n
+    for price, owner in zip(dual_q, owners):
+        if owner != UNALLOCATED:
+            prices[owner] = price
+    return x, tuple(prices), welfare
+
+
+def test_best_mccwe_matches_brute_force():
+    markets = [
+        generate(family, m, n, seed)
+        for seed in range(12)
+        for family in FAMILIES
+        for m, n in SHAPES
+        if (n + 1) ** m <= 256 and (seed + m + n) % 4 == 0
+    ]
+    markets += [built_in("fig1a", eps=F(1, d)) for d in (3, 10)]
+    markets += [built_in("nonuniform_identical_budget", eps=F(1, d)) for d in (2, 3, 8, 20)]
+    markets.append(built_in("partition_reduction", weights=[3, 1, 1, 2, 3]))
+    # a split optimum that no price supports, beside a supportable one of
+    # equal welfare later in the order
+    for values in ((3, 3, 1), (3, 2, 3)):
+        markets.append(
+            Instance(3, (SingleMinded(0b111, F(3)), BudgetAdditive(F(4), tuple(map(F, values)))))
+        )
+    reached = {"optimum": 0, "top level": 0, "rescan": 0}
+    for inst in markets:
+        out, welfare = best_mccwe(inst)
+        x, prices, expected = brute_force_best_mccwe(inst, {})
+        assert (out.allocation, out.prices, out.x0_price, welfare) == (x, prices, 0, expected)
+        x_opt, top = optimal_integral(inst)
+        if welfare < top:
+            reached["rescan"] += 1
+        else:
+            reached["optimum" if x == x_opt else "top level"] += 1
+    assert min(reached.values()) > 0, reached

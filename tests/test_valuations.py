@@ -23,7 +23,8 @@ from mccwe import (
 from mccwe.bits import mask_of
 from mccwe.equilibria import demand_correspondence
 from mccwe.errors import EmptyPool, SizeLimit
-from mccwe.market import reduced_value_table, utility
+from mccwe.instances import SplitMix64, generate
+from mccwe.market import reduced_value, utility
 from mccwe.valuations import demand_utilities, is_superadditive_family, value_table
 
 F = Fraction
@@ -159,7 +160,7 @@ def test_demand_query_dominates_every_bundle_set(data):
     p = singleton_partition(m)
     prices = [F(x) for x in data.draw(st.lists(st.integers(0, 5), min_size=m, max_size=m))]
     best = demand_query(v, p, prices)
-    table = reduced_value_table(v, p)
+    table = value_table(v, p)
 
     def util(mask):
         return table[mask] - sum(prices[j] for j in range(m) if mask >> j & 1)
@@ -194,5 +195,29 @@ def test_structural_superadditivity_matches_enumeration(data):
 
 def test_value_table_matches_pointwise_queries():
     v = CappedCardinalityAdditive((F(3), F(1), F(2)), 2)
-    table = value_table(v, 3)
+    table = value_table(v, singleton_partition(3))
     assert table == [v.value(mask) for mask in range(8)]
+
+    # every family, on the singleton partition and on coarser ones
+    rng = SplitMix64(5)
+    for seed in range(60):
+        m = 1 + seed % 6
+        agents = []
+        for family in ("random_superadditive", "random_single_minded",
+                       "random_uniform_budget_additive"):
+            agents += generate(family, m, 2, seed).agents
+        values = tuple(F(rng.next_u64() % 5, 1 + rng.next_u64() % 3) for _ in range(m))
+        agents += [
+            Additive(values),
+            BudgetAdditive(F(rng.next_u64() % 8), values),
+            CappedCardinalityAdditive(values, 1 + seed % 3),
+        ]
+        labels = [rng.next_u64() % m for _ in range(m)]
+        groups = [mask_of(j for j in range(m) if labels[j] == label) for label in range(m)]
+        coarse = Partition(m, tuple(b for b in groups if b))
+        one_block = Partition(m, ((1 << m) - 1,))
+        for agent in agents:
+            for part in (singleton_partition(m), coarse, one_block):
+                k = len(part.blocks)
+                expected = [reduced_value(agent, part, mask) for mask in range(1 << k)]
+                assert value_table(agent, part) == expected
