@@ -18,7 +18,7 @@ from .errors import (
     ParseError,
     SizeLimit,
 )
-from .lp import LinearProgram, LPSolution, Rat, make_lp, solve_lp
+from .lp import LinearProgram, LPSolution, solve_lp
 from .market import (
     Allocation,
     Instance,
@@ -33,7 +33,6 @@ from .market import (
     singleton_partition,
     social_welfare,
     utility,
-    value_query,
 )
 from .valuations import (
     Additive,
@@ -52,9 +51,6 @@ from .configlp import (
     ConfigLPSolution,
     build_config_lp,
     fractional_opt,
-    integrality_gap,
-    is_mccwe_allocation,
-    is_walrasian_allocation,
     supporting_prices,
 )
 from .oracle import (
@@ -74,7 +70,7 @@ from .mechanisms import (
     superadditive_mccwe,
     uniform_budget_additive_mccwe,
 )
-from .instances import InstanceSpec, SplitMix64, built_in, generate
+from .instances import SplitMix64, built_in, generate
 from .instances import parse_instance, parse_outcome, write_instance, write_outcome
 
 __all__ = [name for name in dir() if not name.startswith("_")]

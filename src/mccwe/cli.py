@@ -7,7 +7,8 @@ numbers print exactly as "p/q"; the only decimal renderings are the
 arithmetic.
 
 Exit codes: 0 success (and, for verify, a passing report); 1 a verification
-that ran but failed; 2 parse, size, or parameter errors.
+that ran but failed; 2 parse, size, or parameter errors; 3 a result that
+failed its own re-check (`CertificateError`), which is a bug, not bad input.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from . import configlp, mechanisms, oracle
 from .bits import items_of
 from .equilibria import MODES, verify
-from .errors import BadParams, MarketError
+from .errors import BadParams, CertificateError, MarketError
 from .instances import (
     BUILTINS,
     FAMILIES,
@@ -313,7 +314,7 @@ def main(argv=None, out=None) -> int:
         return _HANDLERS[args.command](args, out)
     except MarketError as exc:
         print(f"error={type(exc).__name__} {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, CertificateError) else 2
     except OSError as exc:
         print(f"error=io {exc}", file=sys.stderr)
         return 2

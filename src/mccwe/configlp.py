@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CertificateError, NotMCCWE, SizeLimit
-from .lp import LE, MAX_VARIABLES, OPTIMAL, LinearProgram, solve_lp
+from .lp import MAX_VARIABLES, OPTIMAL, LinearProgram, solve_lp
 from .market import (
     Allocation,
     Instance,
@@ -24,7 +24,6 @@ from .market import (
     Partition,
     UNALLOCATED,
     induced_partition,
-    singleton_partition,
     social_welfare,
 )
 from .valuations import value_table
@@ -67,7 +66,7 @@ def build_config_lp(instance: Instance, partition: Partition) -> LinearProgram:
         base = i * sets_per_agent
         for s in range(sets_per_agent):
             coeffs[base + s] = _ONE
-        rows.append((tuple(coeffs), LE, _ONE))
+        rows.append((tuple(coeffs), _ONE))
     for j in range(k):
         coeffs = [_ZERO] * nvars
         for i in range(n):
@@ -75,7 +74,7 @@ def build_config_lp(instance: Instance, partition: Partition) -> LinearProgram:
             for mask in range(1, 1 << k):
                 if mask >> j & 1:
                     coeffs[base + mask - 1] = _ONE
-        rows.append((tuple(coeffs), LE, _ONE))
+        rows.append((tuple(coeffs), _ONE))
     return LinearProgram(tuple(objective), tuple(rows))
 
 
@@ -100,22 +99,6 @@ def fractional_opt(instance: Instance, partition: Partition) -> ConfigLPSolution
     return ConfigLPSolution(sol.objective_value, y, dual_u, dual_q)
 
 
-def is_mccwe_allocation(instance: Instance, x: Allocation) -> bool:
-    """Does the LP over the allocation's own bundles peak at the allocation?"""
-    partition, _owners = induced_partition(x)
-    return fractional_opt(instance, partition).value == social_welfare(instance, x)
-
-
-def is_walrasian_allocation(instance: Instance, x: Allocation) -> bool:
-    """Item-pricing supportability: the singleton-partition LP peaks at x.
-
-    A Walrasian equilibrium exists for the instance iff this holds at a
-    welfare-optimal allocation.
-    """
-    value = fractional_opt(instance, singleton_partition(instance.m)).value
-    return value == social_welfare(instance, x)
-
-
 def supporting_prices(instance: Instance, x: Allocation) -> Outcome:
     """Bundle prices certifying the allocation, from the LP dual.
 
@@ -138,13 +121,3 @@ def supporting_prices(instance: Instance, x: Allocation) -> Outcome:
             prices[owner] = sol.dual_q[idx]
     return Outcome(x, prices=tuple(prices))
 
-
-def integrality_gap(instance: Instance, partition: Partition) -> Fraction:
-    """Fractional optimum over the best whole-block assignment."""
-    from . import oracle
-
-    frac = fractional_opt(instance, partition).value
-    _assignment, integral = oracle.optimal_over_partition(instance, partition)
-    if frac == integral:
-        return _ONE
-    return frac / integral

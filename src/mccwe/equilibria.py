@@ -69,6 +69,11 @@ def verify(instance: Instance, outcome: Outcome, mode: str) -> VerifyReport:
     if mode not in MODES:
         raise BadParams(f"unknown verification mode {mode!r}")
     x = outcome.allocation
+    if (x.m, x.n) != (instance.m, instance.n):
+        raise BadParams(
+            f"outcome allocates {x.m} items to {x.n} agents; "
+            f"the instance has {instance.m} items and {instance.n} agents"
+        )
     buyer_violations: list[Violation] = []
     seller_violations: list[Violation] = []
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bits import items_of, mask_of
@@ -28,6 +27,10 @@ from .valuations import (
 
 _ZERO = Fraction(0)
 FORMAT_VERSION = 1
+
+# Item sets are bitmasks and partitions hold one mask per block, so a market
+# this wide already costs megabytes; every enumeration caps far below it.
+MAX_ITEMS = 4096
 
 _MASK64 = (1 << 64) - 1
 
@@ -136,6 +139,8 @@ def bundling_necessity(m: int = 16) -> Instance:
     private item; dummies pad the market to m items and are valued only
     through the big bidder'swhole-market set.
     """
+    if m > MAX_ITEMS:
+        raise BadParams(f"at most {MAX_ITEMS} items")
     t = math.isqrt(m)
     if t * t != m or t < 2:
         raise BadParams("m must be a perfect square at least 4")
@@ -291,6 +296,8 @@ def generate(
     """Seeded random instance; identical seeds give identical markets."""
     if m < 1 or n < 1:
         raise BadParams("need at least one item and one agent")
+    if m > MAX_ITEMS:
+        raise BadParams(f"at most {MAX_ITEMS} items")
     rng = SplitMix64(seed)
     if family == "random_superadditive":
         if m > 10:
@@ -303,21 +310,6 @@ def generate(
     raise BadParams(f"unknown random family {family!r}")
 
 
-@dataclass(frozen=True)
-class InstanceSpec:
-    """A named family plus parameters; `build` materializes the market."""
-
-    family: str
-    params: dict = field(default_factory=dict)
-
-    def build(self) -> Instance:
-        if self.family in BUILTINS:
-            return built_in(self.family, **self.params)
-        if self.family in FAMILIES:
-            return generate(self.family, **self.params)
-        raise BadParams(f"unknown family {self.family!r}")
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -325,7 +317,7 @@ _RAT_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 
 def parse_rational(text, where: str) -> Fraction:
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str) or not (match := _RAT_RE.match(text)):
         raise ParseError(f"{where}: expected a rational like '3' or '3/4', got {text!r}")
@@ -342,7 +334,7 @@ def _want(obj, key, kind, where):
     if key not in obj:
         raise ParseError(f"{where}: missing field {key!r}")
     value = obj[key]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         raise ParseError(f"{where}: field {key!r} has the wrong type")
     return value
 
@@ -431,6 +423,8 @@ def _load_json(text: str, what: str) -> dict:
         raise ParseError(f"{what}: line {exc.lineno}: {exc.msg}") from exc
     except ValueError as exc:  # an integer literal longer than int() will convert
         raise ParseError(f"{what}: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{what}: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{what}: top level must be an object")
     if doc.get("format") != FORMAT_VERSION:
@@ -441,6 +435,8 @@ def _load_json(text: str, what: str) -> dict:
 def parse_instance(text: str) -> Instance:
     doc = _load_json(text, "instance")
     m = _want(doc, "m", int, "instance")
+    if not 1 <= m <= MAX_ITEMS:  # before any item mask is built
+        raise ParseError(f"instance: m must lie in 1..{MAX_ITEMS}")
     raw_agents = _want(doc, "agents", list, "instance")
     agents = tuple(
         _agent_from_json(a, f"agents[{i}]", m) for i, a in enumerate(raw_agents)
@@ -448,6 +444,9 @@ def parse_instance(text: str) -> Instance:
     uniform = None
     if "uniform_item_values" in doc:
         uniform = _rat_list(doc["uniform_item_values"], "uniform_item_values")
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise ParseError("instance: name must be a string")
     metadata = doc.get("metadata")
     if metadata is not None and not isinstance(metadata, dict):
         raise ParseError("instance: metadata must be an object")
@@ -455,7 +454,7 @@ def parse_instance(text: str) -> Instance:
         return Instance(
             m,
             agents,
-            name=doc.get("name", ""),
+            name=name,
             uniform_item_values=uniform,
             metadata=metadata,
         )
@@ -465,7 +464,7 @@ def parse_instance(text: str) -> Instance:
 
 def _items_field(values, where, m):
     if not isinstance(values, list) or not all(
-        isinstance(j, int) and 0 <= j < m for j in values
+        isinstance(j, int) and not isinstance(j, bool) and 0 <= j < m for j in values
     ):
         raise ParseError(f"{where}: expected a list of item indices below {m}")
     return mask_of(values)

@@ -1,19 +1,19 @@
 """Exact rational-arithmetic linear programming.
 
 Everything here runs on `fractions.Fraction`; there is no floating point
-anywhere in the package.  The solver is a dense two-phase primal simplex
+anywhere in the package.  The solver is a dense one-phase primal simplex
 with Bland's pivoting rule, which terminates even on the highly degenerate
 programs produced by configuration LPs.  Speed is a non-goal; exactness and
 determinism are the contract.
 
 Conventions
 -----------
-* Programs are maximizations over nonnegative variables.
-* Constraint relations are the strings "<=", ">=", "=".
-* Dual values are reported in the original row orientation: rows with
-  relation "<=" get duals >= 0, rows with ">=" get duals <= 0, equality rows
-  are free.  They are read off the final reduced costs of each row's slack,
-  surplus or artificial column; no separate dual solve runs.
+* Programs are packing-shaped: maximize c.x subject to A x <= b, x >= 0,
+  with every right-hand side b_i >= 0, so the origin is feasible and the
+  slacks are the starting basis.  A row with a negative right-hand side is
+  rejected when the program is built.
+* Each row's dual y_i >= 0 is read off the final reduced cost of its
+  slack column; no separate dual solve runs.
 * For every optimal result, primal feasibility, dual feasibility and exact
   strong duality (c.x == y.b) are re-checked before returning.  A failed
   check raises `CertificateError`, also under `python -O`.
@@ -26,14 +26,7 @@ from fractions import Fraction
 
 from .errors import CertificateError, MalformedLP, SizeLimit
 
-Rat = Fraction
-
-LE = "<="
-GE = ">="
-EQ = "="
-
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 MAX_VARIABLES = 200_000
@@ -44,20 +37,20 @@ _ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """max objective . x  subject to the given rows, x >= 0."""
+    """max objective . x  subject to coeffs . x <= rhs for each row, x >= 0."""
 
     objective: tuple[Fraction, ...]
-    constraints: tuple[tuple[tuple[Fraction, ...], str, Fraction], ...]
+    constraints: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
 
     def __post_init__(self):
         width = len(self.objective)
         if width > MAX_VARIABLES:
             raise SizeLimit(f"{width} variables exceeds the {MAX_VARIABLES} cap")
-        for idx, (coeffs, relation, _rhs) in enumerate(self.constraints):
+        for idx, (coeffs, rhs) in enumerate(self.constraints):
             if len(coeffs) != width:
                 raise MalformedLP(f"row {idx} has width {len(coeffs)}, expected {width}")
-            if relation not in (LE, GE, EQ):
-                raise MalformedLP(f"row {idx} has unknown relation {relation!r}")
+            if rhs < 0:
+                raise MalformedLP(f"row {idx} has negative right-hand side {rhs}")
 
 
 @dataclass(frozen=True)
@@ -66,16 +59,6 @@ class LPSolution:
     primal: tuple[Fraction, ...] | None
     dual: tuple[Fraction, ...] | None
     objective_value: Fraction | None
-
-
-def make_lp(objective, constraints) -> LinearProgram:
-    """Build a LinearProgram from plain lists of ints/Fractions."""
-    obj = tuple(Fraction(c) for c in objective)
-    rows = tuple(
-        (tuple(Fraction(a) for a in coeffs), relation, Fraction(rhs))
-        for coeffs, relation, rhs in constraints
-    )
-    return LinearProgram(obj, rows)
 
 
 def _pivot(tableau, obj, row, col):
@@ -97,25 +80,12 @@ def _pivot(tableau, obj, row, col):
             obj[k] -= factor * pivrow[k]
 
 
-def _reduced_costs(tableau, basis, costs, ncols):
-    """Objective row c_j - z_j plus the current value in the last slot."""
-    obj = [costs[j] for j in range(ncols)] + [_ZERO]
-    for r, row in enumerate(tableau):
-        cb = costs[basis[r]]
-        if cb:
-            for k in range(ncols + 1):
-                obj[k] -= cb * row[k]
-    return obj
-
-
-def _run_simplex(tableau, basis, obj, n_enter):
-    """Bland-rule simplex to optimality; returns OPTIMAL or UNBOUNDED.
-
-    Only the columns below `n_enter` may enter the basis.
-    """
+def _run_simplex(tableau, basis, obj):
+    """Bland-rule simplex to optimality; returns OPTIMAL or UNBOUNDED."""
+    ncols = len(obj) - 1
     while True:
         entering = -1
-        for j in range(n_enter):
+        for j in range(ncols):
             if obj[j] > 0:
                 entering = j
                 break
@@ -144,107 +114,38 @@ def _check_certificates(lp, primal, dual, value):
     n = len(lp.objective)
     if any(x < 0 for x in primal):
         raise CertificateError("primal negativity")
-    for (coeffs, relation, rhs), y in zip(lp.constraints, dual):
+    for (coeffs, rhs), y in zip(lp.constraints, dual):
         lhs = sum((coeffs[j] * primal[j] for j in range(n)), _ZERO)
-        if relation == LE:
-            if not (lhs <= rhs and y >= 0):
-                raise CertificateError("primal/dual sign violation on <= row")
-        elif relation == GE:
-            if not (lhs >= rhs and y <= 0):
-                raise CertificateError("primal/dual sign violation on >= row")
-        elif lhs != rhs:
-            raise CertificateError("equality row violated")
+        if not (lhs <= rhs and y >= 0):
+            raise CertificateError("primal/dual sign violation on <= row")
     for j in range(n):
-        col = sum(
-            (coeffs[j] * y for (coeffs, _rel, _rhs), y in zip(lp.constraints, dual)),
-            _ZERO,
-        )
+        col = sum((coeffs[j] * y for (coeffs, _rhs), y in zip(lp.constraints, dual)), _ZERO)
         if col < lp.objective[j]:
             raise CertificateError("dual infeasibility")
-    dual_value = sum(
-        (rhs * y for (_c, _rel, rhs), y in zip(lp.constraints, dual)), _ZERO
-    )
+    dual_value = sum((rhs * y for (_c, rhs), y in zip(lp.constraints, dual)), _ZERO)
     if dual_value != value:
         raise CertificateError("strong duality gap")
 
 
 def solve_lp(lp: LinearProgram) -> LPSolution:
-    """Exact optimum of a maximization LP over nonnegative variables.
+    """Exact optimum of a packing-shaped LP (see the module conventions).
 
-    Returns status optimal (with primal, dual and value), infeasible, or
-    unbounded.  Deterministic: Bland's rule fixes every pivot choice.
+    Returns status optimal (with primal, dual and value) or unbounded.
+    Deterministic: Bland's rule fixes every pivot choice.
     """
     n = len(lp.objective)
+    n_rows = len(lp.constraints)
 
-    # Standard form: rhs >= 0 (a row with rhs < 0 is negated, sign -1),
-    # one slack per <=, one surplus per >=, artificials for >= and = rows.
-    rows = [
-        ([-a for a in coeffs], _flip(relation), -rhs, -1)
-        if rhs < 0
-        else (list(coeffs), relation, rhs, 1)
-        for coeffs, relation, rhs in lp.constraints
-    ]
-    n_slack = sum(1 for _c, rel, _b, _s in rows if rel in (LE, GE))
-    n_art = sum(1 for _c, rel, _b, _s in rows if rel in (GE, EQ))
-    n_real = n + n_slack
-    ncols = n_real + n_art
-
-    # Row i's dual is read off the final reduced cost of its dual column:
-    # y = -cost at its slack (<=), +cost at its surplus (>=), -cost at its
-    # artificial (=), negated again when the row was flipped.
+    # Row i's slack is column n + i and starts basic; the objective row holds
+    # the reduced costs c_j - z_j, which are c itself at the slack basis.
     tableau = []
-    basis = []
-    dual_cols = []
-    slack_at = n
-    art_at = n_real
-    for coeffs, relation, rhs, sign in rows:
-        row = coeffs + [_ZERO] * (n_slack + n_art) + [rhs]
-        if relation == LE:
-            row[slack_at] = _ONE
-            dual_cols.append((slack_at, -sign))
-            basis.append(slack_at)
-            slack_at += 1
-        elif relation == GE:
-            row[slack_at] = -_ONE
-            dual_cols.append((slack_at, sign))
-            slack_at += 1
-            row[art_at] = _ONE
-            basis.append(art_at)
-            art_at += 1
-        else:
-            row[art_at] = _ONE
-            dual_cols.append((art_at, -sign))
-            basis.append(art_at)
-            art_at += 1
+    for i, (coeffs, rhs) in enumerate(lp.constraints):
+        row = list(coeffs) + [_ZERO] * n_rows + [rhs]
+        row[n + i] = _ONE
         tableau.append(row)
-
-    if n_art:
-        costs = [_ZERO] * n_real + [-_ONE] * n_art
-        obj = _reduced_costs(tableau, basis, costs, ncols)
-        if _run_simplex(tableau, basis, obj, ncols) != OPTIMAL:
-            raise CertificateError("phase 1 cannot be unbounded")
-        if obj[-1] != 0:
-            return LPSolution(INFEASIBLE, None, None, None)
-        # Pivot leftover artificials out of the basis.  An all-zero row is
-        # redundant and is dropped; the artificial basic in it keeps reduced
-        # cost 0, so the row that owns that artificial reads a dual of 0.
-        r = 0
-        while r < len(tableau):
-            if basis[r] >= n_real:
-                col = next((j for j in range(n_real) if tableau[r][j] != 0), None)
-                if col is None:
-                    del tableau[r]
-                    del basis[r]
-                    continue
-                _pivot(tableau, obj, r, col)
-                basis[r] = col
-            r += 1
-
-    # Phase 2 keeps the artificial columns, at cost 0, but never lets them
-    # enter: their reduced costs are the duals of the = rows.
-    costs = list(lp.objective) + [_ZERO] * (ncols - n)
-    obj = _reduced_costs(tableau, basis, costs, ncols)
-    if _run_simplex(tableau, basis, obj, n_real) == UNBOUNDED:
+    basis = list(range(n, n + n_rows))
+    obj = list(lp.objective) + [_ZERO] * (n_rows + 1)
+    if _run_simplex(tableau, basis, obj) == UNBOUNDED:
         return LPSolution(UNBOUNDED, None, None, None)
 
     primal = [_ZERO] * n
@@ -252,15 +153,7 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         if b < n:
             primal[b] = tableau[r][-1]
     value = sum((lp.objective[j] * primal[j] for j in range(n)), _ZERO)
-    dual = [sign * obj[col] for col, sign in dual_cols]
+    dual = [-obj[n + i] for i in range(n_rows)]
 
     _check_certificates(lp, primal, dual, value)
     return LPSolution(OPTIMAL, tuple(primal), tuple(dual), value)
-
-
-def _flip(relation: str) -> str:
-    if relation == LE:
-        return GE
-    if relation == GE:
-        return LE
-    return EQ

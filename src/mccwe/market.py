@@ -172,11 +172,6 @@ class Outcome:
                 raise BadParams("prices must be nonnegative")
 
 
-def value_query(v: Valuation, item_set: int) -> Fraction:
-    """Exact value of an item set under the valuation's family rule."""
-    return v.value(item_set)
-
-
 def reduced_value(v: Valuation, partition: Partition, bundle_set: int) -> Fraction:
     """Value of the union of the selected blocks."""
     union = 0

@@ -21,7 +21,7 @@ from math import lcm
 from . import configlp
 from .bits import bits_of
 from .errors import CertificateError, NotMCCWE, NotSingleMinded, SizeLimit
-from .lp import GE, LE, OPTIMAL, LinearProgram, solve_lp
+from .lp import LinearProgram, solve_lp
 from .market import Allocation, Instance, Outcome, Partition, UNALLOCATED, singleton_partition
 from .valuations import SingleMinded, value_table
 
@@ -297,19 +297,6 @@ def optimal_over_partition(
     return tuple(owners), welfare
 
 
-def allocation_from_block_assignment(
-    instance: Instance, partition: Partition, owners
-) -> Allocation:
-    bundles = [0] * instance.n
-    x0 = 0
-    for block, owner in zip(partition.blocks, owners):
-        if owner == UNALLOCATED:
-            x0 |= block
-        else:
-            bundles[owner] |= block
-    return Allocation(instance.m, x0, tuple(bundles))
-
-
 def _supported(instance, x):
     """Supporting prices for `x`, or None when it is not supportable."""
     try:
@@ -367,29 +354,32 @@ def best_single_minded_item_pricing(
     """Best welfare supportable by item prices with disjoint demand sets.
 
     Winners must afford their desired sets, losers must not strictly demand
-    theirs; feasibility of each winner family is decided exactly by LP.
-    An indifferent loser counts as satisfied with the empty set.
+    theirs; an indifferent loser counts as satisfied with the empty set.
+    Each winner family is decided exactly by one packing LP in the item
+    prices p and a scale t: maximize t subject to p(D_w) <= v_w for each
+    winner, v_l*t - p(D_l) <= 0 for each loser, and t <= 1.  The family is
+    feasible exactly when the optimum reaches t = 1.
     """
     if not all(isinstance(v, SingleMinded) for v in instance.agents):
         raise NotSingleMinded("item-pricing bound needs single-minded agents")
     budget = budget or OracleBudget()
     m, n = instance.m, instance.n
     budget.charge(1 << n)
-    desired = [v.desired for v in instance.agents]
-    values = [v.value_if_served for v in instance.agents]
+    # Each agent's row over (p_0, ..., p_{m-1}, t), as a winner and as a loser.
+    scale = (_ZERO,) * m + (_ONE,)
+    as_winner = []
+    as_loser = []
+    for v in instance.agents:
+        items = [_ONE if v.desired >> j & 1 else _ZERO for j in range(m)]
+        as_winner.append((tuple(items) + (_ZERO,), v.value_if_served))
+        as_loser.append((tuple(-a for a in items) + (v.value_if_served,), _ZERO))
 
     best = _ZERO  # empty winner set is always feasible
     for winners, welfare in _disjoint_winner_sets(instance):
         if welfare <= best:
             continue
-        rows = []
-        for i in range(n):
-            coeffs = tuple(
-                _ONE if desired[i] >> j & 1 else _ZERO for j in range(m)
-            )
-            relation = LE if winners >> i & 1 else GE
-            rows.append((coeffs, relation, values[i]))
-        lp = LinearProgram(tuple([_ZERO] * m), tuple(rows))
-        if solve_lp(lp).status == OPTIMAL:
+        rows = [as_winner[i] if winners >> i & 1 else as_loser[i] for i in range(n)]
+        rows.append((scale, _ONE))
+        if solve_lp(LinearProgram(scale, tuple(rows))).objective_value == _ONE:
             best = welfare
     return best

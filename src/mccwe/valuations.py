@@ -68,8 +68,9 @@ class SingleMinded:
 class SuperadditiveExplicit:
     """Explicit 2^m table; the constructor proves it is a valid valuation.
 
-    Rejects tables that are not normalized, not monotone, or not
-    super-additive on some disjoint pair (so a submodular table fails).
+    Rejects tables that are not normalized, hold a negative value, or are
+    not super-additive on some disjoint pair (so a submodular table fails).
+    A table that passes is monotone: v(S + j) >= v(S) + v({j}) >= v(S).
     """
 
     table: tuple[Fraction, ...]
@@ -84,10 +85,6 @@ class SuperadditiveExplicit:
         if self.table[0] != 0:
             raise BadParams("table is not normalized: v(empty) != 0")
         _check_nonnegative(self.table)
-        for mask in range(size):
-            for j in range(m):
-                if not mask >> j & 1 and self.table[mask] > self.table[mask | 1 << j]:
-                    raise BadParams("table is not monotone")
         for union in range(size):
             sub = union
             while sub:

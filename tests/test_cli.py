@@ -159,7 +159,7 @@ def test_certificate_error_exit_code(tmp_path, monkeypatch):
 
     monkeypatch.setattr("mccwe.oracle.optimal_integral", failed_check)
     code, _ = run(["oracle", "-i", str(inst)])
-    assert code == 2
+    assert code == 3
 
 
 def test_solve_uba_uses_bruteforce_optimum_by_default(tmp_path):
@@ -241,3 +241,10 @@ def test_partition_reduction_gen(tmp_path):
     assert code == 0
     code, text = run(["oracle", "-i", str(inst)])
     assert "opt=4" in text
+
+
+def test_deeply_nested_instance_exits_2(tmp_path):
+    inst = tmp_path / "deep.json"
+    inst.write_text("[" * 100_000 + "]" * 100_000)
+    code, _ = run(["gap", "-i", str(inst)])
+    assert code == 2

@@ -15,25 +15,25 @@ from mccwe import (
     Partition,
     SingleMinded,
     allocation,
+    induced_partition,
     singleton_partition,
     social_welfare,
 )
 from mccwe.bits import mask_of
 from mccwe import configlp
-from mccwe.configlp import (
-    build_config_lp,
-    fractional_opt,
-    integrality_gap,
-    is_mccwe_allocation,
-    is_walrasian_allocation,
-    supporting_prices,
-)
+from mccwe.configlp import build_config_lp, fractional_opt, supporting_prices
 from mccwe.equilibria import MCCWE, verify
 from mccwe.instances import built_in, generate
-from mccwe.lp import INFEASIBLE, LPSolution, solve_lp
+from mccwe.lp import UNBOUNDED, LPSolution, solve_lp
 from mccwe.oracle import optimal_integral, optimal_over_partition
 
 F = Fraction
+
+
+def _peaks_at(inst, x):
+    """Does the LP over the allocation's own bundles peak at its welfare?"""
+    partition, _owners = induced_partition(x)
+    return fractional_opt(inst, partition).value == social_welfare(inst, x)
 
 
 def test_build_counts_single_agent_single_block():
@@ -83,7 +83,7 @@ def test_solution_invariants():
 def test_is_mccwe_single_agent_whole_market():
     inst = Instance(3, (SingleMinded(0b111, F(4)),))
     x = allocation(3, [0b111])
-    assert is_mccwe_allocation(inst, x)
+    assert _peaks_at(inst, x)
     out = supporting_prices(inst, x)
     assert verify(inst, out, MCCWE).ok
 
@@ -92,14 +92,15 @@ def test_fig1b_no_walrasian_but_bundled_support():
     inst = built_in("fig1b")
     x_opt, welfare = optimal_integral(inst)
     assert welfare == 7
-    assert not is_walrasian_allocation(inst, x_opt)
+    # no Walrasian equilibrium: the item LP beats the optimum's welfare
+    assert fractional_opt(inst, singleton_partition(7)).value > social_welfare(inst, x_opt)
 
 
 def test_supporting_prices_rejects_unsupportable():
     inst = built_in("fig1b")
     # one item per agent keeps the induced partition all-singleton
     x = allocation(7, [1 << 0, 1 << 1, 1 << 6, 1 << 3])
-    if not is_mccwe_allocation(inst, x):
+    if not _peaks_at(inst, x):
         with pytest.raises(NotMCCWE) as err:
             supporting_prices(inst, x)
         assert err.value.gap > 0
@@ -108,7 +109,7 @@ def test_supporting_prices_rejects_unsupportable():
 def test_capacity_pair_bundling_supported():
     inst = built_in("revenue_example", big=F(100))
     x = allocation(3, [0b001, 0b110])
-    assert is_mccwe_allocation(inst, x)
+    assert _peaks_at(inst, x)
     assert social_welfare(inst, x) == 201
     out = supporting_prices(inst, x)
     assert verify(inst, out, MCCWE).ok
@@ -122,23 +123,27 @@ def test_pair_bundle_support_is_allocation_sensitive():
     inst = built_in("fig1a", eps=F(1, 10))
     bundled_pair = allocation(4, [0b0011, 0b1100, 0, 0, 0])
     assert social_welfare(inst, bundled_pair) == 7
-    assert is_mccwe_allocation(inst, bundled_pair)
+    assert _peaks_at(inst, bundled_pair)
     out = supporting_prices(inst, bundled_pair)
     assert verify(inst, out, MCCWE).ok
 
     split_pair = allocation(4, [0b0011, 0b1000, 0, 0b0100, 0])
     assert social_welfare(inst, split_pair) == 7
-    assert not is_mccwe_allocation(inst, split_pair)
+    assert not _peaks_at(inst, split_pair)
     with pytest.raises(NotMCCWE) as err:
         supporting_prices(inst, split_pair)
     assert err.value.gap == F(1, 2)
 
 
 def test_integrality_gap_values():
+    def gap(inst, partition):
+        _owners, integral = optimal_over_partition(inst, partition)
+        return fractional_opt(inst, partition).value / integral
+
     inst = built_in("fig1a", eps=F(1, 10))
-    assert integrality_gap(inst, Partition(4, (0b1111,))) == 1
-    assert integrality_gap(inst, singleton_partition(4)) == F(8) / F(79, 10)
-    assert integrality_gap(built_in("fig1b"), singleton_partition(7)) == F(8, 7)
+    assert gap(inst, Partition(4, (0b1111,))) == 1
+    assert gap(inst, singleton_partition(4)) == F(8) / F(79, 10)
+    assert gap(built_in("fig1b"), singleton_partition(7)) == F(8, 7)
 
 
 def test_fractional_dominates_block_assignments():
@@ -173,7 +178,7 @@ def test_support_roundtrip_on_random_allocations():
             else:
                 bundles[d] |= 1 << j
         x = allocation(4, bundles, x0=x0)
-        if is_mccwe_allocation(inst, x):
+        if _peaks_at(inst, x):
             assert verify(inst, supporting_prices(inst, x), MCCWE).ok
         else:
             with pytest.raises(NotMCCWE):
@@ -183,7 +188,7 @@ def test_support_roundtrip_on_random_allocations():
 def test_broken_lp_answers_raise_certificate_error(monkeypatch):
     inst = built_in("fig1a")
     p = singleton_partition(4)
-    monkeypatch.setattr(configlp, "solve_lp", lambda lp: LPSolution(INFEASIBLE, None, None, None))
+    monkeypatch.setattr(configlp, "solve_lp", lambda lp: LPSolution(UNBOUNDED, None, None, None))
     with pytest.raises(CertificateError, match="feasible and bounded"):
         fractional_opt(inst, p)
 

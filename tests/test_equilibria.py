@@ -138,3 +138,13 @@ def test_verify_rejects_mismatched_price_shapes():
         verify(inst, Outcome(x, item_prices=(F(1), F(1))), MCCWE)
     with pytest.raises(BadParams):
         verify(inst, Outcome(x, prices=(F(1),)), "walras")
+
+
+def test_outcome_must_match_the_instance_shape():
+    inst = _revenue_market()
+    short = Outcome(allocation(3, [0b111]), item_prices=(F(0), F(0), F(0)))
+    long = Outcome(allocation(3, [0b001, 0b010, 0b100]), prices=(F(1), F(1), F(1)))
+    narrow = Outcome(allocation(2, [0b01, 0b10]), prices=(F(1), F(1)))
+    for outcome, mode in ((short, WE), (long, MCCWE), (long, CWE), (narrow, MCCWE)):
+        with pytest.raises(BadParams, match="the instance has 3 items and 2 agents"):
+            verify(inst, outcome, mode)

@@ -9,7 +9,8 @@ import pytest
 from mccwe import BadParams, Outcome, ParseError, allocation, classify
 from mccwe.bits import items_of
 from mccwe.instances import (
-    InstanceSpec,
+    BUILTINS,
+    FAMILIES,
     built_in,
     generate,
     parse_allocation,
@@ -101,12 +102,14 @@ def test_random_uniform_flags():
     assert report.identical_budgets
 
 
-def test_instance_spec_builds():
-    assert InstanceSpec("fig1b").build() == built_in("fig1b")
-    spec = InstanceSpec("random_single_minded", {"m": 3, "n": 2, "seed": 4})
-    assert spec.build() == generate("random_single_minded", 3, 2, 4)
+def test_family_names_dispatch():
+    assert BUILTINS["fig1b"]() == built_in("fig1b")
+    assert "random_single_minded" in FAMILIES
+    assert generate("random_single_minded", 3, 2, 4) == generate("random_single_minded", 3, 2, 4)
     with pytest.raises(BadParams):
-        InstanceSpec("mystery").build()
+        built_in("mystery")
+    with pytest.raises(BadParams):
+        generate("mystery", 3, 2, 4)
 
 
 def test_instance_round_trips():
@@ -213,3 +216,61 @@ def test_single_minded_index_is_bounded_before_the_mask_is_built():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_deeply_nested_json_is_a_parse_error():
+    deep = "[" * 100_000 + "]" * 100_000
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_instance(deep)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_outcome('{"format": 1, "allocation": ' + deep + "}", 3)
+
+
+def test_json_booleans_are_not_integers():
+    base = {
+        "format": 1,
+        "m": 2,
+        "agents": [{"family": "single_minded", "desired": [1], "value": "1"}],
+    }
+    assert parse_instance(json.dumps(base)).m == 2
+    for field, value in (("m", True), ("desired", [True]), ("value", True)):
+        doc = json.loads(json.dumps(base))
+        if field == "m":
+            doc["m"] = value
+        else:
+            doc["agents"][0][field] = value
+        with pytest.raises(ParseError):
+            parse_instance(json.dumps(doc))
+    capped = {"family": "capped_additive", "cap": True, "item_values": ["1", "2"]}
+    with pytest.raises(ParseError, match="cap"):
+        parse_instance(json.dumps(dict(base, agents=[capped])))
+    outcome = {"format": 1, "allocation": {"x0": [False], "x": [[1]]}, "prices": {"agents": ["0"]}}
+    with pytest.raises(ParseError, match="allocation.x0"):
+        parse_outcome(json.dumps(outcome), 2)
+
+
+def test_item_count_is_bounded_before_masks_are_built():
+    doc = {
+        "format": 1,
+        "m": 1 << 24,
+        "agents": [{"family": "single_minded", "desired": [(1 << 24) - 1], "value": "1"}],
+    }
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="m must lie in"):
+            parse_instance(json.dumps(doc))
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(BadParams):
+        generate("random_single_minded", 1 << 24, 2, 0)
+    with pytest.raises(BadParams):
+        built_in("bundling_necessity", m=65 * 65)
+
+
+def test_instance_name_must_be_a_string():
+    doc = json.loads(write_instance(built_in("fig1b")))
+    doc["name"] = ["fig1b"]
+    with pytest.raises(ParseError, match="name"):
+        parse_instance(json.dumps(doc))

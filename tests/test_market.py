@@ -22,7 +22,6 @@ from mccwe import (
     singleton_partition,
     social_welfare,
     utility,
-    value_query,
 )
 from mccwe.bits import mask_of
 
@@ -36,12 +35,12 @@ def _fig1a_c2():
 
 def test_value_query_single_minded():
     v = SingleMinded(mask_of([0, 1]), F(5))
-    assert value_query(v, mask_of([0, 1, 2])) == 5
-    assert value_query(v, mask_of([0])) == 0
+    assert v.value(mask_of([0, 1, 2])) == 5
+    assert v.value(mask_of([0])) == 0
 
 
 def test_value_query_budget_additive_caps():
-    assert value_query(_fig1a_c2(), mask_of([2, 3])) == 4  # min(4, 2+2)
+    assert _fig1a_c2().value(mask_of([2, 3])) == 4  # min(4, 2+2)
 
 
 def test_reduced_value_empty_and_singletons():
@@ -49,7 +48,7 @@ def test_reduced_value_empty_and_singletons():
     p = singleton_partition(4)
     assert reduced_value(v, p, 0) == 0
     for j in range(4):
-        assert reduced_value(v, p, 1 << j) == value_query(v, 1 << j)
+        assert reduced_value(v, p, 1 << j) == v.value(1 << j)
 
 
 def test_reduced_value_on_merged_block():
@@ -181,7 +180,7 @@ def test_reduced_value_of_owned_block_reproduces_value_query():
     for idx, owner in enumerate(owners):
         if owner != UNALLOCATED:
             v = inst.agents[owner]
-            assert reduced_value(v, part, 1 << idx) == value_query(v, x.bundles[owner])
+            assert reduced_value(v, part, 1 << idx) == v.value(x.bundles[owner])
 
 
 def test_uniform_field_validation():

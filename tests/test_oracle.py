@@ -30,7 +30,6 @@ from mccwe.oracle import (
     _assignments,
     _check_assignment,
     _single_minded_optimum,
-    allocation_from_block_assignment,
     best_mccwe,
     best_single_minded_item_pricing,
     optimal_integral,
@@ -140,7 +139,11 @@ def test_optimal_over_partition_singletons_equals_integral():
         _x, w = optimal_integral(inst)
         owners, w_blocks = optimal_over_partition(inst, singleton_partition(4))
         assert w_blocks == w
-        x = allocation_from_block_assignment(inst, singleton_partition(4), owners)
+        bundles = [0] * inst.n
+        for j, owner in enumerate(owners):
+            if owner != UNALLOCATED:
+                bundles[owner] |= 1 << j
+        x = allocation(4, bundles)
         assert social_welfare(inst, x) == w
 
 
@@ -187,6 +190,98 @@ def test_item_pricing_bundling_necessity():
 def test_item_pricing_rejects_other_families():
     with pytest.raises(NotSingleMinded):
         best_single_minded_item_pricing(Instance(1, (Additive((F(1),)),)))
+
+
+def _solve_square(rows, rhs):
+    """Gaussian elimination; None when the system is singular."""
+    n = len(rhs)
+    aug = [list(row) + [r] for row, r in zip(rows, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = F(1) / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [aug[r][k] - f * aug[col][k] for k in range(n + 1)]
+    return [aug[r][-1] for r in range(n)]
+
+
+def feasible_vertex(rows, width):
+    """A vertex of {p >= 0 : every (coeffs, relation, rhs) row holds}, or
+    None when the region is empty.  The region lies in p >= 0, so it has a
+    vertex whenever it is nonempty: a basic solution, where k rows are tight
+    on k positive coordinates and every other coordinate is 0."""
+    for k in range(min(len(rows), width) + 1):
+        for tight in itertools.combinations(rows, k):
+            for basic in itertools.combinations(range(width), k):
+                values = _solve_square(
+                    [[coeffs[j] for j in basic] for coeffs, _rel, _rhs in tight],
+                    [rhs for _coeffs, _rel, rhs in tight],
+                )
+                if values is None or any(p < 0 for p in values):
+                    continue
+                point = [F(0)] * width
+                for j, p in zip(basic, values):
+                    point[j] = p
+                lhs = [sum(c * p for c, p in zip(coeffs, point)) for coeffs, _rel, _rhs in rows]
+                if all(
+                    total <= rhs if rel == "<=" else total >= rhs
+                    for total, (_coeffs, rel, rhs) in zip(lhs, rows)
+                ):
+                    return point
+    return None
+
+
+def reference_item_pricing(inst):
+    """The item-pricing bound from the plain <=/>= price system: winners
+    afford their sets (p(D_w) <= v_w), losers cannot profit (p(D_l) >= v_l).
+    Items wanted by the same agents share one price variable, their sum.
+    Returns the bound and the number of winner families found infeasible."""
+    n = inst.n
+    desired = [v.desired for v in inst.agents]
+    values = [v.value_if_served for v in inst.agents]
+    classes = sorted(
+        {tuple(d >> j & 1 for d in desired) for j in range(inst.m)} - {(0,) * n}
+    )
+    best = F(0)
+    rejected = 0
+    for winners in range(1 << n):
+        members = [i for i in range(n) if winners >> i & 1]
+        if any(desired[i] & desired[k] for i, k in itertools.combinations(members, 2)):
+            continue
+        welfare = sum((values[i] for i in members), F(0))
+        if welfare <= best:
+            continue
+        rows = [
+            (
+                tuple(F(c[i]) for c in classes),
+                "<=" if winners >> i & 1 else ">=",
+                values[i],
+            )
+            for i in range(n)
+        ]
+        if feasible_vertex(rows, len(classes)) is None:
+            rejected += 1
+        else:
+            best = welfare
+    return best, rejected
+
+
+def test_item_pricing_matches_the_inequality_system():
+    rejected = 0
+    for seed in range(300):
+        m, n = 1 + seed % 6, 1 + seed // 6 % 5
+        inst = generate("random_single_minded", m, n, seed)
+        bound, infeasible = reference_item_pricing(inst)
+        assert best_single_minded_item_pricing(inst) == bound
+        rejected += infeasible
+    assert rejected >= 100  # both LP answers are exercised
+    inst = built_in("bundling_necessity", m=16)
+    assert reference_item_pricing(inst)[0] == best_single_minded_item_pricing(inst) == 9
 
 
 def test_nonuniform_example_bundling_hurts():

@@ -63,6 +63,51 @@ def test_superadditive_table_constructor_rejects_submodular():
         SuperadditiveExplicit((F(0), F(2), F(3), F(1)))  # not monotone
 
 
+def _is_valid_table(table):
+    """Normalized, nonnegative, monotone and super-additive, by brute force."""
+    size = len(table)
+    subsets = [(s, t) for t in range(size) for s in range(size) if s & t == s]
+    return (
+        table[0] == 0
+        and all(v >= 0 for v in table)
+        and all(table[s] <= table[t] for s, t in subsets)
+        and all(table[s] + table[t ^ s] <= table[t] for s, t in subsets)
+    )
+
+
+def test_superadditive_table_constructor_matches_brute_force():
+    counts = {"accepted": 0, "rejected": 0, "not monotone": 0}
+    for seed in range(400):
+        rng = SplitMix64(seed)
+        m = rng.randint(0, 4)
+        size = 1 << m
+        # additive base plus bumps, closed under super-additivity...
+        base = [rng.randint(0, 3) for _ in range(m)]
+        table = [F(sum(base[j] for j in range(m) if mask >> j & 1)) for mask in range(size)]
+        for mask in sorted(range(size), key=int.bit_count):
+            table[mask] += rng.randint(0, 1)
+            for sub in range(1, mask):
+                if sub & mask == sub:
+                    table[mask] = max(table[mask], table[sub] + table[mask ^ sub])
+        table[0] = F(0)
+        # ...then most tables take a random nudge that may break any rule
+        for _ in range(rng.randint(0, 2)):
+            table[rng.randint(0, size - 1)] += rng.randint(-3, 2)
+        expected = _is_valid_table(table)
+        try:
+            SuperadditiveExplicit(tuple(table))
+            accepted = True
+        except BadParams:
+            accepted = False
+        assert accepted == expected, table
+        counts["accepted" if accepted else "rejected"] += 1
+        if table[0] == 0 and min(table) >= 0 and not accepted:
+            counts["not monotone"] += any(
+                table[t] > table[t | 1 << j] for t in range(size) for j in range(m)
+            )
+    assert min(counts.values()) >= 20, counts
+
+
 def test_single_minded_requires_nonempty_desired_set():
     with pytest.raises(BadParams):
         SingleMinded(0, F(1))
