@@ -275,6 +275,8 @@ def _cmd_gap(args, out) -> int:
 
 
 def _cmd_bench(args, out) -> int:
+    if args.trials < 1:
+        raise BadParams("--trials must be at least 1")
     ratios = []
     for trial in range(args.trials):
         inst = generate(args.family, args.m, args.n, args.seed + trial)

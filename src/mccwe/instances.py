@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .bits import items_of, mask_of
 from .errors import BadParams, ParseError
-from .market import Allocation, Instance, Outcome
+from .market import MAX_ITEMS, Allocation, Instance, Outcome
 from .valuations import (
     Additive,
     BudgetAdditive,
@@ -27,10 +27,6 @@ from .valuations import (
 
 _ZERO = Fraction(0)
 FORMAT_VERSION = 1
-
-# Item sets are bitmasks and partitions hold one mask per block, so a market
-# this wide already costs megabytes; every enumeration caps far below it.
-MAX_ITEMS = 4096
 
 _MASK64 = (1 << 64) - 1
 
@@ -141,7 +137,7 @@ def bundling_necessity(m: int = 16) -> Instance:
     """
     if m > MAX_ITEMS:
         raise BadParams(f"at most {MAX_ITEMS} items")
-    t = math.isqrt(m)
+    t = math.isqrt(m) if m >= 4 else 0
     if t * t != m or t < 2:
         raise BadParams("m must be a perfect square at least 4")
     pairs = [(i, j) for i in range(t) for j in range(i + 1, t)]

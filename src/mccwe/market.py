@@ -19,6 +19,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 UNALLOCATED = -1
 
+# Item sets are bitmasks and partitions hold one mask per block, so a market
+# this wide already costs megabytes; every enumeration caps far below it.
+MAX_ITEMS = 4096
+
 _ZERO = Fraction(0)
 
 
@@ -37,6 +41,8 @@ class Instance:
 
         if self.m < 1:
             raise BadParams("need at least one item")
+        if self.m > MAX_ITEMS:
+            raise BadParams(f"at most {MAX_ITEMS} items")
         if not self.agents:
             raise BadParams("need at least one agent")
         full = full_mask(self.m)

@@ -38,7 +38,6 @@ from .market import (
 from .valuations import (
     SingleMinded,
     is_superadditive_family,
-    is_uniform_budget_additive,
     relative_demand_query,
     shared_item_values,
     value_table,
@@ -302,11 +301,6 @@ def single_minded_mccwe(
     return full_surplus_outcome(instance, state.allocation())
 
 
-def _require_uniform(instance: Instance) -> None:
-    if not is_uniform_budget_additive(instance):
-        raise NotUniformBudgetAdditive("agents must share per-item values")
-
-
 def _interested_prepass(instance: Instance, state: _State, phase: str) -> None:
     """Put every item in the hands of someone who values it.
 
@@ -344,11 +338,12 @@ def uniform_budget_additive_mccwe(
     owner, which makes full-surplus prices market-clearing, and the final
     welfare is at least half the input's.
     """
-    _require_uniform(instance)
+    shared = shared_item_values(instance)
+    if shared is None:
+        raise NotUniformBudgetAdditive("agents must share per-item values")
     if trace is not None:
         trace.mechanism = "uniform_budget_additive"
     n = instance.n
-    shared = shared_item_values(instance)
     budgets = [v.budget for v in instance.agents]
     state = _State(instance, x, trace)
     _interested_prepass(instance, state, "reassign")
@@ -395,7 +390,8 @@ def identical_budget_cleanup(
 ) -> Outcome:
     """Hand every item to someone who values it; with identical budgets the
     result supports full-surplus prices with no welfare loss."""
-    _require_uniform(instance)
+    if shared_item_values(instance) is None:
+        raise NotUniformBudgetAdditive("agents must share per-item values")
     if len({v.budget for v in instance.agents}) > 1:
         raise NotIdenticalBudgets("agents' budgets differ")
     if trace is not None:

@@ -282,10 +282,14 @@ def optimal_over_partition(
     this realizes bundle-efficiency over the partition's blocks.  It is the
     same integer subset DP as optimal_integral over block value tables,
     with blocks as units and ties to the smallest block-major owner vector;
-    the budget is charged (n+1)^k states for k blocks.
+    the budget is charged (n+1)^k states for k blocks, and k blocks whose
+    2^k-entry tables exceed the table cap raise SizeLimit before any table
+    is built.
     """
     budget = budget or OracleBudget()
     k = len(partition.blocks)
+    if 1 << k > _TABLE_CAP:
+        raise SizeLimit(f"{k} blocks exceed the {_TABLE_CAP}-entry table cap")
     budget.charge((instance.n + 1) ** k)
     sets, _rest, welfare = _winner_determination(
         k, [value_table(v, partition) for v in instance.agents]
@@ -311,16 +315,17 @@ def best_mccwe(
     """Max welfare over all supportable allocations, with supporting prices.
 
     Ties go to the first supportable allocation in enumeration order at the
-    winning welfare.  The search first tries the unconstrained optimum (where
-    super-additive markets always succeed), then walks the rest of its
-    welfare level; only if no allocation there is supportable does it rescan
-    with the usual prune-below-the-incumbent rule, so the expensive LP runs
-    only on strict improvements.  Each probe solves its LP once.
+    winning welfare.  The search first tries the unconstrained optimum x
+    (where super-additive markets always succeed), then walks every
+    assignment once: at x's welfare it returns the first other supportable
+    allocation, and below it probes only strict improvements on the best
+    supportable welfare so far, which it returns when the walk ends.  Each
+    probe solves its LP once; the budget is charged the DP and the walk,
+    2(n+1)^m states, up front.
     """
     budget = budget or OracleBudget()
-    m, n = instance.m, instance.n
-    states = (n + 1) ** m
-    budget.charge(2 * states)
+    m = instance.m
+    budget.charge(2 * (instance.n + 1) ** m)
     tables = _item_tables(instance)
     x, top = _item_optimum(instance, tables)
     outcome = _supported(instance, x)
@@ -328,22 +333,17 @@ def best_mccwe(
         return outcome, top
     # Without tables only one agent is admitted, and a one-agent optimum is
     # supportable: its LP over at most two blocks peaks at max_T v(T) = top.
-    for welfare, sets, rest in _assignments(m, tables):
-        if welfare == top:
-            candidate = Allocation(m, rest, tuple(sets))
-            if candidate != x:
-                outcome = _supported(instance, candidate)
-                if outcome is not None:
-                    return outcome, top
-
-    budget.charge(states)
-    # every allocation at the top level was just found unsupportable
     best = None
     for welfare, sets, rest in _assignments(m, tables):
-        if welfare == top or (best is not None and welfare <= best):
+        if best is not None and welfare <= best:
             continue
-        found = _supported(instance, Allocation(m, rest, tuple(sets)))
+        candidate = Allocation(m, rest, tuple(sets))
+        if candidate == x:
+            continue
+        found = _supported(instance, candidate)
         if found is not None:
+            if welfare == top:
+                return found, top
             outcome, best = found, welfare
     return outcome, best
 

@@ -85,12 +85,14 @@ class SuperadditiveExplicit:
         if self.table[0] != 0:
             raise BadParams("table is not normalized: v(empty) != 0")
         _check_nonnegative(self.table)
-        for union in range(size):
-            sub = union
+        for union in range(1, size):
+            # each split {S, T} once: S is a nonempty set of the items below
+            # union's top item; S = union, T = empty holds since v(empty) = 0
+            sub = lower = union ^ 1 << (union.bit_length() - 1)
             while sub:
                 if self.table[sub] + self.table[union ^ sub] > self.table[union]:
                     raise BadParams("table is not super-additive")
-                sub = (sub - 1) & union
+                sub = (sub - 1) & lower
 
     def value(self, mask: int) -> Fraction:
         return self.table[mask]
@@ -309,35 +311,24 @@ def classify(instance: market.Instance) -> ClassifyReport:
                 sub = (sub - 1) & union
 
     all_ba = all(isinstance(v, BudgetAdditive) for v in instance.agents)
-    uniform = all_ba and _is_uniform(instance)
+    uniform = shared_item_values(instance) is not None
     identical = all_ba and len({v.budget for v in instance.agents}) <= 1
     return ClassifyReport(monotone, normalized, superadditive, subadditive, uniform, identical)
 
 
-def _is_uniform(instance: market.Instance) -> bool:
-    for j in range(instance.m):
-        seen = {v.item_values[j] for v in instance.agents if v.item_values[j] > 0}
-        if len(seen) > 1:
-            return False
-    return True
+def shared_item_values(instance: market.Instance) -> list[Fraction] | None:
+    """The per-item values every agent shares, when all agents are
+    budget-additive and no two of them value an item differently.
 
-
-def is_uniform_budget_additive(instance: market.Instance) -> bool:
-    """Field-inspection uniformity test (no enumeration)."""
-    return all(isinstance(v, BudgetAdditive) for v in instance.agents) and _is_uniform(
-        instance
-    )
-
-
-def shared_item_values(instance: market.Instance) -> list[Fraction]:
-    """The per-item shared values of a uniform budget-additive instance.
-
-    Items valued by nobody get 0.
+    Items valued by nobody get 0.  None when the instance is not uniform
+    budget-additive.
     """
+    if not all(isinstance(v, BudgetAdditive) for v in instance.agents):
+        return None
     values = []
     for j in range(instance.m):
         seen = {v.item_values[j] for v in instance.agents if v.item_values[j] > 0}
         if len(seen) > 1:
-            raise BadParams("instance is not uniform budget-additive")
+            return None
         values.append(seen.pop() if seen else _ZERO)
     return values

@@ -217,6 +217,12 @@ def test_bench_runs_and_reports(tmp_path):
     assert "worst=" in text and "mean=" in text and "(~" in text
 
 
+def test_bench_rejects_zero_trials():
+    argv = ["bench", "--family", "random_single_minded", "--m", "4", "--n", "3"]
+    code, text = run(argv + ["--trials", "0"])
+    assert code == 2 and text == ""
+
+
 def test_byte_identical_reruns(tmp_path):
     inst = tmp_path / "i.json"
     out1 = tmp_path / "o1.json"
@@ -241,6 +247,15 @@ def test_partition_reduction_gen(tmp_path):
     assert code == 0
     code, text = run(["oracle", "-i", str(inst)])
     assert "opt=4" in text
+
+
+def test_gen_rejects_markets_no_verb_reads(tmp_path):
+    inst = tmp_path / "i.json"
+    weights = ",".join(["1"] * 4097)
+    code, _ = run(["gen", "partition_reduction", "--a", weights, "-o", str(inst)])
+    assert code == 2 and not inst.exists()
+    code, _ = run(["gen", "bundling_necessity", "--m", "-4", "-o", str(inst)])
+    assert code == 2 and not inst.exists()
 
 
 def test_deeply_nested_instance_exits_2(tmp_path):

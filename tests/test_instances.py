@@ -63,6 +63,9 @@ def test_bundling_necessity_rejects_non_squares():
         built_in("bundling_necessity", m=12)
     with pytest.raises(BadParams):
         built_in("bundling_necessity", m=1)
+    for m in (0, -4):
+        with pytest.raises(BadParams, match="perfect square at least 4"):
+            built_in("bundling_necessity", m=m)
 
 
 def test_eps_validation():
@@ -267,6 +270,8 @@ def test_item_count_is_bounded_before_masks_are_built():
         generate("random_single_minded", 1 << 24, 2, 0)
     with pytest.raises(BadParams):
         built_in("bundling_necessity", m=65 * 65)
+    with pytest.raises(BadParams, match="at most 4096 items"):
+        built_in("partition_reduction", weights=[1] * 4097)
 
 
 def test_instance_name_must_be_a_string():

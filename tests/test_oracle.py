@@ -167,6 +167,14 @@ def test_best_mccwe_fig1a():
     assert social_welfare(built_in("fig1a"), out.allocation) == 7
 
 
+def test_best_mccwe_charges_the_dp_and_one_walk():
+    # fig1a's optimum is not supportable, so the walk runs to its end
+    budget = OracleBudget(limit=2 * 6**4)
+    _out, welfare = best_mccwe(built_in("fig1a"), budget)
+    assert welfare == 7
+    assert budget.used == budget.limit
+
+
 def test_best_mccwe_never_exceeds_integral_optimum():
     for seed in range(10):
         inst = generate("random_uniform_budget_additive", 4, 3, seed + 500)
@@ -333,6 +341,18 @@ def test_single_agent_sweep_above_table_cap(monkeypatch):
         assert optimal_integral(raw) == reference_integral(raw)
     with pytest.raises(SizeLimit):
         optimal_integral(generate("random_superadditive", 3, 2, 1))
+
+
+def test_block_table_cap_is_checked_before_any_table_is_built(monkeypatch):
+    def no_tables(v, partition):
+        raise AssertionError(f"built a table over {len(partition.blocks)} blocks")
+
+    monkeypatch.setattr("mccwe.oracle.value_table", no_tables)
+    inst = Instance(21, (Additive((F(1),) * 21),))
+    budget = OracleBudget()
+    with pytest.raises(SizeLimit, match="table cap"):
+        optimal_over_partition(inst, singleton_partition(21), budget)
+    assert budget.used == 0
 
 
 def test_assignment_check_rejects_bad_reconstructions():

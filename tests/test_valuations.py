@@ -1,5 +1,6 @@
 """Valuation families, demand queries, classification."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -106,6 +107,25 @@ def test_superadditive_table_constructor_matches_brute_force():
                 table[t] > table[t | 1 << j] for t in range(size) for j in range(m)
             )
     assert min(counts.values()) >= 20, counts
+
+
+def test_superadditive_table_constructor_checks_splits_of_every_size():
+    # Tables v(S) = f(|S|) on four items.  f = (0, 1, 3, 4, 5) holds on every
+    # split with a one-item side and fails only on 2 + 2: 3 + 3 > 5.
+    sizes = [mask.bit_count() for mask in range(16)]
+    only_two_two = 0
+    for f in itertools.product(range(6), repeat=4):
+        f = (0,) + f
+        table = tuple(F(f[size]) for size in sizes)
+        try:
+            SuperadditiveExplicit(table)
+            accepted = True
+        except BadParams:
+            accepted = False
+        assert accepted == _is_valid_table(table), f
+        one_item_splits_hold = all(f[1] + f[k] <= f[k + 1] for k in range(4))
+        only_two_two += one_item_splits_hold and not accepted
+    assert only_two_two > 0
 
 
 def test_single_minded_requires_nonempty_desired_set():
