@@ -19,6 +19,7 @@ from fractions import Fraction
 from . import oracle as oracle_mod
 from .bits import bits_of, full_mask
 from .errors import (
+    BadParams,
     CertificateError,
     NotIdenticalBudgets,
     NotSingleMinded,
@@ -33,14 +34,12 @@ from .market import (
     Partition,
     UNALLOCATED,
     full_surplus_outcome,
-    singleton_partition,
 )
 from .valuations import (
     SingleMinded,
     is_superadditive_family,
     relative_demand_query,
     shared_item_values,
-    value_table,
 )
 
 _ZERO = Fraction(0)
@@ -65,6 +64,11 @@ class _State:
     """Mutable allocation under construction, with trace recording."""
 
     def __init__(self, instance, start: Allocation, trace):
+        if (start.m, start.n) != (instance.m, instance.n):
+            raise BadParams(
+                f"allocation gives {start.m} items to {start.n} agents; "
+                f"the instance has {instance.m} items and {instance.n} agents"
+            )
         self.instance = instance
         self.bundles = list(start.bundles)
         self.x0 = start.x0
@@ -166,27 +170,22 @@ def superadditive_mccwe(
     until no items remain, then a single winner takes everything if that
     beats the running welfare.  Phase 2 merges bundle groups toward the
     agent with the largest strict surplus over their current prices until
-    no such surplus exists.
+    no such surplus exists.  Past 24 items the relative-demand query raises
+    SizeLimit; past 16 agents the merge phase does.
     """
     _require_superadditive(instance)
     m, n = instance.m, instance.n
-    if m > 24:
-        raise SizeLimit("density phase capped at 24 items")
     if n > 16:
         raise SizeLimit("merge phase capped at 16 agents")
     if trace is not None:
         trace.mechanism = "superadditive"
-    items = singleton_partition(m)
-    tables = [value_table(v, items) for v in instance.agents] if m <= 16 else None
     state = _State(instance, _empty_allocation(instance), trace)
 
     pool = full_mask(m)
     while pool:
         best = None
         for i, v in enumerate(instance.agents):
-            found, density = relative_demand_query(
-                v, pool, tables[i] if tables else None
-            )
+            found, density = relative_demand_query(v, pool)
             if best is None or density > best[0]:
                 best = (density, i, found)
         _density, agent, found = best
@@ -204,7 +203,7 @@ def superadditive_mccwe(
 
     merges = 0
     while True:
-        move = _best_merge(instance, state.bundles, tables)
+        move = _best_merge(instance, state.bundles)
         if move is None:
             break
         merges += 1
@@ -219,18 +218,14 @@ def superadditive_mccwe(
     return full_surplus_outcome(instance, state.allocation())
 
 
-def _value(instance, tables, agent, mask):
-    return tables[agent][mask] if tables else instance.agents[agent].value(mask)
-
-
-def _best_merge(instance, bundles, tables):
+def _best_merge(instance, bundles):
     """Max of v_i(union of group bundles) minus the group's bundle values.
 
     Ties: smaller group, then smaller (agent, group mask).  None when no
     group yields a strict surplus.
     """
     n = len(bundles)
-    owner_values = [_value(instance, tables, j, bundles[j]) for j in range(n)]
+    owner_values = [instance.agents[j].value(bundles[j]) for j in range(n)]
     unions = [0] * (1 << n)
     totals = [_ZERO] * (1 << n)
     for mask in range(1, 1 << n):
@@ -241,7 +236,7 @@ def _best_merge(instance, bundles, tables):
     best = None
     for i in range(n):
         for mask in range(1, 1 << n):
-            gap = _value(instance, tables, i, unions[mask]) - totals[mask]
+            gap = instance.agents[i].value(unions[mask]) - totals[mask]
             if gap <= 0:
                 continue
             size = mask.bit_count()

@@ -78,7 +78,7 @@ class SuperadditiveExplicit:
     def __post_init__(self):
         size = len(self.table)
         m = size.bit_length() - 1
-        if size != 1 << m or size == 0:
+        if size == 0 or size != 1 << m:
             raise BadParams("table length must be a power of two")
         if m > 12:
             raise SizeLimit("explicit tables are validated only up to 12 items")
@@ -236,37 +236,34 @@ def demand_query(v: Valuation, partition: market.Partition, prices) -> int:
     return preferred(demand_utilities(v, partition, prices))
 
 
-def relative_demand_query(
-    v: Valuation, pool: int, table: list[Fraction] | None = None
-) -> tuple[int, Fraction]:
+def relative_demand_query(v: Valuation, pool: int) -> tuple[int, Fraction]:
     """Nonempty S within `pool` maximizing v(S)/|S|, plus that density.
 
     Ties break toward smaller sets, then the numerically smallest mask; an
-    all-zero valuation therefore yields the pool's first singleton.
+    all-zero valuation therefore yields the pool's first singleton.  Among
+    sets of one size the densest is the most valuable, so one walk over the
+    pool keeps each size's most valuable set (smallest mask on ties), and
+    only those at most 24 winners are compared by density.
     """
     if pool == 0:
         raise EmptyPool("relative-demand query over an empty pool")
-    if pool.bit_count() > 24:
+    k = pool.bit_count()
+    if k > 24:
         raise SizeLimit("relative-demand enumeration capped at 24 items")
-    best_mask = 0
-    best_val = _ZERO
-    best_size = 0
+    top_values = [-1] * (k + 1)  # below every value: valuations are nonnegative
+    top_masks = [0] * (k + 1)
     sub = pool
-    while sub:
-        val = table[sub] if table is not None else v.value(sub)
+    while sub:  # masks descend, so >= leaves the smallest mask of a tie
+        val = v.value(sub)
         size = sub.bit_count()
-        # density comparison by cross-multiplication: val/size vs best
-        if best_mask == 0:
-            better = True
-        else:
-            lhs, rhs = val * best_size, best_val * size
-            better = lhs > rhs or (
-                lhs == rhs and (size < best_size or (size == best_size and sub < best_mask))
-            )
-        if better:
-            best_mask, best_val, best_size = sub, val, size
+        if val >= top_values[size]:
+            top_values[size], top_masks[size] = val, sub
         sub = (sub - 1) & pool
-    return best_mask, best_val / best_size
+    best = 1
+    for size in range(2, k + 1):
+        if top_values[size] * best > top_values[best] * size:
+            best = size
+    return top_masks[best], top_values[best] / best
 
 
 @dataclass(frozen=True)

@@ -197,6 +197,21 @@ def test_solve_cleanup_with_explicit_allocation(tmp_path):
     assert code == 0
 
 
+def test_solve_rejects_an_allocation_with_the_wrong_agent_count(tmp_path):
+    alloc = tmp_path / "alloc.json"
+    for market, mechanism, bundles in (
+        ("fig1a", "uba", [[0, 1, 2, 3]]),
+        ("fig1b", "uba", [[j] for j in range(7)]),
+        ("fig1b", "cleanup", [[j] for j in range(7)]),
+    ):
+        inst = tmp_path / f"{market}.json"
+        run(["gen", market, "-o", str(inst)])
+        alloc.write_text(json.dumps({"format": 1, "allocation": {"x0": [], "x": bundles}}))
+        argv = ["solve", mechanism, "-i", str(inst), "--alloc", str(alloc)]
+        code, _ = run(argv + ["-o", str(tmp_path / "out.json")])
+        assert code == 2, (market, mechanism)
+
+
 def test_bench_runs_and_reports(tmp_path):
     code, text = run(
         [

@@ -3,7 +3,8 @@
 Each example writes a valid instance (m <= 6) and a valid outcome for it,
 then applies a few mutations anywhere in either JSON tree: a value changes
 type, a key or list entry is dropped, an integer turns big or negative, or a
-value becomes a 100,000-deep nested array.
+value becomes a 100,000-deep nested array.  `solve` runs every mechanism
+with the outcome document as its input allocation.
 """
 
 import copy
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mccwe import ParseError, SizeLimit, full_surplus_outcome
-from mccwe.cli import main
+from mccwe.cli import _MECHANISMS, main
 from mccwe.equilibria import MODES
 from mccwe.instances import (
     FAMILIES,
@@ -141,3 +142,7 @@ def test_mutated_documents_raise_only_parse_errors(data):
             ["gap", "-i", inst_path],
         ):
             assert main(argv, out=io.StringIO()) in (0, 1, 2), argv
+        solved_path = os.path.join(tmp, "solved.json")
+        for mechanism in _MECHANISMS:
+            argv = ["solve", mechanism, "-i", inst_path, "--alloc", out_path, "-o", solved_path]
+            assert main(argv, out=io.StringIO()) in (0, 2), argv

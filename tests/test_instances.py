@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from mccwe import BadParams, Outcome, ParseError, allocation, classify
+from mccwe import BadParams, Outcome, ParseError, SuperadditiveExplicit, allocation, classify
 from mccwe.bits import items_of
 from mccwe.instances import (
     BUILTINS,
@@ -278,4 +278,12 @@ def test_instance_name_must_be_a_string():
     doc = json.loads(write_instance(built_in("fig1b")))
     doc["name"] = ["fig1b"]
     with pytest.raises(ParseError, match="name"):
+        parse_instance(json.dumps(doc))
+
+
+def test_empty_explicit_table_is_a_parse_error():
+    with pytest.raises(BadParams, match="power of two"):
+        SuperadditiveExplicit(())
+    doc = {"format": 1, "m": 1, "agents": [{"family": "superadditive_explicit", "table": []}]}
+    with pytest.raises(ParseError, match="power of two"):
         parse_instance(json.dumps(doc))

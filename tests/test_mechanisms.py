@@ -6,6 +6,7 @@ import pytest
 
 from mccwe import (
     Additive,
+    BadParams,
     BudgetAdditive,
     CertificateError,
     Instance,
@@ -15,6 +16,7 @@ from mccwe import (
     NotUniformBudgetAdditive,
     Partition,
     SingleMinded,
+    SizeLimit,
     allocation,
     revenue,
     singleton_partition,
@@ -37,7 +39,7 @@ from mccwe.mechanisms import (
     uniform_budget_additive_mccwe,
 )
 from mccwe.oracle import optimal_integral
-from mccwe.valuations import demand_utilities, value_table
+from mccwe.valuations import demand_utilities
 
 F = Fraction
 
@@ -132,6 +134,11 @@ def test_superadditive_merge_phase_runs():
 def test_superadditive_rejects_budget_capped():
     with pytest.raises(NotSuperadditive):
         superadditive_mccwe(built_in("fig1a"))
+
+
+def test_superadditive_stops_at_the_relative_demand_cap():
+    with pytest.raises(SizeLimit, match="24 items"):
+        superadditive_mccwe(Instance(25, (Additive((F(1),) * 25),)))
 
 
 def test_single_minded_one_agent():
@@ -325,6 +332,21 @@ def test_cleanup_rejects_differing_budgets():
         identical_budget_cleanup(inst, _empty(inst))
 
 
+def test_start_allocation_must_match_the_instance_shape():
+    fig1a, fig1b = built_in("fig1a"), built_in("fig1b")
+    fewer = allocation(fig1a.m, [full_mask(fig1a.m)])
+    more = allocation(fig1b.m, [1 << j for j in range(fig1b.m)])
+    for call in (
+        lambda: uniform_budget_additive_mccwe(fig1a, fewer),
+        lambda: uniform_budget_additive_mccwe(fig1b, more),
+        lambda: identical_budget_cleanup(fig1b, more),
+        lambda: replay_trace(fig1a, fewer, MechanismTrace()),
+        lambda: replay_trace(fig1b, more, MechanismTrace()),
+    ):
+        with pytest.raises(BadParams, match="the instance has"):
+            call()
+
+
 def test_every_mechanism_output_verifies_on_random_families():
     for seed in range(25):
         sa = generate("random_superadditive", 4, 3, seed)
@@ -426,11 +448,10 @@ def test_merge_enumeration_matches_demand_route():
             inst = generate(family, m, n, seed)
             trace = MechanismTrace()
             out = superadditive_mccwe(inst, trace)
-            tables = [value_table(v, singleton_partition(m)) for v in inst.agents]
             state = _State(inst, _empty(inst), None)
             for step in trace.steps:
                 if step.phase == "merge":
-                    gap, _size, agent, group = _best_merge(inst, state.bundles, tables)
+                    gap, _size, agent, group = _best_merge(inst, state.bundles)
                     assert gap == demand_merge_gap(inst, state.bundles) > 0
                     union = 0
                     for j in bits_of(group):
@@ -439,7 +460,7 @@ def test_merge_enumeration_matches_demand_route():
                     checked += 1
                 state.give(step.phase, step.agent, step.items)
             assert state.allocation() == out.allocation
-            assert _best_merge(inst, state.bundles, tables) is None
+            assert _best_merge(inst, state.bundles) is None
             assert demand_merge_gap(inst, state.bundles) <= 0
     assert checked >= 20
 
@@ -448,7 +469,7 @@ def test_merge_halting_bound_raises(monkeypatch):
     inst = Instance(2, (SingleMinded(0b01, F(1)), SingleMinded(0b10, F(1))))
     # a merge of agent 1's bundle into agent 0's that never stops paying
     monkeypatch.setattr(
-        mechanisms, "_best_merge", lambda instance, bundles, tables: (F(1), 1, 0, 0b10)
+        mechanisms, "_best_merge", lambda instance, bundles: (F(1), 1, 0, 0b10)
     )
     with pytest.raises(CertificateError, match="halting bound"):
         superadditive_mccwe(inst)

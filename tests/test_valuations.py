@@ -191,6 +191,43 @@ def test_relative_demand_density_identity():
     assert density == v.value(best) / best.bit_count()
 
 
+def _tie_heavy_valuations(m, rng):
+    """Every family on m items: all-zero and equal values, every desired
+    set, every cap, and budgets from 0 up past the additive mass."""
+    zero, equal = (F(0),) * m, (F(1),) * m
+    drawn = tuple(F(rng.randint(0, 3)) for _ in range(m))
+    yield from (Additive(zero), Additive(equal), Additive(drawn))
+    for desired in range(1, 1 << m):
+        yield SingleMinded(desired, F(rng.randint(0, 2)))
+    yield SuperadditiveExplicit((F(0),) * (1 << m))
+    yield SuperadditiveExplicit(tuple(F(s.bit_count()) for s in range(1 << m)))
+    yield from generate("random_superadditive", m, 2, rng.randint(0, 10**6)).agents
+    for budget in range(m + 2):
+        yield from (BudgetAdditive(F(budget), equal), BudgetAdditive(F(budget), drawn))
+    for cap in range(m + 1):
+        yield from (CappedCardinalityAdditive(equal, cap), CappedCardinalityAdditive(drawn, cap))
+
+
+def test_relative_demand_matches_brute_force_on_every_pool():
+    pools = tied = 0
+    for seed in range(4):
+        rng = SplitMix64(seed)
+        for m in range(1, 6):
+            for v in _tie_heavy_valuations(m, rng):
+                for pool in range(1, 1 << m):
+                    # the reference: min of (-v(S)/|S|, |S|, S) over nonempty S in the pool
+                    keys = sorted(
+                        (-F(v.value(s)) / s.bit_count(), s.bit_count(), s)
+                        for s in range(1, pool + 1)
+                        if s & pool == s
+                    )
+                    neg_density, _size, best = keys[0]
+                    assert relative_demand_query(v, pool) == (best, -neg_density), (v, pool)
+                    pools += 1
+                    tied += len(keys) > 1 and keys[1][0] == neg_density
+    assert pools > 10_000 and tied > pools // 2
+
+
 def test_classify_single_minded_is_superadditive():
     inst = Instance(3, (SingleMinded(0b011, F(4)), SingleMinded(0b100, F(1))))
     report = classify(inst)
