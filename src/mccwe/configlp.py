@@ -23,6 +23,7 @@ from .market import (
     Outcome,
     Partition,
     UNALLOCATED,
+    check_fits,
     induced_partition,
     social_welfare,
 )
@@ -49,6 +50,7 @@ def _check_size(n: int, k: int) -> None:
 
 def build_config_lp(instance: Instance, partition: Partition) -> LinearProgram:
     """One variable per (agent, nonempty block subset); n + k rows."""
+    check_fits(instance, partition.m)
     n = instance.n
     k = len(partition.blocks)
     _check_size(n, k)
@@ -105,6 +107,7 @@ def supporting_prices(instance: Instance, x: Allocation) -> Outcome:
     Raises NotMCCWE (with the exact gap) when the fractional optimum
     strictly exceeds the allocation's welfare.
     """
+    check_fits(instance, x.m, x.n)
     partition, owners = induced_partition(x)
     sol = fractional_opt(instance, partition)
     welfare = social_welfare(instance, x)

@@ -29,6 +29,7 @@ from .market import (
     Outcome,
     Partition,
     UNALLOCATED,
+    check_fits,
     induced_partition,
     singleton_partition,
 )
@@ -69,11 +70,7 @@ def verify(instance: Instance, outcome: Outcome, mode: str) -> VerifyReport:
     if mode not in MODES:
         raise BadParams(f"unknown verification mode {mode!r}")
     x = outcome.allocation
-    if (x.m, x.n) != (instance.m, instance.n):
-        raise BadParams(
-            f"outcome allocates {x.m} items to {x.n} agents; "
-            f"the instance has {instance.m} items and {instance.n} agents"
-        )
+    check_fits(instance, x.m, x.n)
     buyer_violations: list[Violation] = []
     seller_violations: list[Violation] = []
 

@@ -74,7 +74,6 @@ def fig1a(eps: Fraction = Fraction(1, 10)) -> Instance:
         4,
         agents,
         name="fig1a",
-        uniform_item_values=shared,
         metadata={
             "items": ["a1", "a2", "a3", "a4"],
             "agents": ["c1", "c2", "c3", "c4", "c5"],
@@ -104,7 +103,6 @@ def fig1b() -> Instance:
         7,
         agents,
         name="fig1b",
-        uniform_item_values=shared,
         metadata={"items": names, "agents": list(interest)},
     )
 
@@ -189,11 +187,7 @@ def partition_reduction(weights) -> Instance:
     budget = sum(values, _ZERO) / 2
     agents = (BudgetAdditive(budget, values), BudgetAdditive(budget, values))
     return Instance(
-        len(values),
-        agents,
-        name="partition_reduction",
-        uniform_item_values=values,
-        metadata={"B": str(budget)},
+        len(values), agents, name="partition_reduction", metadata={"B": str(budget)}
     )
 
 
@@ -271,12 +265,7 @@ def _random_uniform_budget_additive(
             budget = floor + rng.randint(0, 8)
         values = tuple(shared[j] if wants >> j & 1 else _ZERO for j in range(m))
         agents.append(BudgetAdditive(budget, values))
-    return Instance(
-        m,
-        tuple(agents),
-        name="random_uniform_budget_additive",
-        uniform_item_values=tuple(shared),
-    )
+    return Instance(m, tuple(agents), name="random_uniform_budget_additive")
 
 
 FAMILIES = (
@@ -405,8 +394,6 @@ def write_instance(instance: Instance) -> str:
         "m": instance.m,
         "agents": [_agent_to_json(v) for v in instance.agents],
     }
-    if instance.uniform_item_values is not None:
-        doc["uniform_item_values"] = [str(x) for x in instance.uniform_item_values]
     if instance.metadata is not None:
         doc["metadata"] = instance.metadata
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -437,9 +424,6 @@ def parse_instance(text: str) -> Instance:
     agents = tuple(
         _agent_from_json(a, f"agents[{i}]", m) for i, a in enumerate(raw_agents)
     )
-    uniform = None
-    if "uniform_item_values" in doc:
-        uniform = _rat_list(doc["uniform_item_values"], "uniform_item_values")
     name = doc.get("name", "")
     if not isinstance(name, str):
         raise ParseError("instance: name must be a string")
@@ -447,13 +431,7 @@ def parse_instance(text: str) -> Instance:
     if metadata is not None and not isinstance(metadata, dict):
         raise ParseError("instance: metadata must be an object")
     try:
-        return Instance(
-            m,
-            agents,
-            name=name,
-            uniform_item_values=uniform,
-            metadata=metadata,
-        )
+        return Instance(m, agents, name=name, metadata=metadata)
     except BadParams as exc:
         raise ParseError(f"instance: {exc}") from exc
 
@@ -502,17 +480,9 @@ def write_outcome(outcome: Outcome) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def parse_outcome(text: str, m: int | None = None) -> Outcome:
+def parse_outcome(text: str, m: int) -> Outcome:
+    """An outcome over the m items of the instance it prices."""
     doc = _load_json(text, "outcome")
-    if m is None:
-        body = doc.get("allocation")
-        if not isinstance(body, dict):
-            raise ParseError("outcome: missing allocation")
-        bundles = [_want(body, "x0", list, "allocation")]
-        bundles += _want(body, "x", list, "allocation")
-        if not all(isinstance(b, list) for b in bundles):
-            raise ParseError("allocation: bundles must be lists of item indices")
-        m = sum(len(b) for b in bundles)
     x = parse_allocation(doc, m)
     prices = _want(doc, "prices", dict, "outcome")
     try:

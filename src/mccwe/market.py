@@ -33,7 +33,6 @@ class Instance:
     m: int
     agents: tuple
     name: str = ""
-    uniform_item_values: tuple[Fraction, ...] | None = None
     metadata: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -55,21 +54,20 @@ class Instance:
                     raise BadParams(f"agent {idx} table does not cover 2^{self.m} sets")
             elif len(v.item_values) != self.m:
                 raise BadParams(f"agent {idx} has {len(v.item_values)} item values, expected {self.m}")
-        if self.uniform_item_values is not None:
-            if len(self.uniform_item_values) != self.m:
-                raise BadParams("uniform_item_values must list one value per item")
-            for idx, v in enumerate(self.agents):
-                if not isinstance(v, vals.BudgetAdditive):
-                    raise BadParams("uniform_item_values requires budget-additive agents")
-                for j in range(self.m):
-                    if v.item_values[j] not in (_ZERO, self.uniform_item_values[j]):
-                        raise BadParams(
-                            f"agent {idx} values item {j} at neither 0 nor the shared value"
-                        )
 
     @property
     def n(self) -> int:
         return len(self.agents)
+
+
+def check_fits(instance: Instance, m: int, n: int | None = None) -> None:
+    """Raise BadParams unless m items (and n agents, when given) are the instance's."""
+    if m != instance.m or n not in (None, instance.n):
+        agents = "" if n is None else f" and {n} agents"
+        raise BadParams(
+            f"got {m} items{agents}; "
+            f"the instance has {instance.m} items and {instance.n} agents"
+        )
 
 
 @dataclass(frozen=True)

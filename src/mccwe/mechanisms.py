@@ -19,7 +19,6 @@ from fractions import Fraction
 from . import oracle as oracle_mod
 from .bits import bits_of, full_mask
 from .errors import (
-    BadParams,
     CertificateError,
     NotIdenticalBudgets,
     NotSingleMinded,
@@ -33,6 +32,7 @@ from .market import (
     Outcome,
     Partition,
     UNALLOCATED,
+    check_fits,
     full_surplus_outcome,
 )
 from .valuations import (
@@ -64,11 +64,7 @@ class _State:
     """Mutable allocation under construction, with trace recording."""
 
     def __init__(self, instance, start: Allocation, trace):
-        if (start.m, start.n) != (instance.m, instance.n):
-            raise BadParams(
-                f"allocation gives {start.m} items to {start.n} agents; "
-                f"the instance has {instance.m} items and {instance.n} agents"
-            )
+        check_fits(instance, start.m, start.n)
         self.instance = instance
         self.bundles = list(start.bundles)
         self.x0 = start.x0

@@ -22,7 +22,8 @@ from . import configlp
 from .bits import bits_of
 from .errors import CertificateError, NotMCCWE, NotSingleMinded, SizeLimit
 from .lp import LinearProgram, solve_lp
-from .market import Allocation, Instance, Outcome, Partition, UNALLOCATED, singleton_partition
+from .market import Allocation, Instance, Outcome, Partition, UNALLOCATED
+from .market import check_fits, singleton_partition
 from .valuations import SingleMinded, value_table
 
 _ZERO = Fraction(0)
@@ -286,6 +287,7 @@ def optimal_over_partition(
     2^k-entry tables exceed the table cap raise SizeLimit before any table
     is built.
     """
+    check_fits(instance, partition.m)
     budget = budget or OracleBudget()
     k = len(partition.blocks)
     if 1 << k > _TABLE_CAP:

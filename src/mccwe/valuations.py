@@ -197,12 +197,14 @@ def is_superadditive_family(v: Valuation) -> bool:
 def demand_utilities(v: Valuation, partition: market.Partition, prices) -> list[Fraction]:
     """Quasilinear utility of every bundle set at the given block prices.
 
-    Indexed by bundle-set mask; the 20-block cap is checked before the
-    2^k table is built.
+    Indexed by bundle-set mask; the 20-block cap and the one-price-per-block
+    count are checked before the 2^k table is built.
     """
     k = len(partition.blocks)
     if k > 20:
         raise SizeLimit(f"{k} blocks exceeds the demand enumeration cap")
+    if len(prices) != k:
+        raise BadParams(f"{len(prices)} prices for {k} blocks")
     utils = value_table(v, partition)
     costs = [_ZERO] * (1 << k)
     for mask in range(1, 1 << k):

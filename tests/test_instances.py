@@ -139,6 +139,23 @@ def test_random_instance_round_trips():
             assert parse_instance(write_instance(inst)) == inst
 
 
+def test_declared_uniform_values_are_ignored_and_no_longer_written():
+    # Earlier versions wrote the shared item values of uniform budget-additive
+    # markets under "uniform_item_values"; the agents' own values decide now.
+    for name, declared in (
+        ("fig1a", ["1", "4", "2", "2"]),
+        ("fig1a", ["9", "9", "9", "9"]),
+        ("nonuniform_identical_budget", ["2", "2", "2"]),
+    ):
+        text = write_instance(built_in(name))
+        assert "uniform_item_values" not in text
+        doc = json.loads(text)
+        doc["uniform_item_values"] = declared
+        inst = parse_instance(json.dumps(doc))
+        assert inst == parse_instance(text)
+        assert classify(inst).uniform_budget_additive == (name == "fig1a")
+
+
 def test_outcome_round_trip():
     x = allocation(3, [0b001, 0b110])
     for out in (
@@ -147,7 +164,6 @@ def test_outcome_round_trip():
         Outcome(allocation(3, [0b001, 0b010]), prices=(F(1), F(1)), x0_price=F(0)),
     ):
         assert parse_outcome(write_outcome(out), 3) == out
-        assert parse_outcome(write_outcome(out)) == out  # m inferred
 
 
 def test_parse_allocation_accepts_outcome_documents():
@@ -193,15 +209,6 @@ def test_parse_rational_rejects_more_digits_than_int_converts():
         parse_rational("1/" + "7" * 5000, "f")
     with pytest.raises(ParseError, match="instance"):
         parse_instance('{"format": 1, "m": ' + "7" * 5000 + "}")
-
-
-def test_parse_outcome_without_m_rejects_non_list_bundles():
-    doc = {"format": 1, "allocation": {"x0": [], "x": [5]}, "prices": {"agents": ["0"]}}
-    with pytest.raises(ParseError, match="allocation"):
-        parse_outcome(json.dumps(doc))
-    doc["allocation"] = {"x0": 3, "x": [[0]]}
-    with pytest.raises(ParseError, match="allocation"):
-        parse_outcome(json.dumps(doc))
 
 
 def test_single_minded_index_is_bounded_before_the_mask_is_built():

@@ -15,12 +15,18 @@ from mccwe import (
     SingleMinded,
     UNALLOCATED,
     allocation,
+    build_config_lp,
+    built_in,
+    bundle_efficient_full_surplus,
+    fractional_opt,
     full_surplus_outcome,
     induced_partition,
+    optimal_over_partition,
     reduced_value,
     revenue,
     singleton_partition,
     social_welfare,
+    supporting_prices,
     utility,
 )
 from mccwe.bits import mask_of
@@ -183,8 +189,16 @@ def test_reduced_value_of_owned_block_reproduces_value_query():
             assert reduced_value(v, part, 1 << idx) == v.value(x.bundles[owner])
 
 
-def test_uniform_field_validation():
-    agents = (BudgetAdditive(F(2), (F(1), F(0))), BudgetAdditive(F(3), (F(1), F(2))))
-    Instance(2, agents, uniform_item_values=(F(1), F(2)))
-    with pytest.raises(BadParams):
-        Instance(2, agents, uniform_item_values=(F(1), F(3)))
+def test_library_calls_reject_another_markets_shapes():
+    fig1a = built_in("fig1a")
+    necessity = built_in("bundling_necessity", m=4)
+    for call in (
+        lambda: build_config_lp(fig1a, singleton_partition(5)),
+        lambda: fractional_opt(fig1a, singleton_partition(5)),
+        lambda: optimal_over_partition(fig1a, singleton_partition(3)),
+        lambda: bundle_efficient_full_surplus(necessity, singleton_partition(3)),
+        lambda: supporting_prices(fig1a, allocation(4, [0b1111])),
+        lambda: supporting_prices(fig1a, allocation(3, [0b111] + [0] * 4)),
+    ):
+        with pytest.raises(BadParams, match="the instance has"):
+            call()

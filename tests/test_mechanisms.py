@@ -192,7 +192,6 @@ def test_uba_within_budget_returned_unchanged():
     inst = Instance(
         2,
         (BudgetAdditive(F(5), (F(1), F(0))), BudgetAdditive(F(5), (F(0), F(2)))),
-        uniform_item_values=(F(1), F(2)),
     )
     x = allocation(2, [0b01, 0b10])
     out = uniform_budget_additive_mccwe(inst, x)
@@ -204,7 +203,6 @@ def test_uba_two_budget_hand_trace():
     inst = Instance(
         2,
         (BudgetAdditive(F(1), (F(1), F(1))), BudgetAdditive(F(2), (F(1), F(1)))),
-        uniform_item_values=(F(1), F(1)),
     )
     x = allocation(2, [0b11, 0])
     trace = MechanismTrace()
@@ -239,7 +237,6 @@ def test_uba_keeps_half_welfare_on_dump_heavy_shape():
             BudgetAdditive(F(9), (Z, Z, Z, F(1), F(5), F(9), Z)),
             BudgetAdditive(F(10), (Z, F(5), F(9), Z, F(5), F(9), F(10))),
         ),
-        uniform_item_values=(F(1), F(5), F(9), F(1), F(5), F(9), F(10)),
     )
     x, sw = optimal_integral(inst)
     assert sw == 28
@@ -297,7 +294,6 @@ def test_cleanup_noop_when_everyone_values_holdings():
     inst = Instance(
         2,
         (BudgetAdditive(F(2), (F(1), F(0))), BudgetAdditive(F(2), (F(0), F(1)))),
-        uniform_item_values=(F(1), F(1)),
     )
     x = allocation(2, [0b01, 0b10])
     out = identical_budget_cleanup(inst, x)
@@ -317,7 +313,6 @@ def test_cleanup_moves_misplaced_item_and_raises_welfare():
     inst = Instance(
         2,
         (BudgetAdditive(F(2), (F(1), F(0))), BudgetAdditive(F(2), (F(1), F(1)))),
-        uniform_item_values=(F(1), F(1)),
     )
     x = allocation(2, [0b10, 0b01])  # both items misplaced
     before = social_welfare(inst, x)
@@ -480,7 +475,6 @@ def test_unmovable_envied_bundle_raises(monkeypatch):
     inst = Instance(
         1,
         (BudgetAdditive(F(1), (F(3),)), BudgetAdditive(F(5), (F(0),))),
-        uniform_item_values=(F(3),),
     )
     monkeypatch.setattr(mechanisms, "_interested_prepass", lambda instance, state, phase: None)
     with pytest.raises(CertificateError, match="movable item"):
@@ -491,7 +485,6 @@ def test_rebalance_move_bound_raises(monkeypatch):
     inst = Instance(
         1,
         (BudgetAdditive(F(1), (F(3),)), BudgetAdditive(F(5), (F(3),))),
-        uniform_item_values=(F(3),),
     )
     # moves that never land keep the envy alive
     monkeypatch.setattr(_State, "give", lambda self, phase, agent, items: None)

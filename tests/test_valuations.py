@@ -148,6 +148,16 @@ def test_demand_query_capacity_two_tie_breaks_to_first_block():
     assert demand_query(v, p, [F(1), F(102)]) == 0b01
 
 
+def test_demand_queries_need_one_price_per_block():
+    v = Additive((F(1), F(1)))
+    p = singleton_partition(2)
+    for prices in ([F(1)], [F(1), F(1), F(1)]):
+        with pytest.raises(BadParams, match="prices for 2 blocks"):
+            demand_query(v, p, prices)
+        with pytest.raises(BadParams, match="prices for 2 blocks"):
+            demand_correspondence(v, p, prices)
+
+
 def test_demand_query_empty_when_everything_overpriced():
     v = BudgetAdditive(F(9, 10), (F(0), F(0), F(2), F(0)))  # caps at 9/10 < 2
     p = singleton_partition(4)
