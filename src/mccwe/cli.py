@@ -14,6 +14,7 @@ failed its own re-check (`CertificateError`), which is a bug, not bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -73,7 +74,9 @@ def _load_instance(path: str) -> Instance:
     return parse_instance(_read(path))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="mccwe",
         description="market-clearing bundle equilibria: generate, solve, verify, bound",
@@ -310,8 +313,7 @@ _HANDLERS = {
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args, out)
     except MarketError as exc:

@@ -1,10 +1,22 @@
-"""Exact rational-arithmetic linear programming.
+"""Exact linear programming on one fraction-free integer tableau.
 
-Everything here runs on `fractions.Fraction`; there is no floating point
-anywhere in the package.  The solver is a dense one-phase primal simplex
-with Bland's pivoting rule, which terminates even on the highly degenerate
-programs produced by configuration LPs.  Speed is a non-goal; exactness and
-determinism are the contract.
+There is no floating point anywhere in the package.  The solver is a dense
+one-phase primal simplex with Bland's pivoting rule, which terminates even
+on the highly degenerate programs produced by configuration LPs.  It pivots
+in integers (Edmonds 1967; Bareiss, Math. Comp. 1968):
+
+* Each row is scaled once by the LCM of its denominators, right-hand side
+  included, and the objective once by the LCM of its own.  Both factors are
+  positive, so every sign, every ratio comparison and so every pivot choice
+  is the one the rational program would make.
+* The tableau is one integer matrix, objective row included, whose entries
+  all share one running denominator d: the last pivot element, 1 at the
+  start.  A pivot on p keeps the pivot row as it is, replaces each entry a
+  of every other row by (a*p - a_c*r_k) // d, where a_c is the row's entry
+  in the pivot column and r_k the pivot row's entry below a, and sets
+  d = p.  Every entry is a minor of the starting matrix, so the division is
+  exact; p > 0, so d stays positive.
+* The ratio test cross-multiplies: every candidate pivot is positive.
 
 Conventions
 -----------
@@ -12,17 +24,22 @@ Conventions
   with every right-hand side b_i >= 0, so the origin is feasible and the
   slacks are the starting basis.  A row with a negative right-hand side is
   rejected when the program is built.
-* Each row's dual y_i >= 0 is read off the final reduced cost of its
-  slack column; no separate dual solve runs.
+* At the optimum a basic variable is its row's right-hand side over d.
+  Row i's dual y_i >= 0 is read off the final reduced cost of its slack
+  column and scaled back: y_i = -obj[slack_i] * rowscale_i / (d * objscale).
+  No separate dual solve runs.
 * For every optimal result, primal feasibility, dual feasibility and exact
-  strong duality (c.x == y.b) are re-checked before returning.  A failed
-  check raises `CertificateError`, also under `python -O`.
+  strong duality (c.x == y.b) are re-checked in integers on the scaled
+  program before returning.  A failed check raises `CertificateError`,
+  also under `python -O`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from typing import NamedTuple
 
 from .errors import CertificateError, MalformedLP, SizeLimit
 
@@ -30,9 +47,6 @@ OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 
 MAX_VARIABLES = 200_000
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -61,69 +75,102 @@ class LPSolution:
     objective_value: Fraction | None
 
 
-def _pivot(tableau, obj, row, col):
-    """Pivot the tableau (rows of length ncols+1, rhs last) on (row, col)."""
-    pivrow = tableau[row]
-    inv = _ONE / pivrow[col]
-    if inv != _ONE:
-        tableau[row] = pivrow = [v * inv for v in pivrow]
-    width = len(pivrow)
-    for r, other in enumerate(tableau):
-        if r == row:
-            continue
-        factor = other[col]
-        if factor:
-            tableau[r] = [other[k] - factor * pivrow[k] for k in range(width)]
-    factor = obj[col]
-    if factor:
-        for k in range(width):
-            obj[k] -= factor * pivrow[k]
+class _ScaledProgram(NamedTuple):
+    """A LinearProgram with each row and the objective scaled to integers."""
+
+    rows: list[list[int]]
+    rhs: list[int]
+    objective: list[int]
+    row_scales: list[int]
+    objective_scale: int
 
 
-def _run_simplex(tableau, basis, obj):
-    """Bland-rule simplex to optimality; returns OPTIMAL or UNBOUNDED."""
-    ncols = len(obj) - 1
+def _integers(values):
+    """The values times the LCM of their denominators, and that LCM."""
+    pairs = [v.as_integer_ratio() for v in values]
+    scale = lcm(*{q for _p, q in pairs})
+    if scale == 1:
+        return [p for p, _q in pairs], 1
+    return [p * (scale // q) for p, q in pairs], scale
+
+
+def _scale(lp: LinearProgram) -> _ScaledProgram:
+    """Scale each row by the LCM of its denominators and the objective by its own."""
+    rows, rhs, row_scales = [], [], []
+    for coeffs, b in lp.constraints:
+        row, scale = _integers((*coeffs, b))
+        rhs.append(row.pop())
+        rows.append(row)
+        row_scales.append(scale)
+    objective, objective_scale = _integers(lp.objective)
+    return _ScaledProgram(rows, rhs, objective, row_scales, objective_scale)
+
+
+def _run_simplex(tableau, basis):
+    """Bland-rule simplex to optimality: the final denominator d, or None if unbounded.
+
+    The last row of the tableau is the objective row of reduced costs.
+    """
+    ncols = len(tableau[-1]) - 1
+    d = 1
     while True:
+        obj = tableau[-1]
         entering = -1
         for j in range(ncols):
             if obj[j] > 0:
                 entering = j
                 break
         if entering < 0:
-            return OPTIMAL
+            return d
         leaving = -1
-        best_ratio = None
-        for r, row in enumerate(tableau):
+        for r, b in enumerate(basis):
+            row = tableau[r]
             coeff = row[entering]
             if coeff > 0:
-                ratio = row[-1] / coeff
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[r] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = r
+                if leaving < 0:
+                    leaving, best_rhs, best_coeff = r, row[-1], coeff
+                    continue
+                # rhs / coeff against best_rhs / best_coeff; both pivots are positive
+                lhs, rhs = row[-1] * best_coeff, best_rhs * coeff
+                if lhs < rhs or (lhs == rhs and b < basis[leaving]):
+                    leaving, best_rhs, best_coeff = r, row[-1], coeff
         if leaving < 0:
-            return UNBOUNDED
-        _pivot(tableau, obj, leaving, entering)
+            return None
+        pivrow = tableau[leaving]
+        p = pivrow[entering]
+        for r, row in enumerate(tableau):
+            if r == leaving:
+                continue
+            factor = row[entering]
+            if not factor:
+                if p != d:
+                    tableau[r] = [a * p // d for a in row]
+            elif p == d:  # d divides factor * k; most pivots of a 0/1 program
+                tableau[r] = [a - factor * k // d for a, k in zip(row, pivrow)]
+            else:
+                tableau[r] = [(a * p - factor * k) // d for a, k in zip(row, pivrow)]
+        d = p
         basis[leaving] = entering
 
 
-def _check_certificates(lp, primal, dual, value):
-    n = len(lp.objective)
+def _check_certificates(program, primal, dual, d, value):
+    """Re-check an optimum of the scaled program in integers.
+
+    primal and dual are numerators over the common denominator d, and value
+    is objective . primal, the primal value's numerator over d.
+    """
     if any(x < 0 for x in primal):
         raise CertificateError("primal negativity")
-    for (coeffs, rhs), y in zip(lp.constraints, dual):
-        lhs = sum((coeffs[j] * primal[j] for j in range(n)), _ZERO)
-        if not (lhs <= rhs and y >= 0):
+    columns = [0] * len(primal)
+    for coeffs, b, y in zip(program.rows, program.rhs, dual):
+        lhs = sum(a * x for a, x in zip(coeffs, primal) if x)
+        if not (lhs <= b * d and y >= 0):
             raise CertificateError("primal/dual sign violation on <= row")
-    for j in range(n):
-        col = sum((coeffs[j] * y for (coeffs, _rhs), y in zip(lp.constraints, dual)), _ZERO)
-        if col < lp.objective[j]:
-            raise CertificateError("dual infeasibility")
-    dual_value = sum((rhs * y for (_c, rhs), y in zip(lp.constraints, dual)), _ZERO)
-    if dual_value != value:
+        if y:
+            columns = [s + a * y for s, a in zip(columns, coeffs)]
+    if any(s < c * d for s, c in zip(columns, program.objective)):
+        raise CertificateError("dual infeasibility")
+    if sum(b * y for b, y in zip(program.rhs, dual)) != value:
         raise CertificateError("strong duality gap")
 
 
@@ -133,27 +180,36 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     Returns status optimal (with primal, dual and value) or unbounded.
     Deterministic: Bland's rule fixes every pivot choice.
     """
-    n = len(lp.objective)
-    n_rows = len(lp.constraints)
+    program = _scale(lp)
+    n = len(program.objective)
+    n_rows = len(program.rows)
 
-    # Row i's slack is column n + i and starts basic; the objective row holds
-    # the reduced costs c_j - z_j, which are c itself at the slack basis.
+    # Row i's slack is column n + i and starts basic; the last row holds the
+    # reduced costs c_j - z_j, which are c itself at the slack basis.
     tableau = []
-    for i, (coeffs, rhs) in enumerate(lp.constraints):
-        row = list(coeffs) + [_ZERO] * n_rows + [rhs]
-        row[n + i] = _ONE
+    for i, (coeffs, b) in enumerate(zip(program.rows, program.rhs)):
+        row = coeffs + [0] * n_rows + [b]
+        row[n + i] = 1
         tableau.append(row)
+    tableau.append(program.objective + [0] * (n_rows + 1))
     basis = list(range(n, n + n_rows))
-    obj = list(lp.objective) + [_ZERO] * (n_rows + 1)
-    if _run_simplex(tableau, basis, obj) == UNBOUNDED:
+    d = _run_simplex(tableau, basis)
+    if d is None:
         return LPSolution(UNBOUNDED, None, None, None)
 
-    primal = [_ZERO] * n
+    primal = [0] * n
     for r, b in enumerate(basis):
         if b < n:
             primal[b] = tableau[r][-1]
-    value = sum((lp.objective[j] * primal[j] for j in range(n)), _ZERO)
+    obj = tableau[-1]
     dual = [-obj[n + i] for i in range(n_rows)]
+    value = sum(c * x for c, x in zip(program.objective, primal))
+    _check_certificates(program, primal, dual, d, value)
 
-    _check_certificates(lp, primal, dual, value)
-    return LPSolution(OPTIMAL, tuple(primal), tuple(dual), value)
+    scale = d * program.objective_scale
+    return LPSolution(
+        OPTIMAL,
+        tuple(Fraction(x, d) for x in primal),
+        tuple(Fraction(y * s, scale) for y, s in zip(dual, program.row_scales)),
+        Fraction(value, scale),
+    )

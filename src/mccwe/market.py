@@ -185,6 +185,7 @@ def reduced_value(v: Valuation, partition: Partition, bundle_set: int) -> Fracti
 
 
 def social_welfare(instance: Instance, x: Allocation) -> Fraction:
+    check_fits(instance, x.m, x.n)
     total = _ZERO
     for v, bundle in zip(instance.agents, x.bundles):
         total += v.value(bundle)
@@ -202,6 +203,7 @@ def utility(v: Valuation, partition: Partition, bundle_set: int, prices) -> Frac
 def revenue(instance: Instance, outcome: Outcome) -> Fraction:
     """Sum of prices over bundles allocated to agents (x0 excluded)."""
     x = outcome.allocation
+    check_fits(instance, x.m, x.n)
     total = _ZERO
     if outcome.prices is not None:
         for bundle, price in zip(x.bundles, outcome.prices):
@@ -216,5 +218,6 @@ def revenue(instance: Instance, outcome: Outcome) -> Fraction:
 
 def full_surplus_outcome(instance: Instance, x: Allocation) -> Outcome:
     """Price every bundle at its owner's value (and x0 at zero)."""
+    check_fits(instance, x.m, x.n)
     prices = tuple(v.value(b) for v, b in zip(instance.agents, x.bundles))
     return Outcome(x, prices=prices)

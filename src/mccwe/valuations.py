@@ -148,8 +148,18 @@ def value_table(v: Valuation, partition: market.Partition) -> list[Fraction]:
     """v of the union of the selected blocks, for every block-subset mask.
 
     On the singleton partition a block-subset mask is its own item set, so
-    the table is v over all 2^m item sets.
+    the table is v over all 2^m item sets.  Raises BadParams unless the
+    valuation is over the partition's m items.
     """
+    m = partition.m
+    if isinstance(v, SuperadditiveExplicit):
+        fits = len(v.table) == 1 << m
+    elif isinstance(v, SingleMinded):
+        fits = v.desired >> m == 0
+    else:
+        fits = len(v.item_values) == m
+    if not fits:
+        raise BadParams(f"the valuation is not over the partition's {m} items")
     blocks = partition.blocks
     size = 1 << len(blocks)
     if isinstance(v, (Additive, BudgetAdditive)):
@@ -161,7 +171,7 @@ def value_table(v: Valuation, partition: market.Partition) -> list[Fraction]:
         if isinstance(v, Additive):
             return sums
         return [min(v.budget, s) for s in sums]
-    if len(blocks) == partition.m:
+    if len(blocks) == m:
         unions = range(size)
     else:
         unions = [0] * size
@@ -169,8 +179,6 @@ def value_table(v: Valuation, partition: market.Partition) -> list[Fraction]:
             low = mask & -mask
             unions[mask] = unions[mask ^ low] | blocks[low.bit_length() - 1]
     if isinstance(v, SuperadditiveExplicit):
-        if len(v.table) != 1 << partition.m:
-            raise BadParams("table size does not match the item count")
         return [v.table[u] for u in unions]
     if isinstance(v, SingleMinded):
         return [v.value_if_served if u & v.desired == v.desired else _ZERO for u in unions]

@@ -4,6 +4,7 @@ import io
 import json
 
 from mccwe import CertificateError
+from mccwe import cli
 from mccwe.cli import main
 
 
@@ -278,3 +279,30 @@ def test_deeply_nested_instance_exits_2(tmp_path):
     inst.write_text("[" * 100_000 + "]" * 100_000)
     code, _ = run(["gap", "-i", str(inst)])
     assert code == 2
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    inst = tmp_path / "i.json"
+    calls = (
+        ["gen", "fig1a", "--eps", "1/10", "-o", str(inst)],
+        ["solve", "no_such_mechanism", "-i", str(inst)],
+        ["gap", "-i", str(inst)],
+        ["gen"],
+        ["oracle", "-i", str(inst), "--best-mccwe"],
+    )
+
+    def answer(argv):
+        try:
+            code, text = run(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code, text = exc.code, ""
+        return code, text, capsys.readouterr().err
+
+    reused = [answer(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(answer(argv))
+    assert reused == fresh
+    assert [code for code, _text, _err in reused] == [0, 2, 0, 2, 0]
+    assert cli._build_parser() is cli._build_parser()

@@ -14,6 +14,7 @@ from mccwe.lp import (
     UNBOUNDED,
     LinearProgram,
     _check_certificates,
+    _scale,
     solve_lp,
 )
 
@@ -221,17 +222,19 @@ def test_random_mixed_lps_match_vertex_enumeration(seed):
 def test_corrupted_certificates_raise():
     lp = _lp([3, 4], [([1, 2], 4), ([3, 1], 6), ([-1, 0], 0)])
     sol = solve_lp(lp)
-    primal, dual, value = list(sol.primal), list(sol.dual), sol.objective_value
-    assert primal == [F(8, 5), F(6, 5)] and dual == [F(9, 5), F(2, 5), F(0)]
-    _check_certificates(lp, primal, dual, value)
-    bad_primal = [F(-1), primal[1]]
+    assert list(sol.primal) == [F(8, 5), F(6, 5)] and list(sol.dual) == [F(9, 5), F(2, 5), F(0)]
+    # The same certificate as numerators over d = 5; the value is 3*8 + 4*6.
+    program = _scale(lp)
+    primal, dual, d, value = [8, 6], [9, 2, 0], 5, 48
+    _check_certificates(program, primal, dual, d, value)
+    bad_primal = [-5, primal[1]]
     with pytest.raises(CertificateError, match="primal negativity"):
-        _check_certificates(lp, bad_primal, dual, value)
+        _check_certificates(program, bad_primal, dual, d, value)
     with pytest.raises(CertificateError, match="sign violation on <= row"):
-        _check_certificates(lp, primal, [-dual[0], dual[1], dual[2]], value)
+        _check_certificates(program, primal, [-dual[0], dual[1], dual[2]], d, value)
     with pytest.raises(CertificateError, match="sign violation on <= row"):
-        _check_certificates(lp, [F(2), primal[1]], dual, value)
+        _check_certificates(program, [10, primal[1]], dual, d, value)
     with pytest.raises(CertificateError, match="dual infeasibility"):
-        _check_certificates(lp, primal, [F(0), dual[1], dual[2]], value)
+        _check_certificates(program, primal, [0, dual[1], dual[2]], d, value)
     with pytest.raises(CertificateError, match="strong duality gap"):
-        _check_certificates(lp, primal, dual, value + 1)
+        _check_certificates(program, primal, dual, d, value + 1)

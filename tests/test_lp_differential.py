@@ -1,0 +1,101 @@
+"""The integer tableau against the `Fraction` simplex it replaced.
+
+Both solvers pivot by Bland's rule on the same program, so they must agree
+on every pivot: the tests require identical status, primal, dual and value,
+not merely the same optimum.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from lp_reference import solve_lp as reference_solve_lp
+from mccwe import induced_partition, singleton_partition
+from mccwe import oracle
+from mccwe.configlp import build_config_lp
+from mccwe.instances import built_in, generate, partition_reduction
+from mccwe.lp import OPTIMAL, UNBOUNDED, LinearProgram, solve_lp
+from mccwe.oracle import best_single_minded_item_pricing, optimal_integral
+
+F = Fraction
+
+
+def _answer(sol):
+    return (sol.status, sol.primal, sol.dual, sol.objective_value)
+
+
+def _assert_same(lp):
+    sol = solve_lp(lp)
+    assert _answer(sol) == _answer(reference_solve_lp(lp))
+    return sol.status
+
+
+def _coefficient(rng):
+    """Mixed sign, often zero, often fractional."""
+    return F(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4, 6)))
+
+
+def _random_fractional_lp(rng):
+    """Fractional mixed-sign rows, zero right-hand sides, duplicated rows, and a
+    box on only some of the variables, so some programs are unbounded."""
+    n = rng.randint(1, 5)
+    constraints = []
+    for _ in range(rng.randint(1, 5)):
+        coeffs = tuple(_coefficient(rng) for _ in range(n))
+        rhs = rng.choice((F(0), F(rng.randint(0, 9), rng.randint(1, 5))))
+        constraints.append((coeffs, rhs))
+    if rng.random() < 0.5:
+        constraints.insert(rng.randint(0, len(constraints)), rng.choice(constraints))
+    for j in range(n):
+        if rng.random() < 0.7:
+            box = tuple(F(int(k == j)) for k in range(n))
+            constraints.append((box, F(rng.randint(1, 12), rng.randint(1, 3))))
+    objective = tuple(_coefficient(rng) for _ in range(n))
+    return LinearProgram(objective, tuple(constraints))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_fractional_lps_match_the_reference(seed):
+    rng = random.Random(f"lp-differential/{seed}")
+    statuses = [_assert_same(_random_fractional_lp(rng)) for _ in range(150)]
+    assert {OPTIMAL, UNBOUNDED} <= set(statuses)
+
+
+def _gap_markets():
+    """Every market shape of the `gap` benchmark workload, at small seeds."""
+    rng = random.Random("lp-differential/gap")
+    markets = [
+        built_in("fig1a"),
+        built_in("fig1a", eps=F(37, 100)),
+        built_in("nonuniform_identical_budget"),
+        built_in("nonuniform_identical_budget", eps=F(3, 100)),
+    ]
+    for size in (5, 6, 7):
+        markets.append(partition_reduction([rng.randint(1, 9) for _ in range(size)]))
+    for family in ("random_superadditive", "random_single_minded", "random_uniform_budget_additive"):
+        for n in (2, 3):
+            markets.append(generate(family, 6, n, rng.getrandbits(32)))
+    return markets
+
+
+@pytest.mark.parametrize("instance", _gap_markets(), ids=lambda inst: inst.name)
+def test_configuration_lps_match_the_reference(instance):
+    x, _welfare = optimal_integral(instance)
+    for partition in (singleton_partition(instance.m), induced_partition(x)[0]):
+        assert _assert_same(build_config_lp(instance, partition)) == OPTIMAL
+
+
+def test_item_pricing_lps_match_the_reference(monkeypatch):
+    programs = []
+
+    def recording(lp):
+        programs.append(lp)
+        return solve_lp(lp)
+
+    monkeypatch.setattr(oracle, "solve_lp", recording)
+    for seed in range(12):
+        best_single_minded_item_pricing(generate("random_single_minded", 5, 4, seed))
+    assert len(programs) > 12
+    for lp in programs:
+        assert _assert_same(lp) == OPTIMAL

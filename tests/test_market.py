@@ -202,3 +202,14 @@ def test_library_calls_reject_another_markets_shapes():
     ):
         with pytest.raises(BadParams, match="the instance has"):
             call()
+
+
+def test_accounting_rejects_another_markets_allocation():
+    fig1a = built_in("fig1a")  # four items, five agents
+    for x in (allocation(4, [0b1111]), allocation(3, [0b111] + [0] * 4)):
+        with pytest.raises(BadParams, match="the instance has 4 items and 5 agents"):
+            social_welfare(fig1a, x)
+        with pytest.raises(BadParams, match="the instance has"):
+            full_surplus_outcome(fig1a, x)
+        with pytest.raises(BadParams, match="the instance has"):
+            revenue(fig1a, Outcome(x, prices=(F(0),) * x.n))

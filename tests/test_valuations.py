@@ -158,6 +158,24 @@ def test_demand_queries_need_one_price_per_block():
             demand_correspondence(v, p, prices)
 
 
+def test_demand_queries_need_a_partition_of_the_valuations_items():
+    cases = (
+        (Additive((F(1), F(1))), 3),
+        (Additive((F(1), F(1))), 1),
+        (BudgetAdditive(F(2), (F(1), F(1))), 3),
+        (CappedCardinalityAdditive((F(1), F(1)), 1), 3),
+        (SuperadditiveExplicit((F(0), F(1), F(1), F(3))), 1),
+        (SingleMinded(0b11, F(3)), 1),
+    )
+    for v, m in cases:
+        with pytest.raises(BadParams, match=f"partition's {m} items"):
+            demand_query(v, singleton_partition(m), [F(1)] * m)
+        with pytest.raises(BadParams, match=f"partition's {m} items"):
+            value_table(v, Partition(m, ((1 << m) - 1,)))
+    # a single-minded agent fits any market that holds its desired set
+    assert demand_query(SingleMinded(0b11, F(3)), singleton_partition(3), [F(1)] * 3) == 0b11
+
+
 def test_demand_query_empty_when_everything_overpriced():
     v = BudgetAdditive(F(9, 10), (F(0), F(0), F(2), F(0)))  # caps at 9/10 < 2
     p = singleton_partition(4)
