@@ -28,21 +28,17 @@ from .market import (
     allocation,
     full_surplus_outcome,
     induced_partition,
-    reduced_value,
     revenue,
     singleton_partition,
     social_welfare,
-    utility,
 )
 from .valuations import (
     Additive,
     BudgetAdditive,
     CappedCardinalityAdditive,
-    ClassifyReport,
     SingleMinded,
     SuperadditiveExplicit,
     Valuation,
-    classify,
     demand_query,
     relative_demand_query,
 )

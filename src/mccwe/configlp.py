@@ -30,11 +30,14 @@ from .market import (
 from .valuations import value_table
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
 class ConfigLPSolution:
+    """The configuration LP's exact optimum in the market's own values: the
+    LP runs on values times `Instance.scale`, and its value and duals are
+    divided back by it."""
+
     value: Fraction
     y: dict  # (agent, bundle-set mask) -> Fraction, nonzero entries only
     dual_u: tuple[Fraction, ...]  # per agent
@@ -49,43 +52,46 @@ def _check_size(n: int, k: int) -> None:
 
 
 def build_config_lp(instance: Instance, partition: Partition) -> LinearProgram:
-    """One variable per (agent, nonempty block subset); n + k rows."""
+    """One variable per (agent, nonempty block subset); n + k rows.
+
+    The objective is every agent's integer value table at the market's
+    scale (`Instance.scale`), so the program's optimum and duals are the
+    configuration LP's times that scale; every row is 0/1 with right-hand
+    side 1.
+    """
     check_fits(instance, partition.m)
     n = instance.n
     k = len(partition.blocks)
     _check_size(n, k)
     sets_per_agent = (1 << k) - 1
-    nvars = n * sets_per_agent
 
     objective = []
     for v in instance.agents:
-        table = value_table(v, partition)
-        objective.extend(table[1:])
+        objective.extend(value_table(v, partition, instance.scale)[1:])
 
     rows = []
     for i in range(n):
-        coeffs = [_ZERO] * nvars
-        base = i * sets_per_agent
-        for s in range(sets_per_agent):
-            coeffs[base + s] = _ONE
-        rows.append((tuple(coeffs), _ONE))
+        coeffs = [0] * (i * sets_per_agent) + [1] * sets_per_agent
+        coeffs += [0] * ((n - i - 1) * sets_per_agent)
+        rows.append((tuple(coeffs), 1))
     for j in range(k):
-        coeffs = [_ZERO] * nvars
-        for i in range(n):
-            base = i * sets_per_agent
-            for mask in range(1, 1 << k):
-                if mask >> j & 1:
-                    coeffs[base + mask - 1] = _ONE
-        rows.append((tuple(coeffs), _ONE))
+        rows.append((tuple(mask >> j & 1 for mask in range(1, 1 << k)) * n, 1))
     return LinearProgram(tuple(objective), tuple(rows))
 
 
 def fractional_opt(instance: Instance, partition: Partition) -> ConfigLPSolution:
-    """Exact fractional optimum with its dual certificate."""
+    """Exact fractional optimum with its dual certificate.
+
+    Scaling the objective by a positive constant changes no sign and no
+    ratio test, so the pivots, and with them the primal, are the unscaled
+    program's; the value and the duals are divided back by the scale.
+    """
     lp = build_config_lp(instance, partition)
     sol = solve_lp(lp)
     if sol.status != OPTIMAL:
         raise CertificateError("configuration LPs are feasible and bounded")
+    if sum(sol.dual) != sol.objective_value:
+        raise CertificateError("configuration-LP duals do not sum to its optimum")
     n = instance.n
     k = len(partition.blocks)
     sets_per_agent = (1 << k) - 1
@@ -94,11 +100,9 @@ def fractional_opt(instance: Instance, partition: Partition) -> ConfigLPSolution
         if val:
             agent, offset = divmod(idx, sets_per_agent)
             y[(agent, offset + 1)] = val
-    dual_u = sol.dual[:n]
-    dual_q = sol.dual[n:]
-    if sum(dual_u, _ZERO) + sum(dual_q, _ZERO) != sol.objective_value:
-        raise CertificateError("configuration-LP duals do not sum to its optimum")
-    return ConfigLPSolution(sol.objective_value, y, dual_u, dual_q)
+    scale = instance.scale
+    dual = [d / scale for d in sol.dual]
+    return ConfigLPSolution(sol.objective_value / scale, y, tuple(dual[:n]), tuple(dual[n:]))
 
 
 def supporting_prices(instance: Instance, x: Allocation) -> Outcome:

@@ -14,7 +14,8 @@ positive utility (the empty set must itself be demanded).
 
 Demand comes from the one block-subset routine,
 `valuations.demand_utilities`: the correspondence and every buyer check
-read its utility table.
+read its integer utility table, values and prices scaled into one unit;
+a reported gap is that table's difference divided back by the scale.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class VerifyReport:
 
 def demand_correspondence(v: Valuation, partition: Partition, prices) -> frozenset[int]:
     """Every utility-maximizing bundle set (the full argmax, empty set included)."""
-    utils = demand_utilities(v, partition, prices)
+    utils, _scale = demand_utilities(v, partition, prices)
     best = max(utils)
     return frozenset(mask for mask, u in enumerate(utils) if u == best)
 
@@ -100,12 +101,12 @@ def verify(instance: Instance, outcome: Outcome, mode: str) -> VerifyReport:
             )
 
     for i, v in enumerate(instance.agents):
-        utils = demand_utilities(v, partition, prices)
+        utils, scale = demand_utilities(v, partition, prices)
         best_mask = preferred(utils)
         gap = utils[best_mask] - utils[owned[i]]
         if gap > 0:
             buyer_violations.append(
-                Violation("buyer", agent=i, better_bundle=best_mask, gap=gap)
+                Violation("buyer", agent=i, better_bundle=best_mask, gap=Fraction(gap, scale))
             )
 
     buyer_violations.sort(key=lambda viol: (-viol.gap, viol.agent))

@@ -131,7 +131,7 @@ def bundling_necessity(m: int = 16) -> Instance:
 
     Small set i holds the shared item o_{ij} for every j != i plus one
     private item; dummies pad the market to m items and are valued only
-    through the big bidder'swhole-market set.
+    through the big bidder's whole-market set.
     """
     if m > MAX_ITEMS:
         raise BadParams(f"at most {MAX_ITEMS} items")
@@ -214,14 +214,14 @@ def built_in(name: str, **params) -> Instance:
 def _random_superadditive(m: int, n: int, rng: SplitMix64) -> Instance:
     agents = []
     for _ in range(n):
-        table = [Fraction(0)] * (1 << m)
+        table = [0] * (1 << m)
         base = [rng.randint(0, 4) for _ in range(m)]
         for mask in range(1, 1 << m):
             low = mask & -mask
             table[mask] = table[mask ^ low] + base[low.bit_length() - 1]
         for _ in range(rng.randint(1, 2)):
             bump_set = rng.randint(1, (1 << m) - 1)
-            bump = Fraction(rng.randint(1, 10))
+            bump = rng.randint(1, 10)
             if table[bump_set] < bump:
                 table[bump_set] = bump
         # close under super-additivity: by rising popcount, any split may lift
@@ -235,7 +235,7 @@ def _random_superadditive(m: int, n: int, rng: SplitMix64) -> Instance:
                     if lifted > table[mask]:
                         table[mask] = lifted
                 sub = (sub - 1) & mask
-        agents.append(SuperadditiveExplicit(tuple(table)))
+        agents.append(SuperadditiveExplicit(tuple(map(Fraction, table))))
     return Instance(m, tuple(agents), name="random_superadditive")
 
 

@@ -9,13 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from math import lcm
 
 from .bits import bits_of, full_mask
 from .errors import BadParams
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .valuations import Valuation
 
 UNALLOCATED = -1
 
@@ -28,7 +25,11 @@ _ZERO = Fraction(0)
 
 @dataclass(frozen=True, eq=True)
 class Instance:
-    """A market: m items and one valuation per agent."""
+    """A market: m items and one valuation per agent.
+
+    `scale`, the LCM of the agents' scales, is the market's one integer
+    unit: every agent's values times `scale` are integers.
+    """
 
     m: int
     agents: tuple
@@ -54,10 +55,16 @@ class Instance:
                     raise BadParams(f"agent {idx} table does not cover 2^{self.m} sets")
             elif len(v.item_values) != self.m:
                 raise BadParams(f"agent {idx} has {len(v.item_values)} item values, expected {self.m}")
+        object.__setattr__(self, "scale", lcm(*(v.scale for v in self.agents)))
 
     @property
     def n(self) -> int:
         return len(self.agents)
+
+    def scaled_value(self, agent: int, items: int) -> int:
+        """The agent's value for `items` times the market's scale."""
+        v = self.agents[agent]
+        return v.scaled_value(items) * (self.scale // v.scale)
 
 
 def check_fits(instance: Instance, m: int, n: int | None = None) -> None:
@@ -176,28 +183,10 @@ class Outcome:
                 raise BadParams("prices must be nonnegative")
 
 
-def reduced_value(v: Valuation, partition: Partition, bundle_set: int) -> Fraction:
-    """Value of the union of the selected blocks."""
-    union = 0
-    for j in bits_of(bundle_set):
-        union |= partition.blocks[j]
-    return v.value(union)
-
-
 def social_welfare(instance: Instance, x: Allocation) -> Fraction:
     check_fits(instance, x.m, x.n)
-    total = _ZERO
-    for v, bundle in zip(instance.agents, x.bundles):
-        total += v.value(bundle)
-    return total
-
-
-def utility(v: Valuation, partition: Partition, bundle_set: int, prices) -> Fraction:
-    """Quasilinear utility: reduced value minus the selected block prices."""
-    total = reduced_value(v, partition, bundle_set)
-    for j in bits_of(bundle_set):
-        total -= prices[j]
-    return total
+    total = sum(instance.scaled_value(i, bundle) for i, bundle in enumerate(x.bundles))
+    return Fraction(total, instance.scale)
 
 
 def revenue(instance: Instance, outcome: Outcome) -> Fraction:

@@ -2,7 +2,9 @@
 
 Each mechanism returns a bundle-priced Outcome whose prices are the owners'
 values (full surplus), so revenue equals welfare wherever that postcondition
-is part of the contract.  All argmax ties break deterministically: larger
+is part of the contract.  Values are queried and compared as integers in
+the market's units (values times `Instance.scale`); only the reported trace
+welfare is a Fraction.  All argmax ties break deterministically: larger
 value or gap first, then lower agent index, then the numerically smaller
 item mask.
 
@@ -42,8 +44,6 @@ from .valuations import (
     shared_item_values,
 )
 
-_ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class TraceStep:
@@ -70,11 +70,8 @@ class _State:
         self.x0 = start.x0
         self.trace = trace
 
-    def welfare(self) -> Fraction:
-        total = _ZERO
-        for v, b in zip(self.instance.agents, self.bundles):
-            total += v.value(b)
-        return total
+    def welfare(self) -> int:
+        return sum(self.instance.scaled_value(i, b) for i, b in enumerate(self.bundles))
 
     def give(self, phase: str, agent: int | None, items: int) -> None:
         """Move `items` (from wherever they sit) to `agent`, or to the pool."""
@@ -87,8 +84,10 @@ class _State:
         else:
             self.bundles[agent] |= items
         if self.trace is not None:
+            scale = self.instance.scale
+            after = self.welfare()
             self.trace.steps.append(
-                TraceStep(phase, agent, items, before, self.welfare())
+                TraceStep(phase, agent, items, Fraction(before, scale), Fraction(after, scale))
             )
 
     def take_all(self, phase: str, agent: int) -> None:
@@ -189,9 +188,9 @@ def superadditive_mccwe(
         pool &= ~found
 
     welfare = state.welfare()
-    top_agent, top_value = 0, instance.agents[0].value(full_mask(m))
+    top_agent, top_value = 0, instance.scaled_value(0, full_mask(m))
     for i in range(1, n):
-        value = instance.agents[i].value(full_mask(m))
+        value = instance.scaled_value(i, full_mask(m))
         if value > top_value:
             top_agent, top_value = i, value
     if top_value > welfare:
@@ -215,15 +214,16 @@ def superadditive_mccwe(
 
 
 def _best_merge(instance, bundles):
-    """Max of v_i(union of group bundles) minus the group's bundle values.
+    """Max of v_i(union of group bundles) minus the group's bundle values,
+    in the market's units.
 
     Ties: smaller group, then smaller (agent, group mask).  None when no
     group yields a strict surplus.
     """
     n = len(bundles)
-    owner_values = [instance.agents[j].value(bundles[j]) for j in range(n)]
+    owner_values = [instance.scaled_value(j, bundles[j]) for j in range(n)]
     unions = [0] * (1 << n)
-    totals = [_ZERO] * (1 << n)
+    totals = [0] * (1 << n)
     for mask in range(1, 1 << n):
         low = mask & -mask
         j = low.bit_length() - 1
@@ -232,7 +232,7 @@ def _best_merge(instance, bundles):
     best = None
     for i in range(n):
         for mask in range(1, 1 << n):
-            gap = instance.agents[i].value(unions[mask]) - totals[mask]
+            gap = instance.scaled_value(i, unions[mask]) - totals[mask]
             if gap <= 0:
                 continue
             size = mask.bit_count()
@@ -262,7 +262,7 @@ def single_minded_mccwe(
     if trace is not None:
         trace.mechanism = "singleminded"
     desired = [v.desired for v in instance.agents]
-    values = [v.value_if_served for v in instance.agents]
+    values = [instance.scaled_value(i, desired[i]) for i in range(n)]
     state = _State(instance, _empty_allocation(instance), trace)
 
     small = [i for i in range(n) if desired[i].bit_count() ** 2 <= m]
@@ -283,7 +283,7 @@ def single_minded_mccwe(
 
     for i in sorted((i for i in range(n) if i not in small), key=lambda i: (-values[i], i)):
         blockers = [j for j in range(n) if state.bundles[j] & desired[i]]
-        if blockers and values[i] > sum((values[j] for j in blockers), _ZERO):
+        if blockers and values[i] > sum(values[j] for j in blockers):
             union = 0
             for j in blockers:
                 union |= state.bundles[j]
@@ -343,11 +343,9 @@ def uniform_budget_additive_mccwe(
     for i in sorted(range(n), key=lambda i: (budgets[i], i)):
         while True:
             bundle = state.bundles[i]
-            own = instance.agents[i].value(bundle)
+            own = instance.scaled_value(i, bundle)
             if all(
-                instance.agents[other].value(bundle) <= own
-                for other in range(n)
-                if other != i
+                instance.scaled_value(other, bundle) <= own for other in range(n) if other != i
             ):
                 break
             movable = [

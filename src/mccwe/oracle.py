@@ -2,11 +2,11 @@
 bundle-equilibrium search, and single-minded item-pricing bounds.
 
 Optima come from an exact integer subset DP for winner determination
-(after Rothkopf, Pekec and Harstad, 1998): each agent's value table is
-scaled by the LCM of all denominators, and the tie-break is folded into the
-same integer key, so the DP returns the lexicographically smallest owner
-vector among the optima, item 0 most significant, agents as digits 0..n-1
-and "unallocated" last.  The supportable-optimum search steps through that
+(after Rothkopf, Pekec and Harstad, 1998) over the agents' integer value
+tables at the market's scale (`Instance.scale`), with the tie-break folded
+into the same integer key, so the DP returns the lexicographically smallest
+owner vector among the optima, item 0 most significant, agents as digits
+0..n-1 and "unallocated" last.  The supportable-optimum search steps through that
 same order with one odometer generator, `_assignments`.  Every operation
 charges an enumeration budget up front and aborts with SizeLimit rather
 than exceed it.
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 from . import configlp
 from .bits import bits_of
@@ -52,24 +51,26 @@ class OracleBudget:
 
 
 def _item_tables(instance: Instance):
-    """Item value tables, or None when 2^m exceeds _TABLE_CAP."""
+    """Integer item value tables at the market's scale, or None when 2^m
+    exceeds _TABLE_CAP."""
     if 1 << instance.m > _TABLE_CAP:
         return None
     items = singleton_partition(instance.m)
-    return [value_table(v, items) for v in instance.agents]
+    return [value_table(v, items, instance.scale) for v in instance.agents]
 
 
 def _assignments(k, tables):
     """Yield (welfare, sets, rest) for every assignment of k units to the
     agents behind `tables` or to "unallocated", in lexicographic owner-vector
     order: unit 0 most significant, agents as digits 0..n-1, "unallocated"
-    last.  `sets` holds the agents' unit masks and is updated in place."""
+    last.  The welfare is in the tables' units.  `sets` holds the agents'
+    unit masks and is updated in place."""
     n = len(tables)
     owners = [0] * k
     sets = [(1 << k) - 1] + [0] * (n - 1)
     rest = 0
     while True:
-        welfare = _ZERO
+        welfare = 0
         for table, t in zip(tables, sets):
             welfare += table[t]
         yield welfare, sets, rest
@@ -91,16 +92,17 @@ def _assignments(k, tables):
 
 
 def _winner_determination(k, tables):
-    """Welfare-maximal assignment of k units to the agents behind `tables`.
+    """Welfare-maximal assignment of k units to the agents behind the
+    integer value `tables`, all at one scale.
 
     Returns (sets, rest, welfare): one unit mask per agent, the unallocated
-    mask, and the welfare as the sum of the chosen Fraction table entries.
-    The DP runs on integer keys v_i(T)*scale*(n+1)^k - i*W(T), where scale
-    is the LCM of all denominators and W(T) is the sum of (n+1)^(k-1-j)
-    over units j in T; unallocated units count n*W.  A key's welfare part
-    outweighs every digit part, and the digit part is the owner vector read
-    in base n+1, so the one maximal key is the lexicographically smallest
-    optimal owner vector: the first strict maximum in `_assignments` order.
+    mask, and the welfare as the sum of the chosen table entries.  The DP
+    runs on integer keys t_i(T)*(n+1)^k - i*W(T), where t_i is agent i's
+    table and W(T) is the sum of (n+1)^(k-1-j) over units j in T;
+    unallocated units count n*W.  A key's welfare part outweighs every digit
+    part, and the digit part is the owner vector read in base n+1, so the
+    one maximal key is the lexicographically smallest optimal owner vector:
+    the first strict maximum in `_assignments` order.
     """
     n = len(tables)
     size = 1 << k
@@ -109,9 +111,9 @@ def _winner_determination(k, tables):
     for mask in range(1, size):
         low = mask & -mask
         weights[mask] = weights[mask ^ low] + (n + 1) ** (k - low.bit_length())
-    unit = (n + 1) ** k * lcm(*{value.denominator for table in tables for value in table})
+    unit = (n + 1) ** k
     keys = [
-        [value.numerator * (unit // value.denominator) - i * w for value, w in zip(table, weights)]
+        [value * unit - i * w for value, w in zip(table, weights)]
         for i, table in enumerate(tables)
     ]
     unallocated = [-n * w for w in weights]
@@ -135,10 +137,7 @@ def _winner_determination(k, tables):
         rest ^= sets[i]
 
     _check_assignment(full, sets, rest, keys, unallocated, top)
-    welfare = _ZERO
-    for table, t in zip(tables, sets):
-        welfare += table[t]
-    return tuple(sets), rest, welfare
+    return tuple(sets), rest, sum(table[t] for table, t in zip(tables, sets))
 
 
 def _best_split(s, best, key):
@@ -172,9 +171,10 @@ def _check_assignment(full, sets, rest, keys, unallocated, top):
 
 
 def _single_agent_optimum(instance):
-    """The one-agent optimum over 2^m item sets by direct value queries,
-    for markets too large for value tables; same tie-break as the DP.
-    Above the cap, any budget short of 3^21 states admits one agent only."""
+    """The one-agent optimum over 2^m item sets by direct integer value
+    queries, for markets too large for value tables; same tie-break as the
+    DP, welfare in the market's units.  Above the cap, any budget short of
+    3^21 states admits one agent only."""
     if instance.n != 1:
         raise SizeLimit(
             f"{instance.m} items exceed the {_TABLE_CAP}-entry table cap for "
@@ -182,10 +182,10 @@ def _single_agent_optimum(instance):
         )
     v = instance.agents[0]
     full = (1 << instance.m) - 1
-    top = v.value(full)
+    top = v.scaled_value(full)
     arg = full
     for mask in range(full):
-        val = v.value(mask)
+        val = v.scaled_value(mask)
         if val > top:
             top, arg = val, mask
         elif val == top:
@@ -193,12 +193,12 @@ def _single_agent_optimum(instance):
             diff = mask ^ arg
             if mask & diff & -diff:
                 arg = mask
-    return Allocation(instance.m, full ^ arg, (arg,)), _ZERO + top
+    return Allocation(instance.m, full ^ arg, (arg,)), top
 
 
 def _item_optimum(instance, tables):
-    """The welfare optimum over items, charging no budget; `tables` come
-    from _item_tables."""
+    """The welfare optimum over items in the market's units, charging no
+    budget; `tables` come from _item_tables."""
     if tables is None:
         return _single_agent_optimum(instance)
     sets, rest, welfare = _winner_determination(instance.m, tables)
@@ -225,17 +225,19 @@ def optimal_integral(
     ):
         return _single_minded_optimum(instance, budget)
     budget.charge(states)
-    return _item_optimum(instance, _item_tables(instance))
+    x, welfare = _item_optimum(instance, _item_tables(instance))
+    return x, Fraction(welfare, instance.scale)
 
 
 def _disjoint_winner_sets(instance):
     """Yield (winners, welfare) for every agent set, in increasing mask
-    order, whose single-minded desired sets are pairwise disjoint."""
+    order, whose single-minded desired sets are pairwise disjoint; welfare
+    in the market's units."""
     desired = [v.desired for v in instance.agents]
-    values = [v.value_if_served for v in instance.agents]
+    values = [instance.scaled_value(i, desired[i]) for i in range(instance.n)]
     for winners in range(1 << instance.n):
         union = 0
-        welfare = _ZERO
+        welfare = 0
         for i in bits_of(winners):
             if union & desired[i]:
                 break
@@ -271,7 +273,7 @@ def _single_minded_optimum(instance, budget):
     bundles = [0] * n
     for j, owner in enumerate(best_vector):
         bundles[owner] |= 1 << j
-    return Allocation(instance.m, 0, tuple(bundles)), best_welfare
+    return Allocation(instance.m, 0, tuple(bundles)), Fraction(best_welfare, instance.scale)
 
 
 def optimal_over_partition(
@@ -294,13 +296,13 @@ def optimal_over_partition(
         raise SizeLimit(f"{k} blocks exceed the {_TABLE_CAP}-entry table cap")
     budget.charge((instance.n + 1) ** k)
     sets, _rest, welfare = _winner_determination(
-        k, [value_table(v, partition) for v in instance.agents]
+        k, [value_table(v, partition, instance.scale) for v in instance.agents]
     )
     owners = [UNALLOCATED] * k
     for i, block_set in enumerate(sets):
         for j in bits_of(block_set):
             owners[j] = i
-    return tuple(owners), welfare
+    return tuple(owners), Fraction(welfare, instance.scale)
 
 
 def _supported(instance, x):
@@ -332,7 +334,7 @@ def best_mccwe(
     x, top = _item_optimum(instance, tables)
     outcome = _supported(instance, x)
     if outcome is not None:
-        return outcome, top
+        return outcome, Fraction(top, instance.scale)
     # Without tables only one agent is admitted, and a one-agent optimum is
     # supportable: its LP over at most two blocks peaks at max_T v(T) = top.
     best = None
@@ -345,9 +347,9 @@ def best_mccwe(
         found = _supported(instance, candidate)
         if found is not None:
             if welfare == top:
-                return found, top
+                return found, Fraction(top, instance.scale)
             outcome, best = found, welfare
-    return outcome, best
+    return outcome, None if best is None else Fraction(best, instance.scale)
 
 
 def best_single_minded_item_pricing(
@@ -376,7 +378,7 @@ def best_single_minded_item_pricing(
         as_winner.append((tuple(items) + (_ZERO,), v.value_if_served))
         as_loser.append((tuple(-a for a in items) + (v.value_if_served,), _ZERO))
 
-    best = _ZERO  # empty winner set is always feasible
+    best = 0  # empty winner set is always feasible
     for winners, welfare in _disjoint_winner_sets(instance):
         if welfare <= best:
             continue
@@ -384,4 +386,4 @@ def best_single_minded_item_pricing(
         rows.append((scale, _ONE))
         if solve_lp(LinearProgram(scale, tuple(rows))).objective_value == _ONE:
             best = welfare
-    return best
+    return Fraction(best, instance.scale)

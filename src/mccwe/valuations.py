@@ -2,14 +2,19 @@
 
 Five concrete families cover the package: additive, single-minded, explicit
 super-additive tables, budget-additive, and cardinality-capped additive.
-All of them answer exact value queries on item-set bitmasks; demand and
-relative-demand queries are answered by exhaustive enumeration, which is
-exact at desk scale.  `value_table` is the package's one value-table
-builder, over items (the singleton partition) or over blocks.
-`demand_utilities` is the one demand routine: every caller that needs the
-utility argmax over block subsets (the demand query and correspondence and
-the verifier) reads its table, and `preferred` applies the tie-break below
-to it.
+Each valuation is scaled once, when it is built: `scale` is the LCM of the
+denominators of its data, its `scaled_*` fields hold that data times
+`scale`, and `scaled_value` answers a value query on them, so queries add
+and compare only integers.  `value` rebuilds the exact `Fraction` at the
+API boundary.  A market's `Instance.scale` is the LCM of its agents'
+scales, and `value_table`, the package's one value-table builder, writes a
+valuation's integer table at such a scale, over items (the singleton
+partition) or over blocks.  `demand_utilities` is the one demand routine:
+every caller that needs the utility argmax over block subsets (the demand
+query and correspondence and the verifier) reads its table, and `preferred`
+applies the tie-break below to it.  Demand and relative-demand queries
+enumerate subsets, which is exact at desk scale; a single-minded valuation
+answers relative demand in closed form.
 
 Tie-breaking is fully deterministic everywhere: maximum utility (or density),
 then fewest elements, then numerically smallest bitmask.
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 from . import market
@@ -28,27 +34,41 @@ from .errors import BadParams, EmptyPool, SizeLimit
 _ZERO = Fraction(0)
 
 
-def _check_nonnegative(values):
-    if any(v < 0 for v in values):
-        raise BadParams("negative value in valuation data")
+def _scale_data(v, **data) -> None:
+    """Set v.scale to the LCM of the data's denominators and each named
+    field to its data times v.scale; BadParams on a negative value."""
+    ratios = {name: [x.as_integer_ratio() for x in values] for name, values in data.items()}
+    scale = lcm(*{q for pairs in ratios.values() for _p, q in pairs})
+    object.__setattr__(v, "scale", scale)
+    for name, pairs in ratios.items():
+        units = tuple(p * (scale // q) for p, q in pairs)
+        if min(units, default=0) < 0:
+            raise BadParams("negative value in valuation data")
+        object.__setattr__(v, name, units)
+
+
+class _Scaled:
+    """The value query every family shares: its integer one over its scale."""
+
+    def value(self, mask: int) -> Fraction:
+        """v(mask), exactly."""
+        return Fraction(self.scaled_value(mask), self.scale)
 
 
 @dataclass(frozen=True)
-class Additive:
+class Additive(_Scaled):
     item_values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        _check_nonnegative(self.item_values)
+        _scale_data(self, scaled_items=self.item_values)
 
-    def value(self, mask: int) -> Fraction:
-        total = _ZERO
-        for j in bits_of(mask):
-            total += self.item_values[j]
-        return total
+    def scaled_value(self, mask: int) -> int:
+        items = self.scaled_items
+        return sum(items[j] for j in bits_of(mask))
 
 
 @dataclass(frozen=True)
-class SingleMinded:
+class SingleMinded(_Scaled):
     """Worth `value` for any superset of `desired`, zero otherwise."""
 
     desired: int
@@ -57,20 +77,20 @@ class SingleMinded:
     def __post_init__(self):
         if self.desired == 0:
             raise BadParams("single-minded desired set must be nonempty")
-        if self.value_if_served < 0:
-            raise BadParams("negative value in valuation data")
+        _scale_data(self, scaled_served=(self.value_if_served,))
 
-    def value(self, mask: int) -> Fraction:
-        return self.value_if_served if mask & self.desired == self.desired else _ZERO
+    def scaled_value(self, mask: int) -> int:
+        return self.scaled_served[0] if mask & self.desired == self.desired else 0
 
 
 @dataclass(frozen=True)
-class SuperadditiveExplicit:
+class SuperadditiveExplicit(_Scaled):
     """Explicit 2^m table; the constructor proves it is a valid valuation.
 
     Rejects tables that are not normalized, hold a negative value, or are
-    not super-additive on some disjoint pair (so a submodular table fails).
-    A table that passes is monotone: v(S + j) >= v(S) + v({j}) >= v(S).
+    not super-additive on some disjoint pair (so a submodular table fails),
+    checking the integer table.  A table that passes is monotone:
+    v(S + j) >= v(S) + v({j}) >= v(S).
     """
 
     table: tuple[Fraction, ...]
@@ -84,22 +104,24 @@ class SuperadditiveExplicit:
             raise SizeLimit("explicit tables are validated only up to 12 items")
         if self.table[0] != 0:
             raise BadParams("table is not normalized: v(empty) != 0")
-        _check_nonnegative(self.table)
+        _scale_data(self, scaled_table=self.table)
+        table = self.scaled_table
         for union in range(1, size):
             # each split {S, T} once: S is a nonempty set of the items below
             # union's top item; S = union, T = empty holds since v(empty) = 0
+            top = table[union]
             sub = lower = union ^ 1 << (union.bit_length() - 1)
             while sub:
-                if self.table[sub] + self.table[union ^ sub] > self.table[union]:
+                if table[sub] + table[union ^ sub] > top:
                     raise BadParams("table is not super-additive")
                 sub = (sub - 1) & lower
 
-    def value(self, mask: int) -> Fraction:
-        return self.table[mask]
+    def scaled_value(self, mask: int) -> int:
+        return self.scaled_table[mask]
 
 
 @dataclass(frozen=True)
-class BudgetAdditive:
+class BudgetAdditive(_Scaled):
     """min(budget, additive sum)."""
 
     budget: Fraction
@@ -108,19 +130,20 @@ class BudgetAdditive:
     def __post_init__(self):
         if self.budget < 0:
             raise BadParams("negative budget")
-        _check_nonnegative(self.item_values)
+        _scale_data(self, scaled_budget=(self.budget,), scaled_items=self.item_values)
 
-    def value(self, mask: int) -> Fraction:
-        total = _ZERO
+    def scaled_value(self, mask: int) -> int:
+        items, (budget,) = self.scaled_items, self.scaled_budget
+        total = 0
         for j in bits_of(mask):
-            total += self.item_values[j]
-            if total >= self.budget:
-                return self.budget
+            total += items[j]
+            if total >= budget:
+                return budget
         return total
 
 
 @dataclass(frozen=True)
-class CappedCardinalityAdditive:
+class CappedCardinalityAdditive(_Scaled):
     """Sum of the `cap` largest item values in the set."""
 
     item_values: tuple[Fraction, ...]
@@ -129,14 +152,11 @@ class CappedCardinalityAdditive:
     def __post_init__(self):
         if self.cap < 0:
             raise BadParams("negative cardinality cap")
-        _check_nonnegative(self.item_values)
+        _scale_data(self, scaled_items=self.item_values)
 
-    def value(self, mask: int) -> Fraction:
-        picked = sorted((self.item_values[j] for j in bits_of(mask)), reverse=True)
-        total = _ZERO
-        for v in picked[: self.cap]:
-            total += v
-        return total
+    def scaled_value(self, mask: int) -> int:
+        picked = sorted((self.scaled_items[j] for j in bits_of(mask)), reverse=True)
+        return sum(picked[: self.cap])
 
 
 Valuation = Union[
@@ -144,33 +164,46 @@ Valuation = Union[
 ]
 
 
-def value_table(v: Valuation, partition: market.Partition) -> list[Fraction]:
-    """v of the union of the selected blocks, for every block-subset mask.
+def _item_count(v: Valuation) -> int | None:
+    """How many items the valuation's data covers; None for a single-minded
+    valuation, which fits any market that holds its desired set."""
+    if isinstance(v, SingleMinded):
+        return None
+    if isinstance(v, SuperadditiveExplicit):
+        return len(v.table).bit_length() - 1
+    return len(v.item_values)
 
-    On the singleton partition a block-subset mask is its own item set, so
-    the table is v over all 2^m item sets.  Raises BadParams unless the
-    valuation is over the partition's m items.
+
+def value_table(v: Valuation, partition: market.Partition, scale: int) -> list[int]:
+    """v of the union of the selected blocks times `scale`, for every
+    block-subset mask.
+
+    `scale` must be a positive multiple of v.scale, such as the market's
+    `Instance.scale`, so every entry is an integer.  On the singleton
+    partition a block-subset mask is its own item set, so the table is v
+    over all 2^m item sets.  Raises BadParams unless the valuation is over
+    the partition's m items.
     """
     m = partition.m
-    if isinstance(v, SuperadditiveExplicit):
-        fits = len(v.table) == 1 << m
-    elif isinstance(v, SingleMinded):
-        fits = v.desired >> m == 0
-    else:
-        fits = len(v.item_values) == m
+    count = _item_count(v)
+    fits = v.desired >> m == 0 if count is None else count == m
     if not fits:
         raise BadParams(f"the valuation is not over the partition's {m} items")
+    if scale < 1 or scale % v.scale:
+        raise BadParams(f"scale {scale} is not a multiple of the valuation's {v.scale}")
+    factor = scale // v.scale
     blocks = partition.blocks
     size = 1 << len(blocks)
     if isinstance(v, (Additive, BudgetAdditive)):
-        block_sums = [sum((v.item_values[j] for j in bits_of(b)), _ZERO) for b in blocks]
-        sums = [_ZERO] * size
+        block_sums = [sum(v.scaled_items[j] for j in bits_of(b)) * factor for b in blocks]
+        sums = [0] * size
         for mask in range(1, size):
             low = mask & -mask
             sums[mask] = sums[mask ^ low] + block_sums[low.bit_length() - 1]
         if isinstance(v, Additive):
             return sums
-        return [min(v.budget, s) for s in sums]
+        budget = v.scaled_budget[0] * factor
+        return [s if s < budget else budget for s in sums]
     if len(blocks) == m:
         unions = range(size)
     else:
@@ -179,10 +212,12 @@ def value_table(v: Valuation, partition: market.Partition) -> list[Fraction]:
             low = mask & -mask
             unions[mask] = unions[mask ^ low] | blocks[low.bit_length() - 1]
     if isinstance(v, SuperadditiveExplicit):
-        return [v.table[u] for u in unions]
+        table = v.scaled_table
+        return [table[u] * factor for u in unions]
     if isinstance(v, SingleMinded):
-        return [v.value_if_served if u & v.desired == v.desired else _ZERO for u in unions]
-    return [v.value(u) for u in unions]
+        served, desired = v.scaled_served[0] * factor, v.desired
+        return [served if u & desired == desired else 0 for u in unions]
+    return [v.scaled_value(u) * factor for u in unions]
 
 
 def is_superadditive_family(v: Valuation) -> bool:
@@ -194,38 +229,40 @@ def is_superadditive_family(v: Valuation) -> bool:
     """
     if isinstance(v, (Additive, SingleMinded, SuperadditiveExplicit)):
         return True
-    positives = [x for x in v.item_values if x > 0]
+    positives = [x for x in v.scaled_items if x > 0]
     if isinstance(v, BudgetAdditive):
-        if v.budget == 0:
-            return True
-        return len(positives) <= 1 or sum(positives) <= v.budget
+        budget = v.scaled_budget[0]
+        return budget == 0 or len(positives) <= 1 or sum(positives) <= budget
     return v.cap == 0 or len(positives) <= v.cap
 
 
-def demand_utilities(v: Valuation, partition: market.Partition, prices) -> list[Fraction]:
+def demand_utilities(
+    v: Valuation, partition: market.Partition, prices
+) -> tuple[list[int], int]:
     """Quasilinear utility of every bundle set at the given block prices.
 
-    Indexed by bundle-set mask; the 20-block cap and the one-price-per-block
-    count are checked before the 2^k table is built.
+    Returns (utilities, scale): the utilities are indexed by bundle-set
+    mask and given times `scale`, the LCM of v.scale and the prices'
+    denominators, so they are integers.  The 20-block cap and the
+    one-price-per-block count are checked before the 2^k table is built.
     """
     k = len(partition.blocks)
     if k > 20:
         raise SizeLimit(f"{k} blocks exceeds the demand enumeration cap")
     if len(prices) != k:
         raise BadParams(f"{len(prices)} prices for {k} blocks")
-    utils = value_table(v, partition)
-    costs = [_ZERO] * (1 << k)
+    scale = lcm(v.scale, *(p.denominator for p in prices))
+    utils = value_table(v, partition, scale)
+    price_units = [p.numerator * (scale // p.denominator) for p in prices]
+    costs = [0] * (1 << k)
     for mask in range(1, 1 << k):
         low = mask & -mask
-        cost = prices[low.bit_length() - 1]
-        if mask != low:  # a single block costs its price: no Fraction add of zero
-            cost += costs[mask ^ low]
-        costs[mask] = cost
+        cost = costs[mask] = costs[mask ^ low] + price_units[low.bit_length() - 1]
         utils[mask] -= cost
-    return utils
+    return utils, scale
 
 
-def preferred(utils: list[Fraction]) -> int:
+def preferred(utils: list[int]) -> int:
     """The demanded bundle set in a utility table from `demand_utilities`.
 
     Most utility wins; ties break toward fewer blocks, then the numerically
@@ -243,28 +280,41 @@ def preferred(utils: list[Fraction]) -> int:
 
 def demand_query(v: Valuation, partition: market.Partition, prices) -> int:
     """Utility-maximizing bundle set at the given block prices (see `preferred`)."""
-    return preferred(demand_utilities(v, partition, prices))
+    return preferred(demand_utilities(v, partition, prices)[0])
 
 
 def relative_demand_query(v: Valuation, pool: int) -> tuple[int, Fraction]:
     """Nonempty S within `pool` maximizing v(S)/|S|, plus that density.
 
     Ties break toward smaller sets, then the numerically smallest mask; an
-    all-zero valuation therefore yields the pool's first singleton.  Among
-    sets of one size the densest is the most valuable, so one walk over the
-    pool keeps each size's most valuable set (smallest mask on ties), and
-    only those at most 24 winners are compared by density.
+    all-zero valuation therefore yields the pool's first singleton.  A
+    single-minded valuation answers in closed form: its desired set when
+    the pool holds it and it is worth something, else that singleton.
+    Otherwise, among sets of one size the densest is the most valuable, so
+    one walk over the pool keeps each size's most valuable set (smallest
+    mask on ties), and only those at most 24 winners are compared by
+    density, all on the valuation's integer values.  Raises BadParams when
+    the pool holds an item the valuation is not over.
     """
     if pool == 0:
         raise EmptyPool("relative-demand query over an empty pool")
     k = pool.bit_count()
     if k > 24:
         raise SizeLimit("relative-demand enumeration capped at 24 items")
+    count = _item_count(v)
+    if pool < 0 or count is not None and pool >> count:
+        raise BadParams("the pool holds items the valuation is not over")
+    if isinstance(v, SingleMinded):
+        served = v.scaled_served[0]
+        if pool & v.desired == v.desired and served > 0:
+            return v.desired, Fraction(served, v.scale * v.desired.bit_count())
+        return pool & -pool, _ZERO
+    value = v.scaled_value
     top_values = [-1] * (k + 1)  # below every value: valuations are nonnegative
     top_masks = [0] * (k + 1)
     sub = pool
     while sub:  # masks descend, so >= leaves the smallest mask of a tie
-        val = v.value(sub)
+        val = value(sub)
         size = sub.bit_count()
         if val >= top_values[size]:
             top_values[size], top_masks[size] = val, sub
@@ -273,54 +323,7 @@ def relative_demand_query(v: Valuation, pool: int) -> tuple[int, Fraction]:
     for size in range(2, k + 1):
         if top_values[size] * best > top_values[best] * size:
             best = size
-    return top_masks[best], top_values[best] / best
-
-
-@dataclass(frozen=True)
-class ClassifyReport:
-    monotone: bool
-    normalized: bool
-    superadditive: bool
-    subadditive: bool
-    uniform_budget_additive: bool
-    identical_budgets: bool
-
-
-def classify(instance: market.Instance) -> ClassifyReport:
-    """Structural flags for an instance, decided by exhaustive enumeration.
-
-    The super/sub-additive checks walk all disjoint set pairs and need
-    m <= 20; uniformity and budget equality are field inspections.
-    """
-    m = instance.m
-    if m > 20:
-        raise SizeLimit("classification enumerations capped at 20 items")
-    size = 1 << m
-    items = market.singleton_partition(m)
-    monotone = normalized = True
-    superadditive = subadditive = True
-    for v in instance.agents:
-        table = value_table(v, items)
-        if table[0] != 0:
-            normalized = False
-        for mask in range(size):
-            for j in range(m):
-                if not mask >> j & 1 and table[mask] > table[mask | 1 << j]:
-                    monotone = False
-        for union in range(size):
-            sub = union
-            while sub:
-                split = table[sub] + table[union ^ sub]
-                if split > table[union]:
-                    superadditive = False
-                if split < table[union]:
-                    subadditive = False
-                sub = (sub - 1) & union
-
-    all_ba = all(isinstance(v, BudgetAdditive) for v in instance.agents)
-    uniform = shared_item_values(instance) is not None
-    identical = all_ba and len({v.budget for v in instance.agents}) <= 1
-    return ClassifyReport(monotone, normalized, superadditive, subadditive, uniform, identical)
+    return top_masks[best], Fraction(top_values[best], v.scale * best)
 
 
 def shared_item_values(instance: market.Instance) -> list[Fraction] | None:

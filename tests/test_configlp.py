@@ -9,7 +9,6 @@ from mccwe import (
     Additive,
     BudgetAdditive,
     CertificateError,
-    reduced_value,
     Instance,
     NotMCCWE,
     Partition,
@@ -26,6 +25,7 @@ from mccwe.equilibria import MCCWE, verify
 from mccwe.instances import built_in, generate
 from mccwe.lp import UNBOUNDED, LPSolution, solve_lp
 from mccwe.oracle import optimal_integral, optimal_over_partition
+from value_reference import reduced_value
 
 F = Fraction
 

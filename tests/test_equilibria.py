@@ -81,6 +81,18 @@ def test_verify_revenue_market_we_and_mccwe():
     assert v.kind == "buyer" and v.agent == 1 and v.gap == F(1)
 
 
+def test_verify_reports_gaps_in_the_markets_own_values():
+    # values in halves, prices in thirds: the table runs in sixths, and the
+    # reported gap is read back from them
+    inst = Instance(2, (Additive((F(1, 2), F(1, 4))), SingleMinded(0b10, F(1, 3))))
+    x = allocation(2, [0, 0b10], x0=0b01)
+    report = verify(inst, Outcome(x, prices=(F(0), F(1, 3)), x0_price=F(1, 3)), CWE)
+    assert [(v.agent, v.better_bundle, v.gap) for v in report.violations] == [(0, 0b01, F(1, 6))]
+    report = verify(inst, Outcome(x, item_prices=(F(1, 5), F(0))), WE)
+    gaps = [(v.kind, v.agent, v.gap, v.price) for v in report.violations]
+    assert gaps == [("buyer", 0, F(1, 2) - F(1, 5) + F(1, 4), None), ("seller", None, None, F(1, 5))]
+
+
 def test_verify_seller_stability():
     inst = Instance(2, (SingleMinded(1 << 0, F(3)),))
     x = allocation(2, [0b01])

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from mccwe import BadParams, Outcome, ParseError, SuperadditiveExplicit, allocation, classify
+from mccwe import BadParams, Outcome, ParseError, SuperadditiveExplicit, allocation
 from mccwe.bits import items_of
 from mccwe.instances import (
     BUILTINS,
@@ -21,26 +21,28 @@ from mccwe.instances import (
     write_outcome,
 )
 from mccwe.oracle import optimal_integral
+from mccwe.valuations import shared_item_values
+from value_reference import identical_budgets, item_table, splits_superadditive
 
 F = Fraction
 
 
 def test_fig1a_classification():
-    report = classify(built_in("fig1a", eps=F(1, 10)))
-    assert report.uniform_budget_additive
-    assert not report.identical_budgets
+    inst = built_in("fig1a", eps=F(1, 10))
+    assert shared_item_values(inst) is not None
+    assert not identical_budgets(inst)
 
 
 def test_fig1b_classification():
-    report = classify(built_in("fig1b"))
-    assert report.uniform_budget_additive
-    assert report.identical_budgets
+    inst = built_in("fig1b")
+    assert shared_item_values(inst) is not None
+    assert identical_budgets(inst)
 
 
 def test_nonuniform_example_not_uniform():
-    report = classify(built_in("nonuniform_identical_budget"))
-    assert not report.uniform_budget_additive
-    assert report.identical_budgets
+    inst = built_in("nonuniform_identical_budget")
+    assert shared_item_values(inst) is None
+    assert identical_budgets(inst)
 
 
 def test_bundling_necessity_combinatorics():
@@ -95,14 +97,13 @@ def test_generator_determinism():
 def test_random_superadditive_really_is():
     for seed in range(30):
         inst = generate("random_superadditive", 5, 3, seed)
-        assert classify(inst).superadditive
+        assert all(splits_superadditive(item_table(v, 5)) for v in inst.agents)
 
 
 def test_random_uniform_flags():
     inst = generate("random_uniform_budget_additive", 4, 3, 9, identical_budgets=True)
-    report = classify(inst)
-    assert report.uniform_budget_additive
-    assert report.identical_budgets
+    assert shared_item_values(inst) is not None
+    assert identical_budgets(inst)
 
 
 def test_family_names_dispatch():
@@ -153,7 +154,7 @@ def test_declared_uniform_values_are_ignored_and_no_longer_written():
         doc["uniform_item_values"] = declared
         inst = parse_instance(json.dumps(doc))
         assert inst == parse_instance(text)
-        assert classify(inst).uniform_budget_additive == (name == "fig1a")
+        assert (shared_item_values(inst) is not None) == (name == "fig1a")
 
 
 def test_outcome_round_trip():

@@ -22,14 +22,14 @@ from mccwe import (
     full_surplus_outcome,
     induced_partition,
     optimal_over_partition,
-    reduced_value,
     revenue,
     singleton_partition,
     social_welfare,
     supporting_prices,
-    utility,
 )
 from mccwe.bits import mask_of
+from mccwe.valuations import demand_utilities, value_table
+from value_reference import reduced_value, utility
 
 F = Fraction
 
@@ -52,9 +52,11 @@ def test_value_query_budget_additive_caps():
 def test_reduced_value_empty_and_singletons():
     v = _fig1a_c2()
     p = singleton_partition(4)
-    assert reduced_value(v, p, 0) == 0
+    table = value_table(v, p, v.scale)
+    assert reduced_value(v, p, 0) == table[0] == 0
     for j in range(4):
         assert reduced_value(v, p, 1 << j) == v.value(1 << j)
+        assert table[1 << j] == v.value(1 << j) * v.scale
 
 
 def test_reduced_value_on_merged_block():
@@ -62,6 +64,7 @@ def test_reduced_value_on_merged_block():
     v = BudgetAdditive(F(2), (F(1), F(1), F(0)))
     p = Partition(3, (mask_of([0, 1]), mask_of([2])))
     assert reduced_value(v, p, 0b01) == 2
+    assert value_table(v, p, 3 * v.scale)[0b01] == 2 * 3 * v.scale
 
 
 def test_reduced_value_identical_budget_market_pair_block():
@@ -75,6 +78,7 @@ def test_reduced_value_identical_budget_market_pair_block():
     p = Partition(7, blocks)
     idx = p.blocks.index(pair)
     assert reduced_value(d1, p, 1 << idx) == 2
+    assert value_table(d1, p, inst.scale)[1 << idx] == 2 * inst.scale
 
 
 def test_induced_partition_all_unallocated():
@@ -128,6 +132,8 @@ def test_utility_revenue_capacity_two_bidder():
     prices = (F(1), R + 2)
     assert utility(buyer2, p, 0b10, prices) == 98
     assert utility(buyer2, p, 0b01, prices) == 98
+    utils, scale = demand_utilities(buyer2, p, prices)
+    assert utils[0b10] == utils[0b01] == 98 * scale
 
     inst = Instance(3, (SingleMinded(1 << 0, F(1)), buyer2))
     x = allocation(3, [mask_of([0]), mask_of([1, 2])])
@@ -187,6 +193,8 @@ def test_reduced_value_of_owned_block_reproduces_value_query():
         if owner != UNALLOCATED:
             v = inst.agents[owner]
             assert reduced_value(v, part, 1 << idx) == v.value(x.bundles[owner])
+            table = value_table(v, part, inst.scale)
+            assert table[1 << idx] == v.value(x.bundles[owner]) * inst.scale
 
 
 def test_library_calls_reject_another_markets_shapes():

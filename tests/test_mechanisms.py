@@ -112,6 +112,31 @@ def test_superadditive_winner_take_all_hand_trace():
     assert replay_trace(inst, _empty(inst), trace) == out.allocation
 
 
+def test_trace_welfare_is_the_markets_own_welfare():
+    # fractional values at three scales: every step's welfare is read back
+    # from the market's units and matches the replayed allocation
+    inst = Instance(
+        3,
+        (
+            SingleMinded(0b001, F(3, 2)),
+            SingleMinded(0b110, F(7, 3)),
+            SingleMinded(0b111, F(13, 4)),
+        ),
+    )
+    for mechanism in (superadditive_mccwe, single_minded_mccwe):
+        trace = MechanismTrace()
+        out = mechanism(inst, trace)
+        state = _State(inst, _empty(inst), None)
+        welfare = F(0)
+        for step in trace.steps:
+            assert step.welfare_before == welfare
+            state.give(step.phase, step.agent, step.items)
+            welfare = social_welfare(inst, state.allocation())
+            assert step.welfare_after == welfare
+        assert len(trace.steps) >= 2
+        assert welfare == social_welfare(inst, out.allocation) > 3
+
+
 def test_superadditive_bundling_necessity():
     inst = built_in("bundling_necessity", m=16)
     out = superadditive_mccwe(inst)
@@ -425,11 +450,15 @@ def demand_merge_gap(instance, bundles):
     """The largest merge surplus by the demand route: one demand_utilities
     call per agent over the nonempty bundles, priced at the owners' values.
     The merge phase leaves no item unallocated, so those bundles partition
-    the items."""
+    the items.  Each agent's table is read back from its own scale."""
     owners = {b: j for j, b in enumerate(bundles) if b}
     partition = Partition(instance.m, tuple(owners))
     prices = [instance.agents[owners[b]].value(b) for b in partition.blocks]
-    return max(max(demand_utilities(v, partition, prices)) for v in instance.agents)
+    gaps = []
+    for v in instance.agents:
+        utils, scale = demand_utilities(v, partition, prices)
+        gaps.append(F(max(utils), scale))
+    return max(gaps)
 
 
 def test_merge_enumeration_matches_demand_route():
@@ -447,7 +476,8 @@ def test_merge_enumeration_matches_demand_route():
             for step in trace.steps:
                 if step.phase == "merge":
                     gap, _size, agent, group = _best_merge(inst, state.bundles)
-                    assert gap == demand_merge_gap(inst, state.bundles) > 0
+                    # _best_merge's gap is in the market's units
+                    assert F(gap, inst.scale) == demand_merge_gap(inst, state.bundles) > 0
                     union = 0
                     for j in bits_of(group):
                         union |= state.bundles[j]

@@ -35,7 +35,7 @@ from mccwe.oracle import (
     optimal_integral,
     optimal_over_partition,
 )
-from mccwe.valuations import value_table
+from value_reference import reduced_value
 
 F = Fraction
 
@@ -47,9 +47,12 @@ SHAPES = tuple((m, n) for n in range(1, 7) for m in range(1, 9) if (n + 1) ** m 
 
 
 def _leaf_walk(partition, agents):
-    """First strict maximum of the (n+1)^k assignment walk over the blocks:
-    (sets, rest, welfare)."""
-    tables = [value_table(v, partition) for v in agents]
+    """First strict maximum of the (n+1)^k assignment walk over the blocks'
+    Fraction reduced values: (sets, rest, welfare)."""
+    tables = [
+        [reduced_value(v, partition, mask) for mask in range(1 << len(partition.blocks))]
+        for v in agents
+    ]
     best = None
     for welfare, sets, rest in _assignments(len(partition.blocks), tables):
         if best is None or welfare > best[2]:
@@ -73,11 +76,17 @@ def reference_over_partition(inst, partition):
 
 class _RawTable:
     """A value table with no structure: not monotone, so leaving an item
-    unallocated can beat handing it out.  `item_values` only sizes it."""
+    unallocated can beat handing it out.  `item_values` only sizes it; its
+    entries are halves, so its scale is 2."""
+
+    scale = 2
 
     def __init__(self, m, rng):
         self.item_values = (F(0),) * m
         self.table = (F(0),) + tuple(F(rng.next_u64() % 3, 2) for _ in range((1 << m) - 1))
+
+    def scaled_value(self, mask):
+        return int(self.table[mask] * 2)
 
     def value(self, mask):
         return self.table[mask]
@@ -344,7 +353,7 @@ def test_single_agent_sweep_above_table_cap(monkeypatch):
 
 
 def test_block_table_cap_is_checked_before_any_table_is_built(monkeypatch):
-    def no_tables(v, partition):
+    def no_tables(v, partition, scale):
         raise AssertionError(f"built a table over {len(partition.blocks)} blocks")
 
     monkeypatch.setattr("mccwe.oracle.value_table", no_tables)

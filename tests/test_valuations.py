@@ -1,4 +1,4 @@
-"""Valuation families, demand queries, classification."""
+"""Valuation families, the integer value layer, demand queries, classification."""
 
 import itertools
 from fractions import Fraction
@@ -16,7 +16,6 @@ from mccwe import (
     Partition,
     SingleMinded,
     SuperadditiveExplicit,
-    classify,
     demand_query,
     relative_demand_query,
     singleton_partition,
@@ -25,8 +24,23 @@ from mccwe.bits import mask_of
 from mccwe.equilibria import demand_correspondence
 from mccwe.errors import EmptyPool, SizeLimit
 from mccwe.instances import SplitMix64, generate
-from mccwe.market import reduced_value, utility
-from mccwe.valuations import demand_utilities, is_superadditive_family, value_table
+from mccwe.valuations import (
+    demand_utilities,
+    is_superadditive_family,
+    shared_item_values,
+    value_table,
+)
+from value_reference import (
+    fraction_value,
+    identical_budgets,
+    item_table,
+    monotone,
+    reduced_value,
+    splits_superadditive,
+    subadditive,
+    utility,
+    valid_table,
+)
 
 F = Fraction
 
@@ -171,7 +185,7 @@ def test_demand_queries_need_a_partition_of_the_valuations_items():
         with pytest.raises(BadParams, match=f"partition's {m} items"):
             demand_query(v, singleton_partition(m), [F(1)] * m)
         with pytest.raises(BadParams, match=f"partition's {m} items"):
-            value_table(v, Partition(m, ((1 << m) - 1,)))
+            value_table(v, Partition(m, ((1 << m) - 1,)), v.scale)
     # a single-minded agent fits any market that holds its desired set
     assert demand_query(SingleMinded(0b11, F(3)), singleton_partition(3), [F(1)] * 3) == 0b11
 
@@ -221,19 +235,46 @@ def test_relative_demand_density_identity():
 
 def _tie_heavy_valuations(m, rng):
     """Every family on m items: all-zero and equal values, every desired
-    set, every cap, and budgets from 0 up past the additive mass."""
+    set, every cap, and budgets from 0 up past the additive mass; values
+    are drawn whole and, for a second copy of most, as fractions."""
     zero, equal = (F(0),) * m, (F(1),) * m
     drawn = tuple(F(rng.randint(0, 3)) for _ in range(m))
-    yield from (Additive(zero), Additive(equal), Additive(drawn))
+    thirds = (F(1, 3),) * m
+    split = tuple(F(rng.randint(0, 3), rng.randint(1, 4)) for _ in range(m))
+    yield from (Additive(zero), Additive(equal), Additive(drawn), Additive(split))
     for desired in range(1, 1 << m):
         yield SingleMinded(desired, F(rng.randint(0, 2)))
+        yield SingleMinded(desired, F(rng.randint(0, 2), rng.randint(1, 3)))
     yield SuperadditiveExplicit((F(0),) * (1 << m))
     yield SuperadditiveExplicit(tuple(F(s.bit_count()) for s in range(1 << m)))
+    yield SuperadditiveExplicit(tuple(F(s.bit_count() ** 2, 6) for s in range(1 << m)))
     yield from generate("random_superadditive", m, 2, rng.randint(0, 10**6)).agents
+    yield fractional_superadditive(m, rng)
     for budget in range(m + 2):
         yield from (BudgetAdditive(F(budget), equal), BudgetAdditive(F(budget), drawn))
+        yield from (BudgetAdditive(F(budget, 3), thirds), BudgetAdditive(F(budget, 2), split))
     for cap in range(m + 1):
         yield from (CappedCardinalityAdditive(equal, cap), CappedCardinalityAdditive(drawn, cap))
+        yield from (
+            CappedCardinalityAdditive(thirds, cap),
+            CappedCardinalityAdditive(split, cap),
+        )
+
+
+def fractional_superadditive(m, rng):
+    """A super-additive table with fractional entries of mixed denominators:
+    fractional item values and bumps, closed under super-additivity."""
+    table = [F(0)] * (1 << m)
+    base = [F(rng.randint(0, 4), rng.randint(1, 4)) for _ in range(m)]
+    for mask in sorted(range(1, 1 << m), key=int.bit_count):
+        low = mask & -mask
+        table[mask] = table[mask ^ low] + base[low.bit_length() - 1]
+        table[mask] += F(rng.randint(0, 2), rng.randint(1, 5))
+        sub = (mask - 1) & mask
+        while sub:
+            table[mask] = max(table[mask], table[sub] + table[mask ^ sub])
+            sub = (sub - 1) & mask
+    return SuperadditiveExplicit(tuple(table))
 
 
 def test_relative_demand_matches_brute_force_on_every_pool():
@@ -243,9 +284,10 @@ def test_relative_demand_matches_brute_force_on_every_pool():
         for m in range(1, 6):
             for v in _tie_heavy_valuations(m, rng):
                 for pool in range(1, 1 << m):
-                    # the reference: min of (-v(S)/|S|, |S|, S) over nonempty S in the pool
+                    # the reference: min of (-v(S)/|S|, |S|, S) over nonempty S
+                    # in the pool, v from the valuation's Fraction data
                     keys = sorted(
-                        (-F(v.value(s)) / s.bit_count(), s.bit_count(), s)
+                        (-fraction_value(v, s) / s.bit_count(), s.bit_count(), s)
                         for s in range(1, pool + 1)
                         if s & pool == s
                     )
@@ -258,10 +300,11 @@ def test_relative_demand_matches_brute_force_on_every_pool():
 
 def test_classify_single_minded_is_superadditive():
     inst = Instance(3, (SingleMinded(0b011, F(4)), SingleMinded(0b100, F(1))))
-    report = classify(inst)
-    assert report.superadditive
-    assert report.monotone and report.normalized
-    assert not report.uniform_budget_additive
+    for v in inst.agents:
+        table = item_table(v, 3)
+        assert is_superadditive_family(v) and splits_superadditive(table)
+        assert monotone(table) and table[0] == 0
+    assert shared_item_values(inst) is None
 
 
 def test_classify_uniform_budget_additive_flags():
@@ -270,14 +313,14 @@ def test_classify_uniform_budget_additive_flags():
         BudgetAdditive(F(3), shared),
         BudgetAdditive(F(3), (F(0), F(4))),
     )
-    report = classify(Instance(2, agents))
-    assert report.uniform_budget_additive
-    assert report.identical_budgets
-    assert report.subadditive
+    inst = Instance(2, agents)
+    assert shared_item_values(inst) == [F(1), F(4)]
+    assert identical_budgets(inst)
+    assert all(subadditive(item_table(v, 2)) for v in agents)
     agents = (BudgetAdditive(F(3), shared), BudgetAdditive(F(2), (F(0), F(3))))
-    report = classify(Instance(2, agents))
-    assert not report.uniform_budget_additive
-    assert not report.identical_budgets
+    inst = Instance(2, agents)
+    assert shared_item_values(inst) is None
+    assert not identical_budgets(inst)
 
 
 @settings(max_examples=40, deadline=None)
@@ -290,10 +333,10 @@ def test_demand_query_dominates_every_bundle_set(data):
     p = singleton_partition(m)
     prices = [F(x) for x in data.draw(st.lists(st.integers(0, 5), min_size=m, max_size=m))]
     best = demand_query(v, p, prices)
-    table = value_table(v, p)
+    table = value_table(v, p, v.scale)
 
     def util(mask):
-        return table[mask] - sum(prices[j] for j in range(m) if mask >> j & 1)
+        return F(table[mask], v.scale) - sum(prices[j] for j in range(m) if mask >> j & 1)
 
     best_util = util(best)
     assert all(util(mask) <= best_util for mask in range(1 << m))
@@ -304,8 +347,9 @@ def test_demand_query_dominates_every_bundle_set(data):
     coarse = Partition(m, tuple(b for b in groups if b))
     for part in (p, coarse):
         k = len(part.blocks)
-        utils = demand_utilities(v, part, prices[:k])
-        assert utils == [utility(v, part, mask, prices[:k]) for mask in range(1 << k)]
+        utils, scale = demand_utilities(v, part, prices[:k])
+        assert scale == v.scale  # whole prices add no denominator
+        assert utils == [utility(v, part, mask, prices[:k]) * scale for mask in range(1 << k)]
         assert demand_query(v, part, prices[:k]) in demand_correspondence(v, part, prices[:k])
 
 
@@ -319,17 +363,19 @@ def test_structural_superadditivity_matches_enumeration(data):
         v = BudgetAdditive(F(data.draw(st.integers(0, 15))), values)
     else:
         v = CappedCardinalityAdditive(values, data.draw(st.integers(0, m)))
-    inst = Instance(m, (v,))
-    assert is_superadditive_family(v) == classify(inst).superadditive
+    assert is_superadditive_family(v) == splits_superadditive(item_table(v, m))
 
 
 def test_value_table_matches_pointwise_queries():
     v = CappedCardinalityAdditive((F(3), F(1), F(2)), 2)
-    table = value_table(v, singleton_partition(3))
+    table = value_table(v, singleton_partition(3), v.scale)
     assert table == [v.value(mask) for mask in range(8)]
 
-    # every family, on the singleton partition and on coarser ones
+    # every family with fractional values, on the singleton partition, a
+    # merged-block one and one block, at the valuation's scale and at a
+    # market's larger one: each entry is the Fraction reduced value times it
     rng = SplitMix64(5)
+    families = set()
     for seed in range(60):
         m = 1 + seed % 6
         agents = []
@@ -339,15 +385,59 @@ def test_value_table_matches_pointwise_queries():
         values = tuple(F(rng.next_u64() % 5, 1 + rng.next_u64() % 3) for _ in range(m))
         agents += [
             Additive(values),
-            BudgetAdditive(F(rng.next_u64() % 8), values),
+            BudgetAdditive(F(rng.next_u64() % 8, 1 + rng.next_u64() % 4), values),
             CappedCardinalityAdditive(values, 1 + seed % 3),
+            SingleMinded(1 + rng.next_u64() % ((1 << m) - 1), F(1 + rng.next_u64() % 7, 6)),
+            fractional_superadditive(m, rng),
         ]
         labels = [rng.next_u64() % m for _ in range(m)]
         groups = [mask_of(j for j in range(m) if labels[j] == label) for label in range(m)]
         coarse = Partition(m, tuple(b for b in groups if b))
         one_block = Partition(m, ((1 << m) - 1,))
+        market_scale = Instance(m, tuple(agents)).scale * 7
         for agent in agents:
+            if agent.scale > 1:
+                families.add(type(agent).__name__)
             for part in (singleton_partition(m), coarse, one_block):
                 k = len(part.blocks)
                 expected = [reduced_value(agent, part, mask) for mask in range(1 << k)]
-                assert value_table(agent, part) == expected
+                for scale in (agent.scale, market_scale):
+                    assert value_table(agent, part, scale) == [x * scale for x in expected]
+    assert len(families) == 5, families
+    with pytest.raises(BadParams, match="not a multiple"):
+        value_table(Additive((F(1, 2),)), singleton_partition(1), 3)
+
+
+def test_relative_demand_rejects_pools_outside_the_valuations_items():
+    cases = (
+        (Additive((F(1), F(1))), 0b100),
+        (SuperadditiveExplicit((F(0), F(1))), 0b10),
+        (BudgetAdditive(F(1), (F(1),)), 0b11),
+        (CappedCardinalityAdditive((F(1),), 1), 0b10),
+        (Additive((F(1), F(1))), -1),
+        (SingleMinded(0b1, F(1)), -2),
+    )
+    for v, pool in cases:
+        with pytest.raises(BadParams, match="not over"):
+            relative_demand_query(v, pool)
+    # a single-minded agent's pool may hold any items
+    assert relative_demand_query(SingleMinded(0b1, F(1)), 0b110) == (0b10, 0)
+
+
+def test_integer_superadditivity_check_matches_the_fraction_splits():
+    verdicts = {True: 0, False: 0}
+    for seed in range(240):
+        rng = SplitMix64(seed)
+        m = rng.randint(1, 5)
+        table = list(fractional_superadditive(m, rng).table)
+        # most tables take a fractional nudge that may break any rule
+        for _ in range(rng.randint(0, 2)):
+            table[rng.randint(0, (1 << m) - 1)] += F(rng.randint(-3, 2), rng.randint(1, 4))
+        try:
+            SuperadditiveExplicit(tuple(table))
+            accepted = True
+        except BadParams:
+            accepted = False
+        assert accepted == valid_table(table), table
+        verdicts[accepted] += 1
+    assert min(verdicts.values()) >= 40, verdicts
