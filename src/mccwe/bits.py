@@ -7,7 +7,7 @@ so "first" always means the numerically smallest mask.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 
 def mask_of(items: Iterable[int]) -> int:
@@ -31,3 +31,21 @@ def items_of(mask: int) -> list[int]:
 
 def full_mask(m: int) -> int:
     return (1 << m) - 1
+
+
+def subset_sums(values: Sequence[int]) -> list[int]:
+    """The sum of values[j] over the bits j of every mask below 2^len(values)."""
+    table = [0] * (1 << len(values))
+    for mask in range(1, len(table)):
+        low = mask & -mask
+        table[mask] = table[mask ^ low] + values[low.bit_length() - 1]
+    return table
+
+
+def subset_unions(masks: Sequence[int]) -> list[int]:
+    """The union of masks[j] over the bits j of every mask below 2^len(masks)."""
+    table = [0] * (1 << len(masks))
+    for mask in range(1, len(table)):
+        low = mask & -mask
+        table[mask] = table[mask ^ low] | masks[low.bit_length() - 1]
+    return table

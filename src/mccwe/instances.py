@@ -14,7 +14,7 @@ import math
 import re
 from fractions import Fraction
 
-from .bits import items_of, mask_of
+from .bits import items_of, mask_of, subset_sums
 from .errors import BadParams, ParseError
 from .market import MAX_ITEMS, Allocation, Instance, Outcome
 from .valuations import (
@@ -214,11 +214,7 @@ def built_in(name: str, **params) -> Instance:
 def _random_superadditive(m: int, n: int, rng: SplitMix64) -> Instance:
     agents = []
     for _ in range(n):
-        table = [0] * (1 << m)
-        base = [rng.randint(0, 4) for _ in range(m)]
-        for mask in range(1, 1 << m):
-            low = mask & -mask
-            table[mask] = table[mask ^ low] + base[low.bit_length() - 1]
+        table = subset_sums([rng.randint(0, 4) for _ in range(m)])
         for _ in range(rng.randint(1, 2)):
             bump_set = rng.randint(1, (1 << m) - 1)
             bump = rng.randint(1, 10)

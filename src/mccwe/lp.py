@@ -5,10 +5,10 @@ one-phase primal simplex with Bland's pivoting rule, which terminates even
 on the highly degenerate programs produced by configuration LPs.  It pivots
 in integers (Edmonds 1967; Bareiss, Math. Comp. 1968):
 
-* Each row is scaled once by the LCM of its denominators, right-hand side
-  included, and the objective once by the LCM of its own.  Both factors are
-  positive, so every sign, every ratio comparison and so every pivot choice
-  is the one the rational program would make.
+* Programs come in integral: the objective, every row coefficient and
+  every right-hand side is an `int`, and anything else is rejected when
+  the program is built.  Callers scale their data once, as the
+  configuration LP does with `Instance.scale`.
 * The tableau is one integer matrix, objective row included, whose entries
   all share one running denominator d: the last pivot element, 1 at the
   start.  A pivot on p keeps the pivot row as it is, replaces each entry a
@@ -26,20 +26,17 @@ Conventions
   rejected when the program is built.
 * At the optimum a basic variable is its row's right-hand side over d.
   Row i's dual y_i >= 0 is read off the final reduced cost of its slack
-  column and scaled back: y_i = -obj[slack_i] * rowscale_i / (d * objscale).
-  No separate dual solve runs.
+  column: y_i = -obj[slack_i] / d.  No separate dual solve runs.
 * For every optimal result, primal feasibility, dual feasibility and exact
-  strong duality (c.x == y.b) are re-checked in integers on the scaled
-  program before returning.  A failed check raises `CertificateError`,
-  also under `python -O`.
+  strong duality (c.x == y.b) are re-checked in integers on the program
+  itself before returning.  A failed check raises `CertificateError`, also
+  under `python -O`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import NamedTuple
 
 from .errors import CertificateError, MalformedLP, SizeLimit
 
@@ -48,21 +45,33 @@ UNBOUNDED = "unbounded"
 
 MAX_VARIABLES = 200_000
 
+_INT = frozenset({int})
+
+
+def _integral(values) -> bool:
+    """Is every value an int?  A bool is not one."""
+    return set(map(type, values)) <= _INT
+
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """max objective . x  subject to coeffs . x <= rhs for each row, x >= 0."""
+    """max objective . x  subject to coeffs . x <= rhs for each row, x >= 0,
+    all in integers; MalformedLP on any other number."""
 
-    objective: tuple[Fraction, ...]
-    constraints: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
+    objective: tuple[int, ...]
+    constraints: tuple[tuple[tuple[int, ...], int], ...]
 
     def __post_init__(self):
         width = len(self.objective)
         if width > MAX_VARIABLES:
             raise SizeLimit(f"{width} variables exceeds the {MAX_VARIABLES} cap")
+        if not _integral(self.objective):
+            raise MalformedLP("the objective has a non-integer coefficient")
         for idx, (coeffs, rhs) in enumerate(self.constraints):
             if len(coeffs) != width:
                 raise MalformedLP(f"row {idx} has width {len(coeffs)}, expected {width}")
+            if type(rhs) is not int or not _integral(coeffs):
+                raise MalformedLP(f"row {idx} has a non-integer entry")
             if rhs < 0:
                 raise MalformedLP(f"row {idx} has negative right-hand side {rhs}")
 
@@ -73,37 +82,6 @@ class LPSolution:
     primal: tuple[Fraction, ...] | None
     dual: tuple[Fraction, ...] | None
     objective_value: Fraction | None
-
-
-class _ScaledProgram(NamedTuple):
-    """A LinearProgram with each row and the objective scaled to integers."""
-
-    rows: list[list[int]]
-    rhs: list[int]
-    objective: list[int]
-    row_scales: list[int]
-    objective_scale: int
-
-
-def _integers(values):
-    """The values times the LCM of their denominators, and that LCM."""
-    pairs = [v.as_integer_ratio() for v in values]
-    scale = lcm(*{q for _p, q in pairs})
-    if scale == 1:
-        return [p for p, _q in pairs], 1
-    return [p * (scale // q) for p, q in pairs], scale
-
-
-def _scale(lp: LinearProgram) -> _ScaledProgram:
-    """Scale each row by the LCM of its denominators and the objective by its own."""
-    rows, rhs, row_scales = [], [], []
-    for coeffs, b in lp.constraints:
-        row, scale = _integers((*coeffs, b))
-        rhs.append(row.pop())
-        rows.append(row)
-        row_scales.append(scale)
-    objective, objective_scale = _integers(lp.objective)
-    return _ScaledProgram(rows, rhs, objective, row_scales, objective_scale)
 
 
 def _run_simplex(tableau, basis):
@@ -153,8 +131,8 @@ def _run_simplex(tableau, basis):
         basis[leaving] = entering
 
 
-def _check_certificates(program, primal, dual, d, value):
-    """Re-check an optimum of the scaled program in integers.
+def _check_certificates(lp, primal, dual, d, value):
+    """Re-check an optimum of the integer program in integers.
 
     primal and dual are numerators over the common denominator d, and value
     is objective . primal, the primal value's numerator over d.
@@ -162,15 +140,15 @@ def _check_certificates(program, primal, dual, d, value):
     if any(x < 0 for x in primal):
         raise CertificateError("primal negativity")
     columns = [0] * len(primal)
-    for coeffs, b, y in zip(program.rows, program.rhs, dual):
+    for (coeffs, b), y in zip(lp.constraints, dual):
         lhs = sum(a * x for a, x in zip(coeffs, primal) if x)
         if not (lhs <= b * d and y >= 0):
             raise CertificateError("primal/dual sign violation on <= row")
         if y:
             columns = [s + a * y for s, a in zip(columns, coeffs)]
-    if any(s < c * d for s, c in zip(columns, program.objective)):
+    if any(s < c * d for s, c in zip(columns, lp.objective)):
         raise CertificateError("dual infeasibility")
-    if sum(b * y for b, y in zip(program.rhs, dual)) != value:
+    if sum(b * y for (_coeffs, b), y in zip(lp.constraints, dual)) != value:
         raise CertificateError("strong duality gap")
 
 
@@ -180,18 +158,17 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     Returns status optimal (with primal, dual and value) or unbounded.
     Deterministic: Bland's rule fixes every pivot choice.
     """
-    program = _scale(lp)
-    n = len(program.objective)
-    n_rows = len(program.rows)
+    n = len(lp.objective)
+    n_rows = len(lp.constraints)
 
     # Row i's slack is column n + i and starts basic; the last row holds the
     # reduced costs c_j - z_j, which are c itself at the slack basis.
     tableau = []
-    for i, (coeffs, b) in enumerate(zip(program.rows, program.rhs)):
-        row = coeffs + [0] * n_rows + [b]
+    for i, (coeffs, b) in enumerate(lp.constraints):
+        row = list(coeffs) + [0] * n_rows + [b]
         row[n + i] = 1
         tableau.append(row)
-    tableau.append(program.objective + [0] * (n_rows + 1))
+    tableau.append(list(lp.objective) + [0] * (n_rows + 1))
     basis = list(range(n, n + n_rows))
     d = _run_simplex(tableau, basis)
     if d is None:
@@ -203,13 +180,12 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
             primal[b] = tableau[r][-1]
     obj = tableau[-1]
     dual = [-obj[n + i] for i in range(n_rows)]
-    value = sum(c * x for c, x in zip(program.objective, primal))
-    _check_certificates(program, primal, dual, d, value)
+    value = sum(c * x for c, x in zip(lp.objective, primal))
+    _check_certificates(lp, primal, dual, d, value)
 
-    scale = d * program.objective_scale
     return LPSolution(
         OPTIMAL,
         tuple(Fraction(x, d) for x in primal),
-        tuple(Fraction(y * s, scale) for y, s in zip(dual, program.row_scales)),
-        Fraction(value, scale),
+        tuple(Fraction(y, d) for y in dual),
+        Fraction(value, d),
     )

@@ -45,16 +45,10 @@ class Instance:
             raise BadParams(f"at most {MAX_ITEMS} items")
         if not self.agents:
             raise BadParams("need at least one agent")
-        full = full_mask(self.m)
         for idx, v in enumerate(self.agents):
-            if isinstance(v, vals.SingleMinded):
-                if v.desired & ~full:
-                    raise BadParams(f"agent {idx} desires items outside the market")
-            elif isinstance(v, vals.SuperadditiveExplicit):
-                if len(v.table) != 1 << self.m:
-                    raise BadParams(f"agent {idx} table does not cover 2^{self.m} sets")
-            elif len(v.item_values) != self.m:
-                raise BadParams(f"agent {idx} has {len(v.item_values)} item values, expected {self.m}")
+            misfit = vals._misfit(v, self.m)
+            if misfit:
+                raise BadParams(f"agent {idx} {misfit}")
         object.__setattr__(self, "scale", lcm(*(v.scale for v in self.agents)))
 
     @property

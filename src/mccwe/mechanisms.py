@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import oracle as oracle_mod
-from .bits import bits_of, full_mask
+from .bits import bits_of, full_mask, subset_sums, subset_unions
 from .errors import (
     CertificateError,
     NotIdenticalBudgets,
@@ -221,14 +221,8 @@ def _best_merge(instance, bundles):
     group yields a strict surplus.
     """
     n = len(bundles)
-    owner_values = [instance.scaled_value(j, bundles[j]) for j in range(n)]
-    unions = [0] * (1 << n)
-    totals = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        j = low.bit_length() - 1
-        unions[mask] = unions[mask ^ low] | bundles[j]
-        totals[mask] = totals[mask ^ low] + owner_values[j]
+    unions = subset_unions(bundles)
+    totals = subset_sums([instance.scaled_value(j, bundles[j]) for j in range(n)])
     best = None
     for i in range(n):
         for mask in range(1, 1 << n):

@@ -18,15 +18,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import configlp
-from .bits import bits_of
+from .bits import bits_of, subset_sums
 from .errors import CertificateError, NotMCCWE, NotSingleMinded, SizeLimit
 from .lp import LinearProgram, solve_lp
 from .market import Allocation, Instance, Outcome, Partition, UNALLOCATED
 from .market import check_fits, singleton_partition
 from .valuations import SingleMinded, value_table
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 DEFAULT_STATE_LIMIT = 10_000_000
 
@@ -107,10 +104,7 @@ def _winner_determination(k, tables):
     n = len(tables)
     size = 1 << k
     full = size - 1
-    weights = [0] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        weights[mask] = weights[mask ^ low] + (n + 1) ** (k - low.bit_length())
+    weights = subset_sums([(n + 1) ** (k - 1 - j) for j in range(k)])
     unit = (n + 1) ** k
     keys = [
         [value * unit - i * w for value, w in zip(table, weights)]
@@ -360,30 +354,33 @@ def best_single_minded_item_pricing(
     Winners must afford their desired sets, losers must not strictly demand
     theirs; an indifferent loser counts as satisfied with the empty set.
     Each winner family is decided exactly by one packing LP in the item
-    prices p and a scale t: maximize t subject to p(D_w) <= v_w for each
-    winner, v_l*t - p(D_l) <= 0 for each loser, and t <= 1.  The family is
-    feasible exactly when the optimum reaches t = 1.
+    prices p and a scale t, in the market's units (`Instance.scale`, so
+    prices p' = scale*p and values v' = scale*v): maximize t subject to
+    p'(D_w) <= v'_w for each winner, v'_l*t - p'(D_l) <= 0 for each loser,
+    and t <= 1.  Scaling the price columns changes no optimum t, and the
+    family is feasible exactly when the optimum reaches t = 1.
     """
     if not all(isinstance(v, SingleMinded) for v in instance.agents):
         raise NotSingleMinded("item-pricing bound needs single-minded agents")
     budget = budget or OracleBudget()
     m, n = instance.m, instance.n
     budget.charge(1 << n)
-    # Each agent's row over (p_0, ..., p_{m-1}, t), as a winner and as a loser.
-    scale = (_ZERO,) * m + (_ONE,)
+    # Each agent's row over (p'_0, ..., p'_{m-1}, t), as a winner and as a loser.
+    just_t = (0,) * m + (1,)
     as_winner = []
     as_loser = []
-    for v in instance.agents:
-        items = [_ONE if v.desired >> j & 1 else _ZERO for j in range(m)]
-        as_winner.append((tuple(items) + (_ZERO,), v.value_if_served))
-        as_loser.append((tuple(-a for a in items) + (v.value_if_served,), _ZERO))
+    for i, v in enumerate(instance.agents):
+        items = tuple(v.desired >> j & 1 for j in range(m))
+        value = instance.scaled_value(i, v.desired)
+        as_winner.append((items + (0,), value))
+        as_loser.append((tuple(-a for a in items) + (value,), 0))
 
     best = 0  # empty winner set is always feasible
     for winners, welfare in _disjoint_winner_sets(instance):
         if welfare <= best:
             continue
         rows = [as_winner[i] if winners >> i & 1 else as_loser[i] for i in range(n)]
-        rows.append((scale, _ONE))
-        if solve_lp(LinearProgram(scale, tuple(rows))).objective_value == _ONE:
+        rows.append((just_t, 1))
+        if solve_lp(LinearProgram(just_t, tuple(rows))).objective_value == 1:
             best = welfare
     return Fraction(best, instance.scale)

@@ -28,15 +28,23 @@ from math import lcm
 from typing import Union
 
 from . import market
-from .bits import bits_of
+from .bits import bits_of, subset_sums, subset_unions
 from .errors import BadParams, EmptyPool, SizeLimit
 
 _ZERO = Fraction(0)
+_EXACT = frozenset({int, Fraction})
 
 
 def _scale_data(v, **data) -> None:
     """Set v.scale to the LCM of the data's denominators and each named
-    field to its data times v.scale; BadParams on a negative value."""
+    field to its data times v.scale; BadParams on a negative value or on a
+    datum that is not an int or a Fraction (a bool is not an int here)."""
+    kinds = set()
+    for values in data.values():
+        kinds.update(map(type, values))
+    if not kinds <= _EXACT:
+        odd = ", ".join(sorted(kind.__name__ for kind in kinds - _EXACT))
+        raise BadParams(f"valuation data must be exact rationals, got {odd}")
     ratios = {name: [x.as_integer_ratio() for x in values] for name, values in data.items()}
     scale = lcm(*{q for pairs in ratios.values() for _p, q in pairs})
     object.__setattr__(v, "scale", scale)
@@ -174,6 +182,14 @@ def _item_count(v: Valuation) -> int | None:
     return len(v.item_values)
 
 
+def _misfit(v: Valuation, m: int) -> str | None:
+    """Why v is not a valuation over m items, or None when it is."""
+    count = _item_count(v)
+    if count is None:
+        return "desires items outside the market" if v.desired >> m else None
+    return None if count == m else f"is over {count} items, expected {m}"
+
+
 def value_table(v: Valuation, partition: market.Partition, scale: int) -> list[int]:
     """v of the union of the selected blocks times `scale`, for every
     block-subset mask.
@@ -185,32 +201,20 @@ def value_table(v: Valuation, partition: market.Partition, scale: int) -> list[i
     the partition's m items.
     """
     m = partition.m
-    count = _item_count(v)
-    fits = v.desired >> m == 0 if count is None else count == m
-    if not fits:
+    if _misfit(v, m):
         raise BadParams(f"the valuation is not over the partition's {m} items")
     if scale < 1 or scale % v.scale:
         raise BadParams(f"scale {scale} is not a multiple of the valuation's {v.scale}")
     factor = scale // v.scale
     blocks = partition.blocks
-    size = 1 << len(blocks)
     if isinstance(v, (Additive, BudgetAdditive)):
-        block_sums = [sum(v.scaled_items[j] for j in bits_of(b)) * factor for b in blocks]
-        sums = [0] * size
-        for mask in range(1, size):
-            low = mask & -mask
-            sums[mask] = sums[mask ^ low] + block_sums[low.bit_length() - 1]
+        items = v.scaled_items
+        sums = subset_sums([sum(items[j] for j in bits_of(b)) * factor for b in blocks])
         if isinstance(v, Additive):
             return sums
         budget = v.scaled_budget[0] * factor
         return [s if s < budget else budget for s in sums]
-    if len(blocks) == m:
-        unions = range(size)
-    else:
-        unions = [0] * size
-        for mask in range(1, size):
-            low = mask & -mask
-            unions[mask] = unions[mask ^ low] | blocks[low.bit_length() - 1]
+    unions = range(1 << m) if len(blocks) == m else subset_unions(blocks)
     if isinstance(v, SuperadditiveExplicit):
         table = v.scaled_table
         return [table[u] * factor for u in unions]
@@ -252,14 +256,9 @@ def demand_utilities(
     if len(prices) != k:
         raise BadParams(f"{len(prices)} prices for {k} blocks")
     scale = lcm(v.scale, *(p.denominator for p in prices))
-    utils = value_table(v, partition, scale)
-    price_units = [p.numerator * (scale // p.denominator) for p in prices]
-    costs = [0] * (1 << k)
-    for mask in range(1, 1 << k):
-        low = mask & -mask
-        cost = costs[mask] = costs[mask ^ low] + price_units[low.bit_length() - 1]
-        utils[mask] -= cost
-    return utils, scale
+    values = value_table(v, partition, scale)
+    costs = subset_sums([p.numerator * (scale // p.denominator) for p in prices])
+    return [value - cost for value, cost in zip(values, costs)], scale
 
 
 def preferred(utils: list[int]) -> int:

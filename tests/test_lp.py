@@ -14,7 +14,6 @@ from mccwe.lp import (
     UNBOUNDED,
     LinearProgram,
     _check_certificates,
-    _scale,
     solve_lp,
 )
 
@@ -24,8 +23,7 @@ F = Fraction
 def _lp(objective, rows):
     """A LinearProgram from plain ints: rows are (coeffs, rhs), meaning <=."""
     return LinearProgram(
-        tuple(F(c) for c in objective),
-        tuple((tuple(F(a) for a in coeffs), F(rhs)) for coeffs, rhs in rows),
+        tuple(objective), tuple((tuple(coeffs), rhs) for coeffs, rhs in rows)
     )
 
 
@@ -150,7 +148,19 @@ def test_malformed_rows_rejected():
     with pytest.raises(MalformedLP):
         _lp([1, 2], [([1], 1)])
     with pytest.raises(MalformedLP):
-        _lp([1], [([1], 1), ([1], F(-1, 2))])
+        _lp([1], [([1], 1), ([1], -1)])
+
+
+def test_non_integer_programs_are_rejected():
+    # An exact solver takes integers only: a float would carry rounding into
+    # it, and a Fraction or a bool is the caller's scaling left undone.
+    for bad in (0.5, F(1, 2), True):
+        with pytest.raises(MalformedLP, match="objective"):
+            _lp([bad, 1], [([1, 1], 1)])
+        with pytest.raises(MalformedLP, match="row 1"):
+            _lp([1, 1], [([1, 1], 1), ([1, bad], 1)])
+        with pytest.raises(MalformedLP, match="row 0"):
+            _lp([1, 1], [([1, 1], bad)])
 
 
 def test_variable_cap():
@@ -224,17 +234,16 @@ def test_corrupted_certificates_raise():
     sol = solve_lp(lp)
     assert list(sol.primal) == [F(8, 5), F(6, 5)] and list(sol.dual) == [F(9, 5), F(2, 5), F(0)]
     # The same certificate as numerators over d = 5; the value is 3*8 + 4*6.
-    program = _scale(lp)
     primal, dual, d, value = [8, 6], [9, 2, 0], 5, 48
-    _check_certificates(program, primal, dual, d, value)
+    _check_certificates(lp, primal, dual, d, value)
     bad_primal = [-5, primal[1]]
     with pytest.raises(CertificateError, match="primal negativity"):
-        _check_certificates(program, bad_primal, dual, d, value)
+        _check_certificates(lp, bad_primal, dual, d, value)
     with pytest.raises(CertificateError, match="sign violation on <= row"):
-        _check_certificates(program, primal, [-dual[0], dual[1], dual[2]], d, value)
+        _check_certificates(lp, primal, [-dual[0], dual[1], dual[2]], d, value)
     with pytest.raises(CertificateError, match="sign violation on <= row"):
-        _check_certificates(program, [10, primal[1]], dual, d, value)
+        _check_certificates(lp, [10, primal[1]], dual, d, value)
     with pytest.raises(CertificateError, match="dual infeasibility"):
-        _check_certificates(program, primal, [0, dual[1], dual[2]], d, value)
+        _check_certificates(lp, primal, [0, dual[1], dual[2]], d, value)
     with pytest.raises(CertificateError, match="strong duality gap"):
-        _check_certificates(program, primal, dual, d, value + 1)
+        _check_certificates(lp, primal, dual, d, value + 1)

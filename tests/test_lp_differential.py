@@ -7,6 +7,7 @@ not merely the same optimum.
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -36,22 +37,35 @@ def _coefficient(rng):
     return F(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4, 6)))
 
 
+def _cleared(values):
+    """The values times the LCM of their denominators, as ints."""
+    scale = lcm(*(v.denominator for v in values))
+    return tuple(int(v * scale) for v in values)
+
+
+def _row(coeffs, rhs):
+    *coeffs, rhs = _cleared((*coeffs, rhs))
+    return tuple(coeffs), rhs
+
+
 def _random_fractional_lp(rng):
     """Fractional mixed-sign rows, zero right-hand sides, duplicated rows, and a
-    box on only some of the variables, so some programs are unbounded."""
+    box on only some of the variables, so some programs are unbounded.  The
+    solver takes integers, so each row and the objective are drawn as
+    fractions and cleared by the LCM of their denominators."""
     n = rng.randint(1, 5)
     constraints = []
     for _ in range(rng.randint(1, 5)):
         coeffs = tuple(_coefficient(rng) for _ in range(n))
         rhs = rng.choice((F(0), F(rng.randint(0, 9), rng.randint(1, 5))))
-        constraints.append((coeffs, rhs))
+        constraints.append(_row(coeffs, rhs))
     if rng.random() < 0.5:
         constraints.insert(rng.randint(0, len(constraints)), rng.choice(constraints))
     for j in range(n):
         if rng.random() < 0.7:
             box = tuple(F(int(k == j)) for k in range(n))
-            constraints.append((box, F(rng.randint(1, 12), rng.randint(1, 3))))
-    objective = tuple(_coefficient(rng) for _ in range(n))
+            constraints.append(_row(box, F(rng.randint(1, 12), rng.randint(1, 3))))
+    objective = _cleared([_coefficient(rng) for _ in range(n)])
     return LinearProgram(objective, tuple(constraints))
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from mccwe import (
+    Additive,
     Allocation,
     BadParams,
     BudgetAdditive,
@@ -13,6 +14,7 @@ from mccwe import (
     Outcome,
     Partition,
     SingleMinded,
+    SuperadditiveExplicit,
     UNALLOCATED,
     allocation,
     build_config_lp,
@@ -37,6 +39,23 @@ F = Fraction
 def _fig1a_c2():
     # budget 4, interested in a2,a3,a4 with shared values (1,4,2,2)
     return BudgetAdditive(F(4), (F(0), F(4), F(2), F(2)))
+
+
+def test_instance_rejects_agents_not_over_its_items():
+    fits = (
+        SingleMinded(0b100, F(1)),
+        SuperadditiveExplicit((F(0),) * 8),
+        BudgetAdditive(F(4), (F(1),) * 3),
+        CappedCardinalityAdditive((F(1),) * 3, 2),
+    )
+    assert Instance(3, fits).scale == 1
+    for misfit, reason in (
+        (SingleMinded(0b1000, F(1)), "desires items outside the market"),
+        (SuperadditiveExplicit((F(0),) * 16), "is over 4 items, expected 3"),
+        (Additive((F(1),) * 2), "is over 2 items, expected 3"),
+    ):
+        with pytest.raises(BadParams, match=f"agent 4 {reason}"):
+            Instance(3, fits + (misfit,))
 
 
 def test_value_query_single_minded():

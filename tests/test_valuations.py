@@ -147,6 +147,23 @@ def test_single_minded_requires_nonempty_desired_set():
         SingleMinded(0, F(1))
 
 
+def test_valuation_data_must_be_exact_rationals():
+    # A float would be scaled by its binary denominator (0.1 by 2^55), and a
+    # bool would count as 0 or 1.
+    families = (
+        lambda x: Additive((x, F(2))),
+        lambda x: SingleMinded(0b11, x),
+        lambda x: SuperadditiveExplicit((0, F(1), F(1), x)),
+        lambda x: BudgetAdditive(x, (F(1), F(2))),
+        lambda x: CappedCardinalityAdditive((F(1), x), 1),
+    )
+    for build in families:
+        assert build(3).value(0b11) == build(F(3)).value(0b11)
+        for bad in (0.1, 3.0, True):
+            with pytest.raises(BadParams, match="exact rationals"):
+                build(bad)
+
+
 def test_demand_query_prefers_small_maximizers_at_zero_prices():
     v = Additive((F(0), F(2), F(2)))
     p = singleton_partition(3)
