@@ -23,6 +23,9 @@ from .valuations import (
     CappedCardinalityAdditive,
     SingleMinded,
     SuperadditiveExplicit,
+    _EXACT,
+    _INT,
+    _check_kinds,
 )
 
 _ZERO = Fraction(0)
@@ -54,7 +57,7 @@ class SplitMix64:
 
 def fig1a(eps: Fraction = Fraction(1, 10)) -> Instance:
     """Four items, five uniform budget-additive bidders; bundling costs welfare."""
-    eps = Fraction(eps)
+    _check_kinds((eps,), _EXACT, "eps must be an exact rational")
     if not 0 < eps < 1:
         raise BadParams("eps must lie strictly between 0 and 1")
     shared = (Fraction(1), Fraction(4), Fraction(2), Fraction(2))
@@ -110,7 +113,7 @@ def fig1b() -> Instance:
 def revenue_example(big: Fraction = Fraction(100)) -> Instance:
     """A single-minded bidder against a capacity-two bidder; bundle prices
     extract linearly more revenue than any item-price equilibrium."""
-    big = Fraction(big)
+    _check_kinds((big,), _EXACT, "the large value must be an exact rational")
     if big < 2:
         raise BadParams("the large value must be at least 2")
     agents = (
@@ -133,6 +136,7 @@ def bundling_necessity(m: int = 16) -> Instance:
     private item; dummies pad the market to m items and are valued only
     through the big bidder's whole-market set.
     """
+    _check_kinds((m,), _INT, "the item count must be an int")
     if m > MAX_ITEMS:
         raise BadParams(f"at most {MAX_ITEMS} items")
     t = math.isqrt(m) if m >= 4 else 0
@@ -161,7 +165,7 @@ def bundling_necessity(m: int = 16) -> Instance:
 
 def nonuniform_identical_budget(eps: Fraction = Fraction(1, 8)) -> Instance:
     """Identical budgets but non-uniform values; bundling loses welfare."""
-    eps = Fraction(eps)
+    _check_kinds((eps,), _EXACT, "eps must be an exact rational")
     if not 0 < eps < 1:
         raise BadParams("eps must lie strictly between 0 and 1")
     two = Fraction(2)
@@ -181,7 +185,8 @@ def nonuniform_identical_budget(eps: Fraction = Fraction(1, 8)) -> Instance:
 def partition_reduction(weights) -> Instance:
     """Two equal-budget bidders over items weighted a_j with sum 2B; the
     optimum hits 2B exactly when the weights split evenly."""
-    values = tuple(Fraction(a) for a in weights)
+    values = tuple(weights)
+    _check_kinds(values, _EXACT, "weights must be exact rationals")
     if not values or any(a <= 0 for a in values):
         raise BadParams("weights must be positive")
     budget = sum(values, _ZERO) / 2

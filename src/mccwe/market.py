@@ -13,6 +13,7 @@ from math import lcm
 
 from .bits import bits_of, full_mask
 from .errors import BadParams
+from .valuations import _EXACT, _INT, _check_kinds, _misfit
 
 UNALLOCATED = -1
 
@@ -37,8 +38,7 @@ class Instance:
     metadata: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        from . import valuations as vals
-
+        _check_kinds((self.m,), _INT, "the item count must be an int")
         if self.m < 1:
             raise BadParams("need at least one item")
         if self.m > MAX_ITEMS:
@@ -46,7 +46,7 @@ class Instance:
         if not self.agents:
             raise BadParams("need at least one agent")
         for idx, v in enumerate(self.agents):
-            misfit = vals._misfit(v, self.m)
+            misfit = _misfit(v, self.m)
             if misfit:
                 raise BadParams(f"agent {idx} {misfit}")
         object.__setattr__(self, "scale", lcm(*(v.scale for v in self.agents)))
@@ -71,6 +71,16 @@ def check_fits(instance: Instance, m: int, n: int | None = None) -> None:
         )
 
 
+def _check_cover(m: int, sets, noun: str) -> None:
+    """BadParams unless the sets are pairwise disjoint and cover all m items."""
+    union = total = 0
+    for s in sets:
+        union |= s
+        total += s.bit_count()
+    if union != full_mask(m) or total != m:
+        raise BadParams(f"{noun} must be pairwise disjoint and cover all items")
+
+
 @dataclass(frozen=True)
 class Allocation:
     """Disjoint item sets (x0, x_1, ..., x_n) covering all items."""
@@ -80,13 +90,7 @@ class Allocation:
     bundles: tuple[int, ...]
 
     def __post_init__(self):
-        union = self.x0
-        total = self.x0.bit_count()
-        for b in self.bundles:
-            union |= b
-            total += b.bit_count()
-        if union != full_mask(self.m) or total != self.m:
-            raise BadParams("bundles must be pairwise disjoint and cover all items")
+        _check_cover(self.m, (self.x0, *self.bundles), "bundles")
 
     @property
     def n(self) -> int:
@@ -113,13 +117,7 @@ class Partition:
     def __post_init__(self):
         if any(b == 0 for b in self.blocks):
             raise BadParams("partition blocks must be nonempty")
-        union = 0
-        total = 0
-        for b in self.blocks:
-            union |= b
-            total += b.bit_count()
-        if union != full_mask(self.m) or total != self.m:
-            raise BadParams("blocks must be pairwise disjoint and cover all items")
+        _check_cover(self.m, self.blocks, "blocks")
         ordered = tuple(sorted(self.blocks, key=lambda b: b & -b))
         if ordered != self.blocks:
             object.__setattr__(self, "blocks", ordered)
@@ -148,10 +146,11 @@ def induced_partition(x: Allocation) -> tuple[Partition, tuple[int, ...]]:
 class Outcome:
     """An allocation plus prices.
 
-    Bundle-priced outcomes carry one price per agent bundle (zero for empty
-    bundles) plus a price for the unallocated block.  Item-priced outcomes
-    carry one price per item and are the shape the Walrasian verifier needs.
-    Exactly one form is present.
+    Bundle-priced outcomes carry one price per agent bundle plus a price
+    for the unallocated block x0; an empty bundle or an empty x0 is priced
+    at zero.  Item-priced outcomes carry one price per item and no x0 price;
+    they are the shape the Walrasian verifier needs.  Exactly one form is
+    present, and every price is an exact rational (an int or a Fraction).
     """
 
     allocation: Allocation
@@ -162,19 +161,19 @@ class Outcome:
     def __post_init__(self):
         if (self.prices is None) == (self.item_prices is None):
             raise BadParams("outcome needs exactly one of bundle or item prices")
-        if self.prices is not None:
-            if len(self.prices) != self.allocation.n:
-                raise BadParams("one bundle price per agent required")
-            if any(p < 0 for p in self.prices) or self.x0_price < 0:
-                raise BadParams("prices must be nonnegative")
-            for b, p in zip(self.allocation.bundles, self.prices):
-                if b == 0 and p != 0:
-                    raise BadParams("empty bundles cannot carry a price")
-        else:
-            if len(self.item_prices) != self.allocation.m:
-                raise BadParams("one item price per item required")
-            if any(p < 0 for p in self.item_prices):
-                raise BadParams("prices must be nonnegative")
+        x, bundle_priced = self.allocation, self.prices is not None
+        if bundle_priced and len(self.prices) != x.n:
+            raise BadParams("one bundle price per agent required")
+        if not bundle_priced and len(self.item_prices) != x.m:
+            raise BadParams("one item price per item required")
+        prices = (self.x0_price, *(self.prices if bundle_priced else self.item_prices))
+        _check_kinds(prices, _EXACT, "prices must be exact rationals")
+        if any(p < 0 for p in prices):
+            raise BadParams("prices must be nonnegative")
+        if not bundle_priced and self.x0_price != 0:
+            raise BadParams("item-priced outcomes carry no x0 price")
+        if bundle_priced and any(b == 0 and p != 0 for b, p in zip((x.x0, *x.bundles), prices)):
+            raise BadParams("empty bundles and an empty x0 cannot carry a price")
 
 
 def social_welfare(instance: Instance, x: Allocation) -> Fraction:

@@ -124,8 +124,6 @@ def bundle_efficient_full_surplus(
     own full-surplus prices, so revenue equals welfare.
     """
     _require_superadditive(instance)
-    if len(partition.blocks) > 12:
-        raise SizeLimit("bundle-efficient search capped at 12 blocks")
     if trace is not None and not trace.mechanism:
         trace.mechanism = "fullsurplus"
     owners, _value = oracle_mod.optimal_over_partition(instance, partition)
@@ -141,7 +139,6 @@ def log_bundling_mechanism(
 ) -> Outcome:
     """Group items into ceil(log2 m) near-equal contiguous blocks, then sell
     them bundle-efficiently at full surplus."""
-    _require_superadditive(instance)
     m = instance.m
     k = max(1, (m - 1).bit_length())
     base, extra = divmod(m, k)
@@ -286,29 +283,29 @@ def single_minded_mccwe(
     return full_surplus_outcome(instance, state.allocation())
 
 
-def _interested_prepass(instance: Instance, state: _State, phase: str) -> None:
+def _item_interest(instance: Instance) -> tuple[list[list[int]], list[int | None]]:
+    """For every item, the agents valuing it (lowest index first) and the
+    largest-budget one among them (lowest index on ties), None if nobody."""
+    agents = instance.agents
+    items = zip(*(v.scaled_items for v in agents))  # per item, every agent's value
+    interest = [[i for i, x in enumerate(values) if x > 0] for values in items]
+    top = [max(wanted, key=lambda i: agents[i].budget, default=None) for wanted in interest]
+    return interest, top
+
+
+def _interested_prepass(state: _State, interest, phase: str) -> None:
     """Put every item in the hands of someone who values it.
 
     Items held by a zero-value agent (or sitting unallocated while someone
     wants them) move to the lowest-index interested agent; items nobody
     values end up unallocated.  Welfare never decreases.
     """
-    for j in range(instance.m):
-        bit = 1 << j
-        holder = None
-        for i, b in enumerate(state.bundles):
-            if b & bit:
-                holder = i
-                break
-        if holder is not None and instance.agents[holder].item_values[j] > 0:
-            continue
-        wanted_by = next(
-            (i for i, v in enumerate(instance.agents) if v.item_values[j] > 0), None
-        )
-        if wanted_by is not None:
-            state.give(phase, wanted_by, bit)
-        elif holder is not None:
-            state.give(phase, None, bit)
+    holders = {j: i for i, b in enumerate(state.bundles) for j in bits_of(b)}
+    for j, wanted in enumerate(interest):
+        target = wanted[0] if wanted else None  # nobody values j: the pool
+        holder = holders.get(j)
+        if holder != target and holder not in wanted:
+            state.give(phase, target, 1 << j)
 
 
 def uniform_budget_additive_mccwe(
@@ -331,7 +328,8 @@ def uniform_budget_additive_mccwe(
     n = instance.n
     budgets = [v.budget for v in instance.agents]
     state = _State(instance, x, trace)
-    _interested_prepass(instance, state, "reassign")
+    interest, top = _item_interest(instance)
+    _interested_prepass(state, interest, "reassign")
 
     moves = 0
     for i in sorted(range(n), key=lambda i: (budgets[i], i)):
@@ -342,28 +340,17 @@ def uniform_budget_additive_mccwe(
                 instance.scaled_value(other, bundle) <= own for other in range(n) if other != i
             ):
                 break
+            # an envier has the larger budget and values an item of the bundle
             movable = [
-                j
-                for j in bits_of(bundle)
-                if any(
-                    budgets[other] > budgets[i]
-                    and instance.agents[other].item_values[j] > 0
-                    for other in range(n)
-                )
+                j for j in bits_of(bundle) if top[j] is not None and budgets[top[j]] > budgets[i]
             ]
             if not movable:
                 raise CertificateError("an envied bundle always holds a movable item")
             j = min(movable, key=lambda j: (shared[j], j))
-            recipient = None
-            for other in range(n):
-                if instance.agents[other].item_values[j] > 0 and (
-                    recipient is None or budgets[other] > budgets[recipient]
-                ):
-                    recipient = other
             moves += 1
             if moves > n * instance.m:
                 raise CertificateError("rebalance exceeded its move bound")
-            state.give("move", recipient, 1 << j)
+            state.give("move", top[j], 1 << j)
 
     return full_surplus_outcome(instance, state.allocation())
 
@@ -380,5 +367,5 @@ def identical_budget_cleanup(
     if trace is not None:
         trace.mechanism = "identical_budget_cleanup"
     state = _State(instance, x, trace)
-    _interested_prepass(instance, state, "cleanup")
+    _interested_prepass(state, _item_interest(instance)[0], "cleanup")
     return full_surplus_outcome(instance, state.allocation())

@@ -27,24 +27,28 @@ from fractions import Fraction
 from math import lcm
 from typing import Union
 
-from . import market
 from .bits import bits_of, subset_sums, subset_unions
 from .errors import BadParams, EmptyPool, SizeLimit
 
 _ZERO = Fraction(0)
 _EXACT = frozenset({int, Fraction})
+_INT = frozenset({int})
+
+
+def _check_kinds(values, kinds, rule: str) -> None:
+    """BadParams(rule) unless every value's type is one of `kinds`, such as
+    _EXACT (exact rationals) or _INT; a bool is never an int here."""
+    odd = set(map(type, values)) - kinds
+    if odd:
+        raise BadParams(f"{rule}, got {', '.join(sorted(kind.__name__ for kind in odd))}")
 
 
 def _scale_data(v, **data) -> None:
     """Set v.scale to the LCM of the data's denominators and each named
     field to its data times v.scale; BadParams on a negative value or on a
-    datum that is not an int or a Fraction (a bool is not an int here)."""
-    kinds = set()
+    datum that is not an exact rational."""
     for values in data.values():
-        kinds.update(map(type, values))
-    if not kinds <= _EXACT:
-        odd = ", ".join(sorted(kind.__name__ for kind in kinds - _EXACT))
-        raise BadParams(f"valuation data must be exact rationals, got {odd}")
+        _check_kinds(values, _EXACT, "valuation data must be exact rationals")
     ratios = {name: [x.as_integer_ratio() for x in values] for name, values in data.items()}
     scale = lcm(*{q for pairs in ratios.values() for _p, q in pairs})
     object.__setattr__(v, "scale", scale)
@@ -83,8 +87,9 @@ class SingleMinded(_Scaled):
     value_if_served: Fraction
 
     def __post_init__(self):
-        if self.desired == 0:
-            raise BadParams("single-minded desired set must be nonempty")
+        _check_kinds((self.desired,), _INT, "a desired set must be an int item mask")
+        if self.desired <= 0:
+            raise BadParams("single-minded desired set must be a nonempty item mask")
         _scale_data(self, scaled_served=(self.value_if_served,))
 
     def scaled_value(self, mask: int) -> int:
@@ -158,6 +163,7 @@ class CappedCardinalityAdditive(_Scaled):
     cap: int
 
     def __post_init__(self):
+        _check_kinds((self.cap,), _INT, "a cardinality cap must be an int")
         if self.cap < 0:
             raise BadParams("negative cardinality cap")
         _scale_data(self, scaled_items=self.item_values)
@@ -190,7 +196,7 @@ def _misfit(v: Valuation, m: int) -> str | None:
     return None if count == m else f"is over {count} items, expected {m}"
 
 
-def value_table(v: Valuation, partition: market.Partition, scale: int) -> list[int]:
+def value_table(v: Valuation, partition, scale: int) -> list[int]:
     """v of the union of the selected blocks times `scale`, for every
     block-subset mask.
 
@@ -240,9 +246,7 @@ def is_superadditive_family(v: Valuation) -> bool:
     return v.cap == 0 or len(positives) <= v.cap
 
 
-def demand_utilities(
-    v: Valuation, partition: market.Partition, prices
-) -> tuple[list[int], int]:
+def demand_utilities(v: Valuation, partition, prices) -> tuple[list[int], int]:
     """Quasilinear utility of every bundle set at the given block prices.
 
     Returns (utilities, scale): the utilities are indexed by bundle-set
@@ -277,7 +281,7 @@ def preferred(utils: list[int]) -> int:
     return best
 
 
-def demand_query(v: Valuation, partition: market.Partition, prices) -> int:
+def demand_query(v: Valuation, partition, prices) -> int:
     """Utility-maximizing bundle set at the given block prices (see `preferred`)."""
     return preferred(demand_utilities(v, partition, prices)[0])
 
@@ -325,7 +329,7 @@ def relative_demand_query(v: Valuation, pool: int) -> tuple[int, Fraction]:
     return top_masks[best], Fraction(top_values[best], v.scale * best)
 
 
-def shared_item_values(instance: market.Instance) -> list[Fraction] | None:
+def shared_item_values(instance) -> list[Fraction] | None:
     """The per-item values every agent shares, when all agents are
     budget-additive and no two of them value an item differently.
 

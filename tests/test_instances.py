@@ -167,6 +167,53 @@ def test_outcome_round_trip():
         assert parse_outcome(write_outcome(out), 3) == out
 
 
+def test_outcome_prices_are_exact_and_round_trip():
+    # An inexact price crashed `verify` outside the error taxonomy, and an x0
+    # price on an empty x0 was dropped by `write_outcome`.
+    x = allocation(2, [0b01])  # x0 = {1}
+    for bad in (0.5, "1", True):
+        for build in (
+            lambda p: Outcome(x, prices=(p,)),
+            lambda p: Outcome(x, prices=(F(1),), x0_price=p),
+            lambda p: Outcome(x, item_prices=(F(1), p)),
+        ):
+            with pytest.raises(BadParams, match="exact rationals"):
+                build(bad)
+    whole = allocation(2, [0b11])
+    with pytest.raises(BadParams, match="empty x0"):
+        Outcome(whole, prices=(F(1),), x0_price=F(5))
+    with pytest.raises(BadParams, match="no x0 price"):
+        Outcome(x, item_prices=(F(1), F(0)), x0_price=F(1))
+    for out in (
+        Outcome(x, prices=(1,), x0_price=F(1, 3)),
+        Outcome(whole, prices=(F(1),)),
+        Outcome(x, item_prices=(F(1), 0)),
+    ):
+        assert parse_outcome(write_outcome(out), 2) == out
+    doc = json.loads(write_outcome(Outcome(whole, prices=(F(1),))))
+    doc["prices"]["x0"] = "5"
+    with pytest.raises(ParseError, match="empty x0"):
+        parse_outcome(json.dumps(doc), 2)
+
+
+def test_built_in_parameters_must_be_exact():
+    # Before, a float became its binary rational (eps = 0.1 stored as
+    # 3602879701896397/36028797018963968) and a string weight leaked ValueError.
+    for call in (
+        lambda: built_in("fig1a", eps=0.1),
+        lambda: built_in("nonuniform_identical_budget", eps=0.125),
+        lambda: built_in("revenue_example", big=100.0),
+        lambda: built_in("partition_reduction", weights=["a"]),
+        lambda: built_in("partition_reduction", weights=[1, 0.5, 0.5]),
+        lambda: built_in("bundling_necessity", m=16.0),
+    ):
+        with pytest.raises(BadParams):
+            call()
+    assert built_in("fig1a", eps=F(1, 10)).metadata["eps"] == "1/10"
+    assert built_in("revenue_example", big=100) == built_in("revenue_example")
+    assert built_in("partition_reduction", weights=(1, 1)).metadata == {"B": "1"}
+
+
 def test_parse_allocation_accepts_outcome_documents():
     x = allocation(3, [0b001, 0b110])
     text = write_outcome(Outcome(x, prices=(F(0), F(0))))

@@ -38,7 +38,7 @@ from mccwe.mechanisms import (
     superadditive_mccwe,
     uniform_budget_additive_mccwe,
 )
-from mccwe.oracle import optimal_integral
+from mccwe.oracle import optimal_integral, optimal_over_partition
 from mccwe.valuations import demand_utilities
 
 F = Fraction
@@ -91,6 +91,16 @@ def test_bundle_efficient_rejects_subadditive_agents():
     inst = built_in("fig1a")
     with pytest.raises(NotSuperadditive):
         bundle_efficient_full_surplus(inst, singleton_partition(4))
+
+
+def test_bundle_efficient_search_is_bounded_by_its_oracle_alone():
+    # 13 blocks for one agent are 2^13 oracle states, far inside its budget
+    inst = Instance(13, (Additive(tuple(F(j % 3, 2) for j in range(13))),))
+    partition = singleton_partition(13)
+    owners, value = optimal_over_partition(inst, partition)
+    out = bundle_efficient_full_surplus(inst, partition)
+    assert out.allocation.bundles == (mask_of(j for j, o in enumerate(owners) if o == 0),)
+    assert social_welfare(inst, out.allocation) == value == 6
 
 
 def test_superadditive_single_agent():
@@ -506,7 +516,7 @@ def test_unmovable_envied_bundle_raises(monkeypatch):
         1,
         (BudgetAdditive(F(1), (F(3),)), BudgetAdditive(F(5), (F(0),))),
     )
-    monkeypatch.setattr(mechanisms, "_interested_prepass", lambda instance, state, phase: None)
+    monkeypatch.setattr(mechanisms, "_interested_prepass", lambda state, interest, phase: None)
     with pytest.raises(CertificateError, match="movable item"):
         uniform_budget_additive_mccwe(inst, allocation(1, [0, 0b1]))
 

@@ -164,6 +164,26 @@ def test_valuation_data_must_be_exact_rationals():
                 build(bad)
 
 
+def test_integer_parameters_must_be_ints():
+    # Before: a float cap raised TypeError on the first query and cap=True
+    # acted as 1; desired=True acted as item 0, desired=0.5 raised TypeError
+    # inside Instance, and desired=-1 built a bidder nobody could serve;
+    # Instance(2.0, ...) raised TypeError later and Instance(True, ...) had m = 1.
+    for call in (
+        lambda: CappedCardinalityAdditive((F(1), F(2)), 1.5),
+        lambda: CappedCardinalityAdditive((F(1), F(2)), True),
+        lambda: SingleMinded(True, F(1)),
+        lambda: SingleMinded(0.5, F(1)),
+        lambda: SingleMinded(-1, F(1)),
+        lambda: Instance(2.0, (Additive((F(1), F(2))),)),
+        lambda: Instance(True, (Additive((F(1),)),)),
+    ):
+        with pytest.raises(BadParams):
+            call()
+    assert CappedCardinalityAdditive((F(1), F(2)), 1).value(0b11) == 2
+    assert Instance(1, (SingleMinded(1, F(1)),)).m == 1
+
+
 def test_demand_query_prefers_small_maximizers_at_zero_prices():
     v = Additive((F(0), F(2), F(2)))
     p = singleton_partition(3)
