@@ -163,7 +163,7 @@ def _input_allocation(args, inst):
 
 def _cmd_solve(args, out) -> int:
     inst = _load_instance(args.instance)
-    trace = mechanisms.MechanismTrace()
+    trace = mechanisms.MechanismTrace() if args.trace else None
     if args.mechanism == "superadditive":
         outcome = mechanisms.superadditive_mccwe(inst, trace)
     elif args.mechanism == "singleminded":

@@ -280,6 +280,7 @@ def generate(
     family: str, m: int, n: int, seed: int, identical_budgets: bool = False
 ) -> Instance:
     """Seeded random instance; identical seeds give identical markets."""
+    _check_kinds((m, n, seed), _INT, "m, n and the seed must be ints")
     if m < 1 or n < 1:
         raise BadParams("need at least one item and one agent")
     if m > MAX_ITEMS:
@@ -299,13 +300,13 @@ def generate(
 # ---------------------------------------------------------------------------
 # serialization
 
-_RAT_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_RAT_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(text, where: str) -> Fraction:
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
-    if not isinstance(text, str) or not (match := _RAT_RE.match(text)):
+    if not isinstance(text, str) or not (match := _RAT_RE.fullmatch(text)):
         raise ParseError(f"{where}: expected a rational like '3' or '3/4', got {text!r}")
     try:
         num, den = int(match.group(1)), int(match.group(2) or 1)

@@ -72,7 +72,10 @@ def check_fits(instance: Instance, m: int, n: int | None = None) -> None:
 
 
 def _check_cover(m: int, sets, noun: str) -> None:
-    """BadParams unless the sets are pairwise disjoint and cover all m items."""
+    """BadParams unless m is an int and the sets are int masks, pairwise
+    disjoint and covering all m items."""
+    _check_kinds((m,), _INT, "the item count must be an int")
+    _check_kinds(sets, _INT, f"{noun} must be int item masks")
     union = total = 0
     for s in sets:
         union |= s
@@ -100,6 +103,7 @@ class Allocation:
 def allocation(m: int, bundles, x0: int | None = None) -> Allocation:
     bundles = tuple(bundles)
     if x0 is None:
+        _check_kinds(bundles, _INT, "bundles must be int item masks")
         covered = 0
         for b in bundles:
             covered |= b

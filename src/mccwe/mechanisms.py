@@ -38,10 +38,10 @@ from .market import (
     full_surplus_outcome,
 )
 from .valuations import (
+    BudgetAdditive,
     SingleMinded,
     is_superadditive_family,
     relative_demand_query,
-    shared_item_values,
 )
 
 
@@ -163,7 +163,8 @@ def superadditive_mccwe(
     beats the running welfare.  Phase 2 merges bundle groups toward the
     agent with the largest strict surplus over their current prices until
     no such surplus exists.  Past 24 items the relative-demand query raises
-    SizeLimit; past 16 agents the merge phase does.
+    SizeLimit unless every agent is single-minded (a closed form); past 16
+    agents the merge phase does.
     """
     _require_superadditive(instance)
     m, n = instance.m, instance.n
@@ -283,14 +284,27 @@ def single_minded_mccwe(
     return full_surplus_outcome(instance, state.allocation())
 
 
-def _item_interest(instance: Instance) -> tuple[list[list[int]], list[int | None]]:
-    """For every item, the agents valuing it (lowest index first) and the
-    largest-budget one among them (lowest index on ties), None if nobody."""
+def _uniform_market(instance: Instance):
+    """A uniform budget-additive market's facts in the market's units:
+    (budgets, shared, interest, top) are each agent's budget, each item's
+    shared value (0 when nobody values it), the agents valuing it (lowest
+    index first) and the largest-budget one of them (lowest index on ties,
+    None if nobody).  Raises NotUniformBudgetAdditive unless every agent is
+    budget-additive and no two value an item differently."""
     agents = instance.agents
-    items = zip(*(v.scaled_items for v in agents))  # per item, every agent's value
-    interest = [[i for i, x in enumerate(values) if x > 0] for values in items]
-    top = [max(wanted, key=lambda i: agents[i].budget, default=None) for wanted in interest]
-    return interest, top
+    if not all(isinstance(v, BudgetAdditive) for v in agents):
+        raise NotUniformBudgetAdditive("agents must share per-item values")
+    factors = [instance.scale // v.scale for v in agents]
+    budgets = [v.scaled_budget[0] * f for v, f in zip(agents, factors)]
+    shared, interest, top = [], [], []
+    for values in zip(*([x * f for x in v.scaled_items] for v, f in zip(agents, factors))):
+        wanted = [i for i, x in enumerate(values) if x > 0]
+        if len(seen := {values[i] for i in wanted}) > 1:
+            raise NotUniformBudgetAdditive("agents must share per-item values")
+        shared.append(max(seen, default=0))
+        interest.append(wanted)
+        top.append(max(wanted, key=budgets.__getitem__, default=None))
+    return budgets, shared, interest, top
 
 
 def _interested_prepass(state: _State, interest, phase: str) -> None:
@@ -320,15 +334,11 @@ def uniform_budget_additive_mccwe(
     owner, which makes full-surplus prices market-clearing, and the final
     welfare is at least half the input's.
     """
-    shared = shared_item_values(instance)
-    if shared is None:
-        raise NotUniformBudgetAdditive("agents must share per-item values")
+    budgets, shared, interest, top = _uniform_market(instance)
     if trace is not None:
         trace.mechanism = "uniform_budget_additive"
     n = instance.n
-    budgets = [v.budget for v in instance.agents]
     state = _State(instance, x, trace)
-    interest, top = _item_interest(instance)
     _interested_prepass(state, interest, "reassign")
 
     moves = 0
@@ -360,12 +370,11 @@ def identical_budget_cleanup(
 ) -> Outcome:
     """Hand every item to someone who values it; with identical budgets the
     result supports full-surplus prices with no welfare loss."""
-    if shared_item_values(instance) is None:
-        raise NotUniformBudgetAdditive("agents must share per-item values")
-    if len({v.budget for v in instance.agents}) > 1:
+    budgets, _shared, interest, _top = _uniform_market(instance)
+    if len(set(budgets)) > 1:
         raise NotIdenticalBudgets("agents' budgets differ")
     if trace is not None:
         trace.mechanism = "identical_budget_cleanup"
     state = _State(instance, x, trace)
-    _interested_prepass(state, _item_interest(instance)[0], "cleanup")
+    _interested_prepass(state, interest, "cleanup")
     return full_surplus_outcome(instance, state.allocation())

@@ -115,10 +115,10 @@ class SuperadditiveExplicit(_Scaled):
             raise BadParams("table length must be a power of two")
         if m > 12:
             raise SizeLimit("explicit tables are validated only up to 12 items")
-        if self.table[0] != 0:
-            raise BadParams("table is not normalized: v(empty) != 0")
         _scale_data(self, scaled_table=self.table)
         table = self.scaled_table
+        if table[0] != 0:
+            raise BadParams("table is not normalized: v(empty) != 0")
         for union in range(1, size):
             # each split {S, T} once: S is a nonempty set of the items below
             # union's top item; S = union, T = empty holds since v(empty) = 0
@@ -141,8 +141,6 @@ class BudgetAdditive(_Scaled):
     item_values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if self.budget < 0:
-            raise BadParams("negative budget")
         _scale_data(self, scaled_budget=(self.budget,), scaled_items=self.item_values)
 
     def scaled_value(self, mask: int) -> int:
@@ -259,6 +257,7 @@ def demand_utilities(v: Valuation, partition, prices) -> tuple[list[int], int]:
         raise SizeLimit(f"{k} blocks exceeds the demand enumeration cap")
     if len(prices) != k:
         raise BadParams(f"{len(prices)} prices for {k} blocks")
+    _check_kinds(prices, _EXACT, "prices must be exact rationals")
     scale = lcm(v.scale, *(p.denominator for p in prices))
     values = value_table(v, partition, scale)
     costs = subset_sums([p.numerator * (scale // p.denominator) for p in prices])
@@ -293,17 +292,16 @@ def relative_demand_query(v: Valuation, pool: int) -> tuple[int, Fraction]:
     all-zero valuation therefore yields the pool's first singleton.  A
     single-minded valuation answers in closed form: its desired set when
     the pool holds it and it is worth something, else that singleton.
-    Otherwise, among sets of one size the densest is the most valuable, so
+    Otherwise the query enumerates the pool, so it raises SizeLimit past
+    24 items: among sets of one size the densest is the most valuable, so
     one walk over the pool keeps each size's most valuable set (smallest
-    mask on ties), and only those at most 24 winners are compared by
-    density, all on the valuation's integer values.  Raises BadParams when
-    the pool holds an item the valuation is not over.
+    mask on ties), and only those winners are compared by density, all on
+    the valuation's integer values.  Raises BadParams when the pool holds
+    an item the valuation is not over.
     """
+    _check_kinds((pool,), _INT, "a pool must be an int item mask")
     if pool == 0:
         raise EmptyPool("relative-demand query over an empty pool")
-    k = pool.bit_count()
-    if k > 24:
-        raise SizeLimit("relative-demand enumeration capped at 24 items")
     count = _item_count(v)
     if pool < 0 or count is not None and pool >> count:
         raise BadParams("the pool holds items the valuation is not over")
@@ -312,6 +310,9 @@ def relative_demand_query(v: Valuation, pool: int) -> tuple[int, Fraction]:
         if pool & v.desired == v.desired and served > 0:
             return v.desired, Fraction(served, v.scale * v.desired.bit_count())
         return pool & -pool, _ZERO
+    k = pool.bit_count()
+    if k > 24:
+        raise SizeLimit("relative-demand enumeration capped at 24 items")
     value = v.scaled_value
     top_values = [-1] * (k + 1)  # below every value: valuations are nonnegative
     top_masks = [0] * (k + 1)
@@ -327,21 +328,3 @@ def relative_demand_query(v: Valuation, pool: int) -> tuple[int, Fraction]:
         if top_values[size] * best > top_values[best] * size:
             best = size
     return top_masks[best], Fraction(top_values[best], v.scale * best)
-
-
-def shared_item_values(instance) -> list[Fraction] | None:
-    """The per-item values every agent shares, when all agents are
-    budget-additive and no two of them value an item differently.
-
-    Items valued by nobody get 0.  None when the instance is not uniform
-    budget-additive.
-    """
-    if not all(isinstance(v, BudgetAdditive) for v in instance.agents):
-        return None
-    values = []
-    for j in range(instance.m):
-        seen = {v.item_values[j] for v in instance.agents if v.item_values[j] > 0}
-        if len(seen) > 1:
-            return None
-        values.append(seen.pop() if seen else _ZERO)
-    return values

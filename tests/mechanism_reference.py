@@ -1,12 +1,13 @@
-"""The per-move scans that the budget mechanisms' item-interest table
-replaced, kept as references.
+"""The per-move `Fraction` scans that the budget mechanisms' one integer
+market scan replaced, kept as references.
 
-`uniform_budget_additive_mccwe` and `identical_budget_cleanup` here rescan
-every agent for every item: the pre-pass looks up each item's holder and
-its lowest-index interested agent, and every rebalance move recomputes the
-movable items and the recipient from the agents' item values.  The tests
-require the same traces, outcomes and errors from these and from
-`mccwe.mechanisms`.
+`uniform_budget_additive_mccwe` and `identical_budget_cleanup` here test
+uniformity with `shared_item_values`, order and compare by `Fraction`
+budgets and item values, and rescan every agent for every item: the
+pre-pass looks up each item's holder and its lowest-index interested agent,
+and every rebalance move recomputes the movable items and the recipient
+from the agents' item values.  The tests require the same traces, outcomes
+and errors from these and from `mccwe.mechanisms`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from mccwe.bits import bits_of
 from mccwe.errors import CertificateError, NotIdenticalBudgets, NotUniformBudgetAdditive
 from mccwe.market import full_surplus_outcome
 from mccwe.mechanisms import _State
-from mccwe.valuations import shared_item_values
+from value_reference import shared_item_values
 
 
 def _interested_prepass(instance, state, phase) -> None:

@@ -130,6 +130,34 @@ def test_every_solve_output_passes_mccwe_verify(tmp_path):
         assert code == 0, (mechanism, text)
 
 
+def test_instance_file_with_a_non_ascii_digit_exits_2(tmp_path, capsys):
+    inst = tmp_path / "fig1b.json"
+    run(["gen", "fig1b", "-o", str(inst)])
+    text = inst.read_text(encoding="utf-8")
+    assert '"budget": "2"' in text
+    inst.write_text(text.replace('"budget": "2"', '"budget": "\u0662"', 1), encoding="utf-8")
+    assert run(["oracle", "-i", str(inst)])[0] == 2
+    assert "error=ParseError agents[0]" in capsys.readouterr().err
+
+
+def test_solve_builds_a_trace_only_when_asked(tmp_path, monkeypatch):
+    inst = tmp_path / "appc.json"
+    run(["gen", "bundling_necessity", "--m", "4", "-o", str(inst)])
+    traces = []
+    mechanism = cli.mechanisms.superadditive_mccwe
+
+    def spy(instance, trace=None):
+        traces.append(trace)
+        return mechanism(instance, trace)
+
+    monkeypatch.setattr(cli.mechanisms, "superadditive_mccwe", spy)
+    outcome, trace = tmp_path / "o.json", tmp_path / "t.json"
+    assert run(["solve", "superadditive", "-i", str(inst), "-o", str(outcome)])[0] == 0
+    argv = ["solve", "superadditive", "-i", str(inst), "-o", str(outcome), "--trace", str(trace)]
+    assert run(argv)[0] == 0
+    assert traces[0] is None and traces[1].steps
+    assert json.loads(trace.read_text())["mechanism"] == "superadditive"
+
 def test_oracle_flags(tmp_path):
     inst = tmp_path / "appc.json"
     run(["gen", "bundling_necessity", "--m", "16", "-o", str(inst)])

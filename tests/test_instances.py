@@ -21,8 +21,12 @@ from mccwe.instances import (
     write_outcome,
 )
 from mccwe.oracle import optimal_integral
-from mccwe.valuations import shared_item_values
-from value_reference import identical_budgets, item_table, splits_superadditive
+from value_reference import (
+    identical_budgets,
+    item_table,
+    shared_item_values,
+    splits_superadditive,
+)
 
 F = Fraction
 
@@ -230,6 +234,14 @@ def test_parse_rational_errors():
     with pytest.raises(ParseError):
         parse_rational("x", "f")
 
+
+def test_parse_rational_takes_only_ascii_digits_and_no_trailing_newline():
+    # Before: `$` matched before a final newline and `\d` took any Unicode
+    # digit, so "3\n" read as 3 and "\u0663/\u0664" (Arabic-Indic) as 3/4.
+    for text in ("3\n", "1/2\n", "\u0663/\u0664", "\uff13", "3/\u0664", " 3"):
+        with pytest.raises(ParseError, match="expected a rational"):
+            parse_rational(text, "f")
+    assert parse_rational("-0012/04", "f") == F(-3)
 
 def test_parse_instance_errors_name_location():
     good = write_instance(built_in("fig1b"))

@@ -1,10 +1,12 @@
-"""The budget mechanisms' item-interest table against the per-move scans it
-replaced.
+"""The budget mechanisms' integer market scan against the per-move
+`Fraction` scans it replaced.
 
 `tests/mechanism_reference.py` keeps those scans.  On seeded uniform
 budget-additive markets, with random start allocations, zero values, zero
-budgets, and both identical and differing budgets, the tests require every
-trace step, every outcome and every raised error to be the same.
+budgets, both identical and differing budgets, and agents at different
+scales, the tests require every trace step, every outcome and every raised
+error to be the same, and the scan's facts to equal the `Fraction` ones
+times the market's scale.
 """
 
 import random
@@ -12,11 +14,20 @@ from collections import Counter
 from fractions import Fraction
 
 import mechanism_reference as reference
-from mccwe import BudgetAdditive, Instance, MarketError, allocation
+from mccwe import BudgetAdditive, Instance, MarketError, NotUniformBudgetAdditive, allocation
 from mccwe import mechanisms
-from mccwe.mechanisms import MechanismTrace
+from mccwe.instances import built_in
+from mccwe.mechanisms import MechanismTrace, _uniform_market
+from value_reference import shared_item_values
 
 F = Fraction
+
+_BUILT_IN_MARKETS = (
+    built_in("fig1a"),
+    built_in("fig1b"),
+    built_in("nonuniform_identical_budget"),
+    built_in("partition_reduction", weights=[F(3, 2), 1, 2, F(1, 2)]),
+)
 
 _PAIRS = (
     (reference.uniform_budget_additive_mccwe, mechanisms.uniform_budget_additive_mccwe),
@@ -64,12 +75,22 @@ def _run(mechanism, instance, start):
     return ("ok", trace.mechanism, trace.steps, outcome)
 
 
+def _mixed_scales(instance) -> bool:
+    """Uniform budget-additive, with agents at different scales: a scan
+    that compared raw units across agents would go wrong here."""
+    return (
+        shared_item_values(instance) is not None
+        and len({v.scale for v in instance.agents}) > 1
+    )
+
+
 def test_item_interest_table_matches_the_per_move_scans():
     rng = random.Random(20141)
     seen = Counter()
     for _ in range(1200):
         instance = _random_market(rng)
         start = _random_start(rng, instance)
+        seen["mixed_scales"] += _mixed_scales(instance)
         for ref, lib in _PAIRS:
             expected = _run(ref, instance, start)
             assert _run(lib, instance, start) == expected
@@ -83,5 +104,48 @@ def test_item_interest_table_matches_the_per_move_scans():
     # each error the mechanisms raise on these markets
     assert min(seen[key] for key in ("move", "reassign", "cleanup", "pool")) >= 200
     assert seen["ok"] >= 1000
+    assert seen["mixed_scales"] >= 100
     errors = ("NotUniformBudgetAdditive", "NotIdenticalBudgets", "BadParams")
     assert min(seen[e] for e in errors) > 0
+
+
+def _scan_facts(instance):
+    """`_uniform_market`'s answer, or None when it finds the market not uniform."""
+    try:
+        return _uniform_market(instance)
+    except NotUniformBudgetAdditive:
+        return None
+
+
+def _reference_facts(instance):
+    """The same facts from the `Fraction` data, times the market's scale."""
+    shared = shared_item_values(instance)
+    if shared is None:
+        return None
+    scale, agents = instance.scale, instance.agents
+    budgets = [v.budget * scale for v in agents]
+    interest = [
+        [i for i, v in enumerate(agents) if v.item_values[j] > 0] for j in range(instance.m)
+    ]
+    top = [
+        next((i for i in wanted if budgets[i] == max(budgets[k] for k in wanted)), None)
+        for wanted in interest
+    ]
+    return budgets, [x * scale for x in shared], interest, top
+
+
+def test_uniform_market_scan_matches_the_fraction_reference():
+    """Same verdict, and in the market's units the same budgets, shared
+    values, interested agents and top-budget agents, on the built-in
+    markets and on seeded ones until 150 have agents at different scales."""
+    rng = random.Random(20141)
+    markets, mixed = list(_BUILT_IN_MARKETS), 0
+    while mixed < 150:
+        markets.append(_random_market(rng))
+        mixed += _mixed_scales(markets[-1])
+    verdicts = Counter()
+    for instance in markets:
+        expected = _reference_facts(instance)
+        assert _scan_facts(instance) == expected
+        verdicts[expected is not None] += 1
+    assert min(verdicts.values()) >= 20

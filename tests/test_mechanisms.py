@@ -155,6 +155,14 @@ def test_superadditive_bundling_necessity():
     assert verify(inst, out, MCCWE).ok
 
 
+def test_superadditive_single_minded_past_24_items():
+    # Before: the relative-demand query's 24-item cap raised SizeLimit here,
+    # ahead of the single-minded closed form.
+    inst = built_in("bundling_necessity", m=64)
+    out = superadditive_mccwe(inst)
+    assert social_welfare(inst, out.allocation) == optimal_integral(inst)[1] == 64
+    assert verify(inst, out, MCCWE).ok
+
 def test_superadditive_merge_phase_runs():
     # seed picked so the density phase leaves a strictly profitable merge
     inst = generate("random_superadditive", 5, 3, 503)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mccwe import (
     Additive,
+    Allocation,
     BadParams,
     BudgetAdditive,
     CappedCardinalityAdditive,
@@ -16,6 +17,7 @@ from mccwe import (
     Partition,
     SingleMinded,
     SuperadditiveExplicit,
+    allocation,
     demand_query,
     relative_demand_query,
     singleton_partition,
@@ -27,7 +29,6 @@ from mccwe.instances import SplitMix64, generate
 from mccwe.valuations import (
     demand_utilities,
     is_superadditive_family,
-    shared_item_values,
     value_table,
 )
 from value_reference import (
@@ -36,6 +37,7 @@ from value_reference import (
     item_table,
     monotone,
     reduced_value,
+    shared_item_values,
     splits_superadditive,
     subadditive,
     utility,
@@ -184,6 +186,47 @@ def test_integer_parameters_must_be_ints():
     assert Instance(1, (SingleMinded(1, F(1)),)).m == 1
 
 
+def test_constructors_check_exactness_before_comparing_data():
+    # Before: a str budget raised TypeError from `budget < 0`, and a str
+    # v(empty) failed the normalization test before the exactness check.
+    for call, message in (
+        (lambda: BudgetAdditive("1", (F(1),)), "exact rationals"),
+        (lambda: BudgetAdditive(F(-1), (F(1),)), "negative value"),
+        (lambda: SuperadditiveExplicit(("0", F(1))), "exact rationals"),
+        (lambda: SuperadditiveExplicit((F(1), F(1))), "not normalized"),
+        (lambda: SuperadditiveExplicit((F(1, 2), F(1))), "not normalized"),
+    ):
+        with pytest.raises(BadParams, match=message):
+            call()
+
+
+def test_entry_points_reject_inexact_prices_and_non_int_masks_and_counts():
+    # Before: floats and bools slipped into masks, counts and the seed, and
+    # inexact prices, as TypeError or AttributeError or, for n=True, as a
+    # one-agent market.
+    v, items = Additive((F(1),)), singleton_partition(1)
+    for call in (
+        lambda: generate("random_single_minded", 2.0, 2, 1),
+        lambda: generate("random_single_minded", 2, True, 1),
+        lambda: generate("random_single_minded", 2, 2, 1.5),
+        lambda: demand_query(v, items, [0.5]),
+        lambda: demand_query(v, items, ["1"]),
+        lambda: demand_correspondence(v, items, [0.5]),
+        lambda: relative_demand_query(v, 1.0),
+        lambda: relative_demand_query(v, True),
+        lambda: Partition(2, (1, 2.0)),
+        lambda: allocation(2, (1, 2.0)),
+        lambda: Allocation(2, 0, (1, 2.0)),
+        lambda: Allocation(2, 0.0, (1, 2)),
+        lambda: Allocation(2.0, 0, (1, 2)),
+        lambda: Partition(True, (1,)),
+    ):
+        with pytest.raises(BadParams):
+            call()
+    assert demand_query(v, items, [F(1, 2)]) == 1
+    assert relative_demand_query(v, 1) == (1, F(1))
+    assert generate("random_single_minded", 2, 2, 1).n == 2
+
 def test_demand_query_prefers_small_maximizers_at_zero_prices():
     v = Additive((F(0), F(2), F(2)))
     p = singleton_partition(3)
@@ -263,6 +306,16 @@ def test_relative_demand_cap_counts_pool_items_not_positions():
     with pytest.raises(SizeLimit):
         relative_demand_query(Additive((F(1),) * 25), (1 << 25) - 1)
 
+
+def test_relative_demand_single_minded_closed_form_needs_no_item_cap():
+    # Before: pools over 24 items raised SizeLimit before the closed form.
+    desired = mask_of([3, 40, 63])
+    v = SingleMinded(desired, F(6))
+    pool = (1 << 64) - 1
+    assert relative_demand_query(v, pool) == (desired, F(2))
+    assert relative_demand_query(v, pool & ~(1 << 40)) == (1, F(0))
+    with pytest.raises(SizeLimit):
+        relative_demand_query(Additive((F(1),) * 64), pool)
 
 def test_relative_demand_density_identity():
     v = BudgetAdditive(F(4), (F(3), F(2), F(2)))

@@ -3,8 +3,9 @@ references.
 
 Every value here comes straight from a valuation's `Fraction` data, by the
 definition of its family, never from its scaled integers: the tests compare
-the integer tables, relative-demand answers, utilities and the integer
-super-additivity check against these.
+the integer tables, relative-demand answers, utilities, the integer
+super-additivity check and the budget mechanisms' integer uniformity test
+against these.
 """
 
 from __future__ import annotations
@@ -98,3 +99,21 @@ def identical_budgets(instance) -> bool:
         all(isinstance(v, BudgetAdditive) for v in instance.agents)
         and len({v.budget for v in instance.agents}) == 1
     )
+
+
+def shared_item_values(instance) -> list[Fraction] | None:
+    """The per-item values every agent shares, when all agents are
+    budget-additive and no two of them value an item differently.
+
+    Items valued by nobody get 0.  None when the instance is not uniform
+    budget-additive.
+    """
+    if not all(isinstance(v, BudgetAdditive) for v in instance.agents):
+        return None
+    values = []
+    for j in range(instance.m):
+        seen = {v.item_values[j] for v in instance.agents if v.item_values[j] > 0}
+        if len(seen) > 1:
+            return None
+        values.append(seen.pop() if seen else _ZERO)
+    return values
