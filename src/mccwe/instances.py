@@ -9,6 +9,7 @@ are reproducible from the seed alone, across platforms and implementations.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import re
@@ -185,6 +186,8 @@ def nonuniform_identical_budget(eps: Fraction = Fraction(1, 8)) -> Instance:
 def partition_reduction(weights) -> Instance:
     """Two equal-budget bidders over items weighted a_j with sum 2B; the
     optimum hits 2B exactly when the weights split evenly."""
+    if not isinstance(weights, (list, tuple)):
+        raise BadParams("weights must be a list of exact rationals")
     values = tuple(weights)
     _check_kinds(values, _EXACT, "weights must be exact rationals")
     if not values or any(a <= 0 for a in values):
@@ -209,6 +212,10 @@ BUILTINS = {
 def built_in(name: str, **params) -> Instance:
     if name not in BUILTINS:
         raise BadParams(f"unknown built-in instance {name!r}")
+    try:
+        inspect.signature(BUILTINS[name]).bind(**params)
+    except TypeError as exc:  # an unknown or a missing parameter
+        raise BadParams(f"built-in instance {name!r}: {exc}") from None
     return BUILTINS[name](**params)
 
 
@@ -349,13 +356,11 @@ def _agent_to_json(v) -> dict:
             "budget": str(v.budget),
             "item_values": [str(x) for x in v.item_values],
         }
-    if isinstance(v, CappedCardinalityAdditive):
-        return {
-            "family": "capped_additive",
-            "cap": v.cap,
-            "item_values": [str(x) for x in v.item_values],
-        }
-    raise BadParams(f"unserializable valuation {type(v).__name__}")
+    return {  # CappedCardinalityAdditive, the last family Instance admits
+        "family": "capped_additive",
+        "cap": v.cap,
+        "item_values": [str(x) for x in v.item_values],
+    }
 
 
 def _agent_from_json(obj, where, m):
@@ -426,14 +431,8 @@ def parse_instance(text: str) -> Instance:
     agents = tuple(
         _agent_from_json(a, f"agents[{i}]", m) for i, a in enumerate(raw_agents)
     )
-    name = doc.get("name", "")
-    if not isinstance(name, str):
-        raise ParseError("instance: name must be a string")
-    metadata = doc.get("metadata")
-    if metadata is not None and not isinstance(metadata, dict):
-        raise ParseError("instance: metadata must be an object")
     try:
-        return Instance(m, agents, name=name, metadata=metadata)
+        return Instance(m, agents, name=doc.get("name", ""), metadata=doc.get("metadata"))
     except BadParams as exc:
         raise ParseError(f"instance: {exc}") from exc
 

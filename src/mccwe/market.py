@@ -13,7 +13,7 @@ from math import lcm
 
 from .bits import bits_of, full_mask
 from .errors import BadParams
-from .valuations import _EXACT, _INT, _check_kinds, _misfit
+from .valuations import _EXACT, _FAMILIES, _INT, _check_kinds, _misfit
 
 UNALLOCATED = -1
 
@@ -28,8 +28,9 @@ _ZERO = Fraction(0)
 class Instance:
     """A market: m items and one valuation per agent.
 
-    `scale`, the LCM of the agents' scales, is the market's one integer
-    unit: every agent's values times `scale` are integers.
+    Every agent is one of the five valuation families, all normalized and
+    monotone.  `scale`, the LCM of the agents' scales, is the market's one
+    integer unit: every agent's values times `scale` are integers.
     """
 
     m: int
@@ -38,6 +39,10 @@ class Instance:
     metadata: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise BadParams("name must be a string")
+        if self.metadata is not None and not isinstance(self.metadata, dict):
+            raise BadParams("metadata must be an object")
         _check_kinds((self.m,), _INT, "the item count must be an int")
         if self.m < 1:
             raise BadParams("need at least one item")
@@ -45,6 +50,7 @@ class Instance:
             raise BadParams(f"at most {MAX_ITEMS} items")
         if not self.agents:
             raise BadParams("need at least one agent")
+        _check_kinds(self.agents, _FAMILIES, "agents must be valuations of the five families")
         for idx, v in enumerate(self.agents):
             misfit = _misfit(v, self.m)
             if misfit:
@@ -128,6 +134,7 @@ class Partition:
 
 
 def singleton_partition(m: int) -> Partition:
+    _check_kinds((m,), _INT, "the item count must be an int")
     return Partition(m, tuple(1 << j for j in range(m)))
 
 

@@ -33,7 +33,6 @@ from .market import (
     Instance,
     Outcome,
     Partition,
-    UNALLOCATED,
     check_fits,
     full_surplus_outcome,
 )
@@ -129,8 +128,7 @@ def bundle_efficient_full_surplus(
     owners, _value = oracle_mod.optimal_over_partition(instance, partition)
     state = _State(instance, _empty_allocation(instance), trace)
     for block, owner in zip(partition.blocks, owners):
-        if owner != UNALLOCATED:
-            state.give("assign", owner, block)
+        state.give("assign", owner, block)
     return full_surplus_outcome(instance, state.allocation())
 
 

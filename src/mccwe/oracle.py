@@ -1,15 +1,18 @@
 """Ground truth: integral optima, block-restricted optima, exhaustive
 bundle-equilibrium search, and single-minded item-pricing bounds.
 
-Optima come from an exact integer subset DP for winner determination
-(after Rothkopf, Pekec and Harstad, 1998) over the agents' integer value
-tables at the market's scale (`Instance.scale`), with the tie-break folded
-into the same integer key, so the DP returns the lexicographically smallest
-owner vector among the optima, item 0 most significant, agents as digits
-0..n-1 and "unallocated" last.  The supportable-optimum search steps through that
-same order with one odometer generator, `_assignments`.  Every operation
-charges an enumeration budget up front and aborts with SizeLimit rather
-than exceed it.
+Every valuation family is normalized and monotone, so handing an
+unallocated unit to agent 0 keeps the welfare and lowers the owner vector:
+the lexicographically smallest optimum assigns every unit.  Optima come
+from an exact integer subset DP for winner determination (after Rothkopf,
+Pekec and Harstad, 1998) over the agents' integer value tables at the
+market's scale (`Instance.scale`), with the tie-break folded into the same
+integer key, so the DP returns the lexicographically smallest owner vector
+among the optima, item 0 most significant and agents as digits 0..n-1.  A
+lone agent takes every item, in closed form.  The supportable-optimum
+search steps through all assignments, "unallocated" as the last digit, with
+one odometer generator, `_assignments`.  Every operation charges an
+enumeration budget up front and aborts with SizeLimit rather than exceed it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from . import configlp
 from .bits import bits_of, subset_sums
 from .errors import CertificateError, NotMCCWE, NotSingleMinded, SizeLimit
 from .lp import LinearProgram, solve_lp
-from .market import Allocation, Instance, Outcome, Partition, UNALLOCATED
+from .market import Allocation, Instance, Outcome, Partition
 from .market import check_fits, singleton_partition
 from .valuations import SingleMinded, value_table
 
@@ -48,10 +51,15 @@ class OracleBudget:
 
 
 def _item_tables(instance: Instance):
-    """Integer item value tables at the market's scale, or None when 2^m
-    exceeds _TABLE_CAP."""
-    if 1 << instance.m > _TABLE_CAP:
+    """Integer item value tables at the market's scale, or None for a lone
+    agent, who needs none; SizeLimit when 2^m exceeds _TABLE_CAP."""
+    if instance.n == 1:
         return None
+    if 1 << instance.m > _TABLE_CAP:
+        raise SizeLimit(
+            f"{instance.m} items exceed the {_TABLE_CAP}-entry table cap for "
+            f"{instance.n} agents"
+        )
     items = singleton_partition(instance.m)
     return [value_table(v, items, instance.scale) for v in instance.agents]
 
@@ -89,35 +97,34 @@ def _assignments(k, tables):
 
 
 def _winner_determination(k, tables):
-    """Welfare-maximal assignment of k units to the agents behind the
+    """Welfare-maximal assignment of all k units to the agents behind the
     integer value `tables`, all at one scale.
 
-    Returns (sets, rest, welfare): one unit mask per agent, the unallocated
-    mask, and the welfare as the sum of the chosen table entries.  The DP
-    runs on integer keys t_i(T)*(n+1)^k - i*W(T), where t_i is agent i's
-    table and W(T) is the sum of (n+1)^(k-1-j) over units j in T;
-    unallocated units count n*W.  A key's welfare part outweighs every digit
-    part, and the digit part is the owner vector read in base n+1, so the
-    one maximal key is the lexicographically smallest optimal owner vector:
-    the first strict maximum in `_assignments` order.
+    Returns (sets, welfare): one unit mask per agent, and the welfare as the
+    sum of the chosen table entries.  The DP runs on integer keys
+    t_i(T)*n^k - i*W(T), where t_i is agent i's table and W(T) is the sum of
+    n^(k-1-j) over units j in T.  A key's welfare part outweighs every digit
+    part, and the digit part is the owner vector read in base n, so the one
+    maximal key is the lexicographically smallest optimal owner vector.
     """
     n = len(tables)
     size = 1 << k
     full = size - 1
-    weights = subset_sums([(n + 1) ** (k - 1 - j) for j in range(k)])
-    unit = (n + 1) ** k
+    if n == 1:
+        return (full,), tables[0][full]
+    weights = subset_sums([n ** (k - 1 - j) for j in range(k)])
+    unit = n**k
     keys = [
         [value * unit - i * w for value, w in zip(table, weights)]
         for i, table in enumerate(tables)
     ]
-    unallocated = [-n * w for w in weights]
 
-    # best[S]: the maximal key of an assignment of S to "unallocated" and
-    # the agents folded in so far; choices[i][S]: agent i's share of it.
-    # The last agent is folded in for the full set only.
-    best = unallocated
+    # best[S]: the maximal key of an assignment of S to the agents folded in
+    # so far; choices[i-1][S]: agent i's share of it.  Agent 0 starts the
+    # fold and the last agent is folded in for the full set only.
+    best = keys[0]
     choices = []
-    for key in keys[:-1]:
+    for key in keys[1:-1]:
         splits = [_best_split(s, best, key) for s in range(size)]
         best = [top for top, _arg in splits]
         choices.append([arg for _top, arg in splits])
@@ -126,12 +133,13 @@ def _winner_determination(k, tables):
     sets = [0] * n
     sets[-1] = arg
     rest = full ^ arg
-    for i in range(n - 2, -1, -1):
-        sets[i] = choices[i][rest]
+    for i in range(n - 2, 0, -1):
+        sets[i] = choices[i - 1][rest]
         rest ^= sets[i]
+    sets[0] = rest
 
-    _check_assignment(full, sets, rest, keys, unallocated, top)
-    return tuple(sets), rest, sum(table[t] for table, t in zip(tables, sets))
+    _check_assignment(full, sets, keys, top)
+    return tuple(sets), sum(table[t] for table, t in zip(tables, sets))
 
 
 def _best_split(s, best, key):
@@ -146,11 +154,10 @@ def _best_split(s, best, key):
     return top, arg
 
 
-def _check_assignment(full, sets, rest, keys, unallocated, top):
-    """Raise CertificateError unless `sets` are pairwise disjoint, `rest` is
-    their complement in `full`, and their keys add up to the DP maximum."""
-    covered = rest
-    total = unallocated[rest]
+def _check_assignment(full, sets, keys, top):
+    """Raise CertificateError unless `sets` are pairwise disjoint, cover
+    `full`, and their keys add up to the DP maximum."""
+    covered = total = 0
     for i, t in enumerate(sets):
         if covered & t:
             raise CertificateError(f"reconstructed bundle of agent {i} overlaps another set")
@@ -164,39 +171,14 @@ def _check_assignment(full, sets, rest, keys, unallocated, top):
         )
 
 
-def _single_agent_optimum(instance):
-    """The one-agent optimum over 2^m item sets by direct integer value
-    queries, for markets too large for value tables; same tie-break as the
-    DP, welfare in the market's units.  Above the cap, any budget short of
-    3^21 states admits one agent only."""
-    if instance.n != 1:
-        raise SizeLimit(
-            f"{instance.m} items exceed the {_TABLE_CAP}-entry table cap for "
-            f"{instance.n} agents"
-        )
-    v = instance.agents[0]
-    full = (1 << instance.m) - 1
-    top = v.scaled_value(full)
-    arg = full
-    for mask in range(full):
-        val = v.scaled_value(mask)
-        if val > top:
-            top, arg = val, mask
-        elif val == top:
-            # lowest item where the two sets differ: holding it is a 0 digit
-            diff = mask ^ arg
-            if mask & diff & -diff:
-                arg = mask
-    return Allocation(instance.m, full ^ arg, (arg,)), top
-
-
 def _item_optimum(instance, tables):
     """The welfare optimum over items in the market's units, charging no
     budget; `tables` come from _item_tables."""
     if tables is None:
-        return _single_agent_optimum(instance)
-    sets, rest, welfare = _winner_determination(instance.m, tables)
-    return Allocation(instance.m, rest, sets), welfare
+        full = (1 << instance.m) - 1
+        return Allocation(instance.m, 0, (full,)), instance.scaled_value(0, full)
+    sets, welfare = _winner_determination(instance.m, tables)
+    return Allocation(instance.m, 0, sets), welfare
 
 
 def optimal_integral(
@@ -275,13 +257,13 @@ def optimal_over_partition(
 ) -> tuple[tuple[int, ...], Fraction]:
     """Welfare-maximal assignment of whole blocks to agents.
 
-    Returns one owner per block (UNALLOCATED for unassigned) and the value;
-    this realizes bundle-efficiency over the partition's blocks.  It is the
-    same integer subset DP as optimal_integral over block value tables,
-    with blocks as units and ties to the smallest block-major owner vector;
-    the budget is charged (n+1)^k states for k blocks, and k blocks whose
-    2^k-entry tables exceed the table cap raise SizeLimit before any table
-    is built.
+    Returns one owner per block and the value; every block gets an owner,
+    as valuations are monotone.  This realizes bundle-efficiency over the
+    partition's blocks.  It is the same integer subset DP as
+    optimal_integral over block value tables, with blocks as units and ties
+    to the smallest block-major owner vector; the budget is charged (n+1)^k
+    states for k blocks, and k blocks whose 2^k-entry tables exceed the
+    table cap raise SizeLimit before any table is built.
     """
     check_fits(instance, partition.m)
     budget = budget or OracleBudget()
@@ -289,10 +271,10 @@ def optimal_over_partition(
     if 1 << k > _TABLE_CAP:
         raise SizeLimit(f"{k} blocks exceed the {_TABLE_CAP}-entry table cap")
     budget.charge((instance.n + 1) ** k)
-    sets, _rest, welfare = _winner_determination(
+    sets, welfare = _winner_determination(
         k, [value_table(v, partition, instance.scale) for v in instance.agents]
     )
-    owners = [UNALLOCATED] * k
+    owners = [0] * k
     for i, block_set in enumerate(sets):
         for j in bits_of(block_set):
             owners[j] = i
@@ -329,8 +311,8 @@ def best_mccwe(
     outcome = _supported(instance, x)
     if outcome is not None:
         return outcome, Fraction(top, instance.scale)
-    # Without tables only one agent is admitted, and a one-agent optimum is
-    # supportable: its LP over at most two blocks peaks at max_T v(T) = top.
+    # Only a lone agent has no tables, and its optimum is supportable: its LP
+    # over the one block peaks at v(full) = top.
     best = None
     for welfare, sets, rest in _assignments(m, tables):
         if best is not None and welfare <= best:

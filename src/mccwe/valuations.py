@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Union
+from typing import Union, get_args
 
 from .bits import bits_of, subset_sums, subset_unions
 from .errors import BadParams, EmptyPool, SizeLimit
@@ -174,6 +174,7 @@ class CappedCardinalityAdditive(_Scaled):
 Valuation = Union[
     Additive, SingleMinded, SuperadditiveExplicit, BudgetAdditive, CappedCardinalityAdditive
 ]
+_FAMILIES = frozenset(get_args(Valuation))
 
 
 def _item_count(v: Valuation) -> int | None:

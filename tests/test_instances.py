@@ -6,7 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from mccwe import BadParams, Outcome, ParseError, SuperadditiveExplicit, allocation
+from mccwe import (
+    Additive,
+    BadParams,
+    Instance,
+    Outcome,
+    ParseError,
+    SuperadditiveExplicit,
+    allocation,
+)
 from mccwe.bits import items_of
 from mccwe.instances import (
     BUILTINS,
@@ -218,6 +226,18 @@ def test_built_in_parameters_must_be_exact():
     assert built_in("partition_reduction", weights=(1, 1)).metadata == {"B": "1"}
 
 
+def test_built_in_reports_unknown_missing_and_non_list_parameters():
+    # Each of these leaked TypeError before.
+    for name, params, message in (
+        ("fig1a", {"foo": 1}, "unexpected keyword argument 'foo'"),
+        ("fig1b", {"eps": F(1, 10)}, "unexpected keyword argument 'eps'"),
+        ("partition_reduction", {}, "missing a required argument: 'weights'"),
+        ("partition_reduction", {"weights": 5}, "weights must be a list"),
+    ):
+        with pytest.raises(BadParams, match=message):
+            built_in(name, **params)
+
+
 def test_parse_allocation_accepts_outcome_documents():
     x = allocation(3, [0b001, 0b110])
     text = write_outcome(Outcome(x, prices=(F(0), F(0))))
@@ -346,6 +366,25 @@ def test_instance_name_must_be_a_string():
     doc["name"] = ["fig1b"]
     with pytest.raises(ParseError, match="name"):
         parse_instance(json.dumps(doc))
+
+
+def test_instance_name_and_metadata_follow_one_rule():
+    # Before, the library built these markets and write_instance wrote files
+    # that parse_instance rejected.
+    agents = (Additive((F(1),)),)
+    for field, value, message in (
+        ("name", 5, "name must be a string"),
+        ("metadata", [1], "metadata must be an object"),
+    ):
+        with pytest.raises(BadParams, match=message):
+            Instance(1, agents, **{field: value})
+        doc = json.loads(write_instance(Instance(1, agents)))
+        doc[field] = value
+        with pytest.raises(ParseError, match=f"^instance: {message}$"):
+            parse_instance(json.dumps(doc))
+    inst = Instance(1, agents, name="one", metadata={"items": ["a"]})
+    back = parse_instance(write_instance(inst))
+    assert (back, back.name, back.metadata) == (inst, "one", {"items": ["a"]})
 
 
 def test_empty_explicit_table_is_a_parse_error():

@@ -58,6 +58,26 @@ def test_instance_rejects_agents_not_over_its_items():
             Instance(3, fits + (misfit,))
 
 
+def test_instance_admits_only_the_valuation_families():
+    class ValueTable:  # duck-typed, with nothing to show it is monotone
+        scale = 1
+        item_values = (F(0),) * 2
+
+        def scaled_value(self, mask):
+            return 1 if mask == 0b01 else 0
+
+    for stranger, kind in ((object(), "object"), (ValueTable(), "ValueTable")):
+        with pytest.raises(BadParams, match=f"five families, got {kind}"):
+            Instance(2, (Additive((F(1), F(1))), stranger))
+
+
+def test_singleton_partition_needs_an_int_item_count():
+    for m in (2.0, True, "2"):
+        with pytest.raises(BadParams, match="item count must be an int"):
+            singleton_partition(m)
+    assert singleton_partition(2).blocks == (0b01, 0b10)
+
+
 def test_value_query_single_minded():
     v = SingleMinded(mask_of([0, 1]), F(5))
     assert v.value(mask_of([0, 1, 2])) == 5

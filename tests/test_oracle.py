@@ -9,6 +9,7 @@ import pytest
 from mccwe import (
     Additive,
     BudgetAdditive,
+    CappedCardinalityAdditive,
     CertificateError,
     Instance,
     MarketError,
@@ -16,6 +17,7 @@ from mccwe import (
     Partition,
     SingleMinded,
     SizeLimit,
+    SuperadditiveExplicit,
     allocation,
     fractional_opt,
     induced_partition,
@@ -74,24 +76,6 @@ def reference_over_partition(inst, partition):
     return tuple(owners), welfare
 
 
-class _RawTable:
-    """A value table with no structure: not monotone, so leaving an item
-    unallocated can beat handing it out.  `item_values` only sizes it; its
-    entries are halves, so its scale is 2."""
-
-    scale = 2
-
-    def __init__(self, m, rng):
-        self.item_values = (F(0),) * m
-        self.table = (F(0),) + tuple(F(rng.next_u64() % 3, 2) for _ in range((1 << m) - 1))
-
-    def scaled_value(self, mask):
-        return int(self.table[mask] * 2)
-
-    def value(self, mask):
-        return self.table[mask]
-
-
 def random_partition(m, rng):
     """A partition of m items into at most m blocks, labels drawn from rng."""
     blocks = {}
@@ -108,6 +92,7 @@ def assert_matches_reference(inst, partition):
     owners, value = optimal_over_partition(inst, partition)
     owners_ref, value_ref = reference_over_partition(inst, partition)
     assert (owners, str(value)) == (owners_ref, str(value_ref))
+    return x
 
 
 def test_single_agent_gets_everything():
@@ -318,8 +303,22 @@ def test_dp_matches_leaf_walk(family):
         assert_matches_reference(inst, random_partition(m, SplitMix64(seed)))
 
 
+def zero_agents(m, rng):
+    """One worthless agent of each family over m items: zero values, a zero
+    budget, cap 0, a zero served value and an all-zero table."""
+    values = tuple(F(rng.randint(0, 3)) for _ in range(m))
+    return (
+        Additive((F(0),) * m),
+        BudgetAdditive(F(0), values),
+        CappedCardinalityAdditive(values, 0),
+        SingleMinded(rng.randint(1, (1 << m) - 1), F(0)),
+        SuperadditiveExplicit((F(0),) * (1 << m)),
+    )
+
+
 def test_dp_matches_leaf_walk_on_ties():
     rng = SplitMix64(7)
+    tied = 0
     for seed in range(200):
         m, n = SHAPES[seed % len(SHAPES)]
         identical = generate("random_uniform_budget_additive", m, n, seed, identical_budgets=True)
@@ -329,26 +328,32 @@ def test_dp_matches_leaf_walk_on_ties():
         assert_matches_reference(clones, random_partition(m, rng))
         single = generate(family, m, 1, seed + 1000)
         assert_matches_reference(single, random_partition(m, rng))
-        raw = Instance(m, tuple(_RawTable(m, rng) for _ in range(n)))
-        assert_matches_reference(raw, random_partition(m, rng))
+        # a worthless agent 0 takes what nobody else values, where the
+        # reference walk ties with "unallocated"
+        worthless = zero_agents(m, rng)[seed % 5]
+        mixed = Instance(m, (worthless,) + generate(family, m, n, seed).agents[1:])
+        x = assert_matches_reference(mixed, random_partition(m, rng))
+        tied += n > 1 and x.bundles[0] != 0
+    assert tied >= 30, tied
     for m, n in SHAPES:
-        zeros = Instance(m, (Additive((F(0),) * m),) * n)
-        assert_matches_reference(zeros, random_partition(m, rng))
-        x, welfare = optimal_integral(zeros)
-        assert x.bundles == ((1 << m) - 1,) + (0,) * (n - 1) and welfare == 0
+        for zeros in (
+            Instance(m, (Additive((F(0),) * m),) * n),
+            Instance(m, tuple(zero_agents(m, rng)[i % 5] for i in range(n))),
+        ):
+            assert_matches_reference(zeros, random_partition(m, rng))
+            x, welfare = optimal_integral(zeros)
+            assert x.bundles == ((1 << m) - 1,) + (0,) * (n - 1) and welfare == 0
 
 
 def test_single_agent_sweep_above_table_cap(monkeypatch):
+    # a lone agent takes everything without tables; two agents need them
     monkeypatch.setattr("mccwe.oracle._TABLE_CAP", 2)
-    rng = SplitMix64(11)
     for seed in range(120):
         family = FAMILIES[seed % len(FAMILIES)]
         m = 2 + seed % 7
         inst = generate(family, m, 1, seed, identical_budgets=family == FAMILIES[2])
         assert optimal_integral(inst) == reference_integral(inst)
-        raw = Instance(m, (_RawTable(m, rng),))
-        assert optimal_integral(raw) == reference_integral(raw)
-    with pytest.raises(SizeLimit):
+    with pytest.raises(SizeLimit, match="table cap for 2 agents"):
         optimal_integral(generate("random_superadditive", 3, 2, 1))
 
 
@@ -365,16 +370,15 @@ def test_block_table_cap_is_checked_before_any_table_is_built(monkeypatch):
 
 
 def test_assignment_check_rejects_bad_reconstructions():
-    # two units, one agent keyed by its set mask, unallocated units weigh 0
-    keys = [[0, 1, 2, 3]]
-    unallocated = [0, 0, 0, 0]
-    _check_assignment(0b11, (0b01,), 0b10, keys, unallocated, 1)
+    # two units, agent 0 keyed by its set mask, agent 1 by nothing
+    keys = [[0, 1, 2, 3], [0, 0, 0, 0]]
+    _check_assignment(0b11, (0b01, 0b10), keys, 1)
     with pytest.raises(CertificateError, match="overlaps"):
-        _check_assignment(0b11, (0b01,), 0b11, keys, unallocated, 1)
+        _check_assignment(0b11, (0b01, 0b11), keys, 1)
     with pytest.raises(CertificateError, match="cover"):
-        _check_assignment(0b11, (0b01,), 0b00, keys, unallocated, 1)
+        _check_assignment(0b11, (0b01, 0b00), keys, 1)
     with pytest.raises(CertificateError, match="DP maximum"):
-        _check_assignment(0b11, (0b01,), 0b10, keys, unallocated, 3)
+        _check_assignment(0b11, (0b01, 0b10), keys, 3)
     assert issubclass(CertificateError, MarketError)
 
 

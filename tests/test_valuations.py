@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from typing import get_args
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from mccwe.equilibria import demand_correspondence
 from mccwe.errors import EmptyPool, SizeLimit
 from mccwe.instances import SplitMix64, generate
 from mccwe.valuations import (
+    Valuation,
     demand_utilities,
     is_superadditive_family,
     value_table,
@@ -454,6 +456,52 @@ def test_structural_superadditivity_matches_enumeration(data):
     else:
         v = CappedCardinalityAdditive(values, data.draw(st.integers(0, m)))
     assert is_superadditive_family(v) == splits_superadditive(item_table(v, m))
+
+
+def _rationals(data, m):
+    """m nonnegative rationals, zero among them often."""
+    return tuple(
+        F(data.draw(st.integers(0, 4)), data.draw(st.integers(1, 3))) for _ in range(m)
+    )
+
+
+def _pairwise_table(data, m):
+    """Item values plus nonnegative pair bonuses: normalized, super-additive."""
+    items, bonus = _rationals(data, m), _rationals(data, m * m)
+    table = []
+    for s in range(1 << m):
+        held = [j for j in range(m) if s >> j & 1]
+        pairs = sum((bonus[j * m + k] for j, k in itertools.combinations(held, 2)), F(0))
+        table.append(sum((items[j] for j in held), F(0)) + pairs)
+    return tuple(table)
+
+
+# One generator per valuation family, every datum allowed to be zero (zero
+# values, a zero budget, cap 0, a zero served value, an all-zero table).
+FAMILY_DRAWS = {
+    Additive: lambda data, m: Additive(_rationals(data, m)),
+    BudgetAdditive: lambda data, m: BudgetAdditive(_rationals(data, 1)[0], _rationals(data, m)),
+    CappedCardinalityAdditive: lambda data, m: CappedCardinalityAdditive(
+        _rationals(data, m), data.draw(st.integers(0, m))
+    ),
+    SingleMinded: lambda data, m: SingleMinded(
+        data.draw(st.integers(1, (1 << m) - 1)), _rationals(data, 1)[0]
+    ),
+    SuperadditiveExplicit: lambda data, m: SuperadditiveExplicit(_pairwise_table(data, m)),
+}
+
+
+@pytest.mark.parametrize("family", get_args(Valuation), ids=lambda family: family.__name__)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_every_family_is_normalized_and_monotone(family, data):
+    # the oracles' winner-determination DP assigns every unit on this contract
+    m = data.draw(st.integers(1, 4))
+    v = FAMILY_DRAWS[family](data, m)
+    assert v.value(0) == 0
+    for s in range(1 << m):
+        for j in range(m):
+            assert v.value(s) <= v.value(s | 1 << j)
 
 
 def test_value_table_matches_pointwise_queries():
