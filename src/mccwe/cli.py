@@ -43,14 +43,27 @@ from .market import (
     social_welfare,
 )
 
-_MECHANISMS = (
-    "superadditive",
-    "singleminded",
-    "uba",
-    "logbundle",
-    "cleanup",
-    "fullsurplus",
-)
+# name -> (call on (market, input allocation, trace), takes an input allocation).
+# Each call looks its mechanism up when it runs, so a rebound one is the one called.
+_MECHANISMS = {
+    "superadditive": (lambda inst, x, trace: mechanisms.superadditive_mccwe(inst, trace), False),
+    "singleminded": (lambda inst, x, trace: mechanisms.single_minded_mccwe(inst, trace), False),
+    "uba": (
+        lambda inst, x, trace: mechanisms.uniform_budget_additive_mccwe(inst, x, trace),
+        True,
+    ),
+    "logbundle": (lambda inst, x, trace: mechanisms.log_bundling_mechanism(inst, trace), False),
+    "cleanup": (lambda inst, x, trace: mechanisms.identical_budget_cleanup(inst, x, trace), True),
+    "fullsurplus": (
+        lambda inst, x, trace: mechanisms.bundle_efficient_full_surplus(
+            inst, induced_partition(x)[0], trace
+        ),
+        True,
+    ),
+}
+
+# The mechanism `bench` runs on each random family, in FAMILIES' order.
+_BENCHED = dict(zip(FAMILIES, ("superadditive", "singleminded", "uba")))
 
 
 def _decimal6(value: Fraction) -> str:
@@ -95,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("-o", "--output", required=True)
 
     solve = sub.add_parser("solve", help="run a mechanism, write its outcome")
-    solve.add_argument("mechanism", choices=_MECHANISMS)
+    solve.add_argument("mechanism", choices=tuple(_MECHANISMS))
     solve.add_argument("-i", "--instance", required=True)
     solve.add_argument("--alloc", help="input allocation (defaults to the brute-force optimum)")
     solve.add_argument("-o", "--output", required=True)
@@ -154,33 +167,16 @@ def _cmd_gen(args, out) -> int:
     return 0
 
 
-def _input_allocation(args, inst):
-    if args.alloc:
-        return parse_allocation(_read(args.alloc), inst.m)
-    x, _welfare = oracle.optimal_integral(inst)
-    return x
-
-
 def _cmd_solve(args, out) -> int:
     inst = _load_instance(args.instance)
     trace = mechanisms.MechanismTrace() if args.trace else None
-    if args.mechanism == "superadditive":
-        outcome = mechanisms.superadditive_mccwe(inst, trace)
-    elif args.mechanism == "singleminded":
-        outcome = mechanisms.single_minded_mccwe(inst, trace)
-    elif args.mechanism == "uba":
-        outcome = mechanisms.uniform_budget_additive_mccwe(
-            inst, _input_allocation(args, inst), trace
-        )
-    elif args.mechanism == "cleanup":
-        outcome = mechanisms.identical_budget_cleanup(
-            inst, _input_allocation(args, inst), trace
-        )
-    elif args.mechanism == "logbundle":
-        outcome = mechanisms.log_bundling_mechanism(inst, trace)
-    else:
-        partition, _owners = induced_partition(_input_allocation(args, inst))
-        outcome = mechanisms.bundle_efficient_full_surplus(inst, partition, trace)
+    call, takes_allocation = _MECHANISMS[args.mechanism]
+    x = None
+    if takes_allocation and args.alloc:
+        x = parse_allocation(_read(args.alloc), inst.m)
+    elif takes_allocation:
+        x, _welfare = oracle.optimal_integral(inst)
+    outcome = call(inst, x, trace)
     _write(args.output, write_outcome(outcome))
     if args.trace:
         doc = {
@@ -284,12 +280,7 @@ def _cmd_bench(args, out) -> int:
     for trial in range(args.trials):
         inst = generate(args.family, args.m, args.n, args.seed + trial)
         x, opt = oracle.optimal_integral(inst)
-        if args.family == "random_superadditive":
-            outcome = mechanisms.superadditive_mccwe(inst)
-        elif args.family == "random_single_minded":
-            outcome = mechanisms.single_minded_mccwe(inst)
-        else:
-            outcome = mechanisms.uniform_budget_additive_mccwe(inst, x)
+        outcome = _MECHANISMS[_BENCHED[args.family]][0](inst, x, None)
         welfare = social_welfare(inst, outcome.allocation)
         ratios.append(Fraction(1) if opt == 0 else opt / welfare)
     worst = max(ratios)

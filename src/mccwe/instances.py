@@ -26,6 +26,7 @@ from .valuations import (
     SuperadditiveExplicit,
     _EXACT,
     _INT,
+    _SEQUENCES,
     _check_kinds,
 )
 
@@ -186,8 +187,7 @@ def nonuniform_identical_budget(eps: Fraction = Fraction(1, 8)) -> Instance:
 def partition_reduction(weights) -> Instance:
     """Two equal-budget bidders over items weighted a_j with sum 2B; the
     optimum hits 2B exactly when the weights split evenly."""
-    if not isinstance(weights, (list, tuple)):
-        raise BadParams("weights must be a list of exact rationals")
+    _check_kinds((weights,), _SEQUENCES, "weights must be a list or a tuple")
     values = tuple(weights)
     _check_kinds(values, _EXACT, "weights must be exact rationals")
     if not values or any(a <= 0 for a in values):

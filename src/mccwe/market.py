@@ -7,13 +7,14 @@ and the induced partition keeps x0 (when nonempty) as a single block.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
 from .bits import bits_of, full_mask
 from .errors import BadParams
-from .valuations import _EXACT, _FAMILIES, _INT, _check_kinds, _misfit
+from .valuations import _EXACT, _FAMILIES, _INT, _SEQUENCES, _check_kinds, _misfit
 
 UNALLOCATED = -1
 
@@ -43,11 +44,18 @@ class Instance:
             raise BadParams("name must be a string")
         if self.metadata is not None and not isinstance(self.metadata, dict):
             raise BadParams("metadata must be an object")
+        try:  # JSON must write and read the metadata back as it is
+            ok = self.metadata is None or json.loads(json.dumps(self.metadata)) == self.metadata
+        except (TypeError, ValueError, RecursionError):
+            ok = False
+        if not ok:
+            raise BadParams("metadata must be JSON, with string keys")
         _check_kinds((self.m,), _INT, "the item count must be an int")
         if self.m < 1:
             raise BadParams("need at least one item")
         if self.m > MAX_ITEMS:
             raise BadParams(f"at most {MAX_ITEMS} items")
+        _check_kinds((self.agents,), _SEQUENCES, "agents must be a tuple or a list")
         if not self.agents:
             raise BadParams("need at least one agent")
         _check_kinds(self.agents, _FAMILIES, "agents must be valuations of the five families")
@@ -77,10 +85,12 @@ def check_fits(instance: Instance, m: int, n: int | None = None) -> None:
         )
 
 
-def _check_cover(m: int, sets, noun: str) -> None:
-    """BadParams unless m is an int and the sets are int masks, pairwise
-    disjoint and covering all m items."""
+def _check_cover(m: int, sets, noun: str, x0: int = 0) -> None:
+    """BadParams unless m is an int, the sets are a tuple or a list, and
+    they and x0 are int masks, pairwise disjoint and covering all m items."""
     _check_kinds((m,), _INT, "the item count must be an int")
+    _check_kinds((sets,), _SEQUENCES, f"{noun} must be a tuple or a list")
+    sets = (x0, *sets)
     _check_kinds(sets, _INT, f"{noun} must be int item masks")
     union = total = 0
     for s in sets:
@@ -99,7 +109,7 @@ class Allocation:
     bundles: tuple[int, ...]
 
     def __post_init__(self):
-        _check_cover(self.m, (self.x0, *self.bundles), "bundles")
+        _check_cover(self.m, self.bundles, "bundles", self.x0)
 
     @property
     def n(self) -> int:
@@ -125,9 +135,9 @@ class Partition:
     blocks: tuple[int, ...]
 
     def __post_init__(self):
+        _check_cover(self.m, self.blocks, "blocks")
         if any(b == 0 for b in self.blocks):
             raise BadParams("partition blocks must be nonempty")
-        _check_cover(self.m, self.blocks, "blocks")
         ordered = tuple(sorted(self.blocks, key=lambda b: b & -b))
         if ordered != self.blocks:
             object.__setattr__(self, "blocks", ordered)
@@ -173,11 +183,13 @@ class Outcome:
         if (self.prices is None) == (self.item_prices is None):
             raise BadParams("outcome needs exactly one of bundle or item prices")
         x, bundle_priced = self.allocation, self.prices is not None
+        listed = self.prices if bundle_priced else self.item_prices
+        _check_kinds((listed,), _SEQUENCES, "prices must be a tuple or a list")
         if bundle_priced and len(self.prices) != x.n:
             raise BadParams("one bundle price per agent required")
         if not bundle_priced and len(self.item_prices) != x.m:
             raise BadParams("one item price per item required")
-        prices = (self.x0_price, *(self.prices if bundle_priced else self.item_prices))
+        prices = (self.x0_price, *listed)
         _check_kinds(prices, _EXACT, "prices must be exact rationals")
         if any(p < 0 for p in prices):
             raise BadParams("prices must be nonnegative")

@@ -21,6 +21,7 @@ from fractions import Fraction
 from . import oracle as oracle_mod
 from .bits import bits_of, full_mask, subset_sums, subset_unions
 from .errors import (
+    BadParams,
     CertificateError,
     NotIdenticalBudgets,
     NotSingleMinded,
@@ -39,6 +40,8 @@ from .market import (
 from .valuations import (
     BudgetAdditive,
     SingleMinded,
+    _INT,
+    _check_kinds,
     is_superadditive_family,
     relative_demand_query,
 )
@@ -60,13 +63,18 @@ class MechanismTrace:
 
 
 class _State:
-    """Mutable allocation under construction, with trace recording."""
+    """Mutable allocation under construction from `start` (nothing sold yet
+    when it is None), recording into a trace labelled `mechanism`."""
 
-    def __init__(self, instance, start: Allocation, trace):
-        check_fits(instance, start.m, start.n)
+    def __init__(self, instance, start: Allocation | None, trace, mechanism: str):
+        if trace is not None:
+            trace.mechanism = mechanism
+        if start is None:
+            self.bundles, self.x0 = [0] * instance.n, full_mask(instance.m)
+        else:
+            check_fits(instance, start.m, start.n)
+            self.bundles, self.x0 = list(start.bundles), start.x0
         self.instance = instance
-        self.bundles = list(start.bundles)
-        self.x0 = start.x0
         self.trace = trace
 
     def welfare(self) -> int:
@@ -89,23 +97,22 @@ class _State:
                 TraceStep(phase, agent, items, Fraction(before, scale), Fraction(after, scale))
             )
 
-    def take_all(self, phase: str, agent: int) -> None:
-        self.give(phase, agent, full_mask(self.instance.m))
-
     def allocation(self) -> Allocation:
         return Allocation(self.instance.m, self.x0, tuple(self.bundles))
 
 
 def replay_trace(instance: Instance, start: Allocation, trace: MechanismTrace) -> Allocation:
-    """Re-apply a trace's moves; the result equals the mechanism's output."""
-    state = _State(instance, start, None)
+    """Re-apply a trace's moves; the result equals the mechanism's output.
+    BadParams on a step whose items are not an int mask or whose agent is
+    neither None nor one of the market's agents."""
+    state = _State(instance, start, None, trace.mechanism)
     for step in trace.steps:
+        agent = () if step.agent is None else (step.agent,)
+        _check_kinds((step.items, *agent), _INT, "trace steps need int item masks and agents")
+        if agent and not 0 <= step.agent < instance.n:
+            raise BadParams(f"trace agent {step.agent} is not in the market")
         state.give(step.phase, step.agent, step.items)
     return state.allocation()
-
-
-def _empty_allocation(instance: Instance) -> Allocation:
-    return Allocation(instance.m, full_mask(instance.m), (0,) * instance.n)
 
 
 def _require_superadditive(instance: Instance) -> None:
@@ -122,11 +129,13 @@ def bundle_efficient_full_surplus(
     With super-additive agents a bundle-efficient allocation supports its
     own full-surplus prices, so revenue equals welfare.
     """
+    return _sell_blocks(instance, partition, trace, "fullsurplus")
+
+
+def _sell_blocks(instance, partition, trace, mechanism: str) -> Outcome:
     _require_superadditive(instance)
-    if trace is not None and not trace.mechanism:
-        trace.mechanism = "fullsurplus"
+    state = _State(instance, None, trace, mechanism)
     owners, _value = oracle_mod.optimal_over_partition(instance, partition)
-    state = _State(instance, _empty_allocation(instance), trace)
     for block, owner in zip(partition.blocks, owners):
         state.give("assign", owner, block)
     return full_surplus_outcome(instance, state.allocation())
@@ -140,15 +149,12 @@ def log_bundling_mechanism(
     m = instance.m
     k = max(1, (m - 1).bit_length())
     base, extra = divmod(m, k)
-    blocks = []
-    start = 0
+    blocks, start = [], 0
     for idx in range(k):
         size = base + (1 if idx < extra else 0)
         blocks.append(((1 << size) - 1) << start)
         start += size
-    if trace is not None:
-        trace.mechanism = "logbundle"
-    return bundle_efficient_full_surplus(instance, Partition(m, tuple(blocks)), trace)
+    return _sell_blocks(instance, Partition(m, tuple(blocks)), trace, "logbundle")
 
 
 def superadditive_mccwe(
@@ -168,9 +174,7 @@ def superadditive_mccwe(
     m, n = instance.m, instance.n
     if n > 16:
         raise SizeLimit("merge phase capped at 16 agents")
-    if trace is not None:
-        trace.mechanism = "superadditive"
-    state = _State(instance, _empty_allocation(instance), trace)
+    state = _State(instance, None, trace, "superadditive")
 
     pool = full_mask(m)
     while pool:
@@ -183,14 +187,10 @@ def superadditive_mccwe(
         state.give("density", agent, found)
         pool &= ~found
 
-    welfare = state.welfare()
-    top_agent, top_value = 0, instance.scaled_value(0, full_mask(m))
-    for i in range(1, n):
-        value = instance.scaled_value(i, full_mask(m))
-        if value > top_value:
-            top_agent, top_value = i, value
-    if top_value > welfare:
-        state.take_all("winner_take_all", top_agent)
+    whole = [instance.scaled_value(i, full_mask(m)) for i in range(n)]
+    top = max(range(n), key=lambda i: (whole[i], -i))
+    if whole[top] > state.welfare():
+        state.give("winner_take_all", top, full_mask(m))
 
     merges = 0
     while True:
@@ -249,11 +249,9 @@ def single_minded_mccwe(
         if not isinstance(v, SingleMinded):
             raise NotSingleMinded(f"agent {i} is not single-minded")
     m, n = instance.m, instance.n
-    if trace is not None:
-        trace.mechanism = "singleminded"
     desired = [v.desired for v in instance.agents]
     values = [instance.scaled_value(i, desired[i]) for i in range(n)]
-    state = _State(instance, _empty_allocation(instance), trace)
+    state = _State(instance, None, trace, "singleminded")
 
     small = [i for i in range(n) if desired[i].bit_count() ** 2 <= m]
     taken = 0
@@ -269,7 +267,7 @@ def single_minded_mccwe(
             state.give("leftover", lowest, leftovers)
     else:
         top = max(range(n), key=lambda i: (values[i], -i))
-        state.take_all("winner_take_all", top)
+        state.give("winner_take_all", top, full_mask(m))
 
     for i in sorted((i for i in range(n) if i not in small), key=lambda i: (-values[i], i)):
         blockers = [j for j in range(n) if state.bundles[j] & desired[i]]
@@ -329,14 +327,13 @@ def uniform_budget_additive_mccwe(
     agent's bundle strictly more than its owner does, the owner's cheapest
     item wanted by a strictly-larger budget moves to the largest-budget
     agent interested in it.  Afterwards every bundle is worth most to its
-    owner, which makes full-surplus prices market-clearing, and the final
-    welfare is at least half the input's.
+    owner, which makes full-surplus prices market-clearing.  When every
+    agent's budget is at least each of its positive item values, the final
+    welfare is at least half the input's; without that it can be less.
     """
     budgets, shared, interest, top = _uniform_market(instance)
-    if trace is not None:
-        trace.mechanism = "uniform_budget_additive"
     n = instance.n
-    state = _State(instance, x, trace)
+    state = _State(instance, x, trace, "uniform_budget_additive")
     _interested_prepass(state, interest, "reassign")
 
     moves = 0
@@ -371,8 +368,6 @@ def identical_budget_cleanup(
     budgets, _shared, interest, _top = _uniform_market(instance)
     if len(set(budgets)) > 1:
         raise NotIdenticalBudgets("agents' budgets differ")
-    if trace is not None:
-        trace.mechanism = "identical_budget_cleanup"
-    state = _State(instance, x, trace)
+    state = _State(instance, x, trace, "identical_budget_cleanup")
     _interested_prepass(state, interest, "cleanup")
     return full_surplus_outcome(instance, state.allocation())

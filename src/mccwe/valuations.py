@@ -33,6 +33,7 @@ from .errors import BadParams, EmptyPool, SizeLimit
 _ZERO = Fraction(0)
 _EXACT = frozenset({int, Fraction})
 _INT = frozenset({int})
+_SEQUENCES = frozenset({tuple, list})  # valuation data, agents, bundles, blocks, prices
 
 
 def _check_kinds(values, kinds, rule: str) -> None:
@@ -46,8 +47,9 @@ def _check_kinds(values, kinds, rule: str) -> None:
 def _scale_data(v, **data) -> None:
     """Set v.scale to the LCM of the data's denominators and each named
     field to its data times v.scale; BadParams on a negative value or on a
-    datum that is not an exact rational."""
+    datum that is not an exact rational in a tuple or a list."""
     for values in data.values():
+        _check_kinds((values,), _SEQUENCES, "valuation data must be a tuple or a list")
         _check_kinds(values, _EXACT, "valuation data must be exact rationals")
     ratios = {name: [x.as_integer_ratio() for x in values] for name, values in data.items()}
     scale = lcm(*{q for pairs in ratios.values() for _p, q in pairs})
@@ -109,14 +111,14 @@ class SuperadditiveExplicit(_Scaled):
     table: tuple[Fraction, ...]
 
     def __post_init__(self):
-        size = len(self.table)
+        _scale_data(self, scaled_table=self.table)
+        table = self.scaled_table
+        size = len(table)
         m = size.bit_length() - 1
         if size == 0 or size != 1 << m:
             raise BadParams("table length must be a power of two")
         if m > 12:
             raise SizeLimit("explicit tables are validated only up to 12 items")
-        _scale_data(self, scaled_table=self.table)
-        table = self.scaled_table
         if table[0] != 0:
             raise BadParams("table is not normalized: v(empty) != 0")
         for union in range(1, size):

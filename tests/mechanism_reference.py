@@ -42,11 +42,9 @@ def uniform_budget_additive_mccwe(instance, x, trace=None):
     shared = shared_item_values(instance)
     if shared is None:
         raise NotUniformBudgetAdditive("agents must share per-item values")
-    if trace is not None:
-        trace.mechanism = "uniform_budget_additive"
     n = instance.n
     budgets = [v.budget for v in instance.agents]
-    state = _State(instance, x, trace)
+    state = _State(instance, x, trace, "uniform_budget_additive")
     _interested_prepass(instance, state, "reassign")
 
     moves = 0
@@ -89,8 +87,6 @@ def identical_budget_cleanup(instance, x, trace=None):
         raise NotUniformBudgetAdditive("agents must share per-item values")
     if len({v.budget for v in instance.agents}) > 1:
         raise NotIdenticalBudgets("agents' budgets differ")
-    if trace is not None:
-        trace.mechanism = "identical_budget_cleanup"
-    state = _State(instance, x, trace)
+    state = _State(instance, x, trace, "identical_budget_cleanup")
     _interested_prepass(instance, state, "cleanup")
     return full_surplus_outcome(instance, state.allocation())

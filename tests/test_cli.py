@@ -1,5 +1,6 @@
 """CLI wiring: grammar, reports, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 
@@ -128,6 +129,53 @@ def test_every_solve_output_passes_mccwe_verify(tmp_path):
             ["verify", "-i", str(inst), "-a", str(outcome), "--mode", "mccwe"]
         )
         assert code == 0, (mechanism, text)
+
+
+def test_solve_writes_the_recorded_outcome_and_trace_of_every_mechanism(tmp_path):
+    # sha256 of the outcome bytes then the trace bytes, recorded when solve
+    # still chose its mechanism by an if-chain
+    superadditive = ["random_superadditive", "--m", "5", "--n", "3", "--seed", "4"]
+    recorded = {
+        "superadditive": (
+            superadditive,
+            "superadditive",
+            "6cb7e69661d8f2b098c3a557c96df8c168fd18b7478e9ab7a15ba0861f356873",
+        ),
+        "singleminded": (
+            ["random_single_minded", "--m", "5", "--n", "4", "--seed", "7"],
+            "singleminded",
+            "86a748abec9be5ef4f69606fc120dcf3290e42f96cbf6369f57d9877cff41f69",
+        ),
+        "uba": (
+            ["fig1a", "--eps", "1/10"],
+            "uniform_budget_additive",
+            "8a4167e4dafb3104d4e0d8f9aa5c35bd412aec1749be66803bf0cb05a60974ac",
+        ),
+        "logbundle": (
+            superadditive,
+            "logbundle",
+            "88b6c84c7a6d30d1b64e8cfaa07e56cebaa0ccebbd7c8b910e1e2bebdb2030e4",
+        ),
+        "cleanup": (
+            ["fig1b"],
+            "identical_budget_cleanup",
+            "c3d16439e84e2ce60bca8dc5e39557d4684927dd87aaa63c89e1629a67659230",
+        ),
+        "fullsurplus": (
+            superadditive,
+            "fullsurplus",
+            "0f2953774639d152ba4d26588e4d92473b46fb90e1c6ddf1e9997471135632e5",
+        ),
+    }
+    assert list(recorded) == list(cli._MECHANISMS)
+    for name, (market, label, digest) in recorded.items():
+        inst, outcome, trace = (tmp_path / f"{name}.{part}.json" for part in "iot")
+        assert run(["gen", *market, "-o", str(inst)])[0] == 0
+        argv = ["solve", name, "-i", str(inst), "-o", str(outcome), "--trace", str(trace)]
+        assert run(argv)[0] == 0
+        assert json.loads(trace.read_text())["mechanism"] == label
+        written = outcome.read_bytes() + trace.read_bytes()
+        assert hashlib.sha256(written).hexdigest() == digest, name
 
 
 def test_instance_file_with_a_non_ascii_digit_exits_2(tmp_path, capsys):
@@ -259,6 +307,20 @@ def test_bench_runs_and_reports(tmp_path):
     )
     assert code == 0
     assert "worst=" in text and "mean=" in text and "(~" in text
+
+
+def test_bench_reports_the_recorded_ratios_on_every_family():
+    # recorded when bench still chose its mechanism by an if-chain
+    recorded = {
+        "random_superadditive": ("14/13 (~1.076923)", "1829/1820 (~1.004945)"),
+        "random_single_minded": ("11/10 (~1.100000)", "301/300 (~1.003333)"),
+        "random_uniform_budget_additive": ("23/22 (~1.045455)", "661/660 (~1.001515)"),
+    }
+    for family, (worst, mean) in recorded.items():
+        argv = ["bench", "--family", family, "--trials", "30", "--seed", "0"]
+        code, text = run(argv + ["--m", "5", "--n", "3"])
+        assert code == 0
+        assert text == f"family={family}\ntrials=30\nworst={worst}\nmean={mean}\n"
 
 
 def test_bench_rejects_zero_trials():

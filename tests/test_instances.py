@@ -382,6 +382,11 @@ def test_instance_name_and_metadata_follow_one_rule():
         doc[field] = value
         with pytest.raises(ParseError, match=f"^instance: {message}$"):
             parse_instance(json.dumps(doc))
+    # Metadata JSON cannot write (a Fraction: write_instance raised
+    # TypeError) or read back as it was (an int key came back as "1").
+    for metadata in ({"a": F(1, 2)}, {1: "a"}, {"a": (1, 2)}):
+        with pytest.raises(BadParams, match="metadata must be JSON"):
+            Instance(1, agents, metadata=metadata)
     inst = Instance(1, agents, name="one", metadata={"items": ["a"]})
     back = parse_instance(write_instance(inst))
     assert (back, back.name, back.metadata) == (inst, "one", {"items": ["a"]})

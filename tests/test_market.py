@@ -69,6 +69,9 @@ def test_instance_admits_only_the_valuation_families():
     for stranger, kind in ((object(), "object"), (ValueTable(), "ValueTable")):
         with pytest.raises(BadParams, match=f"five families, got {kind}"):
             Instance(2, (Additive((F(1), F(1))), stranger))
+    # Before, a generator of agents built a market whose n raised TypeError.
+    with pytest.raises(BadParams, match="agents must be a tuple or a list, got generator"):
+        Instance(2, (a for a in (Additive((F(1), F(1))),)))
 
 
 def test_singleton_partition_needs_an_int_item_count():
@@ -146,6 +149,11 @@ def test_allocation_rejects_overlap_and_gaps():
         Allocation(2, 0, (0b01, 0b01))
     with pytest.raises(BadParams):
         Allocation(2, 0, (0b01,))
+    # Before, a bare mask in place of the bundles or blocks raised TypeError.
+    with pytest.raises(BadParams, match="bundles must be a tuple or a list"):
+        Allocation(3, 0, 5)
+    with pytest.raises(BadParams, match="blocks must be a tuple or a list"):
+        Partition(3, 5)
 
 
 def test_social_welfare_empty_and_fig1a_row():
@@ -211,6 +219,9 @@ def test_outcome_validation():
         Outcome(x)  # no prices at all
     with pytest.raises(BadParams):
         Outcome(x, prices=(F(1),))  # wrong arity
+    for prices in ({"prices": 5}, {"item_prices": 5}):  # before: TypeError
+        with pytest.raises(BadParams, match="prices must be a tuple or a list"):
+            Outcome(x, **prices)
     with pytest.raises(BadParams):
         Outcome(x, prices=(F(-1), F(0)))
     with pytest.raises(BadParams):

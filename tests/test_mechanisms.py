@@ -28,6 +28,7 @@ from mccwe.instances import built_in, generate
 from mccwe import mechanisms
 from mccwe.mechanisms import (
     MechanismTrace,
+    TraceStep,
     _best_merge,
     _State,
     bundle_efficient_full_surplus,
@@ -38,7 +39,7 @@ from mccwe.mechanisms import (
     superadditive_mccwe,
     uniform_budget_additive_mccwe,
 )
-from mccwe.oracle import optimal_integral, optimal_over_partition
+from mccwe.oracle import best_mccwe, optimal_integral, optimal_over_partition
 from mccwe.valuations import demand_utilities
 
 F = Fraction
@@ -136,7 +137,7 @@ def test_trace_welfare_is_the_markets_own_welfare():
     for mechanism in (superadditive_mccwe, single_minded_mccwe):
         trace = MechanismTrace()
         out = mechanism(inst, trace)
-        state = _State(inst, _empty(inst), None)
+        state = _State(inst, None, None, "")
         welfare = F(0)
         for step in trace.steps:
             assert step.welfare_before == welfare
@@ -267,6 +268,20 @@ def test_uba_fig1a_from_optimum():
     assert revenue(inst, out) == w
 
 
+def test_uba_half_welfare_needs_budgets_that_cover_each_valued_item():
+    # Every item is worth 4 to each agent, above the budgets 2 and 3: the
+    # rebalance hands both other items to the budget-4 agent, already at its
+    # budget, and keeps 4 of the optimum's 9, though zero prices support the
+    # optimum itself.  The outcome still clears the market.
+    inst = Instance(3, tuple(BudgetAdditive(F(b), (F(4),) * 3) for b in (2, 4, 3)))
+    x, sw = optimal_integral(inst)
+    assert sw == 9
+    out = uniform_budget_additive_mccwe(inst, x)
+    assert social_welfare(inst, out.allocation) == 4
+    assert verify(inst, out, MCCWE).ok
+    assert best_mccwe(inst)[1] == 9
+
+
 def test_uba_keeps_half_welfare_on_dump_heavy_shape():
     # Two budget-9 agents hold {1,5,9}-valued items whose 5s and 9s a
     # saturated budget-10 agent also wants; stopping only once each owner
@@ -385,6 +400,25 @@ def test_start_allocation_must_match_the_instance_shape():
             call()
 
 
+def test_replay_trace_rejects_steps_outside_the_market():
+    # Before, agent -1 gave the items to agent 4 and True to agent 1 (as
+    # list indices), and agent 9 raised IndexError.
+    fig1a = built_in("fig1a")  # four items, five agents
+    for agent, items, message in (
+        (-1, 0b11, "agent -1 is not in the market"),
+        (5, 0b11, "agent 5 is not in the market"),
+        (9, 0b11, "agent 9 is not in the market"),
+        (True, 0b11, "int item masks and agents, got bool"),
+        (0, "3", "int item masks and agents, got str"),
+        (None, 1.0, "int item masks and agents, got float"),
+    ):
+        trace = MechanismTrace("", [TraceStep("move", agent, items, F(0), F(0))])
+        with pytest.raises(BadParams, match=message):
+            replay_trace(fig1a, _empty(fig1a), trace)
+    trace = MechanismTrace("", [TraceStep("move", 4, 0b11, F(0), F(0))])
+    assert replay_trace(fig1a, _empty(fig1a), trace).bundles == (0, 0, 0, 0, 0b11)
+
+
 def test_every_mechanism_output_verifies_on_random_families():
     for seed in range(25):
         sa = generate("random_superadditive", 4, 3, seed)
@@ -431,8 +465,6 @@ def test_single_minded_dominates_greedy_small_sets():
 
 
 def test_best_mccwe_dominates_every_mechanism():
-    from mccwe.oracle import best_mccwe
-
     for seed in range(8):
         sa = generate("random_superadditive", 4, 3, seed + 11)
         _out, best = best_mccwe(sa)
@@ -490,7 +522,7 @@ def test_merge_enumeration_matches_demand_route():
             inst = generate(family, m, n, seed)
             trace = MechanismTrace()
             out = superadditive_mccwe(inst, trace)
-            state = _State(inst, _empty(inst), None)
+            state = _State(inst, None, None, "")
             for step in trace.steps:
                 if step.phase == "merge":
                     gap, _size, agent, group = _best_merge(inst, state.bundles)

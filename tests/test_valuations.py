@@ -166,6 +166,18 @@ def test_valuation_data_must_be_exact_rationals():
         for bad in (0.1, 3.0, True):
             with pytest.raises(BadParams, match="exact rationals"):
                 build(bad)
+    # The data itself must be a tuple or a list.  Before, the exactness check
+    # consumed a generator and left Additive with no items (the first query
+    # raised IndexError), and None or a bare number raised TypeError.
+    for build in (
+        Additive,
+        SuperadditiveExplicit,
+        lambda data: BudgetAdditive(F(2), data),
+        lambda data: CappedCardinalityAdditive(data, 1),
+    ):
+        for data in (lambda: (x for x in (F(0), F(1))), lambda: None, lambda: F(1)):
+            with pytest.raises(BadParams, match="must be a tuple or a list"):
+                build(data())
 
 
 def test_integer_parameters_must_be_ints():
