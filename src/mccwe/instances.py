@@ -1,10 +1,12 @@
 """Built-in benchmark markets, seeded random families, and the file format.
 
 Instance and outcome documents are UTF-8 JSON with a top-level
-``"format": 1``.  Rationals serialize as "p/q" (or "p" for integers) and
-round-trip exactly.  Random families draw from SplitMix64 (the well-known
-64-bit mix by Steele, Lea and Flood) with plain modulo mapping, so streams
-are reproducible from the seed alone, across platforms and implementations.
+``"format": 1``.  A rational is a JSON integer or a string "p" or "p/q".
+Whole numbers (a JSON integer or "p") load as `int`, "p/q" as `Fraction`;
+the writer writes "p" or "p/q", and every rational round-trips exactly.
+Random families draw from SplitMix64 (the well-known 64-bit mix by Steele,
+Lea and Flood) with plain modulo mapping, so streams are reproducible from
+the seed alone, across platforms and implementations.
 """
 
 from __future__ import annotations
@@ -310,18 +312,34 @@ def generate(
 _RAT_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def parse_rational(text, where: str) -> Fraction:
+def _rational(text) -> int | Fraction:
+    """`parse_rational` without the location: ValueError carries the message."""
+    if isinstance(text, str) and (match := _RAT_RE.fullmatch(text)):
+        num, den = match.groups()
+        if den is None:
+            return int(num)  # ValueError past int()'s digit limit
+        num, den = int(num), int(den)
+        if den == 0:
+            raise ValueError("zero denominator")
+        return Fraction(num, den)
     if isinstance(text, int) and not isinstance(text, bool):
-        return Fraction(text)
-    if not isinstance(text, str) or not (match := _RAT_RE.fullmatch(text)):
-        raise ParseError(f"{where}: expected a rational like '3' or '3/4', got {text!r}")
+        return int(text)
+    raise ValueError(f"expected a rational like '3' or '3/4', got {text!r}")
+
+
+def parse_rational(text, where: str) -> int | Fraction:
+    """The exact rational that a JSON integer or a string "p" or "p/q" writes.
+
+    p and q are ASCII digits, p with an optional leading minus.  A JSON
+    integer or "p" loads as an `int`, "p/q" as a `Fraction` (equal to the
+    `int`, and hashing alike, when q divides p).  Anything else, a zero q,
+    or more digits than int() converts raises ParseError, its message
+    prefixed with `where`.
+    """
     try:
-        num, den = int(match.group(1)), int(match.group(2) or 1)
-    except ValueError as exc:  # more digits than int() will convert
+        return _rational(text)
+    except ValueError as exc:
         raise ParseError(f"{where}: {exc}") from exc
-    if den == 0:
-        raise ParseError(f"{where}: zero denominator")
-    return Fraction(num, den)
 
 
 def _want(obj, key, kind, where):
@@ -336,7 +354,13 @@ def _want(obj, key, kind, where):
 def _rat_list(values, where):
     if not isinstance(values, list):
         raise ParseError(f"{where}: expected a list")
-    return tuple(parse_rational(v, f"{where}[{i}]") for i, v in enumerate(values))
+    parsed = []
+    try:
+        for v in values:
+            parsed.append(_rational(v))
+    except ValueError as exc:  # the location is built only for the bad entry
+        raise ParseError(f"{where}[{len(parsed)}]: {exc}") from exc
+    return tuple(parsed)
 
 
 def _agent_to_json(v) -> dict:

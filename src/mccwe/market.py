@@ -116,6 +116,15 @@ class Allocation:
         return len(self.bundles)
 
 
+_ALLOCATIONS = frozenset({Allocation})
+
+
+def _check_allocation(instance: Instance, x: Allocation) -> None:
+    """BadParams unless x is an Allocation of the instance's items and agents."""
+    _check_kinds((x,), _ALLOCATIONS, "the allocation must be an Allocation")
+    check_fits(instance, x.m, x.n)
+
+
 def allocation(m: int, bundles, x0: int | None = None) -> Allocation:
     bundles = tuple(bundles)
     if x0 is None:
@@ -175,11 +184,12 @@ class Outcome:
     """
 
     allocation: Allocation
-    prices: tuple[Fraction, ...] | None = None
-    x0_price: Fraction = _ZERO
-    item_prices: tuple[Fraction, ...] | None = None
+    prices: tuple[int | Fraction, ...] | None = None
+    x0_price: int | Fraction = _ZERO
+    item_prices: tuple[int | Fraction, ...] | None = None
 
     def __post_init__(self):
+        _check_kinds((self.allocation,), _ALLOCATIONS, "the allocation must be an Allocation")
         if (self.prices is None) == (self.item_prices is None):
             raise BadParams("outcome needs exactly one of bundle or item prices")
         x, bundle_priced = self.allocation, self.prices is not None
@@ -200,13 +210,14 @@ class Outcome:
 
 
 def social_welfare(instance: Instance, x: Allocation) -> Fraction:
-    check_fits(instance, x.m, x.n)
+    _check_allocation(instance, x)
     total = sum(instance.scaled_value(i, bundle) for i, bundle in enumerate(x.bundles))
     return Fraction(total, instance.scale)
 
 
 def revenue(instance: Instance, outcome: Outcome) -> Fraction:
     """Sum of prices over bundles allocated to agents (x0 excluded)."""
+    _check_kinds((outcome,), frozenset({Outcome}), "the outcome must be an Outcome")
     x = outcome.allocation
     check_fits(instance, x.m, x.n)
     total = _ZERO
@@ -223,6 +234,6 @@ def revenue(instance: Instance, outcome: Outcome) -> Fraction:
 
 def full_surplus_outcome(instance: Instance, x: Allocation) -> Outcome:
     """Price every bundle at its owner's value (and x0 at zero)."""
-    check_fits(instance, x.m, x.n)
+    _check_allocation(instance, x)
     prices = tuple(v.value(b) for v, b in zip(instance.agents, x.bundles))
     return Outcome(x, prices=prices)

@@ -46,16 +46,16 @@ def _check_kinds(values, kinds, rule: str) -> None:
 
 def _scale_data(v, **data) -> None:
     """Set v.scale to the LCM of the data's denominators and each named
-    field to its data times v.scale; BadParams on a negative value or on a
+    field to its data times v.scale, read off each datum's numerator and
+    denominator (an int has both); BadParams on a negative value or on a
     datum that is not an exact rational in a tuple or a list."""
     for values in data.values():
         _check_kinds((values,), _SEQUENCES, "valuation data must be a tuple or a list")
         _check_kinds(values, _EXACT, "valuation data must be exact rationals")
-    ratios = {name: [x.as_integer_ratio() for x in values] for name, values in data.items()}
-    scale = lcm(*{q for pairs in ratios.values() for _p, q in pairs})
+    scale = lcm(*{x.denominator for values in data.values() for x in values})
     object.__setattr__(v, "scale", scale)
-    for name, pairs in ratios.items():
-        units = tuple(p * (scale // q) for p, q in pairs)
+    for name, values in data.items():
+        units = tuple(x.numerator * (scale // x.denominator) for x in values)
         if min(units, default=0) < 0:
             raise BadParams("negative value in valuation data")
         object.__setattr__(v, name, units)
@@ -71,7 +71,7 @@ class _Scaled:
 
 @dataclass(frozen=True)
 class Additive(_Scaled):
-    item_values: tuple[Fraction, ...]
+    item_values: tuple[int | Fraction, ...]
 
     def __post_init__(self):
         _scale_data(self, scaled_items=self.item_values)
@@ -86,7 +86,7 @@ class SingleMinded(_Scaled):
     """Worth `value` for any superset of `desired`, zero otherwise."""
 
     desired: int
-    value_if_served: Fraction
+    value_if_served: int | Fraction
 
     def __post_init__(self):
         _check_kinds((self.desired,), _INT, "a desired set must be an int item mask")
@@ -108,7 +108,7 @@ class SuperadditiveExplicit(_Scaled):
     v(S + j) >= v(S) + v({j}) >= v(S).
     """
 
-    table: tuple[Fraction, ...]
+    table: tuple[int | Fraction, ...]
 
     def __post_init__(self):
         _scale_data(self, scaled_table=self.table)
@@ -139,8 +139,8 @@ class SuperadditiveExplicit(_Scaled):
 class BudgetAdditive(_Scaled):
     """min(budget, additive sum)."""
 
-    budget: Fraction
-    item_values: tuple[Fraction, ...]
+    budget: int | Fraction
+    item_values: tuple[int | Fraction, ...]
 
     def __post_init__(self):
         _scale_data(self, scaled_budget=(self.budget,), scaled_items=self.item_values)
@@ -159,7 +159,7 @@ class BudgetAdditive(_Scaled):
 class CappedCardinalityAdditive(_Scaled):
     """Sum of the `cap` largest item values in the set."""
 
-    item_values: tuple[Fraction, ...]
+    item_values: tuple[int | Fraction, ...]
     cap: int
 
     def __post_init__(self):

@@ -1,5 +1,6 @@
 """Built-in markets, random families, and serialization round-trips."""
 
+import io
 import json
 import tracemalloc
 from fractions import Fraction
@@ -15,7 +16,8 @@ from mccwe import (
     SuperadditiveExplicit,
     allocation,
 )
-from mccwe.bits import items_of
+from mccwe.bits import bits_of, items_of
+from mccwe.cli import main
 from mccwe.instances import (
     BUILTINS,
     FAMILIES,
@@ -30,6 +32,8 @@ from mccwe.instances import (
 )
 from mccwe.oracle import optimal_integral
 from value_reference import (
+    fraction_instance,
+    fraction_rational,
     identical_budgets,
     item_table,
     shared_item_values,
@@ -398,3 +402,133 @@ def test_empty_explicit_table_is_a_parse_error():
     doc = {"format": 1, "m": 1, "agents": [{"family": "superadditive_explicit", "table": []}]}
     with pytest.raises(ParseError, match="power of two"):
         parse_instance(json.dumps(doc))
+
+
+NUMBER_FORMS = ("3", "-0", "6/2", "3/4", "-0012/04", 3, -7, 0)
+
+
+def test_parse_rational_loads_whole_numbers_as_ints():
+    # A Fraction was built for every number before, whole or not.
+    assert type(parse_rational("3", "f")) is int
+    for text in NUMBER_FORMS:
+        value = parse_rational(text, "f")
+        assert value == fraction_rational(text)
+        assert type(value) is (Fraction if "/" in str(text) else int)
+
+
+def _scaled(v) -> dict:
+    """A valuation's scale and its scaled_* fields."""
+    return {key: x for key, x in vars(v).items() if key == "scale" or key.startswith("scaled_")}
+
+
+def _assert_readers_agree(text: str) -> Instance:
+    """The integer reader and the Fraction one read `text` alike."""
+    ours, ref = parse_instance(text), fraction_instance(text)
+    assert ours.agents == ref.agents and ours == ref
+    assert ours.scale == ref.scale and type(ours.scale) is int
+    for v, w in zip(ours.agents, ref.agents):
+        scaled = _scaled(v)
+        assert type(v) is type(w) and scaled == _scaled(w)
+        assert type(scaled.pop("scale")) is int
+        assert all(type(x) is int for xs in scaled.values() for x in xs)
+    assert write_instance(ours) == write_instance(ref)
+    return ours
+
+
+def test_every_number_form_reads_as_the_fraction_reader_reads_it():
+    forms = ["3", "-0", "6/2", "3/4", "0012/04", 3, 0]  # valuation data is nonnegative
+    values = [fraction_rational(text) for text in forms]
+
+    def spell(mask, x):  # the additive table's entries, in three spellings
+        if mask % 3 == 0 and x.denominator == 1:
+            return int(x)
+        return str(x) if mask % 3 == 1 else f"{2 * x.numerator}/{2 * x.denominator}"
+
+    table = [spell(mask, sum((values[j] for j in bits_of(mask)), F(0))) for mask in range(128)]
+    agents = [
+        {"family": "additive", "item_values": forms},
+        {"family": "budget_additive", "budget": "6/2", "item_values": forms},
+        {"family": "budget_additive", "budget": 5, "item_values": forms[::-1]},
+        {"family": "capped_additive", "cap": 2, "item_values": forms},
+        {"family": "single_minded", "desired": [0, 3], "value": "-0"},
+        {"family": "single_minded", "desired": [6], "value": "3/4"},
+        {"family": "single_minded", "desired": [1, 2], "value": 4},
+        {"family": "superadditive_explicit", "table": table},
+    ]
+    text = json.dumps({"format": 1, "m": 7, "agents": agents})
+    inst = _assert_readers_agree(text)
+    assert inst.scale == 4
+    assert [type(x) for x in inst.agents[0].item_values] == [int, int, F, F, F, int, int]
+
+
+def test_built_in_and_seeded_markets_read_as_the_fraction_reader_reads_them():
+    params = {"partition_reduction": {"weights": (1, F(1, 2), 2, F(3, 2))}}
+    for name in BUILTINS:
+        text = write_instance(built_in(name, **params.get(name, {})))
+        assert write_instance(_assert_readers_agree(text)) == text
+    for seed in range(200):
+        for family, m, n in (
+            ("random_superadditive", 1 + seed % 5, 1 + seed % 3),
+            ("random_single_minded", 1 + seed % 8, 1 + seed % 5),
+            ("random_uniform_budget_additive", 1 + seed % 8, 1 + seed % 5),
+        ):
+            text = write_instance(generate(family, m, n, seed, identical_budgets=seed % 2 == 1))
+            assert write_instance(_assert_readers_agree(text)) == text
+
+
+try:
+    int("7" * 5000)
+except ValueError as exc:
+    _DIGIT_LIMIT = str(exc)  # Python's own text, which ParseError repeats
+
+_RATIONAL = "expected a rational like '3' or '3/4', got "
+
+
+@pytest.mark.parametrize(
+    "bad, reason",
+    [
+        ("1/0", "zero denominator"),
+        (True, _RATIONAL + "True"),
+        (0.5, _RATIONAL + "0.5"),
+        (" 3", _RATIONAL + "' 3'"),
+        ("7" * 5000, _DIGIT_LIMIT),
+    ],
+    ids=["zero-denominator", "true", "float", "space", "5000-digits"],
+)
+def test_a_bad_entry_deep_in_a_list_is_named_by_its_location(tmp_path, capsys, bad, reason):
+    # The library message and the CLI's exit code 2 and error line, as the
+    # reader that built a Fraction and a location per entry gave them.
+    def at_17(values):
+        return values[:17] + [bad] + values[18:]
+
+    def market(m, last):
+        agents = [{"family": "additive", "item_values": ["1"] * m}] * 2 + [last]
+        return json.dumps({"format": 1, "m": m, "agents": agents})
+
+    inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+    ones = ["1"] * 20
+    for text in (
+        market(5, {"family": "superadditive_explicit", "table": at_17(["0"] * 32)}),
+        market(20, {"family": "additive", "item_values": at_17(ones)}),
+        market(20, {"family": "budget_additive", "budget": "3", "item_values": at_17(ones)}),
+    ):
+        message = f"agents[2][17]: {reason}"
+        with pytest.raises(ParseError) as caught:
+            parse_instance(text)
+        assert str(caught.value) == message
+        inst.write_text(text)
+        assert main(["oracle", "-i", str(inst)], out=io.StringIO()) == 2
+        assert capsys.readouterr().err == f"error=ParseError {message}\n"
+
+    agents = [{"family": "additive", "item_values": ["1"]}] * 20
+    inst.write_text(json.dumps({"format": 1, "m": 1, "agents": agents}))
+    x = {"x0": [], "x": [[0]] + [[]] * 19}
+    text = json.dumps({"format": 1, "allocation": x, "prices": {"agents": at_17(["0"] * 20)}})
+    message = f"prices.agents[17]: {reason}"
+    with pytest.raises(ParseError) as caught:
+        parse_outcome(text, 1)
+    assert str(caught.value) == message
+    out.write_text(text)
+    argv = ["verify", "-i", str(inst), "-a", str(out), "--mode", "mccwe"]
+    assert main(argv, out=io.StringIO()) == 2
+    assert capsys.readouterr().err == f"error=ParseError {message}\n"

@@ -271,3 +271,18 @@ def test_accounting_rejects_another_markets_allocation():
             full_surplus_outcome(fig1a, x)
         with pytest.raises(BadParams, match="the instance has"):
             revenue(fig1a, Outcome(x, prices=(F(0),) * x.n))
+
+
+def test_accounting_rejects_what_is_not_an_allocation_or_an_outcome():
+    # Each of these leaked AttributeError ("'int' object has no attribute
+    # 'n'", "... 'm'", "... 'allocation'") before.
+    fig1a = built_in("fig1a")
+    for call, message in (
+        (lambda: Outcome(5, prices=(F(1),)), "the allocation must be an Allocation, got int"),
+        (lambda: social_welfare(fig1a, 5), "the allocation must be an Allocation, got int"),
+        (lambda: full_surplus_outcome(fig1a, 5), "the allocation must be an Allocation, got int"),
+        (lambda: revenue(fig1a, 5), "the outcome must be an Outcome, got int"),
+        (lambda: revenue(fig1a, allocation(4, [0b1111])), "must be an Outcome, got Allocation"),
+    ):
+        with pytest.raises(BadParams, match=message):
+            call()

@@ -5,14 +5,18 @@ Every value here comes straight from a valuation's `Fraction` data, by the
 definition of its family, never from its scaled integers: the tests compare
 the integer tables, relative-demand answers, utilities, the integer
 super-additivity check and the budget mechanisms' integer uniformity test
-against these.
+against these.  `fraction_instance` is the instance reader that loaded every
+number as a `Fraction`; the tests compare the integer reader against it.
 """
 
 from __future__ import annotations
 
+import json
+import re
 from fractions import Fraction
 
-from mccwe.bits import bits_of
+from mccwe.bits import bits_of, mask_of
+from mccwe.market import Instance
 from mccwe.valuations import (
     Additive,
     BudgetAdditive,
@@ -117,3 +121,39 @@ def shared_item_values(instance) -> list[Fraction] | None:
             return None
         values.append(seen.pop() if seen else _ZERO)
     return values
+
+
+def fraction_rational(text) -> Fraction:
+    """A well-formed JSON integer, "p" or "p/q" as a `Fraction`."""
+    if isinstance(text, int):
+        return Fraction(text)
+    num, den = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", text).groups()
+    return Fraction(int(num), int(den or 1))
+
+
+def fraction_instance(text: str) -> Instance:
+    """A well-formed instance document, every number read as a `Fraction`."""
+    doc = json.loads(text)
+
+    def rationals(values):
+        return tuple(map(fraction_rational, values))
+
+    agents = []
+    for obj in doc["agents"]:
+        family = obj["family"]
+        if family == "additive":
+            agents.append(Additive(rationals(obj["item_values"])))
+        elif family == "single_minded":
+            value = fraction_rational(obj["value"])
+            agents.append(SingleMinded(mask_of(obj["desired"]), value))
+        elif family == "superadditive_explicit":
+            agents.append(SuperadditiveExplicit(rationals(obj["table"])))
+        elif family == "budget_additive":
+            budget = fraction_rational(obj["budget"])
+            agents.append(BudgetAdditive(budget, rationals(obj["item_values"])))
+        else:
+            capped = CappedCardinalityAdditive(rationals(obj["item_values"]), obj["cap"])
+            agents.append(capped)
+    return Instance(
+        doc["m"], tuple(agents), name=doc.get("name", ""), metadata=doc.get("metadata")
+    )
