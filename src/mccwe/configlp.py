@@ -59,7 +59,7 @@ def build_config_lp(instance: Instance, partition: Partition) -> LinearProgram:
     configuration LP's times that scale; every row is 0/1 with right-hand
     side 1.
     """
-    check_fits(instance, partition.m)
+    check_fits(instance, partition, Partition)
     n = instance.n
     k = len(partition.blocks)
     _check_size(n, k)
@@ -111,7 +111,7 @@ def supporting_prices(instance: Instance, x: Allocation) -> Outcome:
     Raises NotMCCWE (with the exact gap) when the fractional optimum
     strictly exceeds the allocation's welfare.
     """
-    check_fits(instance, x.m, x.n)
+    check_fits(instance, x, Allocation)
     partition, owners = induced_partition(x)
     sol = fractional_opt(instance, partition)
     welfare = social_welfare(instance, x)

@@ -70,8 +70,8 @@ def verify(instance: Instance, outcome: Outcome, mode: str) -> VerifyReport:
     """Check buyer stability (all modes) and market clearance (we/mccwe)."""
     if mode not in MODES:
         raise BadParams(f"unknown verification mode {mode!r}")
+    check_fits(instance, outcome, Outcome)
     x = outcome.allocation
-    check_fits(instance, x.m, x.n)
     buyer_violations: list[Violation] = []
     seller_violations: list[Violation] = []
 

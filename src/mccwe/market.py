@@ -75,16 +75,6 @@ class Instance:
         return v.scaled_value(items) * (self.scale // v.scale)
 
 
-def check_fits(instance: Instance, m: int, n: int | None = None) -> None:
-    """Raise BadParams unless m items (and n agents, when given) are the instance's."""
-    if m != instance.m or n not in (None, instance.n):
-        agents = "" if n is None else f" and {n} agents"
-        raise BadParams(
-            f"got {m} items{agents}; "
-            f"the instance has {instance.m} items and {instance.n} agents"
-        )
-
-
 def _check_cover(m: int, sets, noun: str, x0: int = 0) -> None:
     """BadParams unless m is an int, the sets are a tuple or a list, and
     they and x0 are int masks, pairwise disjoint and covering all m items."""
@@ -114,15 +104,6 @@ class Allocation:
     @property
     def n(self) -> int:
         return len(self.bundles)
-
-
-_ALLOCATIONS = frozenset({Allocation})
-
-
-def _check_allocation(instance: Instance, x: Allocation) -> None:
-    """BadParams unless x is an Allocation of the instance's items and agents."""
-    _check_kinds((x,), _ALLOCATIONS, "the allocation must be an Allocation")
-    check_fits(instance, x.m, x.n)
 
 
 def allocation(m: int, bundles, x0: int | None = None) -> Allocation:
@@ -189,7 +170,7 @@ class Outcome:
     item_prices: tuple[int | Fraction, ...] | None = None
 
     def __post_init__(self):
-        _check_kinds((self.allocation,), _ALLOCATIONS, "the allocation must be an Allocation")
+        _check_kinds((self.allocation,), {Allocation}, _KIND_RULES[Allocation])
         if (self.prices is None) == (self.item_prices is None):
             raise BadParams("outcome needs exactly one of bundle or item prices")
         x, bundle_priced = self.allocation, self.prices is not None
@@ -209,17 +190,39 @@ class Outcome:
             raise BadParams("empty bundles and an empty x0 cannot carry a price")
 
 
+_KIND_RULES = {
+    Allocation: "the allocation must be an Allocation",
+    Outcome: "the outcome must be an Outcome",
+    Partition: "the partition must be a Partition",
+}
+
+
+def check_fits(instance: Instance, obj, kind: type) -> None:
+    """BadParams unless `instance` is an Instance and `obj` is a `kind` (an
+    Allocation, an Outcome or a Partition) over its m items and, but for a
+    Partition, its n agents."""
+    _check_kinds((instance,), {Instance}, "the instance must be an Instance")
+    _check_kinds((obj,), {kind}, _KIND_RULES[kind])
+    x = obj.allocation if kind is Outcome else obj
+    n = None if kind is Partition else x.n
+    if x.m != instance.m or n not in (None, instance.n):
+        agents = "" if n is None else f" and {n} agents"
+        raise BadParams(
+            f"got {x.m} items{agents}; "
+            f"the instance has {instance.m} items and {instance.n} agents"
+        )
+
+
 def social_welfare(instance: Instance, x: Allocation) -> Fraction:
-    _check_allocation(instance, x)
+    check_fits(instance, x, Allocation)
     total = sum(instance.scaled_value(i, bundle) for i, bundle in enumerate(x.bundles))
     return Fraction(total, instance.scale)
 
 
 def revenue(instance: Instance, outcome: Outcome) -> Fraction:
     """Sum of prices over bundles allocated to agents (x0 excluded)."""
-    _check_kinds((outcome,), frozenset({Outcome}), "the outcome must be an Outcome")
+    check_fits(instance, outcome, Outcome)
     x = outcome.allocation
-    check_fits(instance, x.m, x.n)
     total = _ZERO
     if outcome.prices is not None:
         for bundle, price in zip(x.bundles, outcome.prices):
@@ -234,6 +237,6 @@ def revenue(instance: Instance, outcome: Outcome) -> Fraction:
 
 def full_surplus_outcome(instance: Instance, x: Allocation) -> Outcome:
     """Price every bundle at its owner's value (and x0 at zero)."""
-    _check_allocation(instance, x)
+    check_fits(instance, x, Allocation)
     prices = tuple(v.value(b) for v, b in zip(instance.agents, x.bundles))
     return Outcome(x, prices=prices)

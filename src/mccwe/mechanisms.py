@@ -72,7 +72,7 @@ class _State:
         if start is None:
             self.bundles, self.x0 = [0] * instance.n, full_mask(instance.m)
         else:
-            check_fits(instance, start.m, start.n)
+            check_fits(instance, start, Allocation)
             self.bundles, self.x0 = list(start.bundles), start.x0
         self.instance = instance
         self.trace = trace

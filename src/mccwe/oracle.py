@@ -8,11 +8,13 @@ from an exact integer subset DP for winner determination (after Rothkopf,
 Pekec and Harstad, 1998) over the agents' integer value tables at the
 market's scale (`Instance.scale`), with the tie-break folded into the same
 integer key, so the DP returns the lexicographically smallest owner vector
-among the optima, item 0 most significant and agents as digits 0..n-1.  A
-lone agent takes every item, in closed form.  The supportable-optimum
+among the optima, item 0 most significant and agents as digits 0..n-1.
+All three optima share one routine, `_optimum`, where a lone agent takes
+every item or block in closed form, with no table.  The supportable-optimum
 search steps through all assignments, "unallocated" as the last digit, with
-one odometer generator, `_assignments`.  Every operation charges an
-enumeration budget up front and aborts with SizeLimit rather than exceed it.
+one odometer generator, `_assignments`.  The enumeration budget is the one
+bound: every operation charges it before building any table, aborting with
+SizeLimit rather than exceed it.
 """
 
 from __future__ import annotations
@@ -30,13 +32,11 @@ from .valuations import SingleMinded, value_table
 
 DEFAULT_STATE_LIMIT = 10_000_000
 
-# Above this table size, optima query valuations directly.
-_TABLE_CAP = 1 << 20
-
 
 @dataclass
 class OracleBudget:
-    """Enumeration allowance; operations abort instead of exceeding it."""
+    """Enumeration allowance, the oracles' one bound, which also bounds every
+    table: operations charge it first and abort instead of exceeding it."""
 
     limit: int = DEFAULT_STATE_LIMIT
     used: int = field(default=0)
@@ -50,18 +50,17 @@ class OracleBudget:
         self.used += states
 
 
-def _item_tables(instance: Instance):
-    """Integer item value tables at the market's scale, or None for a lone
-    agent, who needs none; SizeLimit when 2^m exceeds _TABLE_CAP."""
+def _optimum(instance, partition):
+    """(sets, welfare, tables): the welfare optimum over the partition's
+    blocks as one block mask per agent, its welfare in the market's units,
+    and the agents' integer block tables at its scale, charging no budget.
+    A lone agent takes every block at v(full), with no tables (None)."""
+    k = len(partition.blocks)
     if instance.n == 1:
-        return None
-    if 1 << instance.m > _TABLE_CAP:
-        raise SizeLimit(
-            f"{instance.m} items exceed the {_TABLE_CAP}-entry table cap for "
-            f"{instance.n} agents"
-        )
-    items = singleton_partition(instance.m)
-    return [value_table(v, items, instance.scale) for v in instance.agents]
+        return ((1 << k) - 1,), instance.scaled_value(0, (1 << instance.m) - 1), None
+    tables = [value_table(v, partition, instance.scale) for v in instance.agents]
+    sets, welfare = _winner_determination(k, tables)
+    return sets, welfare, tables
 
 
 def _assignments(k, tables):
@@ -97,8 +96,8 @@ def _assignments(k, tables):
 
 
 def _winner_determination(k, tables):
-    """Welfare-maximal assignment of all k units to the agents behind the
-    integer value `tables`, all at one scale.
+    """Welfare-maximal assignment of all k units to the two or more agents
+    behind the integer value `tables`, all at one scale.
 
     Returns (sets, welfare): one unit mask per agent, and the welfare as the
     sum of the chosen table entries.  The DP runs on integer keys
@@ -110,8 +109,6 @@ def _winner_determination(k, tables):
     n = len(tables)
     size = 1 << k
     full = size - 1
-    if n == 1:
-        return (full,), tables[0][full]
     weights = subset_sums([n ** (k - 1 - j) for j in range(k)])
     unit = n**k
     keys = [
@@ -171,16 +168,6 @@ def _check_assignment(full, sets, keys, top):
         )
 
 
-def _item_optimum(instance, tables):
-    """The welfare optimum over items in the market's units, charging no
-    budget; `tables` come from _item_tables."""
-    if tables is None:
-        full = (1 << instance.m) - 1
-        return Allocation(instance.m, 0, (full,)), instance.scaled_value(0, full)
-    sets, welfare = _winner_determination(instance.m, tables)
-    return Allocation(instance.m, 0, sets), welfare
-
-
 def optimal_integral(
     instance: Instance, budget: OracleBudget | None = None
 ) -> tuple[Allocation, Fraction]:
@@ -201,8 +188,8 @@ def optimal_integral(
     ):
         return _single_minded_optimum(instance, budget)
     budget.charge(states)
-    x, welfare = _item_optimum(instance, _item_tables(instance))
-    return x, Fraction(welfare, instance.scale)
+    sets, welfare, _tables = _optimum(instance, singleton_partition(m))
+    return Allocation(m, 0, sets), Fraction(welfare, instance.scale)
 
 
 def _disjoint_winner_sets(instance):
@@ -261,19 +248,14 @@ def optimal_over_partition(
     as valuations are monotone.  This realizes bundle-efficiency over the
     partition's blocks.  It is the same integer subset DP as
     optimal_integral over block value tables, with blocks as units and ties
-    to the smallest block-major owner vector; the budget is charged (n+1)^k
-    states for k blocks, and k blocks whose 2^k-entry tables exceed the
-    table cap raise SizeLimit before any table is built.
+    to the smallest block-major owner vector.  The budget is charged (n+1)^k
+    states for k blocks before any table is built.
     """
-    check_fits(instance, partition.m)
+    check_fits(instance, partition, Partition)
     budget = budget or OracleBudget()
     k = len(partition.blocks)
-    if 1 << k > _TABLE_CAP:
-        raise SizeLimit(f"{k} blocks exceed the {_TABLE_CAP}-entry table cap")
     budget.charge((instance.n + 1) ** k)
-    sets, welfare = _winner_determination(
-        k, [value_table(v, partition, instance.scale) for v in instance.agents]
-    )
+    sets, welfare, _tables = _optimum(instance, partition)
     owners = [0] * k
     for i, block_set in enumerate(sets):
         for j in bits_of(block_set):
@@ -306,8 +288,8 @@ def best_mccwe(
     budget = budget or OracleBudget()
     m = instance.m
     budget.charge(2 * (instance.n + 1) ** m)
-    tables = _item_tables(instance)
-    x, top = _item_optimum(instance, tables)
+    sets, top, tables = _optimum(instance, singleton_partition(m))
+    x = Allocation(m, 0, sets)
     outcome = _supported(instance, x)
     if outcome is not None:
         return outcome, Fraction(top, instance.scale)

@@ -13,6 +13,7 @@ from mccwe import (
     NotMCCWE,
     Partition,
     SingleMinded,
+    SizeLimit,
     allocation,
     induced_partition,
     singleton_partition,
@@ -23,7 +24,7 @@ from mccwe import configlp
 from mccwe.configlp import build_config_lp, fractional_opt, supporting_prices
 from mccwe.equilibria import MCCWE, verify
 from mccwe.instances import built_in, generate
-from mccwe.lp import UNBOUNDED, LPSolution, solve_lp
+from mccwe.lp import MAX_VARIABLES, UNBOUNDED, LPSolution, solve_lp
 from mccwe.oracle import optimal_integral, optimal_over_partition
 from value_reference import reduced_value
 
@@ -213,3 +214,19 @@ def test_priced_unallocated_block_raises_certificate_error(monkeypatch):
     monkeypatch.setattr(configlp, "fractional_opt", priced_everywhere)
     with pytest.raises(CertificateError, match="unallocated block priced"):
         supporting_prices(inst, x)
+
+
+def test_size_bound_is_checked_before_any_table_is_built(monkeypatch):
+    def no_tables(v, partition, scale):
+        raise AssertionError(f"built a table over {len(partition.blocks)} blocks")
+
+    monkeypatch.setattr(configlp, "value_table", no_tables)
+    lone = Instance(17, (Additive((1,) * 17),))
+    with pytest.raises(SizeLimit, match="17 blocks exceeds the configuration-LP cap"):
+        fractional_opt(lone, singleton_partition(17))
+    # n * 2^k above MAX_VARIABLES: four agents over 16 blocks, seven over 15
+    for m, n in ((16, 4), (15, 7)):
+        assert n << m > MAX_VARIABLES
+        many = Instance(m, (Additive((1,) * m),) * n)
+        with pytest.raises(SizeLimit, match="exceed the variable cap"):
+            fractional_opt(many, singleton_partition(m))

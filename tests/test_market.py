@@ -27,9 +27,13 @@ from mccwe import (
     revenue,
     singleton_partition,
     social_welfare,
+    replay_trace,
     supporting_prices,
+    uniform_budget_additive_mccwe,
+    verify,
 )
 from mccwe.bits import mask_of
+from mccwe.mechanisms import MechanismTrace
 from mccwe.valuations import demand_utilities, value_table
 from value_reference import reduced_value, utility
 
@@ -271,6 +275,64 @@ def test_accounting_rejects_another_markets_allocation():
             full_surplus_outcome(fig1a, x)
         with pytest.raises(BadParams, match="the instance has"):
             revenue(fig1a, Outcome(x, prices=(F(0),) * x.n))
+
+
+_FIG1A_ALL_TO_0 = Outcome(allocation(4, [0b1111, 0, 0, 0, 0]), prices=(F(0),) * 5)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: verify(built_in("fig1a"), 5, "mccwe"), "the outcome must be an Outcome, got int"),
+        (lambda: verify(5, _FIG1A_ALL_TO_0, "mccwe"), "the instance must be an Instance, got int"),
+        (
+            lambda: social_welfare(5, _FIG1A_ALL_TO_0.allocation),
+            "the instance must be an Instance, got int",
+        ),
+        (
+            lambda: supporting_prices(built_in("fig1a"), 5),
+            "the allocation must be an Allocation, got int",
+        ),
+        (
+            lambda: uniform_budget_additive_mccwe(built_in("fig1a"), 5),
+            "the allocation must be an Allocation, got int",
+        ),
+        (
+            lambda: replay_trace(built_in("fig1a"), 5, MechanismTrace()),
+            "the allocation must be an Allocation, got int",
+        ),
+        (
+            lambda: replay_trace(built_in("fig1a"), singleton_partition(4), MechanismTrace()),
+            "the allocation must be an Allocation, got Partition",
+        ),
+        (lambda: fractional_opt(built_in("fig1a"), 5), "the partition must be a Partition, got int"),
+        (
+            lambda: optimal_over_partition(built_in("fig1a"), 5),
+            "the partition must be a Partition, got int",
+        ),
+        (
+            lambda: optimal_over_partition(built_in("fig1a"), allocation(4, [0b1111])),
+            "the partition must be a Partition, got Allocation",
+        ),
+    ],
+    ids=[
+        "verify-outcome",
+        "verify-instance",
+        "social_welfare-instance",
+        "supporting_prices",
+        "uba",
+        "replay_trace",
+        "replay_trace-partition",
+        "fractional_opt",
+        "optimal_over_partition",
+        "optimal_over_partition-allocation",
+    ],
+)
+def test_entry_points_check_the_kinds_of_market_and_argument(call, message):
+    # One rule, check_fits, checks the market, then the argument's kind,
+    # then its shape, so no entry point leaks AttributeError.
+    with pytest.raises(BadParams, match=message):
+        call()
 
 
 def test_accounting_rejects_what_is_not_an_allocation_or_an_outcome():

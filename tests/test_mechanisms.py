@@ -24,7 +24,7 @@ from mccwe import (
 )
 from mccwe.bits import bits_of, full_mask, mask_of
 from mccwe.equilibria import MCCWE, verify
-from mccwe.instances import built_in, generate
+from mccwe.instances import SplitMix64, built_in, generate
 from mccwe import mechanisms
 from mccwe.mechanisms import (
     MechanismTrace,
@@ -280,6 +280,49 @@ def test_uba_half_welfare_needs_budgets_that_cover_each_valued_item():
     assert social_welfare(inst, out.allocation) == 4
     assert verify(inst, out, MCCWE).ok
     assert best_mccwe(inst)[1] == 9
+
+
+def _budgets_apart_from_values(rng):
+    """A uniform budget-additive market (m 3-6, n 2-4) whose budgets are
+    drawn independently of the item values, and whether every agent's
+    budget is at least each of its positive item values."""
+    m, n = rng.randint(3, 6), rng.randint(2, 4)
+    shared = [rng.randint(1, 8) for _ in range(m)]
+    agents = []
+    for _ in range(n):
+        wants = rng.randint(1, (1 << m) - 1)
+        values = tuple(shared[j] if wants >> j & 1 else 0 for j in range(m))
+        agents.append(BudgetAdditive(rng.randint(1, 12), values))
+    covered = all(v.budget >= max(v.item_values) for v in agents)
+    return Instance(m, tuple(agents)), covered
+
+
+def _random_allocation(inst, rng):
+    """Each item to an agent or to the pool (owner n), drawn from rng."""
+    bundles = [0] * (inst.n + 1)
+    for j in range(inst.m):
+        bundles[rng.randint(0, inst.n)] |= 1 << j
+    return allocation(inst.m, bundles[:-1], x0=bundles[-1])
+
+
+def test_uba_seeded_markets_outside_the_generators_hypothesis():
+    # The generator keeps every budget at least each valued item; here the
+    # budgets ignore the values.  From the optimum and from a random start
+    # the rebalance must clear the market at full-surplus prices; it keeps
+    # half the input's welfare only where the hypothesis holds.
+    rng = SplitMix64(2014)
+    kinds = set()
+    for _ in range(1500):
+        inst, covered = _budgets_apart_from_values(rng)
+        kinds.add(covered)
+        for x in (optimal_integral(inst)[0], _random_allocation(inst, rng)):
+            out = uniform_budget_additive_mccwe(inst, x)
+            w = social_welfare(inst, out.allocation)
+            assert verify(inst, out, MCCWE).ok
+            assert revenue(inst, out) == w
+            if covered:
+                assert 2 * w >= social_welfare(inst, x)
+    assert kinds == {True, False}
 
 
 def test_uba_keeps_half_welfare_on_dump_heavy_shape():

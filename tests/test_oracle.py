@@ -37,6 +37,7 @@ from mccwe.oracle import (
     optimal_integral,
     optimal_over_partition,
 )
+from mccwe.valuations import value_table
 from value_reference import reduced_value
 
 F = Fraction
@@ -347,14 +348,25 @@ def test_dp_matches_leaf_walk_on_ties():
 
 def test_single_agent_sweep_above_table_cap(monkeypatch):
     # a lone agent takes everything without tables; two agents need them
-    monkeypatch.setattr("mccwe.oracle._TABLE_CAP", 2)
+    built = []
+
+    def counted(v, partition, scale):
+        built.append(len(partition.blocks))
+        return value_table(v, partition, scale)
+
+    monkeypatch.setattr("mccwe.oracle.value_table", counted)
     for seed in range(120):
         family = FAMILIES[seed % len(FAMILIES)]
         m = 2 + seed % 7
         inst = generate(family, m, 1, seed, identical_budgets=family == FAMILIES[2])
         assert optimal_integral(inst) == reference_integral(inst)
-    with pytest.raises(SizeLimit, match="table cap for 2 agents"):
-        optimal_integral(generate("random_superadditive", 3, 2, 1))
+        partition = random_partition(m, SplitMix64(seed))
+        assert optimal_over_partition(inst, partition) == reference_over_partition(inst, partition)
+        assert best_mccwe(inst)[1] == reference_integral(inst)[1]
+    assert built == []
+    inst = generate("random_superadditive", 3, 2, 1)
+    assert optimal_integral(inst) == reference_integral(inst)
+    assert built == [3, 3]
 
 
 def test_block_table_cap_is_checked_before_any_table_is_built(monkeypatch):
@@ -362,11 +374,14 @@ def test_block_table_cap_is_checked_before_any_table_is_built(monkeypatch):
         raise AssertionError(f"built a table over {len(partition.blocks)} blocks")
 
     monkeypatch.setattr("mccwe.oracle.value_table", no_tables)
-    inst = Instance(21, (Additive((F(1),) * 21),))
+    inst = Instance(21, (Additive((F(1),) * 21),) * 2)
     budget = OracleBudget()
-    with pytest.raises(SizeLimit, match="table cap"):
+    with pytest.raises(SizeLimit, match="remaining budget"):
         optimal_over_partition(inst, singleton_partition(21), budget)
     assert budget.used == 0
+    # a lone agent over as many blocks takes them all in closed form
+    lone = Instance(21, inst.agents[:1])
+    assert optimal_over_partition(lone, singleton_partition(21)) == ((0,) * 21, 21)
 
 
 def test_assignment_check_rejects_bad_reconstructions():
