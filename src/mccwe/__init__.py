@@ -28,6 +28,7 @@ from .market import (
     allocation,
     full_surplus_outcome,
     induced_partition,
+    priced_blocks,
     revenue,
     singleton_partition,
     social_welfare,

@@ -26,6 +26,7 @@ from .errors import BadParams, CertificateError, MarketError
 from .instances import (
     BUILTINS,
     FAMILIES,
+    _bound_call,
     built_in,
     generate,
     parse_allocation,
@@ -100,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("family", choices=tuple(BUILTINS) + FAMILIES)
     gen.add_argument("--m", type=int)
     gen.add_argument("--n", type=int)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=int)
     gen.add_argument("--eps", help="rational like 1/10")
     gen.add_argument("--bigR", help="rational like 100")
     gen.add_argument("--identical-budgets", action="store_true")
@@ -138,27 +139,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args, out) -> int:
-    params = {}
-    if args.family in ("fig1a", "nonuniform_identical_budget") and args.eps:
-        params["eps"] = parse_rational(args.eps, "--eps")
-    elif args.family == "revenue_example" and args.bigR:
-        params["big"] = parse_rational(args.bigR, "--bigR")
-    elif args.family == "bundling_necessity":
-        params["m"] = args.m if args.m is not None else 16
-    elif args.family == "partition_reduction":
-        if not args.a:
-            raise BadParams("partition_reduction needs --a w1,w2,...")
-        params["weights"] = tuple(
-            parse_rational(w, "--a") for w in args.a.split(",")
-        )
+    # Each flag given fills the parameter of its name.  The family's maker
+    # rejects one it does not take, and its signature holds the defaults.
+    params = {
+        "m": args.m,
+        "n": args.n,
+        "seed": args.seed,
+        "identical_budgets": args.identical_budgets or None,
+        "eps": args.eps and parse_rational(args.eps, "--eps"),
+        "big": args.bigR and parse_rational(args.bigR, "--bigR"),
+        "weights": args.a and tuple(parse_rational(w, "--a") for w in args.a.split(",")),
+    }
+    params = {key: value for key, value in params.items() if value is not None}
     if args.family in BUILTINS:
         inst = built_in(args.family, **params)
     else:
-        if args.m is None or args.n is None:
-            raise BadParams("random families need --m and --n")
-        inst = generate(
-            args.family, args.m, args.n, args.seed, identical_budgets=args.identical_budgets
-        )
+        inst = _bound_call(generate, f"random family {args.family!r}", args.family, **params)
     _write(args.output, write_instance(inst))
     print(f"instance={inst.name}", file=out)
     print(f"m={inst.m}", file=out)
@@ -204,47 +200,35 @@ def _cmd_verify(args, out) -> int:
     inst = _load_instance(args.instance)
     outcome = parse_outcome(_read(args.outcome), inst.m)
     report = verify(inst, outcome, args.mode)
-    welfare = social_welfare(inst, outcome.allocation)
-    rev = revenue(inst, outcome)
+    forms = (("better_bundle", items_of), ("gap", str), ("block", items_of), ("price", str))
+    records = []
+    for viol in report.violations:
+        record = {"kind": viol.kind, "agent": viol.agent}
+        for key, form in forms:
+            value = getattr(viol, key)
+            record[key] = None if value is None else form(value)
+        records.append(record)
+    doc = {
+        "mode": report.mode,
+        "ok": report.ok,
+        "welfare": str(social_welfare(inst, outcome.allocation)),
+        "revenue": str(revenue(inst, outcome)),
+        "violations": records,
+    }
     if args.json:
-        doc = {
-            "mode": report.mode,
-            "ok": report.ok,
-            "welfare": str(welfare),
-            "revenue": str(rev),
-            "violations": [
-                {
-                    "kind": viol.kind,
-                    "agent": viol.agent,
-                    "better_bundle": None
-                    if viol.better_bundle is None
-                    else items_of(viol.better_bundle),
-                    "gap": None if viol.gap is None else str(viol.gap),
-                    "block": None if viol.block is None else items_of(viol.block),
-                    "price": None if viol.price is None else str(viol.price),
-                }
-                for viol in report.violations
-            ],
-        }
         print(json.dumps(doc, indent=2, sort_keys=True), file=out)
     else:
-        print(f"mode={report.mode}", file=out)
-        print(f"ok={'true' if report.ok else 'false'}", file=out)
-        print(f"welfare={welfare}", file=out)
-        print(f"revenue={rev}", file=out)
-        for viol in report.violations:
-            if viol.kind == "buyer":
-                bundle = ",".join(str(j) for j in items_of(viol.better_bundle))
-                print(
-                    f"violation=buyer agent={viol.agent} gap={viol.gap} "
-                    f"better_blocks={{{bundle}}}",
-                    file=out,
-                )
+        print(f"mode={doc['mode']}", file=out)
+        print(f"ok={json.dumps(doc['ok'])}", file=out)
+        print(f"welfare={doc['welfare']}", file=out)
+        print(f"revenue={doc['revenue']}", file=out)
+        for record in records:
+            if record["kind"] == "buyer":
+                bundle = ",".join(map(str, record["better_bundle"]))
+                detail = f"agent={record['agent']} gap={record['gap']} better_blocks={{{bundle}}}"
             else:
-                block = ",".join(str(j) for j in items_of(viol.block))
-                print(
-                    f"violation=seller block={{{block}}} price={viol.price}", file=out
-                )
+                detail = f"block={{{','.join(map(str, record['block']))}}} price={record['price']}"
+            print(f"violation={record['kind']} {detail}", file=out)
     return 0 if report.ok else 1
 
 

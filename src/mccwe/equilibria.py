@@ -1,13 +1,14 @@
-"""Demand correspondences over reduced markets and the three verifiers.
+"""Demand correspondences over reduced markets, and one verifier for three modes.
 
-Modes:
+Every outcome is read as priced blocks (`market.priced_blocks`): item
+prices price the singleton partition, bundle prices the allocation's
+induced partition.  One check then serves all three modes:
 
-* ``we``    — item prices over the all-singletons partition; buyer stability
-  for every agent's item bundle plus zero prices on unallocated items.
-* ``cwe``   — bundle prices over the allocation's induced partition; buyer
-  stability only.
-* ``mccwe`` — cwe plus market clearance: the unallocated block, if any, is
-  priced at zero.
+* ``we``    — item prices; buyer stability plus a zero price on every
+  unsold block (each unallocated item).
+* ``cwe``   — bundle prices; buyer stability only.
+* ``mccwe`` — bundle prices; cwe plus market clearance: the unallocated
+  block, if any, is priced at zero.
 
 An agent with an empty bundle is buyer-stable only when no bundle set has
 positive utility (the empty set must itself be demanded).
@@ -23,17 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bits import bits_of
 from .errors import BadParams
-from .market import (
-    Instance,
-    Outcome,
-    Partition,
-    UNALLOCATED,
-    check_fits,
-    induced_partition,
-    singleton_partition,
-)
+from .market import Instance, Outcome, Partition, UNALLOCATED, check_fits, priced_blocks
 from .valuations import Valuation, demand_utilities, preferred
 
 WE = "we"
@@ -71,35 +63,20 @@ def verify(instance: Instance, outcome: Outcome, mode: str) -> VerifyReport:
     if mode not in MODES:
         raise BadParams(f"unknown verification mode {mode!r}")
     check_fits(instance, outcome, Outcome)
-    x = outcome.allocation
-    buyer_violations: list[Violation] = []
+    if mode == WE and outcome.item_prices is None:
+        raise BadParams("walrasian verification needs item prices")
+    if mode != WE and outcome.prices is None:
+        raise BadParams("bundle verification needs bundle prices")
+    partition, owners, prices = priced_blocks(outcome)
+    owned = [0] * instance.n  # each agent's bundle set
     seller_violations: list[Violation] = []
+    for idx, (block, owner, price) in enumerate(zip(partition.blocks, owners, prices)):
+        if owner != UNALLOCATED:
+            owned[owner] |= 1 << idx
+        elif mode != CWE and price != 0:
+            seller_violations.append(Violation("seller", block=block, price=price))
 
-    if mode == WE:
-        if outcome.item_prices is None:
-            raise BadParams("walrasian verification needs item prices")
-        partition = singleton_partition(instance.m)
-        prices = list(outcome.item_prices)
-        owned = list(x.bundles)  # singleton blocks align with items
-        for j in bits_of(x.x0):
-            if prices[j] != 0:
-                seller_violations.append(
-                    Violation("seller", block=1 << j, price=prices[j])
-                )
-    else:
-        if outcome.prices is None:
-            raise BadParams("bundle verification needs bundle prices")
-        partition, owners = induced_partition(x)
-        prices = [
-            outcome.x0_price if o == UNALLOCATED else outcome.prices[o] for o in owners
-        ]
-        slot = {o: idx for idx, o in enumerate(owners)}
-        owned = [1 << slot[i] if i in slot else 0 for i in range(instance.n)]
-        if mode == MCCWE and x.x0 and outcome.x0_price != 0:
-            seller_violations.append(
-                Violation("seller", block=x.x0, price=outcome.x0_price)
-            )
-
+    buyer_violations: list[Violation] = []
     for i, v in enumerate(instance.agents):
         utils, scale = demand_utilities(v, partition, prices)
         best_mask = preferred(utils)

@@ -11,6 +11,7 @@ the seed alone, across platforms and implementations.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import json
 import math
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 from .bits import items_of, mask_of, subset_sums
 from .errors import BadParams, ParseError
-from .market import MAX_ITEMS, Allocation, Instance, Outcome
+from .market import _KIND_RULES, MAX_ITEMS, Allocation, Instance, Outcome, check_fits
 from .valuations import (
     Additive,
     BudgetAdditive,
@@ -211,14 +212,24 @@ BUILTINS = {
 }
 
 
+# Only the makers' signatures are looked up, and each one once.
+_signature = functools.cache(inspect.signature)
+
+
+def _bound_call(maker, what: str, *args, **params) -> Instance:
+    """maker(*args, **params); BadParams naming `what` when the maker does
+    not take a given parameter or misses a required one."""
+    try:
+        _signature(maker).bind(*args, **params)
+    except TypeError as exc:
+        raise BadParams(f"{what}: {exc}") from None
+    return maker(*args, **params)
+
+
 def built_in(name: str, **params) -> Instance:
     if name not in BUILTINS:
         raise BadParams(f"unknown built-in instance {name!r}")
-    try:
-        inspect.signature(BUILTINS[name]).bind(**params)
-    except TypeError as exc:  # an unknown or a missing parameter
-        raise BadParams(f"built-in instance {name!r}: {exc}") from None
-    return BUILTINS[name](**params)
+    return _bound_call(BUILTINS[name], f"built-in instance {name!r}", **params)
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +297,14 @@ FAMILIES = (
 
 
 def generate(
-    family: str, m: int, n: int, seed: int, identical_budgets: bool = False
+    family: str, m: int, n: int, seed: int = 0, identical_budgets: bool = False
 ) -> Instance:
-    """Seeded random instance; identical seeds give identical markets."""
+    """Seeded random instance; identical seeds give identical markets.
+
+    Only random_uniform_budget_additive takes identical budgets."""
     _check_kinds((m, n, seed), _INT, "m, n and the seed must be ints")
+    if identical_budgets and family != "random_uniform_budget_additive":
+        raise BadParams(f"{family!r} takes no identical budgets")
     if m < 1 or n < 1:
         raise BadParams("need at least one item and one agent")
     if m > MAX_ITEMS:
@@ -419,6 +434,7 @@ def _agent_from_json(obj, where, m):
 
 
 def write_instance(instance: Instance) -> str:
+    check_fits(instance)
     doc = {
         "format": FORMAT_VERSION,
         "name": instance.name,
@@ -431,6 +447,7 @@ def write_instance(instance: Instance) -> str:
 
 
 def _load_json(text: str, what: str) -> dict:
+    _check_kinds((text,), {str}, f"{what}: a document must be a string")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -470,6 +487,7 @@ def _items_field(values, where, m):
 
 
 def write_allocation(x: Allocation) -> dict:
+    _check_kinds((x,), {Allocation}, _KIND_RULES[Allocation])
     return {"x0": items_of(x.x0), "x": [items_of(b) for b in x.bundles]}
 
 
@@ -478,6 +496,7 @@ def parse_allocation(text_or_doc, m: int) -> Allocation:
     if isinstance(text_or_doc, str):
         doc = _load_json(text_or_doc, "allocation")
     else:
+        _check_kinds((text_or_doc,), {dict}, "an allocation must be a string or a dict")
         doc = text_or_doc
     body = doc.get("allocation", doc)
     if not isinstance(body, dict):
@@ -494,6 +513,7 @@ def parse_allocation(text_or_doc, m: int) -> Allocation:
 
 
 def write_outcome(outcome: Outcome) -> str:
+    _check_kinds((outcome,), {Outcome}, _KIND_RULES[Outcome])
     doc = {"format": FORMAT_VERSION, "allocation": write_allocation(outcome.allocation)}
     if outcome.prices is not None:
         prices = {"agents": [str(p) for p in outcome.prices]}

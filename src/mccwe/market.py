@@ -3,6 +3,8 @@
 Items and agents are 0-indexed dense integers; item sets are int bitmasks.
 An allocation always carries the unallocated pool x0 as a first-class set,
 and the induced partition keeps x0 (when nonempty) as a single block.
+`Partition` itself is defined with the value tables it indexes, in
+`valuations`, so that the table builders can check their arguments' kinds.
 """
 
 from __future__ import annotations
@@ -14,7 +16,17 @@ from math import lcm
 
 from .bits import bits_of, full_mask
 from .errors import BadParams
-from .valuations import _EXACT, _FAMILIES, _INT, _SEQUENCES, _check_kinds, _misfit
+from .valuations import (
+    _EXACT,
+    _FAMILIES,
+    _INT,
+    _PARTITION_RULE,
+    _SEQUENCES,
+    Partition,
+    _check_cover,
+    _check_kinds,
+    _misfit,
+)
 
 UNALLOCATED = -1
 
@@ -75,21 +87,6 @@ class Instance:
         return v.scaled_value(items) * (self.scale // v.scale)
 
 
-def _check_cover(m: int, sets, noun: str, x0: int = 0) -> None:
-    """BadParams unless m is an int, the sets are a tuple or a list, and
-    they and x0 are int masks, pairwise disjoint and covering all m items."""
-    _check_kinds((m,), _INT, "the item count must be an int")
-    _check_kinds((sets,), _SEQUENCES, f"{noun} must be a tuple or a list")
-    sets = (x0, *sets)
-    _check_kinds(sets, _INT, f"{noun} must be int item masks")
-    union = total = 0
-    for s in sets:
-        union |= s
-        total += s.bit_count()
-    if union != full_mask(m) or total != m:
-        raise BadParams(f"{noun} must be pairwise disjoint and cover all items")
-
-
 @dataclass(frozen=True)
 class Allocation:
     """Disjoint item sets (x0, x_1, ..., x_n) covering all items."""
@@ -107,6 +104,7 @@ class Allocation:
 
 
 def allocation(m: int, bundles, x0: int | None = None) -> Allocation:
+    _check_kinds((bundles,), _SEQUENCES, "bundles must be a tuple or a list")
     bundles = tuple(bundles)
     if x0 is None:
         _check_kinds(bundles, _INT, "bundles must be int item masks")
@@ -115,22 +113,6 @@ def allocation(m: int, bundles, x0: int | None = None) -> Allocation:
             covered |= b
         x0 = full_mask(m) & ~covered
     return Allocation(m, x0, bundles)
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Nonempty disjoint blocks covering all items, ordered by lowest item."""
-
-    m: int
-    blocks: tuple[int, ...]
-
-    def __post_init__(self):
-        _check_cover(self.m, self.blocks, "blocks")
-        if any(b == 0 for b in self.blocks):
-            raise BadParams("partition blocks must be nonempty")
-        ordered = tuple(sorted(self.blocks, key=lambda b: b & -b))
-        if ordered != self.blocks:
-            object.__setattr__(self, "blocks", ordered)
 
 
 def singleton_partition(m: int) -> Partition:
@@ -144,6 +126,7 @@ def induced_partition(x: Allocation) -> tuple[Partition, tuple[int, ...]]:
     Owners align with the partition's canonical block order; the x0 block
     (present only when nonempty) is owned by UNALLOCATED.
     """
+    _check_kinds((x,), {Allocation}, _KIND_RULES[Allocation])
     pairs = [(b, i) for i, b in enumerate(x.bundles) if b]
     if x.x0:
         pairs.append((x.x0, UNALLOCATED))
@@ -193,15 +176,17 @@ class Outcome:
 _KIND_RULES = {
     Allocation: "the allocation must be an Allocation",
     Outcome: "the outcome must be an Outcome",
-    Partition: "the partition must be a Partition",
+    Partition: _PARTITION_RULE,
 }
 
 
-def check_fits(instance: Instance, obj, kind: type) -> None:
-    """BadParams unless `instance` is an Instance and `obj` is a `kind` (an
-    Allocation, an Outcome or a Partition) over its m items and, but for a
-    Partition, its n agents."""
+def check_fits(instance: Instance, obj=None, kind: type | None = None) -> None:
+    """BadParams unless `instance` is an Instance and, when a `kind` is
+    given, `obj` is a `kind` (an Allocation, an Outcome or a Partition) over
+    its m items and, but for a Partition, its n agents."""
     _check_kinds((instance,), {Instance}, "the instance must be an Instance")
+    if kind is None:
+        return
     _check_kinds((obj,), {kind}, _KIND_RULES[kind])
     x = obj.allocation if kind is Outcome else obj
     n = None if kind is Partition else x.n
@@ -219,20 +204,32 @@ def social_welfare(instance: Instance, x: Allocation) -> Fraction:
     return Fraction(total, instance.scale)
 
 
-def revenue(instance: Instance, outcome: Outcome) -> Fraction:
-    """Sum of prices over bundles allocated to agents (x0 excluded)."""
-    check_fits(instance, outcome, Outcome)
+def priced_blocks(outcome: Outcome) -> tuple[Partition, tuple[int, ...], tuple]:
+    """The outcome as (partition, owner of each block, price of each block).
+
+    Item prices are bundle prices over the singleton partition: item j is
+    block j, owned by its holder.  Bundle prices price the induced partition
+    (see `induced_partition`), the x0 block at the x0 price.  Unsold blocks
+    are owned by UNALLOCATED.
+    """
+    _check_kinds((outcome,), {Outcome}, _KIND_RULES[Outcome])
     x = outcome.allocation
-    total = _ZERO
-    if outcome.prices is not None:
-        for bundle, price in zip(x.bundles, outcome.prices):
-            if bundle:
-                total += price
-    else:
-        for bundle in x.bundles:
+    if outcome.item_prices is not None:
+        owners = [UNALLOCATED] * x.m
+        for i, bundle in enumerate(x.bundles):
             for j in bits_of(bundle):
-                total += outcome.item_prices[j]
-    return total
+                owners[j] = i
+        return singleton_partition(x.m), tuple(owners), outcome.item_prices
+    partition, owners = induced_partition(x)
+    prices = (outcome.x0_price if o == UNALLOCATED else outcome.prices[o] for o in owners)
+    return partition, owners, tuple(prices)
+
+
+def revenue(instance: Instance, outcome: Outcome) -> Fraction:
+    """Sum of prices over blocks sold to agents (x0 excluded)."""
+    check_fits(instance, outcome, Outcome)
+    _partition, owners, prices = priced_blocks(outcome)
+    return sum((p for o, p in zip(owners, prices) if o != UNALLOCATED), _ZERO)
 
 
 def full_surplus_outcome(instance: Instance, x: Allocation) -> Outcome:

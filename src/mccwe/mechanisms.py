@@ -67,6 +67,7 @@ class _State:
     when it is None), recording into a trace labelled `mechanism`."""
 
     def __init__(self, instance, start: Allocation | None, trace, mechanism: str):
+        _check_kinds((trace,), {MechanismTrace, type(None)}, "a trace must be a MechanismTrace")
         if trace is not None:
             trace.mechanism = mechanism
         if start is None:
@@ -105,6 +106,7 @@ def replay_trace(instance: Instance, start: Allocation, trace: MechanismTrace) -
     """Re-apply a trace's moves; the result equals the mechanism's output.
     BadParams on a step whose items are not an int mask or whose agent is
     neither None nor one of the market's agents."""
+    _check_kinds((trace,), {MechanismTrace}, "a trace must be a MechanismTrace")
     state = _State(instance, start, None, trace.mechanism)
     for step in trace.steps:
         agent = () if step.agent is None else (step.agent,)
@@ -116,6 +118,7 @@ def replay_trace(instance: Instance, start: Allocation, trace: MechanismTrace) -
 
 
 def _require_superadditive(instance: Instance) -> None:
+    check_fits(instance)
     for i, v in enumerate(instance.agents):
         if not is_superadditive_family(v):
             raise NotSuperadditive(f"agent {i} is not super-additive")
@@ -146,6 +149,7 @@ def log_bundling_mechanism(
 ) -> Outcome:
     """Group items into ceil(log2 m) near-equal contiguous blocks, then sell
     them bundle-efficiently at full surplus."""
+    check_fits(instance)
     m = instance.m
     k = max(1, (m - 1).bit_length())
     base, extra = divmod(m, k)
@@ -245,6 +249,7 @@ def single_minded_mccwe(
     Leftover items join the lowest-index nonempty bundle; when nobody has a
     small set, the highest-value bidder simply takes everything.
     """
+    check_fits(instance)
     for i, v in enumerate(instance.agents):
         if not isinstance(v, SingleMinded):
             raise NotSingleMinded(f"agent {i} is not single-minded")
@@ -287,6 +292,7 @@ def _uniform_market(instance: Instance):
     index first) and the largest-budget one of them (lowest index on ties,
     None if nobody).  Raises NotUniformBudgetAdditive unless every agent is
     budget-additive and no two value an item differently."""
+    check_fits(instance)
     agents = instance.agents
     if not all(isinstance(v, BudgetAdditive) for v in agents):
         raise NotUniformBudgetAdditive("agents must share per-item values")

@@ -28,7 +28,7 @@ from .errors import CertificateError, NotMCCWE, NotSingleMinded, SizeLimit
 from .lp import LinearProgram, solve_lp
 from .market import Allocation, Instance, Outcome, Partition
 from .market import check_fits, singleton_partition
-from .valuations import SingleMinded, value_table
+from .valuations import SingleMinded, _check_kinds, value_table
 
 DEFAULT_STATE_LIMIT = 10_000_000
 
@@ -48,6 +48,15 @@ class OracleBudget:
                 f"({self.limit - self.used})"
             )
         self.used += states
+
+
+def _allowance(budget) -> OracleBudget:
+    """`budget`, or a fresh default one for None; BadParams unless it is an
+    OracleBudget."""
+    if budget is None:
+        return OracleBudget()
+    _check_kinds((budget,), {OracleBudget}, "the budget must be an OracleBudget")
+    return budget
 
 
 def _optimum(instance, partition):
@@ -180,7 +189,8 @@ def optimal_integral(
     2^n disjoint-set families, which returns the same value and the same
     tie-break.
     """
-    budget = budget or OracleBudget()
+    check_fits(instance)
+    budget = _allowance(budget)
     m, n = instance.m, instance.n
     states = (n + 1) ** m
     if states > budget.limit - budget.used and all(
@@ -252,7 +262,7 @@ def optimal_over_partition(
     states for k blocks before any table is built.
     """
     check_fits(instance, partition, Partition)
-    budget = budget or OracleBudget()
+    budget = _allowance(budget)
     k = len(partition.blocks)
     budget.charge((instance.n + 1) ** k)
     sets, welfare, _tables = _optimum(instance, partition)
@@ -285,7 +295,8 @@ def best_mccwe(
     probe solves its LP once; the budget is charged the DP and the walk,
     2(n+1)^m states, up front.
     """
-    budget = budget or OracleBudget()
+    check_fits(instance)
+    budget = _allowance(budget)
     m = instance.m
     budget.charge(2 * (instance.n + 1) ** m)
     sets, top, tables = _optimum(instance, singleton_partition(m))
@@ -324,9 +335,10 @@ def best_single_minded_item_pricing(
     and t <= 1.  Scaling the price columns changes no optimum t, and the
     family is feasible exactly when the optimum reaches t = 1.
     """
+    check_fits(instance)
     if not all(isinstance(v, SingleMinded) for v in instance.agents):
         raise NotSingleMinded("item-pricing bound needs single-minded agents")
-    budget = budget or OracleBudget()
+    budget = _allowance(budget)
     m, n = instance.m, instance.n
     budget.charge(1 << n)
     # Each agent's row over (p'_0, ..., p'_{m-1}, t), as a winner and as a loser.

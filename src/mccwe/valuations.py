@@ -12,9 +12,11 @@ valuation's integer table at such a scale, over items (the singleton
 partition) or over blocks.  `demand_utilities` is the one demand routine:
 every caller that needs the utility argmax over block subsets (the demand
 query and correspondence and the verifier) reads its table, and `preferred`
-applies the tie-break below to it.  Demand and relative-demand queries
-enumerate subsets, which is exact at desk scale; a single-minded valuation
-answers relative demand in closed form.
+applies the tie-break below to it.  `Partition`, the blocks a table is
+indexed by, is defined here with the tables (`market` re-exports it).
+Demand and relative-demand queries enumerate subsets, which is exact at
+desk scale; a single-minded valuation answers relative demand in closed
+form.
 
 Tie-breaking is fully deterministic everywhere: maximum utility (or density),
 then fewest elements, then numerically smallest bitmask.
@@ -27,20 +29,22 @@ from fractions import Fraction
 from math import lcm
 from typing import Union, get_args
 
-from .bits import bits_of, subset_sums, subset_unions
+from .bits import bits_of, full_mask, subset_sums, subset_unions
 from .errors import BadParams, EmptyPool, SizeLimit
 
 _ZERO = Fraction(0)
 _EXACT = frozenset({int, Fraction})
 _INT = frozenset({int})
 _SEQUENCES = frozenset({tuple, list})  # valuation data, agents, bundles, blocks, prices
+_VALUATION_RULE = "the valuation must be one of the five families"
+_PARTITION_RULE = "the partition must be a Partition"
 
 
 def _check_kinds(values, kinds, rule: str) -> None:
     """BadParams(rule) unless every value's type is one of `kinds`, such as
     _EXACT (exact rationals) or _INT; a bool is never an int here."""
-    odd = set(map(type, values)) - kinds
-    if odd:
+    if not kinds.issuperset(map(type, values)):  # only a failure builds a set
+        odd = set(map(type, values)) - kinds
         raise BadParams(f"{rule}, got {', '.join(sorted(kind.__name__ for kind in odd))}")
 
 
@@ -197,6 +201,37 @@ def _misfit(v: Valuation, m: int) -> str | None:
     return None if count == m else f"is over {count} items, expected {m}"
 
 
+def _check_cover(m: int, sets, noun: str, x0: int = 0) -> None:
+    """BadParams unless m is an int, the sets are a tuple or a list, and
+    they and x0 are int masks, pairwise disjoint and covering all m items."""
+    _check_kinds((m,), _INT, "the item count must be an int")
+    _check_kinds((sets,), _SEQUENCES, f"{noun} must be a tuple or a list")
+    sets = (x0, *sets)
+    _check_kinds(sets, _INT, f"{noun} must be int item masks")
+    union = total = 0
+    for s in sets:
+        union |= s
+        total += s.bit_count()
+    if union != full_mask(m) or total != m:
+        raise BadParams(f"{noun} must be pairwise disjoint and cover all items")
+
+
+@dataclass(frozen=True)
+class Partition:
+    """Nonempty disjoint blocks covering all items, ordered by lowest item."""
+
+    m: int
+    blocks: tuple[int, ...]
+
+    def __post_init__(self):
+        _check_cover(self.m, self.blocks, "blocks")
+        if any(b == 0 for b in self.blocks):
+            raise BadParams("partition blocks must be nonempty")
+        ordered = tuple(sorted(self.blocks, key=lambda b: b & -b))
+        if ordered != self.blocks:
+            object.__setattr__(self, "blocks", ordered)
+
+
 def value_table(v: Valuation, partition, scale: int) -> list[int]:
     """v of the union of the selected blocks times `scale`, for every
     block-subset mask.
@@ -207,6 +242,8 @@ def value_table(v: Valuation, partition, scale: int) -> list[int]:
     over all 2^m item sets.  Raises BadParams unless the valuation is over
     the partition's m items.
     """
+    _check_kinds((v,), _FAMILIES, _VALUATION_RULE)
+    _check_kinds((partition,), {Partition}, _PARTITION_RULE)
     m = partition.m
     if _misfit(v, m):
         raise BadParams(f"the valuation is not over the partition's {m} items")
@@ -238,6 +275,7 @@ def is_superadditive_family(v: Valuation) -> bool:
     on a split (at most one positively valued item, or the budget covers the
     whole additive mass); capped-additive only when the cap never binds.
     """
+    _check_kinds((v,), _FAMILIES, _VALUATION_RULE)
     if isinstance(v, (Additive, SingleMinded, SuperadditiveExplicit)):
         return True
     positives = [x for x in v.scaled_items if x > 0]
@@ -255,6 +293,9 @@ def demand_utilities(v: Valuation, partition, prices) -> tuple[list[int], int]:
     denominators, so they are integers.  The 20-block cap and the
     one-price-per-block count are checked before the 2^k table is built.
     """
+    _check_kinds((v,), _FAMILIES, _VALUATION_RULE)
+    _check_kinds((partition,), {Partition}, _PARTITION_RULE)
+    _check_kinds((prices,), _SEQUENCES, "prices must be a tuple or a list")
     k = len(partition.blocks)
     if k > 20:
         raise SizeLimit(f"{k} blocks exceeds the demand enumeration cap")
@@ -302,6 +343,7 @@ def relative_demand_query(v: Valuation, pool: int) -> tuple[int, Fraction]:
     the valuation's integer values.  Raises BadParams when the pool holds
     an item the valuation is not over.
     """
+    _check_kinds((v,), _FAMILIES, _VALUATION_RULE)
     _check_kinds((pool,), _INT, "a pool must be an int item mask")
     if pool == 0:
         raise EmptyPool("relative-demand query over an empty pool")

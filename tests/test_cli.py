@@ -4,6 +4,8 @@ import hashlib
 import io
 import json
 
+import pytest
+
 from mccwe import CertificateError
 from mccwe import cli
 from mccwe.cli import main
@@ -362,6 +364,36 @@ def test_gen_rejects_markets_no_verb_reads(tmp_path):
     assert code == 2 and not inst.exists()
     code, _ = run(["gen", "bundling_necessity", "--m", "-4", "-o", str(inst)])
     assert code == 2 and not inst.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        "fig1b --eps 1/2",
+        "fig1a --bigR 5",
+        "fig1a --m 9 --n 3 --seed 5",
+        "fig1a --seed 0",
+        "partition_reduction --a 1,1 --n 2",
+        "random_superadditive --m 4 --n 2 --identical-budgets",
+        "random_single_minded --m 4 --n 2 --eps 1/3",
+        "random_single_minded --m 4 --n 2 --a 1,2",
+        "random_single_minded --m 4",
+    ],
+)
+def test_gen_rejects_a_flag_its_family_does_not_take(tmp_path, capsys, flags):
+    inst = tmp_path / "i.json"
+    code, _ = run(["gen", *flags.split(), "-o", str(inst)])
+    assert code == 2 and not inst.exists()
+    assert capsys.readouterr().err.startswith("error=BadParams ")
+
+
+def test_gen_defaults_come_from_the_family_makers(tmp_path):
+    inst, seeded = tmp_path / "i.json", tmp_path / "j.json"
+    assert "m=16\n" in run(["gen", "bundling_necessity", "-o", str(inst)])[1]
+    random_sm = ["gen", "random_single_minded", "--m", "5", "--n", "4"]
+    assert run([*random_sm, "-o", str(inst)])[0] == 0
+    assert run([*random_sm, "--seed", "0", "-o", str(seeded)])[0] == 0
+    assert inst.read_text() == seeded.read_text()
 
 
 def test_deeply_nested_instance_exits_2(tmp_path):

@@ -472,7 +472,8 @@ def test_built_in_and_seeded_markets_read_as_the_fraction_reader_reads_them():
             ("random_single_minded", 1 + seed % 8, 1 + seed % 5),
             ("random_uniform_budget_additive", 1 + seed % 8, 1 + seed % 5),
         ):
-            text = write_instance(generate(family, m, n, seed, identical_budgets=seed % 2 == 1))
+            identical = seed % 2 == 1 and family == "random_uniform_budget_additive"
+            text = write_instance(generate(family, m, n, seed, identical_budgets=identical))
             assert write_instance(_assert_readers_agree(text)) == text
 
 
@@ -532,3 +533,9 @@ def test_a_bad_entry_deep_in_a_list_is_named_by_its_location(tmp_path, capsys, b
     argv = ["verify", "-i", str(inst), "-a", str(out), "--mode", "mccwe"]
     assert main(argv, out=io.StringIO()) == 2
     assert capsys.readouterr().err == f"error=ParseError {message}\n"
+
+
+@pytest.mark.parametrize("family", ["random_superadditive", "random_single_minded"])
+def test_generate_rejects_identical_budgets_for_a_family_without_budgets(family):
+    with pytest.raises(BadParams, match="takes no identical budgets"):
+        generate(family, 4, 2, 0, identical_budgets=True)

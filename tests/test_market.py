@@ -17,24 +17,39 @@ from mccwe import (
     SuperadditiveExplicit,
     UNALLOCATED,
     allocation,
+    best_mccwe,
+    best_single_minded_item_pricing,
     build_config_lp,
     built_in,
     bundle_efficient_full_surplus,
+    demand_query,
     fractional_opt,
     full_surplus_outcome,
+    identical_budget_cleanup,
     induced_partition,
+    log_bundling_mechanism,
+    optimal_integral,
     optimal_over_partition,
+    parse_instance,
+    priced_blocks,
+    relative_demand_query,
     revenue,
+    single_minded_mccwe,
     singleton_partition,
     social_welfare,
     replay_trace,
+    superadditive_mccwe,
     supporting_prices,
     uniform_budget_additive_mccwe,
     verify,
+    write_instance,
+    write_outcome,
 )
 from mccwe.bits import mask_of
+from mccwe.equilibria import demand_correspondence
+from mccwe.instances import generate, parse_allocation, write_allocation
 from mccwe.mechanisms import MechanismTrace
-from mccwe.valuations import demand_utilities, value_table
+from mccwe.valuations import demand_utilities, is_superadditive_family, value_table
 from value_reference import reduced_value, utility
 
 F = Fraction
@@ -348,3 +363,110 @@ def test_accounting_rejects_what_is_not_an_allocation_or_an_outcome():
     ):
         with pytest.raises(BadParams, match=message):
             call()
+
+
+
+_FIG1A, _FIG1B = built_in("fig1a"), built_in("fig1b")
+_SM = generate("random_single_minded", 4, 3, 1)
+_ONE = singleton_partition(1)
+_FOUR = singleton_partition(4)
+_VALUATION = "the valuation must be one of the five families, got int"
+_INSTANCE = "the instance must be an Instance, got int"
+_BUDGET = "the budget must be an OracleBudget, got int"
+_TRACE = "a trace must be a MechanismTrace, got int"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: value_table(5, _FOUR, 1), _VALUATION),
+        (lambda: value_table(_FIG1A.agents[0], 5, 10), "the partition must be a Partition"),
+        (lambda: relative_demand_query(5, 1), _VALUATION),
+        (lambda: is_superadditive_family(5), _VALUATION),
+        (lambda: demand_query(5, _ONE, (0,)), _VALUATION),
+        (lambda: demand_query(_FIG1A.agents[0], 5, (0,)), "the partition must be a Partition"),
+        (lambda: demand_query(_FIG1A.agents[0], _FOUR, 5), "prices must be a tuple or a list"),
+        (lambda: demand_correspondence(5, _ONE, (0,)), _VALUATION),
+        (lambda: induced_partition(5), "the allocation must be an Allocation"),
+        (lambda: priced_blocks(5), "the outcome must be an Outcome"),
+        (lambda: allocation(4, 5), "bundles must be a tuple or a list"),
+        (lambda: write_instance(5), _INSTANCE),
+        (lambda: write_outcome(5), "the outcome must be an Outcome"),
+        (lambda: write_allocation(5), "the allocation must be an Allocation"),
+        (lambda: parse_instance(5), "a document must be a string"),
+        (lambda: parse_allocation(5, 4), "an allocation must be a string or a dict"),
+        (lambda: optimal_integral(5), _INSTANCE),
+        (lambda: best_mccwe(5), _INSTANCE),
+        (lambda: best_single_minded_item_pricing(5), _INSTANCE),
+        (lambda: optimal_integral(_FIG1A, 5), _BUDGET),
+        (lambda: best_mccwe(_FIG1A, 5), _BUDGET),
+        (lambda: optimal_over_partition(_FIG1A, _FOUR, 5), _BUDGET),
+        (lambda: best_single_minded_item_pricing(_SM, 5), _BUDGET),
+        (lambda: replay_trace(_FIG1A, allocation(4, [0b1111, 0, 0, 0, 0]), 5), _TRACE),
+        (lambda: superadditive_mccwe(5), _INSTANCE),
+        (lambda: superadditive_mccwe(_SM, 5), _TRACE),
+        (lambda: single_minded_mccwe(5), _INSTANCE),
+        (lambda: single_minded_mccwe(_SM, 5), _TRACE),
+        (lambda: log_bundling_mechanism(5), _INSTANCE),
+        (lambda: log_bundling_mechanism(_SM, 5), _TRACE),
+        (lambda: bundle_efficient_full_surplus(5, _FOUR), _INSTANCE),
+        (lambda: bundle_efficient_full_surplus(_SM, _FOUR, 5), _TRACE),
+        (lambda: uniform_budget_additive_mccwe(5, None), _INSTANCE),
+        (lambda: uniform_budget_additive_mccwe(_FIG1B, None, 5), _TRACE),
+        (lambda: identical_budget_cleanup(5, None), _INSTANCE),
+        (lambda: identical_budget_cleanup(_FIG1B, None, 5), _TRACE),
+    ],
+    ids=[
+        "value_table",
+        "value_table-partition",
+        "relative_demand_query",
+        "is_superadditive_family",
+        "demand_query",
+        "demand_query-partition",
+        "demand_query-prices",
+        "demand_correspondence",
+        "induced_partition",
+        "priced_blocks",
+        "allocation",
+        "write_instance",
+        "write_outcome",
+        "write_allocation",
+        "parse_instance",
+        "parse_allocation",
+        "optimal_integral",
+        "best_mccwe",
+        "item_pricing",
+        "optimal_integral-budget",
+        "best_mccwe-budget",
+        "optimal_over_partition-budget",
+        "item_pricing-budget",
+        "replay_trace-trace",
+        "superadditive",
+        "superadditive-trace",
+        "singleminded",
+        "singleminded-trace",
+        "logbundle",
+        "logbundle-trace",
+        "fullsurplus",
+        "fullsurplus-trace",
+        "uba",
+        "uba-trace",
+        "cleanup",
+        "cleanup-trace",
+    ],
+)
+def test_entry_points_outside_check_fits_check_their_argument_kinds(call, message):
+    # Each of these leaked AttributeError or TypeError on an int before;
+    # the market's kind is checked by check_fits, the others by _check_kinds.
+    with pytest.raises(BadParams, match=message):
+        call()
+
+
+def test_priced_blocks_reads_item_prices_as_bundle_prices_of_singletons():
+    x = allocation(3, [0b001, 0b100], x0=0b010)
+    item_priced = Outcome(x, item_prices=(1, 2, 3))
+    assert priced_blocks(item_priced) == (singleton_partition(3), (0, UNALLOCATED, 1), (1, 2, 3))
+    assert revenue(Instance(3, (Additive((1, 1, 1)),) * 2), item_priced) == 4
+    bundled = Outcome(allocation(3, [0b101], x0=0b010), prices=(4,), x0_price=6)
+    partition, owners, prices = priced_blocks(bundled)
+    assert (partition.blocks, owners, prices) == ((0b101, 0b010), (0, UNALLOCATED), (4, 6))
