@@ -8,13 +8,25 @@ An allocation is supportable as a market-clearing bundle equilibrium exactly
 when this LP, built over the allocation's own induced partition, attains its
 optimum at that allocation; supporting bundle prices then fall out of the
 dual block variables by complementary slackness.
+
+The program is built over undominated columns only: (i, S) is kept when
+v_i(S) exceeds v_i of S minus any one block.  Valuations are monotone and
+block duals nonnegative, so a dual that covers the undominated columns
+covers the rest (u_i + q(S) >= u_i + q(S - j) >= v_i(S - j) = v_i(S)), and
+the smaller program has the full one's value and optimal duals.
+`fractional_opt` re-checks its dual in integers against every column of the
+full program, and solves each partition of a market once: its solutions are
+kept on the `Instance`, keyed by the partition's blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from types import MappingProxyType
 
+from .bits import subset_sums
 from .errors import CertificateError, NotMCCWE, SizeLimit
 from .lp import MAX_VARIABLES, OPTIMAL, LinearProgram, solve_lp
 from .market import (
@@ -36,10 +48,11 @@ _ZERO = Fraction(0)
 class ConfigLPSolution:
     """The configuration LP's exact optimum in the market's own values: the
     LP runs on values times `Instance.scale`, and its value and duals are
-    divided back by it."""
+    divided back by it.  Solutions are shared through the instance's memo,
+    so `y` is a read-only mapping."""
 
     value: Fraction
-    y: dict  # (agent, bundle-set mask) -> Fraction, nonzero entries only
+    y: MappingProxyType  # (agent, bundle-set mask) -> Fraction, nonzero entries only
     dual_u: tuple[Fraction, ...]  # per agent
     dual_q: tuple[Fraction, ...]  # per block
 
@@ -51,32 +64,79 @@ def _check_size(n: int, k: int) -> None:
         raise SizeLimit("configuration LP would exceed the variable cap")
 
 
-def build_config_lp(instance: Instance, partition: Partition) -> LinearProgram:
-    """One variable per (agent, nonempty block subset); n + k rows.
+def _undominated(table: list[int]) -> list[int]:
+    """The nonempty bundle-set masks S with table[S] > table[S minus any one
+    block], in increasing order; table[S] > 0 follows, as table[0] is 0."""
+    kept = []
+    for mask in range(1, len(table)):
+        value = table[mask]
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if table[mask ^ low] >= value:
+                break
+            rest ^= low
+        else:
+            kept.append(mask)
+    return kept
 
-    The objective is every agent's integer value table at the market's
-    scale (`Instance.scale`), so the program's optimum and duals are the
-    configuration LP's times that scale; every row is 0/1 with right-hand
-    side 1.
-    """
-    check_fits(instance, partition, Partition)
+
+def _program(instance, partition):
+    """The configuration LP, each column's (agent, bundle-set mask), and
+    every agent's full value table at the market's scale."""
     n = instance.n
     k = len(partition.blocks)
     _check_size(n, k)
-    sets_per_agent = (1 << k) - 1
+    tables = [value_table(v, partition, instance.scale) for v in instance.agents]
+    columns = [(i, mask) for i, table in enumerate(tables) for mask in _undominated(table)]
+    objective = tuple(tables[i][mask] for i, mask in columns)
+    rows = [(tuple(int(agent == i) for agent, _mask in columns), 1) for i in range(n)]
+    rows += [(tuple(mask >> j & 1 for _agent, mask in columns), 1) for j in range(k)]
+    return LinearProgram(objective, tuple(rows)), columns, tables
 
-    objective = []
-    for v in instance.agents:
-        objective.extend(value_table(v, partition, instance.scale)[1:])
 
-    rows = []
-    for i in range(n):
-        coeffs = [0] * (i * sets_per_agent) + [1] * sets_per_agent
-        coeffs += [0] * ((n - i - 1) * sets_per_agent)
-        rows.append((tuple(coeffs), 1))
-    for j in range(k):
-        rows.append((tuple(mask >> j & 1 for mask in range(1, 1 << k)) * n, 1))
-    return LinearProgram(tuple(objective), tuple(rows))
+def build_config_lp(instance: Instance, partition: Partition) -> LinearProgram:
+    """One variable per agent and undominated nonempty block subset; n + k rows.
+
+    Column (i, S) is kept when v_i(S) > v_i(S minus any one block), so also
+    v_i(S) > 0; columns run agent by agent, by increasing mask.  The
+    objective is each kept value at the market's scale (`Instance.scale`),
+    so the program's optimum and duals are the configuration LP's times
+    that scale; every row is 0/1 with right-hand side 1.  The size caps
+    bound the full program's n(2^k - 1) columns, checked before any table
+    is built.
+    """
+    check_fits(instance, partition, Partition)
+    return _program(instance, partition)[0]
+
+
+def _check_full_dual(tables, dual_u, dual_q) -> None:
+    """CertificateError unless u_i + q(S) >= v_i(S) for every agent i and
+    every block set S, all in integers: the dual of the pruned program is
+    then feasible, and with its value optimal, for the full one."""
+    unit = lcm(*(d.denominator for d in dual_u), *(d.denominator for d in dual_q))
+    paid = subset_sums([q.numerator * (unit // q.denominator) for q in dual_q])
+    for table, u in zip(tables, dual_u):
+        u = u.numerator * (unit // u.denominator)
+        if any(u + cost < value * unit for value, cost in zip(table, paid)):
+            raise CertificateError("configuration-LP dual misses a pruned column")
+
+
+def _solve(instance, partition):
+    lp, columns, tables = _program(instance, partition)
+    sol = solve_lp(lp)
+    if sol.status != OPTIMAL:
+        raise CertificateError("configuration LPs are feasible and bounded")
+    if sum(sol.dual) != sol.objective_value:
+        raise CertificateError("configuration-LP duals do not sum to its optimum")
+    n = instance.n
+    _check_full_dual(tables, sol.dual[:n], sol.dual[n:])
+    y = {columns[idx]: val for idx, val in enumerate(sol.primal) if val}
+    scale = instance.scale
+    dual = [d / scale for d in sol.dual]
+    return ConfigLPSolution(
+        sol.objective_value / scale, MappingProxyType(y), tuple(dual[:n]), tuple(dual[n:])
+    )
 
 
 def fractional_opt(instance: Instance, partition: Partition) -> ConfigLPSolution:
@@ -84,25 +144,16 @@ def fractional_opt(instance: Instance, partition: Partition) -> ConfigLPSolution
 
     Scaling the objective by a positive constant changes no sign and no
     ratio test, so the pivots, and with them the primal, are the unscaled
-    program's; the value and the duals are divided back by the scale.
+    program's; the value and the duals are divided back by the scale.  The
+    first call per partition solves, and later calls on the same instance
+    return that same solution (`Instance.config_lps`).
     """
-    lp = build_config_lp(instance, partition)
-    sol = solve_lp(lp)
-    if sol.status != OPTIMAL:
-        raise CertificateError("configuration LPs are feasible and bounded")
-    if sum(sol.dual) != sol.objective_value:
-        raise CertificateError("configuration-LP duals do not sum to its optimum")
-    n = instance.n
-    k = len(partition.blocks)
-    sets_per_agent = (1 << k) - 1
-    y = {}
-    for idx, val in enumerate(sol.primal):
-        if val:
-            agent, offset = divmod(idx, sets_per_agent)
-            y[(agent, offset + 1)] = val
-    scale = instance.scale
-    dual = [d / scale for d in sol.dual]
-    return ConfigLPSolution(sol.objective_value / scale, y, tuple(dual[:n]), tuple(dual[n:]))
+    check_fits(instance, partition, Partition)
+    memo = instance.config_lps
+    sol = memo.get(partition.blocks)
+    if sol is None:
+        sol = memo[partition.blocks] = _solve(instance, partition)
+    return sol
 
 
 def supporting_prices(instance: Instance, x: Allocation) -> Outcome:

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CertificateError, MalformedLP, SizeLimit
+from .errors import BadParams, CertificateError, MalformedLP, SizeLimit
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -46,6 +46,7 @@ UNBOUNDED = "unbounded"
 MAX_VARIABLES = 200_000
 
 _INT = frozenset({int})
+_ZERO = Fraction(0)
 
 
 def _integral(values) -> bool:
@@ -158,6 +159,8 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     Returns status optimal (with primal, dual and value) or unbounded.
     Deterministic: Bland's rule fixes every pivot choice.
     """
+    if type(lp) is not LinearProgram:
+        raise BadParams(f"the program must be a LinearProgram, got {type(lp).__name__}")
     n = len(lp.objective)
     n_rows = len(lp.constraints)
 
@@ -185,7 +188,7 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
 
     return LPSolution(
         OPTIMAL,
-        tuple(Fraction(x, d) for x in primal),
+        tuple(Fraction(x, d) if x else _ZERO for x in primal),
         tuple(Fraction(y, d) for y in dual),
         Fraction(value, d),
     )

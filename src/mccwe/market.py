@@ -44,6 +44,9 @@ class Instance:
     Every agent is one of the five valuation families, all normalized and
     monotone.  `scale`, the LCM of the agents' scales, is the market's one
     integer unit: every agent's values times `scale` are integers.
+    `config_lps` holds `configlp.fractional_opt`'s solutions, keyed by
+    partition blocks; it starts empty, and a market never changes, so each
+    solution holds while the instance lives.
     """
 
     m: int
@@ -76,6 +79,12 @@ class Instance:
             if misfit:
                 raise BadParams(f"agent {idx} {misfit}")
         object.__setattr__(self, "scale", lcm(*(v.scale for v in self.agents)))
+        object.__setattr__(self, "config_lps", {})
+
+    def __getstate__(self):
+        # A pickled or deep-copied market starts its own, empty memo: the
+        # solutions hold read-only mappings, which do not pickle.
+        return {**self.__dict__, "config_lps": {}}
 
     @property
     def n(self) -> int:
@@ -187,7 +196,10 @@ def check_fits(instance: Instance, obj=None, kind: type | None = None) -> None:
     _check_kinds((instance,), {Instance}, "the instance must be an Instance")
     if kind is None:
         return
-    _check_kinds((obj,), {kind}, _KIND_RULES[kind])
+    rule = _KIND_RULES.get(kind) if isinstance(kind, type) else None
+    if rule is None:
+        raise BadParams("the kind must be Allocation, Outcome or Partition")
+    _check_kinds((obj,), {kind}, rule)
     x = obj.allocation if kind is Outcome else obj
     n = None if kind is Partition else x.n
     if x.m != instance.m or n not in (None, instance.n):

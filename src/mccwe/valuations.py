@@ -314,13 +314,17 @@ def preferred(utils: list[int]) -> int:
     Most utility wins; ties break toward fewer blocks, then the numerically
     smallest mask.
     """
+    _check_kinds((utils,), _SEQUENCES, "utilities must be a tuple or a list")
     best = 0
-    for mask in range(1, len(utils)):
-        util = utils[mask]
-        if util > utils[best] or (
-            util == utils[best] and mask.bit_count() < best.bit_count()
-        ):
-            best = mask
+    try:  # the entries are checked only when they fail to compare
+        for mask in range(1, len(utils)):
+            util = utils[mask]
+            if util > utils[best] or (
+                util == utils[best] and mask.bit_count() < best.bit_count()
+            ):
+                best = mask
+    except TypeError:
+        raise BadParams("utilities must be ints") from None
     return best
 
 

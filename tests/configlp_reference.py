@@ -1,0 +1,67 @@
+"""The dense configuration LP that `mccwe.configlp` replaced, kept as a reference.
+
+`build_config_lp` builds every one of the n(2^k - 1) columns (agent,
+nonempty block set), agent by agent in increasing mask order, as the
+library did before it kept undominated columns only.  `dense_opt` solves
+that program with the library's integer simplex, and `covers_every_column`
+checks a dual against each of its columns in `Fraction`s, from the
+valuations' own data (`value_reference`), not from the integer tables.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from mccwe.bits import bits_of
+from mccwe.lp import OPTIMAL, LinearProgram, solve_lp
+from mccwe.market import induced_partition, social_welfare
+from mccwe.valuations import value_table
+from value_reference import reduced_value
+
+
+def build_config_lp(instance, partition) -> LinearProgram:
+    """One variable per (agent, nonempty block subset); n + k rows, at the
+    market's scale."""
+    n = instance.n
+    k = len(partition.blocks)
+    sets_per_agent = (1 << k) - 1
+
+    objective = []
+    for v in instance.agents:
+        objective.extend(value_table(v, partition, instance.scale)[1:])
+
+    rows = []
+    for i in range(n):
+        coeffs = [0] * (i * sets_per_agent) + [1] * sets_per_agent
+        coeffs += [0] * ((n - i - 1) * sets_per_agent)
+        rows.append((tuple(coeffs), 1))
+    for j in range(k):
+        rows.append((tuple(mask >> j & 1 for mask in range(1, 1 << k)) * n, 1))
+    return LinearProgram(tuple(objective), tuple(rows))
+
+
+def dense_opt(instance, partition) -> tuple[Fraction, tuple, tuple]:
+    """(value, agent duals, block duals) of the dense LP, in market units."""
+    sol = solve_lp(build_config_lp(instance, partition))
+    assert sol.status == OPTIMAL
+    dual = [d / instance.scale for d in sol.dual]
+    return sol.objective_value / instance.scale, tuple(dual[: instance.n]), tuple(dual[instance.n :])
+
+
+def covers_every_column(instance, partition, dual_u, dual_q) -> bool:
+    """Is the dual feasible for the dense LP: u_i + q(S) >= v_i(S) for every
+    agent i and nonempty block set S, with nonnegative duals?"""
+    if any(d < 0 for d in (*dual_u, *dual_q)):
+        return False
+    for i, v in enumerate(instance.agents):
+        for bundle_set in range(1, 1 << len(partition.blocks)):
+            paid = sum((dual_q[j] for j in bits_of(bundle_set)), Fraction(0))
+            if dual_u[i] + paid < reduced_value(v, partition, bundle_set):
+                return False
+    return True
+
+
+def dense_supportable(instance, x) -> bool:
+    """Does the dense LP over the allocation's induced partition peak at it?"""
+    partition, _owners = induced_partition(x)
+    return dense_opt(instance, partition)[0] == social_welfare(instance, x)

@@ -1,5 +1,8 @@
 """Configuration LP: counts, optima, the supportability characterization."""
 
+import copy
+import io
+import pickle
 from dataclasses import replace
 from fractions import Fraction
 
@@ -19,11 +22,12 @@ from mccwe import (
     singleton_partition,
     social_welfare,
 )
+from configlp_reference import build_config_lp as dense_config_lp
 from mccwe.bits import mask_of
-from mccwe import configlp
+from mccwe import cli, configlp
 from mccwe.configlp import build_config_lp, fractional_opt, supporting_prices
 from mccwe.equilibria import MCCWE, verify
-from mccwe.instances import built_in, generate
+from mccwe.instances import built_in, generate, parse_instance, write_instance
 from mccwe.lp import MAX_VARIABLES, UNBOUNDED, LPSolution, solve_lp
 from mccwe.oracle import optimal_integral, optimal_over_partition
 from value_reference import reduced_value
@@ -56,10 +60,58 @@ def test_build_counts_two_agents_two_blocks():
 
 
 def test_build_counts_fig1a():
+    # Only undominated columns are built: 10 of the dense LP's 5 * 15.
     inst = built_in("fig1a")
     lp = build_config_lp(inst, singleton_partition(4))
-    assert len(lp.objective) == 5 * 15
+    assert len(lp.objective) == 10
     assert len(lp.constraints) == 5 + 4
+    dense = dense_config_lp(inst, singleton_partition(4))
+    assert len(dense.objective) == 5 * 15
+    assert len(dense.constraints) == 5 + 4
+
+
+def _counting_solves(monkeypatch):
+    programs = []
+
+    def counting(lp):
+        programs.append(lp)
+        return solve_lp(lp)
+
+    monkeypatch.setattr(configlp, "solve_lp", counting)
+    return programs
+
+
+def test_gap_on_fig1a_solves_one_lp_per_partition(tmp_path, monkeypatch):
+    # The fractional line and every best_mccwe probe over the same induced
+    # partition share one solve: 5 LPs, where one per probe made 11.
+    path = tmp_path / "fig1a.json"
+    path.write_text(write_instance(built_in("fig1a")))
+    programs = _counting_solves(monkeypatch)
+    assert cli.main(["gap", "-i", str(path)], out=io.StringIO()) == 0
+    assert len(programs) == 5
+
+
+def test_fractional_opt_returns_the_memoized_solution(monkeypatch):
+    inst = parse_instance(write_instance(built_in("fig1a")))
+    assert inst.config_lps == {}
+    programs = _counting_solves(monkeypatch)
+    first = fractional_opt(inst, singleton_partition(4))
+    assert fractional_opt(inst, singleton_partition(4)) is first
+    assert len(programs) == 1
+    assert list(inst.config_lps) == [singleton_partition(4).blocks]
+    # another instance of the same market has its own, empty memo
+    assert built_in("fig1a").config_lps == {}
+    with pytest.raises(TypeError):
+        first.y[(0, 1)] = F(1)
+
+
+def test_copies_of_a_market_start_an_empty_memo():
+    inst = built_in("fig1a")
+    fractional_opt(inst, singleton_partition(4))
+    for copied in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst)):
+        assert copied == inst and copied.scale == inst.scale
+        assert copied.config_lps == {}
+    assert len(inst.config_lps) == 1
 
 
 def test_fractional_opt_paper_values():

@@ -1,0 +1,148 @@
+"""The undominated-column configuration LP against the dense one it replaced.
+
+On the built-in markets and seeded markets of the three random families,
+over the singleton partition, random coarser partitions and the partitions
+that allocations induce, `fractional_opt` must have the dense LP's value,
+its duals must be feasible for the dense LP, and `supporting_prices` must
+raise `NotMCCWE` exactly where the dense LP says the allocation is not
+supportable, with prices that pass `verify --mode mccwe` everywhere else.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from configlp_reference import covers_every_column, dense_opt, dense_supportable
+from mccwe import CertificateError, NotMCCWE, Partition, allocation, induced_partition
+from mccwe import configlp, singleton_partition, social_welfare
+from mccwe.configlp import fractional_opt, supporting_prices
+from mccwe.equilibria import MCCWE, verify
+from mccwe.instances import FAMILIES, built_in, generate, partition_reduction
+from mccwe.oracle import optimal_integral
+
+F = Fraction
+
+
+def _markets():
+    rng = random.Random("configlp-differential")
+    markets = [
+        built_in("fig1a"),
+        built_in("fig1a", eps=F(37, 100)),
+        built_in("fig1b"),
+        built_in("revenue_example"),
+        built_in("revenue_example", big=F(5, 2)),
+        built_in("bundling_necessity", m=4),
+        built_in("nonuniform_identical_budget"),
+        built_in("nonuniform_identical_budget", eps=F(3, 100)),
+        partition_reduction([3, 1, 4, 1, 5]),
+    ]
+    for family in FAMILIES:
+        for _ in range(12):
+            m, n, seed = rng.randint(2, 5), rng.randint(1, 4), rng.getrandbits(32)
+            identical = family == "random_uniform_budget_additive" and rng.random() < 0.3
+            markets.append(generate(family, m, n, seed, identical))
+    return markets
+
+
+def _random_allocation(rng, m, n):
+    owners = [rng.randrange(-1, n) for _ in range(m)]
+    bundles = [sum(1 << j for j, o in enumerate(owners) if o == i) for i in range(n)]
+    return allocation(m, bundles, x0=sum(1 << j for j, o in enumerate(owners) if o < 0))
+
+
+def _coarser_partition(rng, m):
+    labels = [rng.randrange(m) for _ in range(m)]
+    blocks = {}
+    for j, label in enumerate(labels):
+        blocks[label] = blocks.get(label, 0) | 1 << j
+    return Partition(m, tuple(sorted(blocks.values(), key=lambda b: b & -b)))
+
+
+def _cases(instance):
+    """Partitions to solve and allocations to support, drawn per market."""
+    rng = random.Random(f"configlp-differential/{instance.name}/{instance.agents}")
+    m, n = instance.m, instance.n
+    x_opt, _welfare = optimal_integral(instance)
+    allocations = [x_opt] + [_random_allocation(rng, m, n) for _ in range(3)]
+    partitions = [singleton_partition(m)] + [_coarser_partition(rng, m) for _ in range(2)]
+    partitions += [induced_partition(x)[0] for x in allocations]
+    return partitions, allocations
+
+
+def _disagreements(instance):
+    """Every way the library's answers differ from the dense LP's, as text."""
+    partitions, allocations = _cases(instance)
+    found = []
+    for partition in partitions:
+        try:
+            sol = fractional_opt(instance, partition)
+        except CertificateError as exc:
+            found.append(f"{partition.blocks}: {exc}")
+            continue
+        value, _u, _q = dense_opt(instance, partition)
+        if sol.value != value:
+            found.append(f"{partition.blocks}: value {sol.value} against {value}")
+        if not covers_every_column(instance, partition, sol.dual_u, sol.dual_q):
+            found.append(f"{partition.blocks}: the dual misses a dense column")
+    for x in allocations:
+        try:
+            outcome = supporting_prices(instance, x)
+        except NotMCCWE as exc:
+            gap = dense_opt(instance, induced_partition(x)[0])[0] - social_welfare(instance, x)
+            if dense_supportable(instance, x) or exc.gap != gap:
+                found.append(f"{x}: NotMCCWE({exc.gap}) where the dense gap is {gap}")
+        except CertificateError as exc:
+            found.append(f"{x}: {exc}")
+        else:
+            if not dense_supportable(instance, x):
+                found.append(f"{x}: supported where the dense LP is not")
+            elif not verify(instance, outcome, MCCWE).ok:
+                found.append(f"{x}: its supporting prices fail verify")
+    return found
+
+
+_MARKETS = _markets()
+
+
+@pytest.mark.parametrize("instance", _MARKETS, ids=lambda inst: inst.name)
+def test_undominated_columns_answer_as_the_dense_lp(instance):
+    assert _disagreements(instance) == []
+
+
+def test_the_markets_prune_columns_and_refuse_allocations():
+    # The comparison means something only if columns really go and some
+    # allocations are refused.
+    pruned = refused = 0
+    for instance in _MARKETS:
+        partitions, allocations = _cases(instance)
+        for partition in partitions:
+            kept = len(configlp.build_config_lp(instance, partition).objective)
+            pruned += kept < instance.n * ((1 << len(partition.blocks)) - 1)
+        refused += sum(not dense_supportable(instance, x) for x in allocations)
+    assert pruned >= 200 and refused >= 100
+
+
+def _drop_last_column(monkeypatch):
+    """A mutant filter that also drops each agent's last undominated column."""
+    undominated = configlp._undominated
+    monkeypatch.setattr(configlp, "_undominated", lambda table: undominated(table)[:-1])
+
+
+def test_a_filter_that_drops_an_undominated_column_is_caught(monkeypatch):
+    _drop_last_column(monkeypatch)
+    with pytest.raises(CertificateError, match="misses a pruned column"):
+        fractional_opt(built_in("fig1a"), singleton_partition(4))
+    caught = [inst.name for inst in _markets() if _disagreements(inst)]
+    assert len(caught) > 30
+
+
+def test_a_skipped_full_column_recheck_is_caught(monkeypatch):
+    # Without the re-check the mutant filter's answers come back unchecked,
+    # and the dense comparison sees the lost value.
+    _drop_last_column(monkeypatch)
+    monkeypatch.setattr(configlp, "_check_full_dual", lambda tables, dual_u, dual_q: None)
+    fig1a = built_in("fig1a")
+    assert fractional_opt(fig1a, singleton_partition(4)).value < 8
+    caught = [inst.name for inst in _markets() if _disagreements(inst)]
+    assert len(caught) > 30

@@ -11,6 +11,7 @@ from math import lcm
 
 import pytest
 
+from configlp_reference import build_config_lp as dense_config_lp
 from lp_reference import solve_lp as reference_solve_lp
 from mccwe import induced_partition, singleton_partition
 from mccwe import oracle
@@ -95,8 +96,11 @@ def _gap_markets():
 
 @pytest.mark.parametrize("instance", _gap_markets(), ids=lambda inst: inst.name)
 def test_configuration_lps_match_the_reference(instance):
+    # The dense programs keep the integer tableau meeting wide programs
+    # (up to 2 * 127 columns here); the pruned ones are what the library solves.
     x, _welfare = optimal_integral(instance)
     for partition in (singleton_partition(instance.m), induced_partition(x)[0]):
+        assert _assert_same(dense_config_lp(instance, partition)) == OPTIMAL
         assert _assert_same(build_config_lp(instance, partition)) == OPTIMAL
 
 

@@ -48,8 +48,10 @@ from mccwe import (
 from mccwe.bits import mask_of
 from mccwe.equilibria import demand_correspondence
 from mccwe.instances import generate, parse_allocation, write_allocation
+from mccwe.lp import solve_lp
+from mccwe.market import check_fits
 from mccwe.mechanisms import MechanismTrace
-from mccwe.valuations import demand_utilities, is_superadditive_family, value_table
+from mccwe.valuations import demand_utilities, is_superadditive_family, preferred, value_table
 from value_reference import reduced_value, utility
 
 F = Fraction
@@ -458,6 +460,25 @@ _TRACE = "a trace must be a MechanismTrace, got int"
 def test_entry_points_outside_check_fits_check_their_argument_kinds(call, message):
     # Each of these leaked AttributeError or TypeError on an int before;
     # the market's kind is checked by check_fits, the others by _check_kinds.
+    with pytest.raises(BadParams, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: solve_lp(5), "the program must be a LinearProgram, got int"),
+        (lambda: preferred(5), "utilities must be a tuple or a list, got int"),
+        (lambda: preferred([0, None]), "utilities must be ints"),
+        (lambda: check_fits(_FIG1A, _FOUR, 5), "the kind must be Allocation, Outcome or Partition"),
+        (lambda: check_fits(_FIG1A, _FOUR, [Partition]), "the kind must be Allocation"),
+    ],
+    ids=["solve_lp", "preferred", "preferred-entry", "check_fits-kind", "check_fits-list"],
+)
+def test_lp_demand_and_fit_entry_points_check_their_argument_kinds(call, message):
+    # These leaked AttributeError ("'int' object has no attribute
+    # 'objective'"), TypeError ("object of type 'int' has no len()") and
+    # KeyError (5) before.
     with pytest.raises(BadParams, match=message):
         call()
 
