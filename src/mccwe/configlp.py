@@ -35,11 +35,11 @@ from .market import (
     Outcome,
     Partition,
     UNALLOCATED,
+    block_tables,
     check_fits,
     induced_partition,
     social_welfare,
 )
-from .valuations import value_table
 
 _ZERO = Fraction(0)
 
@@ -64,7 +64,7 @@ def _check_size(n: int, k: int) -> None:
         raise SizeLimit("configuration LP would exceed the variable cap")
 
 
-def _undominated(table: list[int]) -> list[int]:
+def _undominated(table: tuple[int, ...]) -> list[int]:
     """The nonempty bundle-set masks S with table[S] > table[S minus any one
     block], in increasing order; table[S] > 0 follows, as table[0] is 0."""
     kept = []
@@ -83,11 +83,11 @@ def _undominated(table: list[int]) -> list[int]:
 
 def _program(instance, partition):
     """The configuration LP, each column's (agent, bundle-set mask), and
-    every agent's full value table at the market's scale."""
+    every agent's full value table at the market's scale (`block_tables`)."""
     n = instance.n
     k = len(partition.blocks)
     _check_size(n, k)
-    tables = [value_table(v, partition, instance.scale) for v in instance.agents]
+    tables = block_tables(instance, partition)
     columns = [(i, mask) for i, table in enumerate(tables) for mask in _undominated(table)]
     objective = tuple(tables[i][mask] for i, mask in columns)
     rows = [(tuple(int(agent == i) for agent, _mask in columns), 1) for i in range(n)]

@@ -1,9 +1,13 @@
 """Exact linear programming on one fraction-free integer tableau.
 
 There is no floating point anywhere in the package.  The solver is a dense
-one-phase primal simplex with Bland's pivoting rule, which terminates even
-on the highly degenerate programs produced by configuration LPs.  It pivots
-in integers (Edmonds 1967; Bareiss, Math. Comp. 1968):
+one-phase primal simplex.  The entering column is the one with the largest
+positive reduced cost (Dantzig's rule), which takes far fewer pivots than
+Bland's rule (Math. Oper. Res. 1977).  Dantzig's rule can cycle on
+degenerate programs, and configuration LPs are highly degenerate, so after
+`_DEGENERATE_RUN` consecutive degenerate pivots the solve switches to
+Bland's rule for good.
+The simplex pivots in integers (Edmonds 1967; Bareiss, Math. Comp. 1968):
 
 * Programs come in integral: the objective, every row coefficient and
   every right-hand side is an `int`, and anything else is rejected when
@@ -45,6 +49,9 @@ UNBOUNDED = "unbounded"
 
 MAX_VARIABLES = 200_000
 
+# Consecutive degenerate pivots after which a solve enters by Bland's rule.
+_DEGENERATE_RUN = 5
+
 _INT = frozenset({int})
 _ZERO = Fraction(0)
 
@@ -83,24 +90,42 @@ class LPSolution:
     primal: tuple[Fraction, ...] | None
     dual: tuple[Fraction, ...] | None
     objective_value: Fraction | None
+    pivots: int = 0  # simplex pivots the solve took
 
 
 def _run_simplex(tableau, basis):
-    """Bland-rule simplex to optimality: the final denominator d, or None if unbounded.
+    """Simplex to optimality: (d, pivots), with d the final denominator, or
+    None if the program is unbounded.
 
-    The last row of the tableau is the objective row of reduced costs.
+    The last row of the tableau is the objective row of reduced costs.  The
+    entering column has the largest positive reduced cost, the lowest index
+    on ties; the leaving row passes the ratio test, the smallest basis index
+    on ties.  A pivot is degenerate when the leaving row's right-hand side
+    is 0.  After `_DEGENERATE_RUN` degenerate pivots in a row, the entering
+    column is the first with a positive reduced cost (Bland's rule) until
+    the end.  This terminates.  No pivot lowers the objective, each
+    nondegenerate pivot strictly raises it, and a basis fixes it, so only
+    finitely many pivots are nondegenerate.  An endless run would thus be
+    all degenerate from some pivot on, which switches to Bland's rule, and
+    Bland's rule terminates from any basis.
     """
     ncols = len(tableau[-1]) - 1
     d = 1
+    pivots = degenerate = 0
     while True:
         obj = tableau[-1]
         entering = -1
-        for j in range(ncols):
-            if obj[j] > 0:
-                entering = j
-                break
+        if degenerate < _DEGENERATE_RUN:
+            top = max(obj[:ncols], default=0)
+            if top > 0:
+                entering = obj.index(top)
+        else:
+            for j in range(ncols):
+                if obj[j] > 0:
+                    entering = j
+                    break
         if entering < 0:
-            return d
+            return d, pivots
         leaving = -1
         for r, b in enumerate(basis):
             row = tableau[r]
@@ -114,9 +139,11 @@ def _run_simplex(tableau, basis):
                 if lhs < rhs or (lhs == rhs and b < basis[leaving]):
                     leaving, best_rhs, best_coeff = r, row[-1], coeff
         if leaving < 0:
-            return None
+            return None, pivots
         pivrow = tableau[leaving]
         p = pivrow[entering]
+        pivots += 1
+        degenerate = 0 if pivrow[-1] else degenerate + 1
         for r, row in enumerate(tableau):
             if r == leaving:
                 continue
@@ -156,8 +183,9 @@ def _check_certificates(lp, primal, dual, d, value):
 def solve_lp(lp: LinearProgram) -> LPSolution:
     """Exact optimum of a packing-shaped LP (see the module conventions).
 
-    Returns status optimal (with primal, dual and value) or unbounded.
-    Deterministic: Bland's rule fixes every pivot choice.
+    Returns status optimal (with primal, dual and value) or unbounded, and
+    the number of pivots taken.  Deterministic: the entering rule, its
+    switch to Bland's rule and the ratio test's tie-break fix every pivot.
     """
     if type(lp) is not LinearProgram:
         raise BadParams(f"the program must be a LinearProgram, got {type(lp).__name__}")
@@ -173,9 +201,9 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         tableau.append(row)
     tableau.append(list(lp.objective) + [0] * (n_rows + 1))
     basis = list(range(n, n + n_rows))
-    d = _run_simplex(tableau, basis)
+    d, pivots = _run_simplex(tableau, basis)
     if d is None:
-        return LPSolution(UNBOUNDED, None, None, None)
+        return LPSolution(UNBOUNDED, None, None, None, pivots)
 
     primal = [0] * n
     for r, b in enumerate(basis):
@@ -191,4 +219,5 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         tuple(Fraction(x, d) if x else _ZERO for x in primal),
         tuple(Fraction(y, d) for y in dual),
         Fraction(value, d),
+        pivots,
     )

@@ -26,6 +26,7 @@ from .valuations import (
     _check_cover,
     _check_kinds,
     _misfit,
+    value_table,
 )
 
 UNALLOCATED = -1
@@ -36,6 +37,8 @@ MAX_ITEMS = 4096
 
 _ZERO = Fraction(0)
 
+_MEMOS = ("block_tables", "optima", "config_lps")
+
 
 @dataclass(frozen=True, eq=True)
 class Instance:
@@ -44,9 +47,11 @@ class Instance:
     Every agent is one of the five valuation families, all normalized and
     monotone.  `scale`, the LCM of the agents' scales, is the market's one
     integer unit: every agent's values times `scale` are integers.
-    `config_lps` holds `configlp.fractional_opt`'s solutions, keyed by
-    partition blocks; it starts empty, and a market never changes, so each
-    solution holds while the instance lives.
+    Three memos, each keyed by partition blocks, hold what is computed once
+    per partition: `block_tables` the agents' value tables (see
+    `block_tables`), `optima` the oracles' welfare optima and `config_lps`
+    `configlp.fractional_opt`'s solutions.  They start empty, and a market
+    never changes, so each entry holds while the instance lives.
     """
 
     m: int
@@ -79,12 +84,13 @@ class Instance:
             if misfit:
                 raise BadParams(f"agent {idx} {misfit}")
         object.__setattr__(self, "scale", lcm(*(v.scale for v in self.agents)))
-        object.__setattr__(self, "config_lps", {})
+        for memo in _MEMOS:
+            object.__setattr__(self, memo, {})
 
     def __getstate__(self):
-        # A pickled or deep-copied market starts its own, empty memo: the
-        # solutions hold read-only mappings, which do not pickle.
-        return {**self.__dict__, "config_lps": {}}
+        # A pickled or deep-copied market starts its own, empty memos: the
+        # LP solutions hold read-only mappings, which do not pickle.
+        return {**self.__dict__, **{memo: {} for memo in _MEMOS}}
 
     @property
     def n(self) -> int:
@@ -94,6 +100,21 @@ class Instance:
         """The agent's value for `items` times the market's scale."""
         v = self.agents[agent]
         return v.scaled_value(items) * (self.scale // v.scale)
+
+
+def block_tables(instance: Instance, partition: Partition) -> tuple[tuple[int, ...], ...]:
+    """Every agent's `value_table` over the partition's block subsets at the
+    market's scale, as immutable tuples.  They are built on the first call
+    per partition and kept in `instance.block_tables`; later calls return
+    the same object."""
+    memo = instance.block_tables
+    tables = memo.get(partition.blocks)
+    if tables is None:
+        scale = instance.scale
+        tables = memo[partition.blocks] = tuple(
+            tuple(value_table(v, partition, scale)) for v in instance.agents
+        )
+    return tables
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,11 @@ Pekec and Harstad, 1998) over the agents' integer value tables at the
 market's scale (`Instance.scale`), with the tie-break folded into the same
 integer key, so the DP returns the lexicographically smallest owner vector
 among the optima, item 0 most significant and agents as digits 0..n-1.
-All three optima share one routine, `_optimum`, where a lone agent takes
-every item or block in closed form, with no table.  The supportable-optimum
-search steps through all assignments, "unallocated" as the last digit, with
-one odometer generator, `_assignments`.  The enumeration budget is the one
+All three optima share one routine, `_optimum`, which computes each
+(market, partition) optimum once, over the market's `block_tables`; a lone
+agent takes every item or block in closed form, with no table.  The
+supportable-optimum search steps through all assignments, "unallocated" as
+the last digit, with one odometer generator, `_assignments`.  The enumeration budget is the one
 bound: every operation charges it before building any table, aborting with
 SizeLimit rather than exceed it.
 """
@@ -27,8 +28,8 @@ from .bits import bits_of, subset_sums
 from .errors import CertificateError, NotMCCWE, NotSingleMinded, SizeLimit
 from .lp import LinearProgram, solve_lp
 from .market import Allocation, Instance, Outcome, Partition
-from .market import check_fits, singleton_partition
-from .valuations import SingleMinded, _check_kinds, value_table
+from .market import block_tables, check_fits, induced_partition, singleton_partition
+from .valuations import SingleMinded, _check_kinds
 
 DEFAULT_STATE_LIMIT = 10_000_000
 
@@ -60,16 +61,22 @@ def _allowance(budget) -> OracleBudget:
 
 
 def _optimum(instance, partition):
-    """(sets, welfare, tables): the welfare optimum over the partition's
-    blocks as one block mask per agent, its welfare in the market's units,
-    and the agents' integer block tables at its scale, charging no budget.
-    A lone agent takes every block at v(full), with no tables (None)."""
-    k = len(partition.blocks)
-    if instance.n == 1:
-        return ((1 << k) - 1,), instance.scaled_value(0, (1 << instance.m) - 1), None
-    tables = [value_table(v, partition, instance.scale) for v in instance.agents]
-    sets, welfare = _winner_determination(k, tables)
-    return sets, welfare, tables
+    """(sets, welfare): the welfare optimum over the partition's blocks as
+    one block mask per agent, and its welfare in the market's units, charging
+    no budget.  A lone agent takes every block at v(full), with no table.
+    The first call per partition computes it, over the instance's
+    `block_tables`, and later calls return the same object
+    (`Instance.optima`)."""
+    memo = instance.optima
+    found = memo.get(partition.blocks)
+    if found is None:
+        k = len(partition.blocks)
+        if instance.n == 1:
+            found = ((1 << k) - 1,), instance.scaled_value(0, (1 << instance.m) - 1)
+        else:
+            found = _winner_determination(k, block_tables(instance, partition))
+        memo[partition.blocks] = found
+    return found
 
 
 def _assignments(k, tables):
@@ -198,7 +205,7 @@ def optimal_integral(
     ):
         return _single_minded_optimum(instance, budget)
     budget.charge(states)
-    sets, welfare, _tables = _optimum(instance, singleton_partition(m))
+    sets, welfare = _optimum(instance, singleton_partition(m))
     return Allocation(m, 0, sets), Fraction(welfare, instance.scale)
 
 
@@ -265,7 +272,7 @@ def optimal_over_partition(
     budget = _allowance(budget)
     k = len(partition.blocks)
     budget.charge((instance.n + 1) ** k)
-    sets, welfare, _tables = _optimum(instance, partition)
+    sets, welfare = _optimum(instance, partition)
     owners = [0] * k
     for i, block_set in enumerate(sets):
         for j in bits_of(block_set):
@@ -291,27 +298,32 @@ def best_mccwe(
     (where super-additive markets always succeed), then walks every
     assignment once: at x's welfare it returns the first other supportable
     allocation, and below it probes only strict improvements on the best
-    supportable welfare so far, which it returns when the walk ends.  Each
-    probe solves its LP once; the budget is charged the DP and the walk,
-    2(n+1)^m states, up front.
+    supportable welfare so far, which it returns when the walk ends.  A
+    probe first runs the block DP over the candidate's induced partition:
+    when some whole-block assignment beats the candidate, the LP's value,
+    which is at least that, does too, and the candidate is refused without
+    an LP.  Otherwise the probe solves the LP once.  The budget is charged
+    the DP and the walk, 2(n+1)^m states, up front; like the probes' LPs,
+    their block DPs are not charged.
     """
     check_fits(instance)
     budget = _allowance(budget)
     m = instance.m
     budget.charge(2 * (instance.n + 1) ** m)
-    sets, top, tables = _optimum(instance, singleton_partition(m))
+    singletons = singleton_partition(m)
+    sets, top = _optimum(instance, singletons)
     x = Allocation(m, 0, sets)
     outcome = _supported(instance, x)
     if outcome is not None:
         return outcome, Fraction(top, instance.scale)
-    # Only a lone agent has no tables, and its optimum is supportable: its LP
-    # over the one block peaks at v(full) = top.
+    # A lone agent never walks: its optimum is supportable, as its LP over
+    # the one block peaks at v(full) = top.
     best = None
-    for welfare, sets, rest in _assignments(m, tables):
+    for welfare, sets, rest in _assignments(m, block_tables(instance, singletons)):
         if best is not None and welfare <= best:
             continue
         candidate = Allocation(m, rest, tuple(sets))
-        if candidate == x:
+        if candidate == x or _optimum(instance, induced_partition(candidate)[0])[1] > welfare:
             continue
         found = _supported(instance, candidate)
         if found is not None:

@@ -1,10 +1,21 @@
 """The exact `Fraction` simplex that `mccwe.lp` replaced, kept as a reference.
 
-A dense one-phase primal simplex over `Fraction` entries with Bland's rule,
-on the same packing-shaped programs as `mccwe.lp.solve_lp`.  Tests compare
-the two solvers' `(status, primal, dual, objective_value)` on the same
-programs; the integer tableau must reproduce every pivot choice, so the
-answers are identical, not merely equal in value.
+A dense one-phase primal simplex over `Fraction` entries, on the same
+packing-shaped programs as `mccwe.lp.solve_lp`, with three entering rules:
+
+* `FALLBACK`, the library's: the largest positive reduced cost (Dantzig's
+  rule), lowest index on ties, and Bland's rule for good after
+  `DEGENERATE_RUN` consecutive degenerate pivots;
+* `BLAND`: the first positive reduced cost, the rule the library used
+  before and still falls back to;
+* `DANTZIG`: the largest positive reduced cost with no fallback, which
+  raises `Cycled` when a basis recurs.
+
+All three share the ratio test and its smallest-basis-index tie-break.
+Tests compare the library's `(status, primal, dual, objective_value)` and
+pivot count with `FALLBACK`'s on the same programs; the integer tableau
+must reproduce every pivot choice, so the answers are identical, not merely
+equal in value.
 """
 
 from __future__ import annotations
@@ -16,6 +27,18 @@ from mccwe.lp import OPTIMAL, UNBOUNDED, LinearProgram, LPSolution
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+FALLBACK = "fallback"
+BLAND = "bland"
+DANTZIG = "dantzig"
+
+# The library's `_DEGENERATE_RUN`, restated.
+DEGENERATE_RUN = 5
+
+
+class Cycled(Exception):
+    """The plain largest-coefficient rule met a basis it had left before, so
+    it would pivot forever."""
 
 
 def _pivot(tableau, obj, row, col):
@@ -37,17 +60,33 @@ def _pivot(tableau, obj, row, col):
             obj[k] -= factor * pivrow[k]
 
 
-def _run_simplex(tableau, basis, obj):
-    """Bland-rule simplex to optimality; returns OPTIMAL or UNBOUNDED."""
-    ncols = len(obj) - 1
-    while True:
-        entering = -1
-        for j in range(ncols):
-            if obj[j] > 0:
+def _entering(obj, ncols, first):
+    """The first column with a positive reduced cost if `first`, else the
+    one with the largest, lowest index on ties; -1 if there is none."""
+    entering = -1
+    for j in range(ncols):
+        if obj[j] > 0:
+            if first:
+                return j
+            if entering < 0 or obj[j] > obj[entering]:
                 entering = j
-                break
+    return entering
+
+
+def _run_simplex(tableau, basis, obj, rule):
+    """Simplex to optimality by `rule`: (OPTIMAL or UNBOUNDED, pivots, and
+    the pivot count at which FALLBACK switched to Bland's rule, or None)."""
+    ncols = len(obj) - 1
+    pivots = degenerate = 0
+    switched = None
+    seen = {tuple(basis)}
+    while True:
+        bland = rule == BLAND or (rule == FALLBACK and degenerate >= DEGENERATE_RUN)
+        if bland and rule == FALLBACK and switched is None:
+            switched = pivots
+        entering = _entering(obj, ncols, bland)
         if entering < 0:
-            return OPTIMAL
+            return OPTIMAL, pivots, switched
         leaving = -1
         best_ratio = None
         for r, row in enumerate(tableau):
@@ -62,9 +101,15 @@ def _run_simplex(tableau, basis, obj):
                     best_ratio = ratio
                     leaving = r
         if leaving < 0:
-            return UNBOUNDED
+            return UNBOUNDED, pivots, switched
+        degenerate = degenerate + 1 if tableau[leaving][-1] == 0 else 0
         _pivot(tableau, obj, leaving, entering)
         basis[leaving] = entering
+        pivots += 1
+        if rule == DANTZIG:
+            if tuple(basis) in seen:
+                raise Cycled(f"basis {basis} recurs after {pivots} pivots")
+            seen.add(tuple(basis))
 
 
 def _check_certificates(lp, primal, dual, value):
@@ -84,11 +129,12 @@ def _check_certificates(lp, primal, dual, value):
         raise CertificateError("strong duality gap")
 
 
-def solve_lp(lp: LinearProgram) -> LPSolution:
-    """Exact optimum of a packing-shaped LP (see the module conventions).
+def solve(lp: LinearProgram, rule: str = FALLBACK) -> tuple[LPSolution, int | None]:
+    """Exact optimum of a packing-shaped LP by `rule`, and the pivot count at
+    which FALLBACK switched to Bland's rule (None if it did not).
 
-    Returns status optimal (with primal, dual and value) or unbounded.
-    Deterministic: Bland's rule fixes every pivot choice.
+    Returns status optimal (with primal, dual, value and pivots) or
+    unbounded (with pivots).
     """
     n = len(lp.objective)
     n_rows = len(lp.constraints)
@@ -102,8 +148,9 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         tableau.append(row)
     basis = list(range(n, n + n_rows))
     obj = list(lp.objective) + [_ZERO] * (n_rows + 1)
-    if _run_simplex(tableau, basis, obj) == UNBOUNDED:
-        return LPSolution(UNBOUNDED, None, None, None)
+    status, pivots, switched = _run_simplex(tableau, basis, obj, rule)
+    if status == UNBOUNDED:
+        return LPSolution(UNBOUNDED, None, None, None, pivots), switched
 
     primal = [_ZERO] * n
     for r, b in enumerate(basis):
@@ -113,4 +160,9 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     dual = [-obj[n + i] for i in range(n_rows)]
 
     _check_certificates(lp, primal, dual, value)
-    return LPSolution(OPTIMAL, tuple(primal), tuple(dual), value)
+    return LPSolution(OPTIMAL, tuple(primal), tuple(dual), value, pivots), switched
+
+
+def solve_lp(lp: LinearProgram) -> LPSolution:
+    """`solve` by the library's rule, FALLBACK."""
+    return solve(lp)[0]

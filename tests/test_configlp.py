@@ -1,10 +1,13 @@
 """Configuration LP: counts, optima, the supportability characterization."""
 
 import copy
+import importlib.util
 import io
 import pickle
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +27,7 @@ from mccwe import (
 )
 from configlp_reference import build_config_lp as dense_config_lp
 from mccwe.bits import mask_of
-from mccwe import cli, configlp
+from mccwe import cli, configlp, oracle
 from mccwe.configlp import build_config_lp, fractional_opt, supporting_prices
 from mccwe.equilibria import MCCWE, verify
 from mccwe.instances import built_in, generate, parse_instance, write_instance
@@ -71,33 +74,73 @@ def test_build_counts_fig1a():
 
 
 def _counting_solves(monkeypatch):
-    programs = []
+    solutions = []
 
     def counting(lp):
-        programs.append(lp)
-        return solve_lp(lp)
+        solutions.append(solve_lp(lp))
+        return solutions[-1]
 
     monkeypatch.setattr(configlp, "solve_lp", counting)
-    return programs
+    return solutions
 
 
 def test_gap_on_fig1a_solves_one_lp_per_partition(tmp_path, monkeypatch):
-    # The fractional line and every best_mccwe probe over the same induced
-    # partition share one solve: 5 LPs, where one per probe made 11.
+    # The fractional line and the optimum's probe share the singleton LP,
+    # and the block DP refuses all but one of the other probes without an LP.
     path = tmp_path / "fig1a.json"
     path.write_text(write_instance(built_in("fig1a")))
-    programs = _counting_solves(monkeypatch)
+    solutions = _counting_solves(monkeypatch)
+    runs = []
+    real = oracle._winner_determination
+
+    def counted(k, tables):
+        runs.append(k)
+        return real(k, tables)
+
+    monkeypatch.setattr(oracle, "_winner_determination", counted)
     assert cli.main(["gap", "-i", str(path)], out=io.StringIO()) == 0
-    assert len(programs) == 5
+    assert len(solutions) == 2
+    assert [sol.pivots for sol in solutions] == [7, 4]
+    # one singleton DP (4 blocks) for optimal_integral and best_mccwe
+    # together, then one DP per probe over its induced partition: three of
+    # the four probes are refused without an LP
+    assert runs == [4, 1, 2, 2, 2]
+
+
+def _gap_workload(seed, workdir, monkeypatch):
+    """The markets of the benchmark's `gap` workload at `seed`, written by
+    the `gen` verb, as `gap` argv lists."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    markets = workloads.WORKLOADS["gap"].markets(seed, str(workdir))
+    for market in markets:
+        assert cli.main([*market.gen, "-o", market.instance], out=io.StringIO()) == 0
+    return [list(request) for market in markets for request in market.requests]
+
+
+def test_gap_pass_pivots_and_lp_solves(tmp_path, monkeypatch):
+    # One pass over the benchmark's seed-1 gap markets; Bland's rule alone
+    # takes 5069 pivots over the same 434 LPs.
+    requests = _gap_workload(1, tmp_path, monkeypatch)
+    solutions = _counting_solves(monkeypatch)
+    for argv in requests:
+        assert cli.main(argv, out=io.StringIO()) == 0
+    assert len(requests) == 216
+    assert len(solutions) == 434
+    assert sum(sol.pivots for sol in solutions) == 2375
 
 
 def test_fractional_opt_returns_the_memoized_solution(monkeypatch):
     inst = parse_instance(write_instance(built_in("fig1a")))
     assert inst.config_lps == {}
-    programs = _counting_solves(monkeypatch)
+    solutions = _counting_solves(monkeypatch)
     first = fractional_opt(inst, singleton_partition(4))
     assert fractional_opt(inst, singleton_partition(4)) is first
-    assert len(programs) == 1
+    assert len(solutions) == 1
     assert list(inst.config_lps) == [singleton_partition(4).blocks]
     # another instance of the same market has its own, empty memo
     assert built_in("fig1a").config_lps == {}
@@ -272,7 +315,7 @@ def test_size_bound_is_checked_before_any_table_is_built(monkeypatch):
     def no_tables(v, partition, scale):
         raise AssertionError(f"built a table over {len(partition.blocks)} blocks")
 
-    monkeypatch.setattr(configlp, "value_table", no_tables)
+    monkeypatch.setattr("mccwe.market.value_table", no_tables)
     lone = Instance(17, (Additive((1,) * 17),))
     with pytest.raises(SizeLimit, match="17 blocks exceeds the configuration-LP cap"):
         fractional_opt(lone, singleton_partition(17))

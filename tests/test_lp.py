@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lp_reference import BLAND, DANTZIG, Cycled, solve as reference_solve
 from mccwe.errors import CertificateError, MalformedLP, SizeLimit
 from mccwe.lp import (
+    _DEGENERATE_RUN,
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
@@ -128,14 +130,37 @@ def test_unbounded():
 
 
 def test_duplicated_row_gets_zero_dual():
-    # Bland's rule lets the first copy's slack leave; the second copy stays
-    # slack-basic at level 0, so its dual is 0.
+    # x1 has the larger reduced cost and enters; the two copies tie in the
+    # ratio test, so the first copy's slack, the smaller basis index, leaves.
+    # The second copy stays slack-basic at level 0, so its dual is 0.
     lp = _lp([2, 3], [([1, 1], 2), ([1, 1], 2)])
     sol = solve_lp(lp)
     assert (sol.status, sol.primal, sol.dual, sol.objective_value) == (
         OPTIMAL, (F(0), F(2)), (F(3), F(0)), F(6)
     )
     check_dual_from_outside(lp, sol)
+
+
+def test_largest_coefficient_rule_cycles_where_the_fallback_terminates():
+    # Chvatal's cycling example (Linear Programming, 1983, p. 31) in
+    # integers: its two degenerate rows doubled, with their slacks written
+    # as explicit columns of coefficient 2, so every reduced cost compares as
+    # in the original.  The largest-coefficient rule alone meets the basis it
+    # had after pivot 2 again after pivot 8; the solver switches to Bland's
+    # rule after 5 degenerate pivots and stops 2 pivots later.
+    lp = _lp(
+        [10, -57, -9, -24, 0, 0],
+        [([1, -11, -5, 18, 2, 0], 0), ([1, -3, -1, 2, 0, 2], 0), ([1, 0, 0, 0, 0, 0], 1)],
+    )
+    with pytest.raises(Cycled, match="recurs after 8 pivots"):
+        reference_solve(lp, DANTZIG)
+    sol = solve_lp(lp)
+    reference, switched = reference_solve(lp)
+    assert sol == reference
+    assert (switched, _DEGENERATE_RUN, sol.pivots) == (5, 5, 7)
+    assert sol.objective_value == 1 == vertex_enumeration_optimum(lp.objective, lp.constraints)
+    check_dual_from_outside(lp, sol)
+    assert reference_solve(lp, BLAND)[0].objective_value == 1
 
 
 def test_negative_rhs_row_is_rejected():

@@ -1,8 +1,10 @@
 """The integer tableau against the `Fraction` simplex it replaced.
 
-Both solvers pivot by Bland's rule on the same program, so they must agree
-on every pivot: the tests require identical status, primal, dual and value,
-not merely the same optimum.
+Both solvers pivot by the same rule on the same program (the largest
+reduced cost, then Bland's rule after a run of degenerate pivots), so they
+must agree on every pivot: the tests require identical status, primal,
+dual, value and pivot count, not merely the same optimum.  Bland's rule
+alone, the library's rule before, must reach the same value.
 """
 
 import random
@@ -12,25 +14,37 @@ from math import lcm
 import pytest
 
 from configlp_reference import build_config_lp as dense_config_lp
-from lp_reference import solve_lp as reference_solve_lp
+from lp_reference import BLAND, solve as reference_solve, solve_lp as reference_solve_lp
 from mccwe import induced_partition, singleton_partition
 from mccwe import oracle
 from mccwe.configlp import build_config_lp
 from mccwe.instances import built_in, generate, partition_reduction
 from mccwe.lp import OPTIMAL, UNBOUNDED, LinearProgram, solve_lp
 from mccwe.oracle import best_single_minded_item_pricing, optimal_integral
+from test_lp import check_dual_from_outside
 
 F = Fraction
 
 
 def _answer(sol):
-    return (sol.status, sol.primal, sol.dual, sol.objective_value)
+    return (sol.status, sol.primal, sol.dual, sol.objective_value, sol.pivots)
 
 
 def _assert_same(lp):
     sol = solve_lp(lp)
     assert _answer(sol) == _answer(reference_solve_lp(lp))
     return sol.status
+
+
+def _assert_blands_value(lp):
+    """The same status and value as Bland's rule alone, and a certificate
+    that holds from outside the solver."""
+    sol = solve_lp(lp)
+    bland, _switched = reference_solve(lp, BLAND)
+    assert (sol.status, sol.objective_value) == (bland.status, bland.objective_value)
+    if sol.status == OPTIMAL:
+        check_dual_from_outside(lp, sol)
+    return sol, bland
 
 
 def _coefficient(rng):
@@ -92,6 +106,33 @@ def _gap_markets():
         for n in (2, 3):
             markets.append(generate(family, 6, n, rng.getrandbits(32)))
     return markets
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_random_fractional_lps_reach_blands_value(seed):
+    rng = random.Random(f"lp-differential/{seed}")
+    statuses = [_assert_blands_value(_random_fractional_lp(rng))[0].status for _ in range(150)]
+    assert {OPTIMAL, UNBOUNDED} <= set(statuses)
+
+
+def test_configuration_lps_reach_blands_value_in_fewer_pivots():
+    pivots = {"library": 0, "bland": 0}
+    for instance in _gap_markets():
+        x, _welfare = optimal_integral(instance)
+        for partition in (singleton_partition(instance.m), induced_partition(x)[0]):
+            sol, bland = _assert_blands_value(build_config_lp(instance, partition))
+            pivots["library"] += sol.pivots
+            pivots["bland"] += bland.pivots
+    assert pivots == {"library": 171, "bland": 381}
+
+
+def test_fallback_fires_on_a_seeded_configuration_lp():
+    # Five degenerate pivots in a row on a random super-additive market's
+    # singleton LP: the sixth pivot on enters by Bland's rule.
+    lp = build_config_lp(generate("random_superadditive", 5, 3, 0), singleton_partition(5))
+    reference, switched = reference_solve(lp)
+    assert (switched, reference.pivots) == (6, 9)
+    assert _answer(solve_lp(lp)) == _answer(reference)
 
 
 @pytest.mark.parametrize("instance", _gap_markets(), ids=lambda inst: inst.name)

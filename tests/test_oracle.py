@@ -1,7 +1,9 @@
 """Oracles: optima, budget caps, item-pricing bounds, the subset DP checked
 against the assignment-walk reference, and best_mccwe against brute force."""
 
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -25,8 +27,10 @@ from mccwe import (
     social_welfare,
 )
 from mccwe.bits import bits_of, mask_of
-from mccwe.instances import SplitMix64, built_in, generate
-from mccwe.market import UNALLOCATED
+from mccwe.equilibria import MCCWE, verify
+from mccwe import oracle
+from mccwe.instances import SplitMix64, built_in, generate, parse_instance, write_instance
+from mccwe.market import UNALLOCATED, block_tables
 from mccwe.oracle import (
     OracleBudget,
     _assignments,
@@ -38,6 +42,7 @@ from mccwe.oracle import (
     optimal_over_partition,
 )
 from mccwe.valuations import value_table
+import oracle_reference
 from value_reference import reduced_value
 
 F = Fraction
@@ -347,14 +352,17 @@ def test_dp_matches_leaf_walk_on_ties():
 
 
 def test_single_agent_sweep_above_table_cap(monkeypatch):
-    # a lone agent takes everything without tables; two agents need them
+    # a lone agent takes everything without tables; two agents need them.
+    # Every block table is built through `market.block_tables`, so the LP
+    # behind best_mccwe's answer counts too: for a lone agent it is the
+    # one-block program over the whole market.
     built = []
 
     def counted(v, partition, scale):
         built.append(len(partition.blocks))
         return value_table(v, partition, scale)
 
-    monkeypatch.setattr("mccwe.oracle.value_table", counted)
+    monkeypatch.setattr("mccwe.market.value_table", counted)
     for seed in range(120):
         family = FAMILIES[seed % len(FAMILIES)]
         m = 2 + seed % 7
@@ -362,8 +370,10 @@ def test_single_agent_sweep_above_table_cap(monkeypatch):
         assert optimal_integral(inst) == reference_integral(inst)
         partition = random_partition(m, SplitMix64(seed))
         assert optimal_over_partition(inst, partition) == reference_over_partition(inst, partition)
+        assert built == []
         assert best_mccwe(inst)[1] == reference_integral(inst)[1]
-    assert built == []
+        assert built == [1]
+        built.clear()
     inst = generate("random_superadditive", 3, 2, 1)
     assert optimal_integral(inst) == reference_integral(inst)
     assert built == [3, 3]
@@ -373,7 +383,7 @@ def test_block_table_cap_is_checked_before_any_table_is_built(monkeypatch):
     def no_tables(v, partition, scale):
         raise AssertionError(f"built a table over {len(partition.blocks)} blocks")
 
-    monkeypatch.setattr("mccwe.oracle.value_table", no_tables)
+    monkeypatch.setattr("mccwe.market.value_table", no_tables)
     inst = Instance(21, (Additive((F(1),) * 21),) * 2)
     budget = OracleBudget()
     with pytest.raises(SizeLimit, match="remaining budget"):
@@ -382,6 +392,53 @@ def test_block_table_cap_is_checked_before_any_table_is_built(monkeypatch):
     # a lone agent over as many blocks takes them all in closed form
     lone = Instance(21, inst.agents[:1])
     assert optimal_over_partition(lone, singleton_partition(21)) == ((0,) * 21, 21)
+
+
+def test_block_tables_are_built_once_per_partition_and_cannot_change():
+    inst = built_in("fig1a")
+    partition = Partition(4, (0b0011, 0b0100, 0b1000))
+    tables = block_tables(inst, partition)
+    assert block_tables(inst, partition) is tables
+    assert list(inst.block_tables) == [partition.blocks]
+    assert tables == tuple(
+        tuple(value_table(v, partition, inst.scale)) for v in inst.agents
+    )
+    assert isinstance(tables, tuple) and all(isinstance(t, tuple) for t in tables)
+    with pytest.raises(TypeError):
+        tables[0][1] = 0
+    with pytest.raises(TypeError):
+        tables[0] = ()
+
+
+def test_optimum_is_computed_once_per_partition(monkeypatch):
+    runs = []
+    real = oracle._winner_determination
+
+    def counted(k, tables):
+        runs.append(k)
+        return real(k, tables)
+
+    monkeypatch.setattr(oracle, "_winner_determination", counted)
+    inst = built_in("fig1a")
+    first = oracle._optimum(inst, singleton_partition(4))
+    assert oracle._optimum(inst, singleton_partition(4)) is first
+    assert inst.optima == {singleton_partition(4).blocks: first}
+    assert optimal_integral(inst) == (allocation(4, first[0]), F(first[1], inst.scale))
+    assert runs == [4]
+    # the DP reads the block tables the configuration LP reads
+    assert fractional_opt(inst, singleton_partition(4)).value == 8
+    assert list(inst.block_tables) == [singleton_partition(4).blocks]
+
+
+def test_copies_of_a_market_start_empty_memos():
+    inst = built_in("fig1a")
+    best_mccwe(inst)
+    assert inst.block_tables and inst.optima and inst.config_lps
+    for copied in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst)):
+        assert copied == inst and copied.scale == inst.scale
+        assert copied.block_tables == copied.optima == copied.config_lps == {}
+        assert best_mccwe(copied)[1] == 7
+    assert parse_instance(write_instance(inst)).optima == {}
 
 
 def test_assignment_check_rejects_bad_reconstructions():
@@ -466,3 +523,40 @@ def test_best_mccwe_matches_brute_force():
         else:
             reached["optimum" if x == x_opt else "top level"] += 1
     assert min(reached.values()) > 0, reached
+
+
+def test_best_mccwe_matches_the_reference_without_its_prefilter(monkeypatch):
+    # The block DP refuses a candidate only where its LP would: the same
+    # outcome and welfare, with fewer LP probes.
+    probes = {"library": 0, "reference": 0}
+
+    def counting(side, supported):
+        def counted(instance, x):
+            probes[side] += 1
+            return supported(instance, x)
+
+        return counted
+
+    monkeypatch.setattr(oracle, "_supported", counting("library", oracle._supported))
+    monkeypatch.setattr(
+        oracle_reference, "_supported", counting("reference", oracle_reference._supported)
+    )
+    markets = [
+        generate(family, m, n, seed)
+        for family in FAMILIES
+        for m in range(1, 7)
+        for n in range(1, 4)
+        for seed in range(12)
+    ]
+    markets += [built_in("fig1a", eps=F(1, d)) for d in (2, 3, 10, 100)]
+    markets += [built_in("nonuniform_identical_budget", eps=F(1, d)) for d in (2, 3, 8, 20)]
+    markets += [built_in("fig1b"), built_in("revenue_example")]
+    markets.append(built_in("partition_reduction", weights=[3, 1, 1, 2, 3]))
+    walked = 0
+    for inst in markets:
+        out, welfare = best_mccwe(inst)
+        assert (out, welfare) == oracle_reference.best_mccwe(copy.deepcopy(inst))
+        assert verify(inst, out, MCCWE).ok
+        walked += (out.allocation, welfare) != optimal_integral(inst)
+    assert walked >= 5
+    assert probes["library"] < probes["reference"], probes
