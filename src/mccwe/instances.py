@@ -493,6 +493,7 @@ def write_allocation(x: Allocation) -> dict:
 
 def parse_allocation(text_or_doc, m: int) -> Allocation:
     """Accepts an allocation document or a whole outcome document."""
+    _check_kinds((m,), _INT, "the item count must be an int")
     if isinstance(text_or_doc, str):
         doc = _load_json(text_or_doc, "allocation")
     else:
@@ -527,6 +528,7 @@ def write_outcome(outcome: Outcome) -> str:
 
 def parse_outcome(text: str, m: int) -> Outcome:
     """An outcome over the m items of the instance it prices."""
+    _check_kinds((m,), _INT, "the item count must be an int")
     doc = _load_json(text, "outcome")
     x = parse_allocation(doc, m)
     prices = _want(doc, "prices", dict, "outcome")

@@ -134,6 +134,7 @@ class Allocation:
 
 
 def allocation(m: int, bundles, x0: int | None = None) -> Allocation:
+    _check_kinds((m,), _INT, "the item count must be an int")
     _check_kinds((bundles,), _SEQUENCES, "bundles must be a tuple or a list")
     bundles = tuple(bundles)
     if x0 is None:

@@ -6,7 +6,9 @@ is part of the contract.  Values are queried and compared as integers in
 the market's units (values times `Instance.scale`); only the reported trace
 welfare is a Fraction.  All argmax ties break deterministically: larger
 value or gap first, then lower agent index, then the numerically smaller
-item mask.
+item mask.  A super-additive merge follows `equilibria.verify`'s first
+violation: largest gap, then lowest agent, then fewest blocks, then the
+smallest block-set mask.
 
 Traces: pass a MechanismTrace to record every allocation edit; replaying a
 trace from the mechanism's starting allocation reproduces its output
@@ -19,7 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import oracle as oracle_mod
-from .bits import bits_of, full_mask, subset_sums, subset_unions
+from .bits import bits_of, full_mask
+from .equilibria import MCCWE, verify
 from .errors import (
     BadParams,
     CertificateError,
@@ -36,6 +39,7 @@ from .market import (
     Partition,
     check_fits,
     full_surplus_outcome,
+    induced_partition,
 )
 from .valuations import (
     BudgetAdditive,
@@ -69,6 +73,7 @@ class _State:
     def __init__(self, instance, start: Allocation | None, trace, mechanism: str):
         _check_kinds((trace,), {MechanismTrace, type(None)}, "a trace must be a MechanismTrace")
         if trace is not None:
+            _check_kinds((trace.steps,), {list}, "a trace's steps must be a list")
             trace.mechanism = mechanism
         if start is None:
             self.bundles, self.x0 = [0] * instance.n, full_mask(instance.m)
@@ -104,9 +109,12 @@ class _State:
 
 def replay_trace(instance: Instance, start: Allocation, trace: MechanismTrace) -> Allocation:
     """Re-apply a trace's moves; the result equals the mechanism's output.
-    BadParams on a step whose items are not an int mask or whose agent is
-    neither None nor one of the market's agents."""
+    BadParams unless the steps are a list of TraceSteps, on a step whose
+    items are not an int mask or whose agent is neither None nor one of the
+    market's agents."""
     _check_kinds((trace,), {MechanismTrace}, "a trace must be a MechanismTrace")
+    _check_kinds((trace.steps,), {list}, "a trace's steps must be a list")
+    _check_kinds(trace.steps, {TraceStep}, "trace steps must be TraceSteps")
     state = _State(instance, start, None, trace.mechanism)
     for step in trace.steps:
         agent = () if step.agent is None else (step.agent,)
@@ -168,11 +176,16 @@ def superadditive_mccwe(
 
     Phase 1 repeatedly hands the highest value-per-item set to its agent
     until no items remain, then a single winner takes everything if that
-    beats the running welfare.  Phase 2 merges bundle groups toward the
-    agent with the largest strict surplus over their current prices until
-    no such surplus exists.  Past 24 items the relative-demand query raises
-    SizeLimit unless every agent is single-minded (a closed form); past 16
-    agents the merge phase does.
+    beats the running welfare.  Phase 2 prices the allocation at full
+    surplus and runs `verify` in MC-CWE mode (phase 1 leaves nothing
+    unsold, so that is the CWE buyer check).  It returns the first outcome
+    that verifies; otherwise the first violation's agent takes the union of
+    the blocks in its better bundle set, over the allocation's induced
+    partition, so ties go to the largest gap, then the lowest agent, then
+    the fewest blocks, then the smallest block-set mask.  More than n*n
+    merges raise CertificateError.  Past 24 items the relative-demand query
+    raises SizeLimit unless every agent is single-minded (a closed form);
+    past 16 agents the merge phase does, before any query.
     """
     _require_superadditive(instance)
     m, n = instance.m, instance.n
@@ -198,45 +211,16 @@ def superadditive_mccwe(
 
     merges = 0
     while True:
-        move = _best_merge(instance, state.bundles)
-        if move is None:
-            break
+        outcome = full_surplus_outcome(instance, state.allocation())
+        report = verify(instance, outcome, MCCWE)
+        if report.ok:
+            return outcome
         merges += 1
         if merges > n * n:
             raise CertificateError("merge phase exceeded its halting bound")
-        _gap, _size, agent, group_mask = move
-        union = 0
-        for j in bits_of(group_mask):
-            union |= state.bundles[j]
-        state.give("merge", agent, union)
-
-    return full_surplus_outcome(instance, state.allocation())
-
-
-def _best_merge(instance, bundles):
-    """Max of v_i(union of group bundles) minus the group's bundle values,
-    in the market's units.
-
-    Ties: smaller group, then smaller (agent, group mask).  None when no
-    group yields a strict surplus.
-    """
-    n = len(bundles)
-    unions = subset_unions(bundles)
-    totals = subset_sums([instance.scaled_value(j, bundles[j]) for j in range(n)])
-    best = None
-    for i in range(n):
-        for mask in range(1, 1 << n):
-            gap = instance.scaled_value(i, unions[mask]) - totals[mask]
-            if gap <= 0:
-                continue
-            size = mask.bit_count()
-            if (
-                best is None
-                or gap > best[0]
-                or (gap == best[0] and (size, i, mask) < (best[1], best[2], best[3]))
-            ):
-                best = (gap, size, i, mask)
-    return best
+        first = report.violations[0]
+        blocks = induced_partition(outcome.allocation)[0].blocks
+        state.give("merge", first.agent, sum(blocks[j] for j in bits_of(first.better_bundle)))
 
 
 def single_minded_mccwe(

@@ -20,16 +20,16 @@ SizeLimit rather than exceed it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import configlp
 from .bits import bits_of, subset_sums
-from .errors import CertificateError, NotMCCWE, NotSingleMinded, SizeLimit
+from .errors import BadParams, CertificateError, NotMCCWE, NotSingleMinded, SizeLimit
 from .lp import LinearProgram, solve_lp
 from .market import Allocation, Instance, Outcome, Partition
 from .market import block_tables, check_fits, induced_partition, singleton_partition
-from .valuations import SingleMinded, _check_kinds
+from .valuations import SingleMinded, _INT, _check_kinds
 
 DEFAULT_STATE_LIMIT = 10_000_000
 
@@ -37,10 +37,16 @@ DEFAULT_STATE_LIMIT = 10_000_000
 @dataclass
 class OracleBudget:
     """Enumeration allowance, the oracles' one bound, which also bounds every
-    table: operations charge it first and abort instead of exceeding it."""
+    table: operations charge it first and abort instead of exceeding it.
+    BadParams unless `limit` and `used` are ints >= 0."""
 
     limit: int = DEFAULT_STATE_LIMIT
-    used: int = field(default=0)
+    used: int = 0
+
+    def __post_init__(self):
+        _check_kinds((self.limit, self.used), _INT, "a budget's limit and used must be ints")
+        if self.limit < 0 or self.used < 0:
+            raise BadParams("a budget's limit and used must be >= 0")
 
     def charge(self, states: int) -> None:
         if states > self.limit - self.used:

@@ -1,5 +1,6 @@
 """The per-move `Fraction` scans that the budget mechanisms' one integer
-market scan replaced, kept as references.
+market scan replaced, and the super-additive merge phase's own group
+search that the verifier replaced, kept as references.
 
 `uniform_budget_additive_mccwe` and `identical_budget_cleanup` here test
 uniformity with `shared_item_values`, order and compare by `Fraction`
@@ -8,14 +9,24 @@ pre-pass looks up each item's holder and its lowest-index interested agent,
 and every rebalance move recomputes the movable items and the recipient
 from the agents' item values.  The tests require the same traces, outcomes
 and errors from these and from `mccwe.mechanisms`.
+
+`superadditive_mccwe` here runs the library's density phase, then merges
+by `_best_merge`: an n*2^n table of every agent against every group of
+bundles, ranked by gap, then group size, then (agent, group mask).
 """
 
 from __future__ import annotations
 
-from mccwe.bits import bits_of
-from mccwe.errors import CertificateError, NotIdenticalBudgets, NotUniformBudgetAdditive
+from mccwe.bits import bits_of, full_mask, subset_sums, subset_unions
+from mccwe.errors import (
+    CertificateError,
+    NotIdenticalBudgets,
+    NotUniformBudgetAdditive,
+    SizeLimit,
+)
 from mccwe.market import full_surplus_outcome
-from mccwe.mechanisms import _State
+from mccwe.mechanisms import _require_superadditive, _State
+from mccwe.valuations import relative_demand_query
 from value_reference import shared_item_values
 
 
@@ -90,3 +101,69 @@ def identical_budget_cleanup(instance, x, trace=None):
     state = _State(instance, x, trace, "identical_budget_cleanup")
     _interested_prepass(instance, state, "cleanup")
     return full_surplus_outcome(instance, state.allocation())
+
+
+def superadditive_mccwe(instance, trace=None):
+    _require_superadditive(instance)
+    m, n = instance.m, instance.n
+    if n > 16:
+        raise SizeLimit("merge phase capped at 16 agents")
+    state = _State(instance, None, trace, "superadditive")
+
+    pool = full_mask(m)
+    while pool:
+        best = None
+        for i, v in enumerate(instance.agents):
+            found, density = relative_demand_query(v, pool)
+            if best is None or density > best[0]:
+                best = (density, i, found)
+        _density, agent, found = best
+        state.give("density", agent, found)
+        pool &= ~found
+
+    whole = [instance.scaled_value(i, full_mask(m)) for i in range(n)]
+    top = max(range(n), key=lambda i: (whole[i], -i))
+    if whole[top] > state.welfare():
+        state.give("winner_take_all", top, full_mask(m))
+
+    merges = 0
+    while True:
+        move = _best_merge(instance, state.bundles)
+        if move is None:
+            break
+        merges += 1
+        if merges > n * n:
+            raise CertificateError("merge phase exceeded its halting bound")
+        _gap, _size, agent, group_mask = move
+        union = 0
+        for j in bits_of(group_mask):
+            union |= state.bundles[j]
+        state.give("merge", agent, union)
+
+    return full_surplus_outcome(instance, state.allocation())
+
+
+def _best_merge(instance, bundles):
+    """Max of v_i(union of group bundles) minus the group's bundle values,
+    in the market's units.
+
+    Ties: smaller group, then smaller (agent, group mask).  None when no
+    group yields a strict surplus.
+    """
+    n = len(bundles)
+    unions = subset_unions(bundles)
+    totals = subset_sums([instance.scaled_value(j, bundles[j]) for j in range(n)])
+    best = None
+    for i in range(n):
+        for mask in range(1, 1 << n):
+            gap = instance.scaled_value(i, unions[mask]) - totals[mask]
+            if gap <= 0:
+                continue
+            size = mask.bit_count()
+            if (
+                best is None
+                or gap > best[0]
+                or (gap == best[0] and (size, i, mask) < (best[1], best[2], best[3]))
+            ):
+                best = (gap, size, i, mask)
+    return best

@@ -47,7 +47,7 @@ from mccwe import (
 )
 from mccwe.bits import mask_of
 from mccwe.equilibria import demand_correspondence
-from mccwe.instances import generate, parse_allocation, write_allocation
+from mccwe.instances import generate, parse_allocation, parse_outcome, write_allocation
 from mccwe.lp import solve_lp
 from mccwe.market import check_fits
 from mccwe.mechanisms import MechanismTrace
@@ -366,6 +366,23 @@ def test_accounting_rejects_what_is_not_an_allocation_or_an_outcome():
         with pytest.raises(BadParams, match=message):
             call()
 
+
+
+def test_the_item_count_must_be_an_int():
+    # Each of these leaked TypeError before: the readers compared item
+    # indices with m, and allocation() built the full mask from it.
+    alloc = '{"format": 1, "x0": [], "x": [[0]]}'
+    out = '{"format": 1, "allocation": {"x0": [], "x": [[0]]}, "prices": {"agents": ["1"]}}'
+    for m in (None, "1", 1.0, True):
+        for call in (
+            lambda: parse_allocation(alloc, m),
+            lambda: parse_outcome(out, m),
+            lambda: allocation(m, [1]),
+        ):
+            with pytest.raises(BadParams, match="the item count must be an int"):
+                call()
+    assert parse_allocation(alloc, 1) == allocation(1, [1])
+    assert parse_outcome(out, 1).allocation == allocation(1, [1])
 
 
 _FIG1A, _FIG1B = built_in("fig1a"), built_in("fig1b")

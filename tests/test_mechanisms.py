@@ -23,13 +23,13 @@ from mccwe import (
     social_welfare,
 )
 from mccwe.bits import bits_of, full_mask, mask_of
+from mccwe.market import full_surplus_outcome, induced_partition
 from mccwe.equilibria import MCCWE, verify
 from mccwe.instances import SplitMix64, built_in, generate
 from mccwe import mechanisms
 from mccwe.mechanisms import (
     MechanismTrace,
     TraceStep,
-    _best_merge,
     _State,
     bundle_efficient_full_surplus,
     identical_budget_cleanup,
@@ -40,7 +40,7 @@ from mccwe.mechanisms import (
     uniform_budget_additive_mccwe,
 )
 from mccwe.oracle import best_mccwe, optimal_integral, optimal_over_partition
-from mccwe.valuations import demand_utilities
+from mccwe.valuations import demand_utilities, relative_demand_query
 
 F = Fraction
 
@@ -462,6 +462,23 @@ def test_replay_trace_rejects_steps_outside_the_market():
     assert replay_trace(fig1a, _empty(fig1a), trace).bundles == (0, 0, 0, 0, 0b11)
 
 
+def test_traces_must_hold_a_list_of_trace_steps():
+    # Before, steps that were not a list leaked AttributeError from the
+    # recorder or TypeError from the replay, and a step that was not a
+    # TraceStep leaked AttributeError.
+    fig1a = built_in("fig1a")
+    sm = generate("random_single_minded", 4, 3, 1)
+    for steps in ("x", (), 5, None):
+        with pytest.raises(BadParams, match="a trace's steps must be a list"):
+            superadditive_mccwe(sm, MechanismTrace("", steps))
+        with pytest.raises(BadParams, match="a trace's steps must be a list"):
+            replay_trace(fig1a, _empty(fig1a), MechanismTrace("", steps))
+    step = TraceStep("move", 4, 0b11, F(0), F(0))
+    for bad in (("move", 4, 0b11), None, 5):
+        with pytest.raises(BadParams, match="trace steps must be TraceSteps"):
+            replay_trace(fig1a, _empty(fig1a), MechanismTrace("", [step, bad]))
+
+
 def test_every_mechanism_output_verifies_on_random_families():
     for seed in range(25):
         sa = generate("random_superadditive", 4, 3, seed)
@@ -554,7 +571,10 @@ def demand_merge_gap(instance, bundles):
     return max(gaps)
 
 
-def test_merge_enumeration_matches_demand_route():
+def test_merge_steps_follow_verifys_first_violation():
+    """Each merge hands the first violation's agent its better blocks, on
+    the state before the merge, and that violation's gap is the largest
+    surplus by the demand route; the last state verifies."""
     checked = 0
     for seed in range(150):
         for family, shapes in (
@@ -568,29 +588,47 @@ def test_merge_enumeration_matches_demand_route():
             state = _State(inst, None, None, "")
             for step in trace.steps:
                 if step.phase == "merge":
-                    gap, _size, agent, group = _best_merge(inst, state.bundles)
-                    # _best_merge's gap is in the market's units
-                    assert F(gap, inst.scale) == demand_merge_gap(inst, state.bundles) > 0
-                    union = 0
-                    for j in bits_of(group):
-                        union |= state.bundles[j]
-                    assert (step.agent, step.items) == (agent, union)
+                    x = state.allocation()
+                    first = verify(inst, full_surplus_outcome(inst, x), MCCWE).violations[0]
+                    blocks = induced_partition(x)[0].blocks
+                    union = sum(blocks[j] for j in bits_of(first.better_bundle))
+                    assert (step.agent, step.items) == (first.agent, union)
+                    assert first.gap == demand_merge_gap(inst, state.bundles) > 0
                     checked += 1
                 state.give(step.phase, step.agent, step.items)
             assert state.allocation() == out.allocation
-            assert _best_merge(inst, state.bundles) is None
+            assert verify(inst, out, MCCWE).ok
             assert demand_merge_gap(inst, state.bundles) <= 0
     assert checked >= 20
 
 
 def test_merge_halting_bound_raises(monkeypatch):
     inst = Instance(2, (SingleMinded(0b01, F(1)), SingleMinded(0b10, F(1))))
-    # a merge of agent 1's bundle into agent 0's that never stops paying
+    # no move takes effect, so the unsold items' violation never clears
+    monkeypatch.setattr(_State, "give", lambda self, phase, agent, items: None)
+    checks = []
     monkeypatch.setattr(
-        mechanisms, "_best_merge", lambda instance, bundles: (F(1), 1, 0, 0b10)
+        mechanisms, "verify", lambda *args: checks.append(1) or verify(*args)
     )
     with pytest.raises(CertificateError, match="halting bound"):
         superadditive_mccwe(inst)
+    assert len(checks) == inst.n**2 + 1
+
+
+def test_merge_phase_agent_cap(monkeypatch):
+    queries = []
+    monkeypatch.setattr(
+        mechanisms,
+        "relative_demand_query",
+        lambda v, pool: queries.append(pool) or relative_demand_query(v, pool),
+    )
+    agents = tuple(SingleMinded(1 << (i % 3), F(i % 5)) for i in range(17))
+    with pytest.raises(SizeLimit, match="merge phase capped at 16 agents"):
+        superadditive_mccwe(Instance(3, agents))
+    assert queries == []
+    inst = Instance(3, agents[:16])
+    out = superadditive_mccwe(inst)
+    assert queries and verify(inst, out, MCCWE).ok
 
 
 def test_unmovable_envied_bundle_raises(monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 
 from mccwe import (
     Additive,
+    BadParams,
     BudgetAdditive,
     CappedCardinalityAdditive,
     CertificateError,
@@ -377,6 +378,26 @@ def test_single_agent_sweep_above_table_cap(monkeypatch):
     inst = generate("random_superadditive", 3, 2, 1)
     assert optimal_integral(inst) == reference_integral(inst)
     assert built == [3, 3]
+
+
+def test_budget_fields_must_be_nonnegative_ints():
+    # Before, a negative `used` lifted the limit, so fig1a's optimum ran
+    # under limit=10, and a None limit or a str `used` leaked TypeError
+    # from `charge`.
+    fig1a = built_in("fig1a")
+    with pytest.raises(SizeLimit):
+        optimal_integral(fig1a, OracleBudget(limit=10))
+    for limit, used, message in (
+        (10, -10**9, "must be >= 0"),
+        (-1, 0, "must be >= 0"),
+        (None, 0, "must be ints, got NoneType"),
+        (10, "0", "must be ints, got str"),
+        (True, 0, "must be ints, got bool"),
+        (10, 0.0, "must be ints, got float"),
+    ):
+        with pytest.raises(BadParams, match=message):
+            OracleBudget(limit=limit, used=used)
+    assert OracleBudget(limit=0).used == 0
 
 
 def test_block_table_cap_is_checked_before_any_table_is_built(monkeypatch):
