@@ -23,10 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from types import MappingProxyType
 
-from .bits import subset_sums
 from .errors import CertificateError, NotMCCWE, SizeLimit
 from .lp import MAX_VARIABLES, OPTIMAL, LinearProgram, solve_lp
 from .market import (
@@ -40,6 +38,7 @@ from .market import (
     induced_partition,
     social_welfare,
 )
+from .valuations import _utilities
 
 _ZERO = Fraction(0)
 
@@ -55,13 +54,6 @@ class ConfigLPSolution:
     y: MappingProxyType  # (agent, bundle-set mask) -> Fraction, nonzero entries only
     dual_u: tuple[Fraction, ...]  # per agent
     dual_q: tuple[Fraction, ...]  # per block
-
-
-def _check_size(n: int, k: int) -> None:
-    if k > 16:
-        raise SizeLimit(f"{k} blocks exceeds the configuration-LP cap")
-    if n * (1 << k) > MAX_VARIABLES:
-        raise SizeLimit("configuration LP would exceed the variable cap")
 
 
 def _undominated(table: tuple[int, ...]) -> list[int]:
@@ -86,7 +78,8 @@ def _program(instance, partition):
     every agent's full value table at the market's scale (`block_tables`)."""
     n = instance.n
     k = len(partition.blocks)
-    _check_size(n, k)
+    if n << k > MAX_VARIABLES:
+        raise SizeLimit("configuration LP would exceed the variable cap")
     tables = block_tables(instance, partition)
     columns = [(i, mask) for i, table in enumerate(tables) for mask in _undominated(table)]
     objective = tuple(tables[i][mask] for i, mask in columns)
@@ -102,23 +95,20 @@ def build_config_lp(instance: Instance, partition: Partition) -> LinearProgram:
     v_i(S) > 0; columns run agent by agent, by increasing mask.  The
     objective is each kept value at the market's scale (`Instance.scale`),
     so the program's optimum and duals are the configuration LP's times
-    that scale; every row is 0/1 with right-hand side 1.  The size caps
-    bound the full program's n(2^k - 1) columns, checked before any table
-    is built.
+    that scale; every row is 0/1 with right-hand side 1.  The variable cap
+    bounds n 2^k, past the full program's n(2^k - 1) columns, before any
+    table is built, and so keeps k within `value_table`'s 20 blocks.
     """
     check_fits(instance, partition, Partition)
     return _program(instance, partition)[0]
 
 
 def _check_full_dual(tables, dual_u, dual_q) -> None:
-    """CertificateError unless u_i + q(S) >= v_i(S) for every agent i and
-    every block set S, all in integers: the dual of the pruned program is
-    then feasible, and with its value optimal, for the full one."""
-    unit = lcm(*(d.denominator for d in dual_u), *(d.denominator for d in dual_q))
-    paid = subset_sums([q.numerator * (unit // q.denominator) for q in dual_q])
-    for table, u in zip(tables, dual_u):
-        u = u.numerator * (unit // u.denominator)
-        if any(u + cost < value * unit for value, cost in zip(table, paid)):
+    """CertificateError when some utility v_i(S) - q(S) at the block duals
+    exceeds u_i, compared in integers; else u_i + q(S) >= v_i(S) everywhere,
+    and the pruned program's dual is feasible, and optimal, for the full one."""
+    for (row, unit), u in zip(_utilities(tables, 1, dual_q), dual_u):
+        if max(row) * u.denominator > u.numerator * unit:
             raise CertificateError("configuration-LP dual misses a pruned column")
 
 

@@ -13,10 +13,10 @@ induced partition.  One check then serves all three modes:
 An agent with an empty bundle is buyer-stable only when no bundle set has
 positive utility (the empty set must itself be demanded).
 
-Demand comes from the one block-subset routine,
-`valuations.demand_utilities`: the correspondence and every buyer check
-read its integer utility table, values and prices scaled into one unit;
-a reported gap is that table's difference divided back by the scale.
+Demand comes from the one block-utility routine, `valuations._utilities`:
+the correspondence and every buyer check read its integer utility rows,
+values and prices scaled into one unit; a reported gap is a row's
+difference divided back by that unit.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .errors import BadParams
 from .market import Instance, Outcome, Partition, UNALLOCATED, check_fits, priced_blocks
-from .valuations import Valuation, demand_utilities, preferred
+from .valuations import Valuation, _utilities, demand_utilities, preferred, value_table
 
 WE = "we"
 CWE = "cwe"
@@ -77,13 +77,14 @@ def verify(instance: Instance, outcome: Outcome, mode: str) -> VerifyReport:
             seller_violations.append(Violation("seller", block=block, price=price))
 
     buyer_violations: list[Violation] = []
-    for i, v in enumerate(instance.agents):
-        utils, scale = demand_utilities(v, partition, prices)
+    # One table at a time, not the memo's n tables that would outlive the call
+    tables = (value_table(v, partition, instance.scale) for v in instance.agents)
+    for i, (utils, unit) in enumerate(_utilities(tables, instance.scale, prices)):
         best_mask = preferred(utils)
         gap = utils[best_mask] - utils[owned[i]]
         if gap > 0:
             buyer_violations.append(
-                Violation("buyer", agent=i, better_bundle=best_mask, gap=Fraction(gap, scale))
+                Violation("buyer", agent=i, better_bundle=best_mask, gap=Fraction(gap, unit))
             )
 
     buyer_violations.sort(key=lambda viol: (-viol.gap, viol.agent))

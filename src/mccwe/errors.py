@@ -10,7 +10,8 @@ class SizeLimit(MarketError):
 
 
 class MalformedLP(MarketError):
-    """A linear program's rows do not all have the objective's width."""
+    """A linear program has a non-integer entry, a row of another width than
+    its objective, or a negative right-hand side."""
 
 
 class NotMCCWE(MarketError):

@@ -20,16 +20,18 @@ from fractions import Fraction
 
 from .bits import items_of, mask_of, subset_sums
 from .errors import BadParams, ParseError
-from .market import _KIND_RULES, MAX_ITEMS, Allocation, Instance, Outcome, check_fits
+from .market import _KIND_RULES, Allocation, Instance, Outcome, check_fits
 from .valuations import (
     Additive,
     BudgetAdditive,
     CappedCardinalityAdditive,
     SingleMinded,
     SuperadditiveExplicit,
+    MAX_ITEMS,
     _EXACT,
     _INT,
     _SEQUENCES,
+    _check_items,
     _check_kinds,
 )
 
@@ -142,11 +144,10 @@ def bundling_necessity(m: int = 16) -> Instance:
     through the big bidder's whole-market set.
     """
     _check_kinds((m,), _INT, "the item count must be an int")
-    if m > MAX_ITEMS:
-        raise BadParams(f"at most {MAX_ITEMS} items")
     t = math.isqrt(m) if m >= 4 else 0
     if t * t != m or t < 2:
         raise BadParams("m must be a perfect square at least 4")
+    _check_items(m)
     pairs = [(i, j) for i in range(t) for j in range(i + 1, t)]
     shared_index = {pair: idx for idx, pair in enumerate(pairs)}
     private_base = len(pairs)
@@ -256,13 +257,13 @@ def _random_superadditive(m: int, n: int, rng: SplitMix64) -> Instance:
                     if lifted > table[mask]:
                         table[mask] = lifted
                 sub = (sub - 1) & mask
-        agents.append(SuperadditiveExplicit(tuple(map(Fraction, table))))
+        agents.append(SuperadditiveExplicit(tuple(table)))
     return Instance(m, tuple(agents), name="random_superadditive")
 
 
 def _random_single_minded(m: int, n: int, rng: SplitMix64) -> Instance:
     agents = tuple(
-        SingleMinded(rng.randint(1, (1 << m) - 1), Fraction(rng.randint(1, 10)))
+        SingleMinded(rng.randint(1, (1 << m) - 1), rng.randint(1, 10))
         for _ in range(n)
     )
     return Instance(m, agents, name="random_single_minded")
@@ -274,17 +275,17 @@ def _random_uniform_budget_additive(
     # Budgets never fall below an agent's largest interesting item: single
     # items never overflow anyone, which is what the half-welfare guarantee
     # of the budget rebalance needs.
-    shared = [Fraction(rng.randint(1, 8)) for _ in range(m)]
+    shared = [rng.randint(1, 8) for _ in range(m)]
     common = max(shared) + rng.randint(0, 4)
     agents = []
     for _ in range(n):
         wants = rng.randint(1, (1 << m) - 1)
         if identical_budgets:
-            budget = Fraction(common)
+            budget = common
         else:
             floor = max(shared[j] for j in range(m) if wants >> j & 1)
             budget = floor + rng.randint(0, 8)
-        values = tuple(shared[j] if wants >> j & 1 else _ZERO for j in range(m))
+        values = tuple(shared[j] if wants >> j & 1 else 0 for j in range(m))
         agents.append(BudgetAdditive(budget, values))
     return Instance(m, tuple(agents), name="random_uniform_budget_additive")
 
@@ -305,10 +306,9 @@ def generate(
     _check_kinds((m, n, seed), _INT, "m, n and the seed must be ints")
     if identical_budgets and family != "random_uniform_budget_additive":
         raise BadParams(f"{family!r} takes no identical budgets")
-    if m < 1 or n < 1:
-        raise BadParams("need at least one item and one agent")
-    if m > MAX_ITEMS:
-        raise BadParams(f"at most {MAX_ITEMS} items")
+    _check_items(m)
+    if n < 1:
+        raise BadParams("need at least one agent")
     rng = SplitMix64(seed)
     if family == "random_superadditive":
         if m > 10:
@@ -493,7 +493,7 @@ def write_allocation(x: Allocation) -> dict:
 
 def parse_allocation(text_or_doc, m: int) -> Allocation:
     """Accepts an allocation document or a whole outcome document."""
-    _check_kinds((m,), _INT, "the item count must be an int")
+    _check_items(m)
     if isinstance(text_or_doc, str):
         doc = _load_json(text_or_doc, "allocation")
     else:
@@ -528,7 +528,7 @@ def write_outcome(outcome: Outcome) -> str:
 
 def parse_outcome(text: str, m: int) -> Outcome:
     """An outcome over the m items of the instance it prices."""
-    _check_kinds((m,), _INT, "the item count must be an int")
+    _check_items(m)
     doc = _load_json(text, "outcome")
     x = parse_allocation(doc, m)
     prices = _want(doc, "prices", dict, "outcome")

@@ -24,16 +24,13 @@ from .valuations import (
     _SEQUENCES,
     Partition,
     _check_cover,
+    _check_items,
     _check_kinds,
     _misfit,
     value_table,
 )
 
 UNALLOCATED = -1
-
-# Item sets are bitmasks and partitions hold one mask per block, so a market
-# this wide already costs megabytes; every enumeration caps far below it.
-MAX_ITEMS = 4096
 
 _ZERO = Fraction(0)
 
@@ -70,11 +67,7 @@ class Instance:
             ok = False
         if not ok:
             raise BadParams("metadata must be JSON, with string keys")
-        _check_kinds((self.m,), _INT, "the item count must be an int")
-        if self.m < 1:
-            raise BadParams("need at least one item")
-        if self.m > MAX_ITEMS:
-            raise BadParams(f"at most {MAX_ITEMS} items")
+        _check_items(self.m)
         _check_kinds((self.agents,), _SEQUENCES, "agents must be a tuple or a list")
         if not self.agents:
             raise BadParams("need at least one agent")
@@ -107,6 +100,7 @@ def block_tables(instance: Instance, partition: Partition) -> tuple[tuple[int, .
     market's scale, as immutable tuples.  They are built on the first call
     per partition and kept in `instance.block_tables`; later calls return
     the same object."""
+    check_fits(instance, partition, Partition)
     memo = instance.block_tables
     tables = memo.get(partition.blocks)
     if tables is None:
@@ -134,7 +128,7 @@ class Allocation:
 
 
 def allocation(m: int, bundles, x0: int | None = None) -> Allocation:
-    _check_kinds((m,), _INT, "the item count must be an int")
+    _check_items(m)
     _check_kinds((bundles,), _SEQUENCES, "bundles must be a tuple or a list")
     bundles = tuple(bundles)
     if x0 is None:
@@ -147,7 +141,7 @@ def allocation(m: int, bundles, x0: int | None = None) -> Allocation:
 
 
 def singleton_partition(m: int) -> Partition:
-    _check_kinds((m,), _INT, "the item count must be an int")
+    _check_items(m)
     return Partition(m, tuple(1 << j for j in range(m)))
 
 

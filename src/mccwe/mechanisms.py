@@ -30,7 +30,6 @@ from .errors import (
     NotSingleMinded,
     NotSuperadditive,
     NotUniformBudgetAdditive,
-    SizeLimit,
 )
 from .market import (
     Allocation,
@@ -184,13 +183,11 @@ def superadditive_mccwe(
     partition, so ties go to the largest gap, then the lowest agent, then
     the fewest blocks, then the smallest block-set mask.  More than n*n
     merges raise CertificateError.  Past 24 items the relative-demand query
-    raises SizeLimit unless every agent is single-minded (a closed form);
-    past 16 agents the merge phase does, before any query.
+    raises SizeLimit unless every agent is single-minded (a closed form),
+    and past 20 blocks so does `verify`'s value table.
     """
     _require_superadditive(instance)
     m, n = instance.m, instance.n
-    if n > 16:
-        raise SizeLimit("merge phase capped at 16 agents")
     state = _State(instance, None, trace, "superadditive")
 
     pool = full_mask(m)

@@ -13,9 +13,9 @@ All three optima share one routine, `_optimum`, which computes each
 (market, partition) optimum once, over the market's `block_tables`; a lone
 agent takes every item or block in closed form, with no table.  The
 supportable-optimum search steps through all assignments, "unallocated" as
-the last digit, with one odometer generator, `_assignments`.  The enumeration budget is the one
-bound: every operation charges it before building any table, aborting with
-SizeLimit rather than exceed it.
+the last digit, with one odometer generator, `_assignments`.  The budget
+bounds the work, charged first (SizeLimit rather than exceed it), and
+`value_table`'s 20-block cap bounds each table.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ DEFAULT_STATE_LIMIT = 10_000_000
 
 @dataclass
 class OracleBudget:
-    """Enumeration allowance, the oracles' one bound, which also bounds every
-    table: operations charge it first and abort instead of exceeding it.
-    BadParams unless `limit` and `used` are ints >= 0."""
+    """Enumeration allowance, the oracles' bound on work: operations charge
+    it first and abort instead of exceeding it.  BadParams unless `limit`
+    and `used` are ints >= 0."""
 
     limit: int = DEFAULT_STATE_LIMIT
     used: int = 0

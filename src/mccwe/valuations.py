@@ -9,14 +9,13 @@ and compare only integers.  `value` rebuilds the exact `Fraction` at the
 API boundary.  A market's `Instance.scale` is the LCM of its agents'
 scales, and `value_table`, the package's one value-table builder, writes a
 valuation's integer table at such a scale, over items (the singleton
-partition) or over blocks.  `demand_utilities` is the one demand routine:
-every caller that needs the utility argmax over block subsets (the demand
-query and correspondence and the verifier) reads its table, and `preferred`
-applies the tie-break below to it.  `Partition`, the blocks a table is
-indexed by, is defined here with the tables (`market` re-exports it).
-Demand and relative-demand queries enumerate subsets, which is exact at
-desk scale; a single-minded valuation answers relative demand in closed
-form.
+partition) or over up to 20 blocks.  `_utilities` is the one block-utility
+routine: the demand query and correspondence, the verifier and the
+configuration LP's dual check read its rows, and `preferred` applies the
+tie-break below to one.  `Partition`, the blocks a table is indexed by, is
+defined here with the tables (`market` re-exports it).  Demand and
+relative-demand queries enumerate subsets, which is exact at desk scale; a
+single-minded valuation answers relative demand in closed form.
 
 Tie-breaking is fully deterministic everywhere: maximum utility (or density),
 then fewest elements, then numerically smallest bitmask.
@@ -39,6 +38,10 @@ _SEQUENCES = frozenset({tuple, list})  # valuation data, agents, bundles, blocks
 _VALUATION_RULE = "the valuation must be one of the five families"
 _PARTITION_RULE = "the partition must be a Partition"
 
+# Item sets are bitmasks and partitions hold one mask per block, so a market
+# this wide already costs megabytes; every enumeration caps far below it.
+MAX_ITEMS = 4096
+
 
 def _check_kinds(values, kinds, rule: str) -> None:
     """BadParams(rule) unless every value's type is one of `kinds`, such as
@@ -46,6 +49,13 @@ def _check_kinds(values, kinds, rule: str) -> None:
     if not kinds.issuperset(map(type, values)):  # only a failure builds a set
         odd = set(map(type, values)) - kinds
         raise BadParams(f"{rule}, got {', '.join(sorted(kind.__name__ for kind in odd))}")
+
+
+def _check_items(m) -> None:
+    """BadParams unless m is an int item count in 1..MAX_ITEMS."""
+    _check_kinds((m,), _INT, "the item count must be an int")
+    if not 1 <= m <= MAX_ITEMS:
+        raise BadParams(f"need at least one item and at most {MAX_ITEMS} items, got {m}")
 
 
 def _scale_data(v, **data) -> None:
@@ -202,9 +212,9 @@ def _misfit(v: Valuation, m: int) -> str | None:
 
 
 def _check_cover(m: int, sets, noun: str, x0: int = 0) -> None:
-    """BadParams unless m is an int, the sets are a tuple or a list, and
-    they and x0 are int masks, pairwise disjoint and covering all m items."""
-    _check_kinds((m,), _INT, "the item count must be an int")
+    """BadParams unless m is an item count, the sets are a tuple or a list,
+    and they and x0 are int masks, pairwise disjoint and covering all m items."""
+    _check_items(m)
     _check_kinds((sets,), _SEQUENCES, f"{noun} must be a tuple or a list")
     sets = (x0, *sets)
     _check_kinds(sets, _INT, f"{noun} must be int item masks")
@@ -234,9 +244,9 @@ class Partition:
 
 def value_table(v: Valuation, partition, scale: int) -> list[int]:
     """v of the union of the selected blocks times `scale`, for every
-    block-subset mask.
+    block-subset mask; past 20 blocks, SizeLimit before any entry is built.
 
-    `scale` must be a positive multiple of v.scale, such as the market's
+    `scale` must be a positive int multiple of v.scale, such as the market's
     `Instance.scale`, so every entry is an integer.  On the singleton
     partition a block-subset mask is its own item set, so the table is v
     over all 2^m item sets.  Raises BadParams unless the valuation is over
@@ -244,7 +254,10 @@ def value_table(v: Valuation, partition, scale: int) -> list[int]:
     """
     _check_kinds((v,), _FAMILIES, _VALUATION_RULE)
     _check_kinds((partition,), {Partition}, _PARTITION_RULE)
-    m = partition.m
+    _check_kinds((scale,), _INT, "a scale must be an int")
+    m, k = partition.m, len(partition.blocks)
+    if k > 20:
+        raise SizeLimit(f"{k} blocks exceeds the 20-block table cap")
     if _misfit(v, m):
         raise BadParams(f"the valuation is not over the partition's {m} items")
     if scale < 1 or scale % v.scale:
@@ -258,7 +271,7 @@ def value_table(v: Valuation, partition, scale: int) -> list[int]:
             return sums
         budget = v.scaled_budget[0] * factor
         return [s if s < budget else budget for s in sums]
-    unions = range(1 << m) if len(blocks) == m else subset_unions(blocks)
+    unions = range(1 << m) if k == m else subset_unions(blocks)
     if isinstance(v, SuperadditiveExplicit):
         table = v.scaled_table
         return [table[u] * factor for u in unions]
@@ -285,27 +298,35 @@ def is_superadditive_family(v: Valuation) -> bool:
     return v.cap == 0 or len(positives) <= v.cap
 
 
+def _utilities(tables, scale, prices):
+    """Yield (row, unit) per integer value table at `scale`: row[S] is block
+    set S's utility at the exact block prices times unit, the LCM of `scale`
+    and the prices' denominators.  The costs are summed once, on the first
+    table, so a table over too many blocks raises before they are."""
+    unit = lcm(scale, *(p.denominator for p in prices))
+    factor = unit // scale
+    costs = None
+    for table in tables:
+        costs = costs or subset_sums([p.numerator * (unit // p.denominator) for p in prices])
+        yield [value * factor - cost for value, cost in zip(table, costs)], unit
+
+
 def demand_utilities(v: Valuation, partition, prices) -> tuple[list[int], int]:
     """Quasilinear utility of every bundle set at the given block prices.
 
     Returns (utilities, scale): the utilities are indexed by bundle-set
     mask and given times `scale`, the LCM of v.scale and the prices'
-    denominators, so they are integers.  The 20-block cap and the
-    one-price-per-block count are checked before the 2^k table is built.
+    denominators, so they are integers.  The one-price-per-block count and
+    `value_table`'s 20-block cap are checked before the 2^k table is built.
     """
     _check_kinds((v,), _FAMILIES, _VALUATION_RULE)
     _check_kinds((partition,), {Partition}, _PARTITION_RULE)
     _check_kinds((prices,), _SEQUENCES, "prices must be a tuple or a list")
     k = len(partition.blocks)
-    if k > 20:
-        raise SizeLimit(f"{k} blocks exceeds the demand enumeration cap")
     if len(prices) != k:
         raise BadParams(f"{len(prices)} prices for {k} blocks")
     _check_kinds(prices, _EXACT, "prices must be exact rationals")
-    scale = lcm(v.scale, *(p.denominator for p in prices))
-    values = value_table(v, partition, scale)
-    costs = subset_sums([p.numerator * (scale // p.denominator) for p in prices])
-    return [value - cost for value, cost in zip(values, costs)], scale
+    return next(_utilities((value_table(v, partition, v.scale),), v.scale, prices))
 
 
 def preferred(utils: list[int]) -> int:

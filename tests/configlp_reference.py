@@ -6,13 +6,17 @@ library did before it kept undominated columns only.  `dense_opt` solves
 that program with the library's integer simplex, and `covers_every_column`
 checks a dual against each of its columns in `Fraction`s, from the
 valuations' own data (`value_reference`), not from the integer tables.
+`check_full_dual` is the integer re-check the library ran before it read
+utilities from the one block-utility routine.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from mccwe.bits import bits_of
+from mccwe.bits import bits_of, subset_sums
+from mccwe.errors import CertificateError
 from mccwe.lp import OPTIMAL, LinearProgram, solve_lp
 from mccwe.market import induced_partition, social_welfare
 from mccwe.valuations import value_table
@@ -59,6 +63,17 @@ def covers_every_column(instance, partition, dual_u, dual_q) -> bool:
             if dual_u[i] + paid < reduced_value(v, partition, bundle_set):
                 return False
     return True
+
+
+def check_full_dual(tables, dual_u, dual_q) -> None:
+    """CertificateError unless u_i + q(S) >= v_i(S) for every agent i and
+    every block set S, in integers over the LCM of the duals' denominators."""
+    unit = lcm(*(d.denominator for d in dual_u), *(d.denominator for d in dual_q))
+    paid = subset_sums([q.numerator * (unit // q.denominator) for q in dual_q])
+    for table, u in zip(tables, dual_u):
+        u = u.numerator * (unit // u.denominator)
+        if any(u + cost < value * unit for value, cost in zip(table, paid)):
+            raise CertificateError("configuration-LP dual misses a pruned column")
 
 
 def dense_supportable(instance, x) -> bool:

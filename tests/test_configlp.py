@@ -316,11 +316,10 @@ def test_size_bound_is_checked_before_any_table_is_built(monkeypatch):
         raise AssertionError(f"built a table over {len(partition.blocks)} blocks")
 
     monkeypatch.setattr("mccwe.market.value_table", no_tables)
-    lone = Instance(17, (Additive((1,) * 17),))
-    with pytest.raises(SizeLimit, match="17 blocks exceeds the configuration-LP cap"):
-        fractional_opt(lone, singleton_partition(17))
-    # n * 2^k above MAX_VARIABLES: four agents over 16 blocks, seven over 15
-    for m, n in ((16, 4), (15, 7)):
+    # n * 2^k above MAX_VARIABLES: a lone agent over 18 blocks, four over 16,
+    # seven over 15.  Before, a separate 16-block cap refused a lone agent
+    # at 17 blocks, whose program fits the variable cap.
+    for m, n in ((18, 1), (16, 4), (15, 7)):
         assert n << m > MAX_VARIABLES
         many = Instance(m, (Additive((1,) * m),) * n)
         with pytest.raises(SizeLimit, match="exceed the variable cap"):

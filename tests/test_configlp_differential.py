@@ -6,6 +6,9 @@ that allocations induce, `fractional_opt` must have the dense LP's value,
 its duals must be feasible for the dense LP, and `supporting_prices` must
 raise `NotMCCWE` exactly where the dense LP says the allocation is not
 supportable, with prices that pass `verify --mode mccwe` everywhere else.
+The full-column dual re-check must accept and refuse exactly the duals that
+the integer re-check it replaced (`configlp_reference.check_full_dual`)
+does, on random tables and on duals just feasible and just infeasible.
 """
 
 import random
@@ -13,7 +16,8 @@ from fractions import Fraction
 
 import pytest
 
-from configlp_reference import covers_every_column, dense_opt, dense_supportable
+from configlp_reference import check_full_dual, covers_every_column, dense_opt
+from configlp_reference import dense_supportable
 from mccwe import CertificateError, NotMCCWE, Partition, allocation, induced_partition
 from mccwe import configlp, singleton_partition, social_welfare
 from mccwe.configlp import fractional_opt, supporting_prices
@@ -146,3 +150,36 @@ def test_a_skipped_full_column_recheck_is_caught(monkeypatch):
     assert fractional_opt(fig1a, singleton_partition(4)).value < 8
     caught = [inst.name for inst in _markets() if _disagreements(inst)]
     assert len(caught) > 30
+
+
+def _accepts(check, tables, dual_u, dual_q) -> bool:
+    try:
+        check(tables, dual_u, dual_q)
+    except CertificateError:
+        return False
+    return True
+
+
+def test_the_full_dual_recheck_matches_the_integer_reference():
+    rng = random.Random("full-dual-differential")
+    for _ in range(600):
+        n, k = rng.randint(1, 4), rng.randint(0, 5)
+        tables = [[0] + [rng.randint(0, 30) for _ in range(1, 1 << k)] for _ in range(n)]
+        dual_q = tuple(F(rng.randint(0, 40), rng.randint(1, 6)) for _ in range(k))
+        # the least feasible u_i: agent i's best utility at the block duals
+        tight = [
+            max(
+                value - sum((dual_q[j] for j in range(k) if mask >> j & 1), F(0))
+                for mask, value in enumerate(table)
+            )
+            for table in tables
+        ]
+        short = rng.randrange(n)
+        cases = [
+            tuple(tight),
+            tuple(u - F(1, rng.randint(1, 1000)) if i == short else u for i, u in enumerate(tight)),
+            tuple(F(rng.randint(-5, 30), rng.randint(1, 6)) for _ in range(n)),
+        ]
+        expected = [_accepts(check_full_dual, tables, u, dual_q) for u in cases]
+        assert [_accepts(configlp._check_full_dual, tables, u, dual_q) for u in cases] == expected
+        assert expected[:2] == [True, False]  # just feasible, just infeasible

@@ -116,6 +116,25 @@ def test_random_superadditive_really_is():
         assert all(splits_superadditive(item_table(v, 5)) for v in inst.agents)
 
 
+def test_random_families_build_int_data():
+    # Before, every datum was a Fraction that the valuation scaled straight
+    # back to an int; the markets and their documents are the same.
+    data = {
+        "random_superadditive": lambda v: v.table,
+        "random_single_minded": lambda v: (v.value_if_served,),
+        "random_uniform_budget_additive": lambda v: (v.budget, *v.item_values),
+    }
+    markets = [generate(family, 4, 3, seed) for family in data for seed in range(5)]
+    markets += [
+        generate("random_uniform_budget_additive", 4, 3, seed, identical_budgets=True)
+        for seed in range(5)
+    ]
+    for inst in markets:
+        read = data[inst.name]
+        assert {type(x) for v in inst.agents for x in read(v)} == {int}
+        assert parse_instance(write_instance(inst)) == inst
+
+
 def test_random_uniform_flags():
     inst = generate("random_uniform_budget_additive", 4, 3, 9, identical_budgets=True)
     assert shared_item_values(inst) is not None

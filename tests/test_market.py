@@ -1,5 +1,6 @@
 """Market data model: allocations, partitions, accounting identities."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -49,7 +50,7 @@ from mccwe.bits import mask_of
 from mccwe.equilibria import demand_correspondence
 from mccwe.instances import generate, parse_allocation, parse_outcome, write_allocation
 from mccwe.lp import solve_lp
-from mccwe.market import check_fits
+from mccwe.market import block_tables, check_fits
 from mccwe.mechanisms import MechanismTrace
 from mccwe.valuations import demand_utilities, is_superadditive_family, preferred, value_table
 from value_reference import reduced_value, utility
@@ -100,6 +101,36 @@ def test_singleton_partition_needs_an_int_item_count():
         with pytest.raises(BadParams, match="item count must be an int"):
             singleton_partition(m)
     assert singleton_partition(2).blocks == (0b01, 0b10)
+
+
+def test_every_item_count_lies_in_one_to_max_items():
+    # Before, the first three leaked ValueError from a negative shift, and
+    # Partition and Allocation took any int.
+    for call in (
+        lambda: singleton_partition(-1),
+        lambda: allocation(-1, [1]),
+        lambda: Partition(-1, ()),
+        lambda: Allocation(-1, 0, ()),
+        lambda: singleton_partition(0),
+        lambda: Instance(0, (SingleMinded(1, 1),)),
+    ):
+        with pytest.raises(BadParams, match="need at least one item and at most 4096 items"):
+            call()
+    assert singleton_partition(4096).m == 4096
+
+
+def test_item_counts_past_the_bound_build_no_mask():
+    # Before, singleton_partition(20000) built its 20,000 masks (52 MiB
+    # peak) and Partition(8 * 10**7, (1,)) the 10 MB full mask.
+    for call in (lambda: singleton_partition(4097), lambda: Partition(8 * 10**7, (1,))):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BadParams, match="at most 4096 items"):
+                call()
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_value_query_single_minded():
@@ -331,6 +362,8 @@ _FIG1A_ALL_TO_0 = Outcome(allocation(4, [0b1111, 0, 0, 0, 0]), prices=(F(0),) * 
             lambda: optimal_over_partition(built_in("fig1a"), allocation(4, [0b1111])),
             "the partition must be a Partition, got Allocation",
         ),
+        (lambda: block_tables(5, singleton_partition(4)), "the instance must be an Instance, got int"),
+        (lambda: block_tables(built_in("fig1a"), 5), "the partition must be a Partition, got int"),
     ],
     ids=[
         "verify-outcome",
@@ -343,6 +376,8 @@ _FIG1A_ALL_TO_0 = Outcome(allocation(4, [0b1111, 0, 0, 0, 0]), prices=(F(0),) * 
         "fractional_opt",
         "optimal_over_partition",
         "optimal_over_partition-allocation",
+        "block_tables",
+        "block_tables-partition",
     ],
 )
 def test_entry_points_check_the_kinds_of_market_and_argument(call, message):
@@ -400,6 +435,7 @@ _TRACE = "a trace must be a MechanismTrace, got int"
     [
         (lambda: value_table(5, _FOUR, 1), _VALUATION),
         (lambda: value_table(_FIG1A.agents[0], 5, 10), "the partition must be a Partition"),
+        (lambda: value_table(_FIG1A.agents[0], _FOUR, "2"), "a scale must be an int, got str"),
         (lambda: relative_demand_query(5, 1), _VALUATION),
         (lambda: is_superadditive_family(5), _VALUATION),
         (lambda: demand_query(5, _ONE, (0,)), _VALUATION),
@@ -438,6 +474,7 @@ _TRACE = "a trace must be a MechanismTrace, got int"
     ids=[
         "value_table",
         "value_table-partition",
+        "value_table-scale",
         "relative_demand_query",
         "is_superadditive_family",
         "demand_query",

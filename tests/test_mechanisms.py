@@ -615,20 +615,12 @@ def test_merge_halting_bound_raises(monkeypatch):
     assert len(checks) == inst.n**2 + 1
 
 
-def test_merge_phase_agent_cap(monkeypatch):
-    queries = []
-    monkeypatch.setattr(
-        mechanisms,
-        "relative_demand_query",
-        lambda v, pool: queries.append(pool) or relative_demand_query(v, pool),
-    )
+def test_merge_phase_takes_any_number_of_agents():
+    # Before, the merge phase refused more than 16 agents, a cap that
+    # guarded an n * 2^n group table the verifier has since replaced.
     agents = tuple(SingleMinded(1 << (i % 3), F(i % 5)) for i in range(17))
-    with pytest.raises(SizeLimit, match="merge phase capped at 16 agents"):
-        superadditive_mccwe(Instance(3, agents))
-    assert queries == []
-    inst = Instance(3, agents[:16])
-    out = superadditive_mccwe(inst)
-    assert queries and verify(inst, out, MCCWE).ok
+    for inst in (Instance(3, agents), Instance(3, agents[:16])):
+        assert verify(inst, superadditive_mccwe(inst), MCCWE).ok
 
 
 def test_unmovable_envied_bundle_raises(monkeypatch):

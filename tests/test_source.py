@@ -1,4 +1,5 @@
-"""Source hygiene that a grep cannot check: every name a module imports is used."""
+"""Source hygiene that a grep cannot check: every name a module imports is
+used, and each size bound is raised in the one place that holds it."""
 
 import ast
 from pathlib import Path
@@ -42,3 +43,55 @@ def test_the_check_sees_an_unused_import():
 )
 def test_every_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def size_limit_raisers(source: str) -> set[str]:
+    """The qualified names of the functions whose own bodies raise SizeLimit."""
+    found = set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(exc, ast.Name) and exc.id == "SizeLimit":
+                    found.add(".".join(scope))
+            walk(child, scope)
+
+    walk(ast.parse(source), ())
+    return found
+
+
+def test_the_check_sees_where_size_limit_is_raised():
+    source = (
+        "class Table:\n"
+        "    def __post_init__(self):\n"
+        "        if self.k > 20:\n"
+        "            raise SizeLimit('cap')\n"
+        "def build(k):\n"
+        "    def inner():\n"
+        "        raise SizeLimit\n"
+        "    raise BadParams('k')\n"
+    )
+    assert size_limit_raisers(source) == {"Table.__post_init__", "build.inner"}
+
+
+# One rule per size bound: the table size, the relative-demand walk, the
+# explicit-table validation, the LP width (twice: the configuration LP
+# refuses before it builds a table) and the oracles' budget.
+SIZE_RULES = {
+    "configlp.py": {"_program"},
+    "lp.py": {"LinearProgram.__post_init__"},
+    "oracle.py": {"OracleBudget.charge"},
+    "valuations.py": {"value_table", "relative_demand_query", "SuperadditiveExplicit.__post_init__"},
+}
+
+
+def test_size_limit_is_raised_only_where_a_size_rule_lives():
+    raisers = {
+        path.name: size_limit_raisers(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: found for name, found in raisers.items() if found} == SIZE_RULES

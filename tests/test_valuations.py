@@ -1,6 +1,7 @@
 """Valuation families, the integer value layer, demand queries, classification."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 from typing import get_args
 
@@ -15,13 +16,18 @@ from mccwe import (
     BudgetAdditive,
     CappedCardinalityAdditive,
     Instance,
+    OracleBudget,
+    Outcome,
     Partition,
     SingleMinded,
     SuperadditiveExplicit,
+    WE,
     allocation,
     demand_query,
+    optimal_integral,
     relative_demand_query,
     singleton_partition,
+    verify,
 )
 from mccwe.bits import mask_of
 from mccwe.equilibria import demand_correspondence
@@ -591,3 +597,28 @@ def test_integer_superadditivity_check_matches_the_fraction_splits():
         assert accepted == valid_table(table), table
         verdicts[accepted] += 1
     assert min(verdicts.values()) >= 40, verdicts
+
+
+def test_no_table_is_built_past_twenty_blocks():
+    # value_table holds the one table size rule, so every caller that needs
+    # a table over 21 blocks raises before a single entry exists.  Before,
+    # only demand queries and the verifier had the 20-block cap; the oracle
+    # under a budget of 10^12 (3^21 states fit) built both agents' tables.
+    v = Additive((1,) * 21)
+    market = Instance(21, (v, v))
+    singletons = singleton_partition(21)
+    outcome = Outcome(allocation(21, [(1 << 21) - 1, 0]), item_prices=(0,) * 21)
+    for call in (
+        lambda: value_table(v, singletons, 1),
+        lambda: demand_query(v, singletons, (0,) * 21),
+        lambda: verify(market, outcome, WE),
+        lambda: optimal_integral(market, OracleBudget(limit=10**12)),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimit, match="21 blocks exceeds the 20-block table cap"):
+                call()
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
