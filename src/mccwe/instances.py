@@ -36,6 +36,7 @@ from .valuations import (
 )
 
 _ZERO = Fraction(0)
+_STR = frozenset({str})
 FORMAT_VERSION = 1
 
 _MASK64 = (1 << 64) - 1
@@ -329,6 +330,8 @@ _RAT_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 def _rational(text) -> int | Fraction:
     """`parse_rational` without the location: ValueError carries the message."""
+    if type(text) is str and text.isascii() and text.isdigit():
+        return int(text)  # ValueError past int()'s digit limit
     if isinstance(text, str) and (match := _RAT_RE.fullmatch(text)):
         num, den = match.groups()
         if den is None:
@@ -346,7 +349,8 @@ def parse_rational(text, where: str) -> int | Fraction:
     """The exact rational that a JSON integer or a string "p" or "p/q" writes.
 
     p and q are ASCII digits, p with an optional leading minus.  A JSON
-    integer or "p" loads as an `int`, "p/q" as a `Fraction` (equal to the
+    integer or "p" loads as an `int` (a plain digit string straight through
+    int(), before any pattern match), "p/q" as a `Fraction` (equal to the
     `int`, and hashing alike, when q divides p).  Anything else, a zero q,
     or more digits than int() converts raises ParseError, its message
     prefixed with `where`.
@@ -366,9 +370,25 @@ def _want(obj, key, kind, where):
     return value
 
 
+def _digit_strings(values) -> bool:
+    """Whether a nonempty list holds only nonempty ASCII digit strings, in C."""
+    if not (all(values) and _STR.issuperset(map(type, values))):
+        return False
+    text = "".join(values)
+    return text.isascii() and text.isdigit()
+
+
 def _rat_list(values, where):
+    """A JSON list's rationals (see `parse_rational`): plain digit strings as
+    ints in one batched pass, any other list (or an entry past int()'s digit
+    limit) entry by entry, a bad entry's ParseError naming `where[index]`."""
     if not isinstance(values, list):
         raise ParseError(f"{where}: expected a list")
+    if _digit_strings(values):
+        try:
+            return tuple(map(int, values))
+        except ValueError:  # past int()'s digit limit: the loop names the entry
+            pass
     parsed = []
     try:
         for v in values:
@@ -479,11 +499,13 @@ def parse_instance(text: str) -> Instance:
 
 
 def _items_field(values, where, m):
-    if not isinstance(values, list) or not all(
-        isinstance(j, int) and not isinstance(j, bool) and 0 <= j < m for j in values
-    ):
+    ints = isinstance(values, list) and _INT.issuperset(map(type, values))
+    if not (ints and 0 <= min(values, default=0) and max(values, default=0) < m):
         raise ParseError(f"{where}: expected a list of item indices below {m}")
-    return mask_of(values)
+    mask = mask_of(values)
+    if mask.bit_count() != len(values):
+        raise ParseError(f"{where}: lists an item twice")
+    return mask
 
 
 def write_allocation(x: Allocation) -> dict:

@@ -61,8 +61,8 @@ class Instance:
             raise BadParams("name must be a string")
         if self.metadata is not None and not isinstance(self.metadata, dict):
             raise BadParams("metadata must be an object")
-        try:  # JSON must write and read the metadata back as it is
-            ok = self.metadata is None or json.loads(json.dumps(self.metadata)) == self.metadata
+        try:  # JSON, with no NaN or Infinity, must write and read it back as it is
+            ok = json.loads(json.dumps(self.metadata, allow_nan=False)) == self.metadata
         except (TypeError, ValueError, RecursionError):
             ok = False
         if not ok:

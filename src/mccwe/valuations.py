@@ -62,14 +62,19 @@ def _scale_data(v, **data) -> None:
     """Set v.scale to the LCM of the data's denominators and each named
     field to its data times v.scale, read off each datum's numerator and
     denominator (an int has both); BadParams on a negative value or on a
-    datum that is not an exact rational in a tuple or a list."""
+    datum that is not an exact rational in a tuple or a list.  Data that is
+    all int (a bool is no int here) has scale 1 and is stored as it is,
+    with no LCM and no per-datum arithmetic."""
     for values in data.values():
         _check_kinds((values,), _SEQUENCES, "valuation data must be a tuple or a list")
-        _check_kinds(values, _EXACT, "valuation data must be exact rationals")
-    scale = lcm(*{x.denominator for values in data.values() for x in values})
+    whole = all(_INT.issuperset(map(type, values)) for values in data.values())
+    if not whole:
+        for values in data.values():
+            _check_kinds(values, _EXACT, "valuation data must be exact rationals")
+    scale = 1 if whole else lcm(*{x.denominator for values in data.values() for x in values})
     object.__setattr__(v, "scale", scale)
     for name, values in data.items():
-        units = tuple(x.numerator * (scale // x.denominator) for x in values)
+        units = tuple(values if whole else (x.numerator * (scale // x.denominator) for x in values))
         if min(units, default=0) < 0:
             raise BadParams("negative value in valuation data")
         object.__setattr__(v, name, units)
@@ -124,15 +129,16 @@ class SuperadditiveExplicit(_Scaled):
 
     table: tuple[int | Fraction, ...]
 
-    def __post_init__(self):
-        _scale_data(self, scaled_table=self.table)
-        table = self.scaled_table
-        size = len(table)
+    def __post_init__(self):  # kind, length and cap before the scaled copy
+        _check_kinds((self.table,), _SEQUENCES, "valuation data must be a tuple or a list")
+        size = len(self.table)
         m = size.bit_length() - 1
         if size == 0 or size != 1 << m:
             raise BadParams("table length must be a power of two")
         if m > 12:
             raise SizeLimit("explicit tables are validated only up to 12 items")
+        _scale_data(self, scaled_table=self.table)
+        table = self.scaled_table
         if table[0] != 0:
             raise BadParams("table is not normalized: v(empty) != 0")
         for union in range(1, size):

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from mccwe import (
 )
 from mccwe.bits import bits_of, items_of
 from mccwe.cli import main
+from mccwe.errors import SizeLimit
 from mccwe.instances import (
     BUILTINS,
     FAMILIES,
@@ -406,13 +408,62 @@ def test_instance_name_and_metadata_follow_one_rule():
         with pytest.raises(ParseError, match=f"^instance: {message}$"):
             parse_instance(json.dumps(doc))
     # Metadata JSON cannot write (a Fraction: write_instance raised
-    # TypeError) or read back as it was (an int key came back as "1").
-    for metadata in ({"a": F(1, 2)}, {1: "a"}, {"a": (1, 2)}):
-        with pytest.raises(BadParams, match="metadata must be JSON"):
+    # TypeError) or read back as it was (an int key came back as "1"), or
+    # that only Python's JSON writes and reads: NaN and Infinity.  Before,
+    # parse_instance took both (json reads one shared NaN object, so the
+    # round trip compared it equal to itself) and write_instance wrote them
+    # back, and Instance took float("inf").
+    nonfinite = [{"a": [float(x)]} for x in ("nan", "inf", "-inf")]
+    for metadata in ({"a": F(1, 2)}, {1: "a"}, {"a": (1, 2)}, *nonfinite):
+        with pytest.raises(BadParams, match="^metadata must be JSON, with string keys$"):
             Instance(1, agents, metadata=metadata)
+    doc = json.loads(write_instance(Instance(1, agents)))
+    for token in ("NaN", "Infinity", "-Infinity"):
+        text = json.dumps(dict(doc, metadata={"a": ["TOKEN"]})).replace('"TOKEN"', token)
+        with pytest.raises(ParseError, match="^instance: metadata must be JSON, with string keys$"):
+            parse_instance(text)
     inst = Instance(1, agents, name="one", metadata={"items": ["a"]})
     back = parse_instance(write_instance(inst))
     assert (back, back.name, back.metadata) == (inst, "one", {"items": ["a"]})
+
+
+def test_a_repeated_item_index_is_a_parse_error():
+    # Before, the duplicate merged silently: [0, 0, 2] read as {0, 2}.
+    desired = {"family": "single_minded", "desired": [0, 0, 2], "value": "1"}
+    with pytest.raises(ParseError, match=r"^agents\[0\]\.desired: lists an item twice$"):
+        parse_instance(json.dumps({"format": 1, "m": 3, "agents": [desired]}))
+    for body, where in (
+        ({"x0": [], "x": [[0, 0, 1], [2]]}, "allocation.x[0]"),
+        ({"x0": [], "x": [[0, 1], [2, 2]]}, "allocation.x[1]"),
+        ({"x0": [1, 1], "x": [[0], [2]]}, "allocation.x0"),
+    ):
+        with pytest.raises(ParseError, match=f"^{re.escape(where)}: lists an item twice$"):
+            parse_allocation(body, 3)
+    assert parse_allocation({"x0": [], "x": [[1, 0], [2]]}, 3).bundles == (0b011, 0b100)
+
+
+def test_an_explicit_table_is_bounded_before_it_is_scaled():
+    # Before, every entry was scaled into a new table (583 KiB for a list
+    # of 2^16 ints) before the length and the 12-item cap were checked.
+    half = F(1, 2)
+    for table, error, message in (
+        ([0] * (1 << 16), SizeLimit, "validated only up to 12 items"),
+        ((0,) * ((1 << 16) - 1) + (half,), SizeLimit, "validated only up to 12 items"),
+        ([half] * ((1 << 16) + 1), BadParams, "table length must be a power of two"),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(error, match=message):
+                SuperadditiveExplicit(table)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+    # A table both badly sized and holding a negative or inexact entry now
+    # names its length (it named the entry before).
+    for table in ((0, -1, 2), (0, 0.5, 1)):
+        with pytest.raises(BadParams, match="^table length must be a power of two$"):
+            SuperadditiveExplicit(table)
 
 
 def test_empty_explicit_table_is_a_parse_error():

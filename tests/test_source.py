@@ -1,5 +1,6 @@
 """Source hygiene that a grep cannot check: every name a module imports is
-used, and each size bound is raised in the one place that holds it."""
+used, each size bound is raised in the one place that holds it, and every
+digit test takes ASCII digits only."""
 
 import ast
 from pathlib import Path
@@ -95,3 +96,56 @@ def test_size_limit_is_raised_only_where_a_size_rule_lives():
         for path in sorted(SRC.glob("*.py"))
     }
     assert {name: found for name, found in raisers.items() if found} == SIZE_RULES
+
+
+def _method_call(node, name: str) -> bool:
+    """Whether node calls a method `name` with no arguments."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == name
+        and not node.args
+    )
+
+
+def unpaired_isdigit(source: str) -> list[int]:
+    """The lines of the `.isdigit()` calls that an `and` does not join to an
+    `.isascii()` call on the same receiver.
+
+    `str.isdigit` alone takes Arabic-Indic, fullwidth and superscript
+    digits, and int() reads the first two as numbers.
+    """
+    tree = ast.parse(source)
+    paired = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And):
+            ascii_receivers = {
+                ast.dump(call.func.value) for call in node.values if _method_call(call, "isascii")
+            }
+            paired.update(
+                id(call)
+                for call in node.values
+                if _method_call(call, "isdigit") and ast.dump(call.func.value) in ascii_receivers
+            )
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if _method_call(node, "isdigit") and id(node) not in paired
+    )
+
+
+def test_the_check_sees_an_isdigit_without_isascii():
+    source = (
+        "def f(a, b):\n"
+        "    ok = a.isascii() and a.isdigit()\n"
+        "    bare = a.isdigit()\n"
+        "    other = b.isascii() and a.isdigit()\n"
+        "    either = a.isascii() or a.isdigit()\n"
+        "    return type(b) is str and b.isdigit() and b.isascii()\n"
+    )
+    assert unpaired_isdigit(source) == [3, 4, 5]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_digit_test_takes_ascii_digits_only(path):
+    assert unpaired_isdigit(path.read_text(encoding="utf-8")) == []

@@ -7,6 +7,10 @@ the integer tables, relative-demand answers, utilities, the integer
 super-additivity check and the budget mechanisms' integer uniformity test
 against these.  `fraction_instance` is the instance reader that loaded every
 number as a `Fraction`; the tests compare the integer reader against it.
+`regex_rat_list` is the list reader that matched one pattern per entry, and
+`general_scale` the scaling formula that took an LCM and a product per
+datum; the batched digit check and the int-only scaling are compared
+against them.
 """
 
 from __future__ import annotations
@@ -14,8 +18,10 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import lcm
 
 from mccwe.bits import bits_of, mask_of
+from mccwe.errors import ParseError
 from mccwe.market import Instance
 from mccwe.valuations import (
     Additive,
@@ -156,4 +162,45 @@ def fraction_instance(text: str) -> Instance:
             agents.append(capped)
     return Instance(
         doc["m"], tuple(agents), name=doc.get("name", ""), metadata=doc.get("metadata")
+    )
+
+
+_RAT_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def regex_rational(text) -> int | Fraction:
+    """One rational by pattern match alone; ValueError carries the message."""
+    if isinstance(text, str) and (match := _RAT_RE.fullmatch(text)):
+        num, den = match.groups()
+        if den is None:
+            return int(num)
+        num, den = int(num), int(den)
+        if den == 0:
+            raise ValueError("zero denominator")
+        return Fraction(num, den)
+    if isinstance(text, int) and not isinstance(text, bool):
+        return int(text)
+    raise ValueError(f"expected a rational like '3' or '3/4', got {text!r}")
+
+
+def regex_rat_list(values, where: str) -> tuple:
+    """A JSON list of rationals, one `regex_rational` per entry; a bad
+    entry's ParseError names `where[index]`."""
+    if not isinstance(values, list):
+        raise ParseError(f"{where}: expected a list")
+    parsed = []
+    try:
+        for v in values:
+            parsed.append(regex_rational(v))
+    except ValueError as exc:
+        raise ParseError(f"{where}[{len(parsed)}]: {exc}") from exc
+    return tuple(parsed)
+
+
+def general_scale(*data) -> tuple[int, tuple]:
+    """(scale, scaled data): the LCM of every datum's denominator, and each
+    sequence of data times it, read off numerators and denominators."""
+    scale = lcm(*{x.denominator for values in data for x in values})
+    return scale, tuple(
+        tuple(x.numerator * (scale // x.denominator) for x in values) for values in data
     )
