@@ -34,18 +34,21 @@ def full_mask(m: int) -> int:
 
 
 def subset_sums(values: Sequence[int]) -> list[int]:
-    """The sum of values[j] over the bits j of every mask below 2^len(values)."""
-    table = [0] * (1 << len(values))
-    for mask in range(1, len(table)):
-        low = mask & -mask
-        table[mask] = table[mask ^ low] + values[low.bit_length() - 1]
+    """The sum of values[j] over the bits j of every mask below 2^len(values).
+
+    Built by doubling: the masks with bit j set are those below 2^j plus
+    bit j, so bit j appends their sums plus values[j], in one C-level pass.
+    """
+    table = [0]
+    for value in values:
+        table += [t + value for t in table]
     return table
 
 
 def subset_unions(masks: Sequence[int]) -> list[int]:
-    """The union of masks[j] over the bits j of every mask below 2^len(masks)."""
-    table = [0] * (1 << len(masks))
-    for mask in range(1, len(table)):
-        low = mask & -mask
-        table[mask] = table[mask ^ low] | masks[low.bit_length() - 1]
+    """The union of masks[j] over the bits j of every mask below 2^len(masks),
+    built by doubling as `subset_sums` is."""
+    table = [0]
+    for mask in masks:
+        table += [t | mask for t in table]
     return table

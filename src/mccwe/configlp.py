@@ -14,9 +14,14 @@ v_i(S) exceeds v_i of S minus any one block.  Valuations are monotone and
 block duals nonnegative, so a dual that covers the undominated columns
 covers the rest (u_i + q(S) >= u_i + q(S - j) >= v_i(S - j) = v_i(S)), and
 the smaller program has the full one's value and optimal duals.
-`fractional_opt` re-checks its dual in integers against every column of the
-full program, and solves each partition of a market once: its solutions are
-kept on the `Instance`, keyed by the partition's blocks.
+`fractional_opt` pivots the program with `lp.simplex` without building its
+rows: column (i, S) is agent i's row plus the rows of the blocks in S, so
+it is priced from agent i's value table and the row multipliers.  It
+re-checks its answer in integers, its dual against every column of the
+full program, and solves each partition of a market once: its solutions
+are kept on the `Instance`, keyed by the partition's blocks.
+`build_config_lp` builds the same program as a `LinearProgram`, for
+`solve_lp`.
 """
 
 from __future__ import annotations
@@ -25,8 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
+from .bits import bits_of, subset_sums
 from .errors import CertificateError, NotMCCWE, SizeLimit
-from .lp import MAX_VARIABLES, OPTIMAL, LinearProgram, solve_lp
+from .lp import MAX_VARIABLES, OPTIMAL, LinearProgram, simplex
 from .market import (
     Allocation,
     Instance,
@@ -38,7 +44,6 @@ from .market import (
     induced_partition,
     social_welfare,
 )
-from .valuations import _utilities
 
 _ZERO = Fraction(0)
 
@@ -74,18 +79,12 @@ def _undominated(table: tuple[int, ...]) -> list[int]:
 
 
 def _program(instance, partition):
-    """The configuration LP, each column's (agent, bundle-set mask), and
-    every agent's full value table at the market's scale (`block_tables`)."""
-    n = instance.n
-    k = len(partition.blocks)
-    if n << k > MAX_VARIABLES:
+    """Every agent's full value table at the market's scale (`block_tables`)
+    and the program's columns (agent, bundle-set mask), after the variable cap."""
+    if instance.n << len(partition.blocks) > MAX_VARIABLES:
         raise SizeLimit("configuration LP would exceed the variable cap")
     tables = block_tables(instance, partition)
-    columns = [(i, mask) for i, table in enumerate(tables) for mask in _undominated(table)]
-    objective = tuple(tables[i][mask] for i, mask in columns)
-    rows = [(tuple(int(agent == i) for agent, _mask in columns), 1) for i in range(n)]
-    rows += [(tuple(mask >> j & 1 for _agent, mask in columns), 1) for j in range(k)]
-    return LinearProgram(objective, tuple(rows)), columns, tables
+    return tables, [(i, mask) for i, table in enumerate(tables) for mask in _undominated(table)]
 
 
 def build_config_lp(instance: Instance, partition: Partition) -> LinearProgram:
@@ -98,34 +97,80 @@ def build_config_lp(instance: Instance, partition: Partition) -> LinearProgram:
     that scale; every row is 0/1 with right-hand side 1.  The variable cap
     bounds n 2^k, past the full program's n(2^k - 1) columns, before any
     table is built, and so keeps k within `value_table`'s 20 blocks.
+    `fractional_opt` pivots this program without building it.
     """
     check_fits(instance, partition, Partition)
-    return _program(instance, partition)[0]
+    tables, columns = _program(instance, partition)
+    objective = tuple(tables[i][mask] for i, mask in columns)
+    rows = [(tuple(int(agent == i) for agent, _mask in columns), 1) for i in range(instance.n)]
+    rows += [
+        (tuple(mask >> j & 1 for _agent, mask in columns), 1)
+        for j in range(len(partition.blocks))
+    ]
+    return LinearProgram(objective, tuple(rows))
 
 
-def _check_full_dual(tables, dual_u, dual_q) -> None:
-    """CertificateError when some utility v_i(S) - q(S) at the block duals
-    exceeds u_i, compared in integers; else u_i + q(S) >= v_i(S) everywhere,
-    and the pruned program's dual is feasible, and optimal, for the full one."""
-    for (row, unit), u in zip(_utilities(tables, 1, dual_q), dual_u):
-        if max(row) * u.denominator > u.numerator * unit:
+def _check_full_dual(tables, d, dual_u, dual_q) -> None:
+    """CertificateError when some u_i + q(S) < v_i(S), with the duals given
+    as numerators over d and the tables at the program's scale, compared in
+    integers; else the pruned program's dual is feasible, and optimal, for
+    the full one, whose every column this checks."""
+    paid = subset_sums(dual_q)
+    for table, u in zip(tables, dual_u):
+        if max([d * value - cost for value, cost in zip(table, paid)]) > u:
             raise CertificateError("configuration-LP dual misses a pruned column")
 
 
 def _solve(instance, partition):
-    lp, columns, tables = _program(instance, partition)
-    sol = solve_lp(lp)
-    if sol.status != OPTIMAL:
-        raise CertificateError("configuration LPs are feasible and bounded")
-    if sum(sol.dual) != sol.objective_value:
-        raise CertificateError("configuration-LP duals do not sum to its optimum")
+    """`build_config_lp`'s program, pivoted by `simplex` on its slack block.
+
+    Column (i, S) is agent row i plus the block rows in S, so its reduced
+    cost is d t_i[S] + lam_i + Q[S], with Q the block multipliers' subset
+    sums, built once per pivot.  The answer is re-checked from the basis
+    alone, in integers: the primal fills no row past d, the duals are
+    nonnegative and sum to the value, and `_check_full_dual` holds.
+    """
+    tables, columns = _program(instance, partition)
     n = instance.n
-    _check_full_dual(tables, sol.dual[:n], sol.dual[n:])
-    y = {columns[idx]: val for idx, val in enumerate(sol.primal) if val}
-    scale = instance.scale
-    dual = [d / scale for d in sol.dual]
+
+    def price(d, lam):
+        paid = subset_sums(lam[n:])
+        return [d * tables[i][mask] + lam[i] + paid[mask] for i, mask in columns]
+
+    def column(j):
+        i, mask = columns[j]
+        return [(i, 1)] + [(n + b, 1) for b in bits_of(mask)]
+
+    rows = n + len(partition.blocks)
+    basic = simplex(len(columns), [1] * rows, price, column)
+    if basic.status != OPTIMAL:
+        raise CertificateError("configuration LPs are feasible and bounded")
+    d = basic.d
+    filled = [0] * rows
+    value = 0
+    y = {}
+    for j, x in zip(basic.basis, basic.values):
+        if j >= len(columns) or not x:
+            continue
+        i, mask = columns[j]
+        if x < 0:
+            raise CertificateError("configuration-LP primal is negative")
+        filled[i] += x
+        for b in bits_of(mask):
+            filled[n + b] += x
+        value += tables[i][mask] * x
+        y[i, mask] = Fraction(x, d)
+    if max(filled) > d:
+        raise CertificateError("configuration-LP primal overfills a row")
+    if min(basic.dual) < 0:
+        raise CertificateError("configuration-LP dual is negative")
+    if sum(basic.dual) != value:
+        raise CertificateError("configuration-LP duals do not sum to its optimum")
+    _check_full_dual(tables, d, basic.dual[:n], basic.dual[n:])
+    unit = d * instance.scale
+    dual = [Fraction(num, unit) for num in basic.dual]
     return ConfigLPSolution(
-        sol.objective_value / scale, MappingProxyType(y), tuple(dual[:n]), tuple(dual[n:])
+        Fraction(value, unit), MappingProxyType(y), tuple(dual[:n]), tuple(dual[n:])
     )
 
 

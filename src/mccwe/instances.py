@@ -467,9 +467,24 @@ def write_instance(instance: Instance) -> str:
 
 
 def _load_json(text: str, what: str) -> dict:
+    """The document's top-level object.  ParseError on bad JSON, on an object
+    that repeats a key (JSON keeps the last value silently), and on a
+    format version other than the int 1: true, and a 1 written with a point
+    or an exponent, are refused."""
     _check_kinds((text,), {str}, f"{what}: a document must be a string")
+
+    def unique_keys(pairs):
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            seen = set()
+            for key, _value in pairs:
+                if key in seen:
+                    raise ParseError(f"{what}: repeated key {key!r}")
+                seen.add(key)
+        return doc
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{what}: line {exc.lineno}: {exc.msg}") from exc
     except ValueError as exc:  # an integer literal longer than int() will convert
@@ -478,7 +493,8 @@ def _load_json(text: str, what: str) -> dict:
         raise ParseError(f"{what}: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{what}: top level must be an object")
-    if doc.get("format") != FORMAT_VERSION:
+    version = doc.get("format")
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ParseError(f"{what}: missing or unsupported format version")
     return doc
 

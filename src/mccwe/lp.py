@@ -1,6 +1,6 @@
-"""Exact linear programming on one fraction-free integer tableau.
+"""Exact linear programming: one fraction-free integer simplex loop.
 
-There is no floating point anywhere in the package.  The solver is a dense
+There is no floating point anywhere in the package.  The solver is a
 one-phase primal simplex.  The entering column is the one with the largest
 positive reduced cost (Dantzig's rule), which takes far fewer pivots than
 Bland's rule (Math. Oper. Res. 1977).  Dantzig's rule can cycle on
@@ -13,13 +13,20 @@ The simplex pivots in integers (Edmonds 1967; Bareiss, Math. Comp. 1968):
   every right-hand side is an `int`, and anything else is rejected when
   the program is built.  Callers scale their data once, as the
   configuration LP does with `Instance.scale`.
-* The tableau is one integer matrix, objective row included, whose entries
-  all share one running denominator d: the last pivot element, 1 at the
-  start.  A pivot on p keeps the pivot row as it is, replaces each entry a
-  of every other row by (a*p - a_c*r_k) // d, where a_c is the row's entry
-  in the pivot column and r_k the pivot row's entry below a, and sets
-  d = p.  Every entry is a minor of the starting matrix, so the division is
-  exact; p > 0, so d stays positive.
+* The tableau's entries all share one running denominator d: the last
+  pivot element, 1 at the start.  A pivot on p keeps the pivot row as it
+  is, replaces each entry a of every other row by (a*p - a_c*r_k) // d,
+  where a_c is the row's entry in the pivot column and r_k the pivot row's
+  entry below a, and sets d = p.  Every entry is a minor of the starting
+  matrix, so the division is exact; p > 0, so d stays positive.
+* Only the slack block of the tableau is kept, with the right-hand side
+  and the objective row's slack part, as in the revised simplex (Dantzig
+  and Orchard-Hays 1954).  Every row is a fixed integer combination of the
+  starting rows, and the slack block holds its multipliers, so a
+  structural column and its reduced cost are computed from the program's
+  own column when needed (`simplex`).  `solve_lp` prices a
+  `LinearProgram` from its rows; the configuration LP prices its columns
+  from the value tables, without building rows.
 * The ratio test cross-multiplies: every candidate pivot is positive.
 
 Conventions
@@ -93,61 +100,102 @@ class LPSolution:
     pivots: int = 0  # simplex pivots the solve took
 
 
-def _run_simplex(tableau, basis):
-    """Simplex to optimality: (d, pivots), with d the final denominator, or
-    None if the program is unbounded.
+@dataclass(frozen=True)
+class Basis:
+    """Where `simplex` stopped: status optimal or unbounded, the running
+    denominator d, each row's basic column, its right-hand side numerator
+    (the basic variable's value times d), each row's dual numerator (minus
+    its slack's reduced cost, over d) and the pivots taken."""
 
-    The last row of the tableau is the objective row of reduced costs.  The
-    entering column has the largest positive reduced cost, the lowest index
-    on ties; the leaving row passes the ratio test, the smallest basis index
-    on ties.  A pivot is degenerate when the leaving row's right-hand side
-    is 0.  After `_DEGENERATE_RUN` degenerate pivots in a row, the entering
-    column is the first with a positive reduced cost (Bland's rule) until
-    the end.  This terminates.  No pivot lowers the objective, each
-    nondegenerate pivot strictly raises it, and a basis fixes it, so only
-    finitely many pivots are nondegenerate.  An endless run would thus be
-    all degenerate from some pivot on, which switches to Bland's rule, and
-    Bland's rule terminates from any basis.
+    status: str
+    d: int
+    basis: tuple[int, ...]
+    values: tuple[int, ...]
+    dual: tuple[int, ...]
+    pivots: int
+
+
+def simplex(ncols, rhs, price, column) -> Basis:
+    """The one-phase simplex over ncols structural columns and one row, and
+    one slack, per right-hand side, from the slack basis.
+
+    Only the slack block M of the fraction-free tableau, its right-hand
+    side and the objective row's slack part (the multipliers lam) are kept.
+    Every tableau row is a fixed integer combination of the starting rows,
+    so structural column j of the tableau is M times the program's column
+    A_j, and its reduced cost is d c_j + lam . A_j; slack r's is lam[r].
+    `price(d, lam)` returns the structural reduced costs in column order,
+    and `column(j)` column j's nonzero (row, coefficient) pairs.  These are
+    the integers a full tableau would hold, so the pivots are its pivots.
+
+    The entering column has the largest positive reduced cost, the lowest
+    index on ties, slacks after the structural columns; the leaving row
+    passes the ratio test, the smallest basis index on ties.  A pivot is
+    degenerate when the leaving row's right-hand side is 0.  After
+    `_DEGENERATE_RUN` degenerate pivots in a row, the entering column is
+    the first with a positive reduced cost (Bland's rule) until the end.
+    This terminates.  No pivot lowers the objective, each nondegenerate
+    pivot strictly raises it, and a basis fixes it, so only finitely many
+    pivots are nondegenerate.  An endless run would thus be all degenerate
+    from some pivot on, which switches to Bland's rule, and Bland's rule
+    terminates from any basis.
     """
-    ncols = len(tableau[-1]) - 1
+    size = len(rhs)
+    # Rows of M with the right-hand side last; the last row is the objective
+    # row's slack part, with its right-hand side (minus the value) last.
+    tableau = [[0] * r + [1] + [0] * (size - r - 1) + [b] for r, b in enumerate(rhs)]
+    tableau.append([0] * (size + 1))
+    basis = list(range(ncols, ncols + size))
     d = 1
     pivots = degenerate = 0
+    status = OPTIMAL
     while True:
-        obj = tableau[-1]
+        lam = tableau[-1][:size]
+        reduced = price(d, lam) + lam
+        if any(reduced[b] for b in basis):
+            raise CertificateError("the pricing gives a basic column a nonzero reduced cost")
         entering = -1
         if degenerate < _DEGENERATE_RUN:
-            top = max(obj[:ncols], default=0)
+            top = max(reduced, default=0)
             if top > 0:
-                entering = obj.index(top)
+                entering = reduced.index(top)
         else:
-            for j in range(ncols):
-                if obj[j] > 0:
+            for j, cost in enumerate(reduced):
+                if cost > 0:
                     entering = j
                     break
         if entering < 0:
-            return d, pivots
+            break
+        if entering < ncols:
+            factors = [0] * size
+            for s, a in column(entering):
+                factors = [f + a * row[s] for f, row in zip(factors, tableau)]
+            factors.append(reduced[entering])
+        else:
+            factors = [row[entering - ncols] for row in tableau]
         leaving = -1
         for r, b in enumerate(basis):
-            row = tableau[r]
-            coeff = row[entering]
+            coeff = factors[r]
             if coeff > 0:
+                row_rhs = tableau[r][-1]
                 if leaving < 0:
-                    leaving, best_rhs, best_coeff = r, row[-1], coeff
+                    leaving, best_rhs, best_coeff = r, row_rhs, coeff
                     continue
                 # rhs / coeff against best_rhs / best_coeff; both pivots are positive
-                lhs, rhs = row[-1] * best_coeff, best_rhs * coeff
-                if lhs < rhs or (lhs == rhs and b < basis[leaving]):
-                    leaving, best_rhs, best_coeff = r, row[-1], coeff
+                lhs, right = row_rhs * best_coeff, best_rhs * coeff
+                if lhs < right or (lhs == right and b < basis[leaving]):
+                    leaving, best_rhs, best_coeff = r, row_rhs, coeff
         if leaving < 0:
-            return None, pivots
+            status = UNBOUNDED
+            break
         pivrow = tableau[leaving]
-        p = pivrow[entering]
+        p = factors[leaving]
         pivots += 1
         degenerate = 0 if pivrow[-1] else degenerate + 1
         for r, row in enumerate(tableau):
             if r == leaving:
                 continue
-            factor = row[entering]
+            factor = factors[r]
             if not factor:
                 if p != d:
                     tableau[r] = [a * p // d for a in row]
@@ -157,6 +205,8 @@ def _run_simplex(tableau, basis):
                 tableau[r] = [(a * p - factor * k) // d for a, k in zip(row, pivrow)]
         d = p
         basis[leaving] = entering
+    values = tuple(row[-1] for row in tableau[:size])
+    return Basis(status, d, tuple(basis), values, tuple(-y for y in tableau[-1][:size]), pivots)
 
 
 def _check_certificates(lp, primal, dual, d, value):
@@ -189,29 +239,31 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     """
     if type(lp) is not LinearProgram:
         raise BadParams(f"the program must be a LinearProgram, got {type(lp).__name__}")
-    n = len(lp.objective)
-    n_rows = len(lp.constraints)
+    objective = lp.objective
+    rows = [coeffs for coeffs, _b in lp.constraints]
 
-    # Row i's slack is column n + i and starts basic; the last row holds the
-    # reduced costs c_j - z_j, which are c itself at the slack basis.
-    tableau = []
-    for i, (coeffs, b) in enumerate(lp.constraints):
-        row = list(coeffs) + [0] * n_rows + [b]
-        row[n + i] = 1
-        tableau.append(row)
-    tableau.append(list(lp.objective) + [0] * (n_rows + 1))
-    basis = list(range(n, n + n_rows))
-    d, pivots = _run_simplex(tableau, basis)
-    if d is None:
-        return LPSolution(UNBOUNDED, None, None, None, pivots)
+    def price(d, lam):
+        costs = [d * c for c in objective]
+        for row, y in zip(rows, lam):
+            if y:
+                costs = [cost + y * a for cost, a in zip(costs, row)]
+        return costs
 
+    def column(j):
+        return [(r, row[j]) for r, row in enumerate(rows) if row[j]]
+
+    n = len(objective)
+    result = simplex(n, [b for _coeffs, b in lp.constraints], price, column)
+    if result.status == UNBOUNDED:
+        return LPSolution(UNBOUNDED, None, None, None, result.pivots)
+
+    d = result.d
     primal = [0] * n
-    for r, b in enumerate(basis):
+    for b, x in zip(result.basis, result.values):
         if b < n:
-            primal[b] = tableau[r][-1]
-    obj = tableau[-1]
-    dual = [-obj[n + i] for i in range(n_rows)]
-    value = sum(c * x for c, x in zip(lp.objective, primal))
+            primal[b] = x
+    dual = result.dual
+    value = sum(c * x for c, x in zip(objective, primal))
     _check_certificates(lp, primal, dual, d, value)
 
     return LPSolution(
@@ -219,5 +271,5 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         tuple(Fraction(x, d) if x else _ZERO for x in primal),
         tuple(Fraction(y, d) for y in dual),
         Fraction(value, d),
-        pivots,
+        result.pivots,
     )

@@ -9,21 +9,32 @@ supportable, with prices that pass `verify --mode mccwe` everywhere else.
 The full-column dual re-check must accept and refuse exactly the duals that
 the integer re-check it replaced (`configlp_reference.check_full_dual`)
 does, on random tables and on duals just feasible and just infeasible.
+
+`fractional_opt` pivots the program on its slack block and prices columns
+from the value tables; `build_config_lp` builds the same program, and
+`solve_lp` pivots it with every column priced from its rows.  On every
+(market, partition) that a seed-1 and a seed-2 gap pass solve, and on the
+cases above, both must give the same y, duals, value and pivot count.
 """
 
+import io
 import random
+from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from configlp_reference import check_full_dual, covers_every_column, dense_opt
 from configlp_reference import dense_supportable
 from mccwe import CertificateError, NotMCCWE, Partition, allocation, induced_partition
-from mccwe import configlp, singleton_partition, social_welfare
+from mccwe import cli, configlp, singleton_partition, social_welfare
 from mccwe.configlp import fractional_opt, supporting_prices
 from mccwe.equilibria import MCCWE, verify
 from mccwe.instances import FAMILIES, built_in, generate, partition_reduction
+from mccwe.lp import simplex, solve_lp
 from mccwe.oracle import optimal_integral
+from test_configlp import _gap_workload
 
 F = Fraction
 
@@ -145,16 +156,24 @@ def test_a_skipped_full_column_recheck_is_caught(monkeypatch):
     # Without the re-check the mutant filter's answers come back unchecked,
     # and the dense comparison sees the lost value.
     _drop_last_column(monkeypatch)
-    monkeypatch.setattr(configlp, "_check_full_dual", lambda tables, dual_u, dual_q: None)
+    monkeypatch.setattr(configlp, "_check_full_dual", lambda tables, d, dual_u, dual_q: None)
     fig1a = built_in("fig1a")
     assert fractional_opt(fig1a, singleton_partition(4)).value < 8
     caught = [inst.name for inst in _markets() if _disagreements(inst)]
     assert len(caught) > 30
 
 
-def _accepts(check, tables, dual_u, dual_q) -> bool:
+def _accepts_fractions(tables, dual_u, dual_q) -> bool:
+    """Does the library's re-check accept the `Fraction` duals, given as
+    numerators over their common denominator?"""
+    d = lcm(*(y.denominator for y in (*dual_u, *dual_q)))
+    numerators = [[y.numerator * (d // y.denominator) for y in duals] for duals in (dual_u, dual_q)]
+    return _accepts(configlp._check_full_dual, tables, d, *numerators)
+
+
+def _accepts(check, tables, *duals) -> bool:
     try:
-        check(tables, dual_u, dual_q)
+        check(tables, *duals)
     except CertificateError:
         return False
     return True
@@ -181,5 +200,64 @@ def test_the_full_dual_recheck_matches_the_integer_reference():
             tuple(F(rng.randint(-5, 30), rng.randint(1, 6)) for _ in range(n)),
         ]
         expected = [_accepts(check_full_dual, tables, u, dual_q) for u in cases]
-        assert [_accepts(configlp._check_full_dual, tables, u, dual_q) for u in cases] == expected
+        assert [_accepts_fractions(tables, u, dual_q) for u in cases] == expected
         assert expected[:2] == [True, False]  # just feasible, just infeasible
+
+
+def _reference_answer(instance, partition):
+    """(y, dual_u, dual_q, value, pivots) of `solve_lp` on the built program,
+    each column labelled (agent, mask) from its own rows."""
+    lp = configlp.build_config_lp(instance, partition)
+    sol = solve_lp(lp)
+    n, scale = instance.n, instance.scale
+    rows = [coeffs for coeffs, _rhs in lp.constraints]
+    labels = [
+        (next(i for i in range(n) if rows[i][j]), sum(row[j] << b for b, row in enumerate(rows[n:])))
+        for j in range(len(lp.objective))
+    ]
+    y = {labels[j]: x for j, x in enumerate(sol.primal) if x}
+    dual = [d / scale for d in sol.dual]
+    return y, tuple(dual[:n]), tuple(dual[n:]), sol.objective_value / scale, sol.pivots
+
+
+def _comparing_solves(monkeypatch):
+    """Hook `fractional_opt`'s solves: each is compared with the reference
+    answer, and the (market, partition, matched) triples are returned."""
+    seen, pivots = [], []
+    solve = configlp._solve
+
+    def counting(*args):
+        basic = simplex(*args)
+        pivots.append(basic.pivots)
+        return basic
+
+    def compared(instance, partition):
+        sol = solve(instance, partition)
+        answer = (dict(sol.y), sol.dual_u, sol.dual_q, sol.value, pivots[-1])
+        seen.append((instance.name, partition.blocks, answer == _reference_answer(instance, partition)))
+        return sol
+
+    monkeypatch.setattr(configlp, "simplex", counting)
+    monkeypatch.setattr(configlp, "_solve", compared)
+    return seen
+
+
+@pytest.mark.parametrize("seed, lps", [(1, 434), (2, 430)])
+def test_gap_pass_lps_pivot_as_the_built_program(seed, lps, tmp_path, monkeypatch):
+    requests = _gap_workload(seed, tmp_path, monkeypatch)
+    seen = _comparing_solves(monkeypatch)
+    for argv in requests:
+        assert cli.main(argv, out=io.StringIO()) == 0
+    assert len(seen) == lps
+    assert [case for case in seen if not case[2]] == []
+
+
+def test_the_cases_pivot_as_the_built_program(monkeypatch):
+    seen = _comparing_solves(monkeypatch)
+    for instance in _MARKETS:
+        partitions, _allocations = _cases(instance)
+        for partition in partitions:
+            # a fresh memo, so every case is solved here
+            fractional_opt(replace(instance), partition)
+    assert len(seen) == sum(len(_cases(instance)[0]) for instance in _MARKETS)
+    assert [case for case in seen if not case[2]] == []

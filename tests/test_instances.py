@@ -298,6 +298,38 @@ def test_parse_instance_errors_name_location():
         parse_instance(good[:-3])
 
 
+def test_a_repeated_key_is_a_parse_error():
+    # Before, JSON kept the last of a repeated key silently: {"m": 3, "m": 1}
+    # read as one item.
+    good = write_instance(built_in("fig1b"))
+    assert good.count('"m": 7') == 1
+    with pytest.raises(ParseError, match=r"^instance: repeated key 'm'$"):
+        parse_instance(good.replace('"m": 7', '"m": 7, "m": 7'))
+    with pytest.raises(ParseError, match=r"^instance: repeated key 'budget'$"):
+        parse_instance(good.replace('"budget": "2"', '"budget": "2", "budget": "5"', 1))
+    x = allocation(2, [0b01, 0b10])
+    text = write_outcome(Outcome(x, prices=(F(1), F(1))))
+    with pytest.raises(ParseError, match=r"^outcome: repeated key 'x0'$"):
+        parse_outcome(text.replace('"x0": []', '"x0": [], "x0": []'), 2)
+    alloc = '{"format": 1, "x0": [], "x": [[0], [1]], "x": [[0, 1], []]}'
+    with pytest.raises(ParseError, match=r"^allocation: repeated key 'x'$"):
+        parse_allocation(alloc, 2)
+    assert parse_allocation(alloc.replace(', "x": [[0, 1], []]', ""), 2) == x
+
+
+def test_the_format_version_is_the_int_one():
+    # Before, true, 1.0 and 1e0 passed the version check, as each equals 1.
+    good = write_instance(built_in("fig1b"))
+    assert parse_instance(good) == built_in("fig1b")
+    for version in ("true", "1.0", "1e0", '"1"', "null"):
+        with pytest.raises(ParseError, match="^instance: missing or unsupported format version$"):
+            parse_instance(good.replace('"format": 1', f'"format": {version}'))
+    x = allocation(1, [0b1])
+    text = write_outcome(Outcome(x, prices=(F(1),)))
+    with pytest.raises(ParseError, match="^outcome: missing or unsupported format version$"):
+        parse_outcome(text.replace('"format": 1', '"format": true'), 1)
+
+
 def test_parse_outcome_price_arity_mismatch():
     x = allocation(2, [0b01, 0b10])
     text = write_outcome(Outcome(x, prices=(F(1), F(1))))

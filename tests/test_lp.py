@@ -16,6 +16,7 @@ from mccwe.lp import (
     UNBOUNDED,
     LinearProgram,
     _check_certificates,
+    simplex,
     solve_lp,
 )
 
@@ -161,6 +162,13 @@ def test_largest_coefficient_rule_cycles_where_the_fallback_terminates():
     assert sol.objective_value == 1 == vertex_enumeration_optimum(lp.objective, lp.constraints)
     check_dual_from_outside(lp, sol)
     assert reference_solve(lp, BLAND)[0].objective_value == 1
+
+
+def test_a_pricing_that_misses_a_basic_column_raises():
+    # A pricing without the row multipliers keeps pricing the column it
+    # just entered; without the check the loop would pivot on it forever.
+    with pytest.raises(CertificateError, match="basic column a nonzero reduced cost"):
+        simplex(1, [1], lambda d, lam: [4 * d], lambda j: [(0, 1)])
 
 
 def test_negative_rhs_row_is_rejected():

@@ -1,6 +1,7 @@
 """Valuation families, the integer value layer, demand queries, classification."""
 
 import itertools
+import random
 import tracemalloc
 from fractions import Fraction
 from typing import get_args
@@ -29,6 +30,7 @@ from mccwe import (
     singleton_partition,
     verify,
 )
+from mccwe import bits
 from mccwe.bits import mask_of
 from mccwe.equilibria import demand_correspondence
 from mccwe.errors import EmptyPool, SizeLimit
@@ -48,11 +50,24 @@ from value_reference import (
     shared_item_values,
     splits_superadditive,
     subadditive,
+    subset_sums,
+    subset_unions,
     utility,
     valid_table,
 )
 
 F = Fraction
+
+
+def test_subset_tables_match_the_per_mask_loops():
+    rng = random.Random("subset-tables")
+    for length in range(13):
+        for _ in range(4):
+            values = [rng.randint(-10**20, 10**20) for _ in range(length)]
+            masks = [rng.getrandbits(rng.choice((3, 12, 70))) for _ in range(length)]
+            assert bits.subset_sums(values) == subset_sums(values)
+            assert bits.subset_unions(masks) == subset_unions(masks)
+    assert bits.subset_sums(()) == [0] and bits.subset_unions(()) == [0]
 
 
 def test_budget_additive_never_exceeds_budget():

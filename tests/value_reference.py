@@ -10,7 +10,8 @@ number as a `Fraction`; the tests compare the integer reader against it.
 `regex_rat_list` is the list reader that matched one pattern per entry, and
 `general_scale` the scaling formula that took an LCM and a product per
 datum; the batched digit check and the int-only scaling are compared
-against them.
+against them.  `subset_sums` and `subset_unions` are the per-mask loops
+that `mccwe.bits` replaced with one doubling pass per bit.
 """
 
 from __future__ import annotations
@@ -204,3 +205,21 @@ def general_scale(*data) -> tuple[int, tuple]:
     return scale, tuple(
         tuple(x.numerator * (scale // x.denominator) for x in values) for values in data
     )
+
+
+def subset_sums(values) -> list[int]:
+    """The sum of values[j] over the bits j of every mask, one mask at a time."""
+    table = [0] * (1 << len(values))
+    for mask in range(1, len(table)):
+        low = mask & -mask
+        table[mask] = table[mask ^ low] + values[low.bit_length() - 1]
+    return table
+
+
+def subset_unions(masks) -> list[int]:
+    """The union of masks[j] over the bits j of every mask, one mask at a time."""
+    table = [0] * (1 << len(masks))
+    for mask in range(1, len(table)):
+        low = mask & -mask
+        table[mask] = table[mask ^ low] | masks[low.bit_length() - 1]
+    return table
