@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import configlp, mechanisms, oracle
 from .bits import items_of
 from .equilibria import MODES, verify
-from .errors import BadParams, CertificateError, MarketError
+from .errors import BadParams, CertificateError, MarketError, ParseError
 from .instances import (
     BUILTINS,
     FAMILIES,
@@ -75,8 +75,12 @@ def _decimal6(value: Fraction) -> str:
 
 
 def _read(path: str) -> str:
+    """The file's text; ParseError, naming the file, when it is not UTF-8."""
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
 def _write(path: str, text: str) -> None:
@@ -146,9 +150,11 @@ def _cmd_gen(args, out) -> int:
         "n": args.n,
         "seed": args.seed,
         "identical_budgets": args.identical_budgets or None,
-        "eps": args.eps and parse_rational(args.eps, "--eps"),
-        "big": args.bigR and parse_rational(args.bigR, "--bigR"),
-        "weights": args.a and tuple(parse_rational(w, "--a") for w in args.a.split(",")),
+        "eps": None if args.eps is None else parse_rational(args.eps, "--eps"),
+        "big": None if args.bigR is None else parse_rational(args.bigR, "--bigR"),
+        "weights": None
+        if args.a is None
+        else tuple(parse_rational(w, "--a") for w in args.a.split(",")),
     }
     params = {key: value for key, value in params.items() if value is not None}
     if args.family in BUILTINS:

@@ -12,10 +12,12 @@ among the optima, item 0 most significant and agents as digits 0..n-1.
 All three optima share one routine, `_optimum`, which computes each
 (market, partition) optimum once, over the market's `block_tables`; a lone
 agent takes every item or block in closed form, with no table.  The
-supportable-optimum search steps through all assignments, "unallocated" as
-the last digit, with one odometer generator, `_assignments`.  The budget
-bounds the work, charged first (SizeLimit rather than exceed it), and
-`value_table`'s 20-block cap bounds each table.
+supportable-optimum search steps through the assignments, "unallocated" as
+the last digit, with one depth-first walk, `_assignments`, that skips every
+owner-vector prefix whose monotone completion bound cannot beat the best
+supportable welfare found so far (branch and bound, after Land and Doig,
+1960).  The budget bounds the work, charged first (SizeLimit rather than
+exceed it), and `value_table`'s 20-block cap bounds each table.
 """
 
 from __future__ import annotations
@@ -85,25 +87,43 @@ def _optimum(instance, partition):
     return found
 
 
-def _assignments(k, tables):
+def _assignments(k, tables, floor):
     """Yield (welfare, sets, rest) for every assignment of k units to the
-    agents behind `tables` or to "unallocated", in lexicographic owner-vector
-    order: unit 0 most significant, agents as digits 0..n-1, "unallocated"
-    last.  The welfare is in the tables' units.  `sets` holds the agents'
-    unit masks and is updated in place."""
+    agents behind `tables` or to "unallocated" whose welfare beats the floor
+    `floor[0]`, in lexicographic owner-vector order: unit 0 most significant,
+    agents as digits 0..n-1, "unallocated" last.  The welfare is in the
+    tables' units; `sets` holds the agents' unit masks and is updated in
+    place.  floor[0] is None (no floor) or a welfare, and the caller may
+    raise it between yields.
+
+    The walk runs depth first over owner-vector prefixes.  A prefix is
+    skipped, with every assignment below it, when its completion bound
+    sum_i t_i[S_i | R], S_i agent i's units so far and R the units not yet
+    assigned, is at most the floor: every table is monotone, so no
+    completion beats it.  At a leaf R is empty and the bound is the welfare.
+    """
     n = len(tables)
-    owners = [0] * k
-    sets = [(1 << k) - 1] + [0] * (n - 1)
+    full = (1 << k) - 1
+    owners = [0] * k  # 0 for every unit not yet assigned
+    sets = [0] * n
     rest = 0
+    j = 0  # units 0..j-1 are assigned
     while True:
-        welfare = 0
-        for table, t in zip(tables, sets):
-            welfare += table[t]
-        yield welfare, sets, rest
-        j = k - 1
-        while j >= 0 and owners[j] == n:  # "unallocated" wraps to agent 0
+        free = full >> j << j
+        bound = 0
+        for table, s in zip(tables, sets):
+            bound += table[s | free]
+        if floor[0] is None or bound > floor[0]:
+            if j < k:
+                sets[0] |= 1 << j
+                j += 1
+                continue
+            yield bound, sets, rest
+        # Step the deepest assigned unit that can still advance, unassigning
+        # the "unallocated" units below it.
+        j -= 1
+        while j >= 0 and owners[j] == n:
             rest ^= 1 << j
-            sets[0] |= 1 << j
             owners[j] = 0
             j -= 1
         if j < 0:
@@ -115,6 +135,7 @@ def _assignments(k, tables):
         else:
             rest |= 1 << j
         owners[j] = d + 1
+        j += 1
 
 
 def _winner_determination(k, tables):
@@ -301,16 +322,19 @@ def best_mccwe(
 
     Ties go to the first supportable allocation in enumeration order at the
     winning welfare.  The search first tries the unconstrained optimum x
-    (where super-additive markets always succeed), then walks every
-    assignment once: at x's welfare it returns the first other supportable
-    allocation, and below it probes only strict improvements on the best
-    supportable welfare so far, which it returns when the walk ends.  A
-    probe first runs the block DP over the candidate's induced partition:
-    when some whole-block assignment beats the candidate, the LP's value,
-    which is at least that, does too, and the candidate is refused without
-    an LP.  Otherwise the probe solves the LP once.  The budget is charged
-    the DP and the walk, 2(n+1)^m states, up front; like the probes' LPs,
-    their block DPs are not charged.
+    (where super-additive markets always succeed), then walks the
+    assignments in owner-vector order: at x's welfare it returns the first
+    other supportable allocation, and below it probes only strict
+    improvements on the best supportable welfare so far, which it returns
+    when the walk ends.  That best is the walk's floor: every assignment the
+    walk skips has welfare at most the floor, and would have been passed
+    over as no strict improvement, so the same candidates are probed in the
+    same order as over the full walk.  A probe first runs the block DP over
+    the candidate's induced partition: when some whole-block assignment
+    beats the candidate, the LP's value, which is at least that, does too,
+    and the candidate is refused without an LP.  Otherwise the probe solves
+    the LP once.  The budget is charged the DP and the walk, 2(n+1)^m
+    states, up front; like the probes' LPs, their block DPs are not charged.
     """
     check_fits(instance)
     budget = _allowance(budget)
@@ -324,10 +348,8 @@ def best_mccwe(
         return outcome, Fraction(top, instance.scale)
     # A lone agent never walks: its optimum is supportable, as its LP over
     # the one block peaks at v(full) = top.
-    best = None
-    for welfare, sets, rest in _assignments(m, block_tables(instance, singletons)):
-        if best is not None and welfare <= best:
-            continue
+    floor = [None]  # the best supportable welfare so far, raised as probes succeed
+    for welfare, sets, rest in _assignments(m, block_tables(instance, singletons), floor):
         candidate = Allocation(m, rest, tuple(sets))
         if candidate == x or _optimum(instance, induced_partition(candidate)[0])[1] > welfare:
             continue
@@ -335,7 +357,8 @@ def best_mccwe(
         if found is not None:
             if welfare == top:
                 return found, Fraction(top, instance.scale)
-            outcome, best = found, welfare
+            outcome, floor[0] = found, welfare
+    best = floor[0]
     return outcome, None if best is None else Fraction(best, instance.scale)
 
 

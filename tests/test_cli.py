@@ -190,6 +190,37 @@ def test_instance_file_with_a_non_ascii_digit_exits_2(tmp_path, capsys):
     assert "error=ParseError agents[0]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gap", "-i", "{bad}"],
+        ["oracle", "-i", "{bad}"],
+        ["verify", "-i", "{good}", "-a", "{bad}", "--mode", "mccwe"],
+        ["solve", "uba", "-i", "{good}", "--alloc", "{bad}", "-o", "{out}"],
+    ],
+)
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, argv):
+    files = {"bad": tmp_path / "bad.json", "good": tmp_path / "fig1b.json", "out": tmp_path / "o"}
+    files["bad"].write_bytes(b"\xff\xfe{")
+    run(["gen", "fig1b", "-o", str(files["good"])])
+    capsys.readouterr()
+    assert run([arg.format(**files) for arg in argv])[0] == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error=ParseError {files['bad']}: not UTF-8 text"), err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    ["fig1a --eps", "revenue_example --bigR", "partition_reduction --a"],
+)
+def test_an_empty_rational_flag_is_a_parse_error(tmp_path, capsys, flags):
+    inst = tmp_path / "i.json"
+    *gen, flag = flags.split()
+    assert run(["gen", *gen, flag, "", "-o", str(inst)])[0] == 2 and not inst.exists()
+    err = capsys.readouterr().err
+    assert err == f"error=ParseError {flag}: expected a rational like '3' or '3/4', got ''\n"
+
+
 def test_solve_builds_a_trace_only_when_asked(tmp_path, monkeypatch):
     inst = tmp_path / "appc.json"
     run(["gen", "bundling_necessity", "--m", "4", "-o", str(inst)])

@@ -34,7 +34,6 @@ from mccwe.instances import SplitMix64, built_in, generate, parse_instance, writ
 from mccwe.market import UNALLOCATED, block_tables
 from mccwe.oracle import (
     OracleBudget,
-    _assignments,
     _check_assignment,
     _single_minded_optimum,
     best_mccwe,
@@ -44,6 +43,7 @@ from mccwe.oracle import (
 )
 from mccwe.valuations import value_table
 import oracle_reference
+from oracle_reference import _assignments
 from value_reference import reduced_value
 
 F = Fraction
@@ -492,6 +492,48 @@ def test_assignments_follow_owner_vector_order():
         assert walked == list(owner_vectors(k, n))
 
 
+def test_the_walk_yields_the_reference_walk_above_its_floor():
+    # Without a floor the walk yields every assignment in the plain
+    # odometer's order; with a floor F, exactly those whose welfare beats F.
+    markets = [built_in("fig1a", eps=F(1, 10))]
+    markets.append(built_in("nonuniform_identical_budget", eps=F(1, 8)))
+    markets += [
+        generate(family, m, n, seed)
+        for family in FAMILIES
+        for m, n in ((3, 2), (4, 3))
+        for seed in range(3)
+    ]
+    for inst in markets:
+        tables = block_tables(inst, singleton_partition(inst.m))
+        walk = [(w, tuple(sets), rest) for w, sets, rest in _assignments(inst.m, tables)]
+        welfares = sorted({w for w, _sets, _rest in walk})
+        for floor in [None, welfares[0] - 1] + welfares[:: max(1, len(welfares) // 5)]:
+            walked = oracle._assignments(inst.m, tables, [floor])
+            expected = [leaf for leaf in walk if floor is None or leaf[0] > floor]
+            assert [(w, tuple(sets), rest) for w, sets, rest in walked] == expected
+
+
+@pytest.mark.parametrize(
+    "name, eps, yields", [("fig1a", F(1, 10), 10), ("nonuniform_identical_budget", F(1, 8), 3)]
+)
+def test_best_mccwe_walks_only_what_can_beat_its_best(monkeypatch, name, eps, yields):
+    # The owner-vector walk over fig1a's 6^4 = 1296 and the nonuniform
+    # market's 4^3 = 64 assignments yields only those that beat the best
+    # supportable welfare at the time.
+    walk = oracle._assignments
+    count = [0]
+
+    def counted(k, tables, floor):
+        for leaf in walk(k, tables, floor):
+            count[0] += 1
+            yield leaf
+
+    monkeypatch.setattr(oracle, "_assignments", counted)
+    inst = built_in(name, eps=eps)
+    assert best_mccwe(inst) == oracle_reference.best_mccwe(copy.deepcopy(inst))
+    assert count[0] == yields
+
+
 def brute_force_best_mccwe(inst, lp_cache):
     """The first supportable allocation in owner-vector order at the top
     supportable welfare, with its prices read off the configuration-LP
@@ -546,9 +588,33 @@ def test_best_mccwe_matches_brute_force():
     assert min(reached.values()) > 0, reached
 
 
+def sweep_markets():
+    """fig1a and nonuniform_identical_budget at eps = j/100 for j = 1, 4, ...,
+    97, fig1b, revenue_example at R = 2, 5 and 100, and the random families,
+    identical budgets too, at m 2-6 and n 2-4 over 40 seeds."""
+    markets = [
+        built_in(name, eps=F(j, 100))
+        for j in range(1, 100, 3)
+        for name in ("fig1a", "nonuniform_identical_budget")
+    ]
+    markets.append(built_in("fig1b"))
+    markets += [built_in("revenue_example", big=big) for big in (2, 5, 100)]
+    families = [(family, False) for family in FAMILIES]
+    families.append(("random_uniform_budget_additive", True))
+    markets += [
+        generate(family, m, n, seed, identical_budgets=identical)
+        for family, identical in families
+        for m in range(2, 7)
+        for n in range(2, 5)
+        for seed in range(40)
+    ]
+    return markets
+
+
 def test_best_mccwe_matches_the_reference_without_its_prefilter(monkeypatch):
-    # The block DP refuses a candidate only where its LP would: the same
-    # outcome and welfare, with fewer LP probes.
+    # The block DP refuses a candidate only where its LP would, and the walk
+    # skips only assignments that cannot beat the best so far: the same
+    # outcome, prices and welfare, with fewer LP probes.
     probes = {"library": 0, "reference": 0}
 
     def counting(side, supported):
@@ -573,11 +639,34 @@ def test_best_mccwe_matches_the_reference_without_its_prefilter(monkeypatch):
     markets += [built_in("nonuniform_identical_budget", eps=F(1, d)) for d in (2, 3, 8, 20)]
     markets += [built_in("fig1b"), built_in("revenue_example")]
     markets.append(built_in("partition_reduction", weights=[3, 1, 1, 2, 3]))
-    walked = 0
-    for inst in markets:
-        out, welfare = best_mccwe(inst)
-        assert (out, welfare) == oracle_reference.best_mccwe(copy.deepcopy(inst))
-        assert verify(inst, out, MCCWE).ok
-        walked += (out.allocation, welfare) != optimal_integral(inst)
-    assert walked >= 5
+    # Mixed markets whose best MC-CWE lies under a prefix that is worth no
+    # more than the best so far until the unassigned units are counted.
+    markets.append(
+        Instance(
+            4,
+            (
+                SingleMinded(0b1010, F(2)),
+                BudgetAdditive(F(2), (F(5), F(3), F(0), F(1))),
+                CappedCardinalityAdditive((F(2), F(0), F(0), F(2)), 1),
+            ),
+        )
+    )
+    markets.append(
+        Instance(
+            4,
+            (
+                SingleMinded(0b1110, F(2)),
+                CappedCardinalityAdditive((F(0), F(4), F(5), F(3)), 1),
+                Additive((F(2), F(0), F(0), F(0))),
+            ),
+        )
+    )
+    walked = {"listed": 0, "sweep": 0}
+    for group, insts in (("listed", markets), ("sweep", sweep_markets())):
+        for inst in insts:
+            out, welfare = best_mccwe(inst)
+            assert (out, welfare) == oracle_reference.best_mccwe(copy.deepcopy(inst))
+            assert verify(inst, out, MCCWE).ok
+            walked[group] += (out.allocation, welfare) != optimal_integral(inst)
+    assert walked["listed"] >= 5 and walked["sweep"] >= 40, walked
     assert probes["library"] < probes["reference"], probes
