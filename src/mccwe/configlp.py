@@ -10,10 +10,12 @@ optimum at that allocation; supporting bundle prices then fall out of the
 dual block variables by complementary slackness.
 
 The program is built over undominated columns only: (i, S) is kept when
-v_i(S) exceeds v_i of S minus any one block.  Valuations are monotone and
-block duals nonnegative, so a dual that covers the undominated columns
-covers the rest (u_i + q(S) >= u_i + q(S - j) >= v_i(S - j) = v_i(S)), and
-the smaller program has the full one's value and optimal duals.
+v_i(S) exceeds v_i of S minus any one block (`market._undominated`, the one
+dominance filter, which winner determination's fold shares).  Valuations
+are monotone and block duals nonnegative, so a dual that covers the
+undominated columns covers the rest (u_i + q(S) >= u_i + q(S - j) >=
+v_i(S - j) = v_i(S)), and the smaller program has the full one's value and
+optimal duals.
 `fractional_opt` pivots the program with `lp.simplex` without building its
 rows: column (i, S) is agent i's row plus the rows of the blocks in S, so
 it is priced from agent i's value table and the row multipliers.  It
@@ -39,6 +41,7 @@ from .market import (
     Outcome,
     Partition,
     UNALLOCATED,
+    _undominated,
     block_tables,
     check_fits,
     induced_partition,
@@ -59,23 +62,6 @@ class ConfigLPSolution:
     y: MappingProxyType  # (agent, bundle-set mask) -> Fraction, nonzero entries only
     dual_u: tuple[Fraction, ...]  # per agent
     dual_q: tuple[Fraction, ...]  # per block
-
-
-def _undominated(table: tuple[int, ...]) -> list[int]:
-    """The nonempty bundle-set masks S with table[S] > table[S minus any one
-    block], in increasing order; table[S] > 0 follows, as table[0] is 0."""
-    kept = []
-    for mask in range(1, len(table)):
-        value = table[mask]
-        rest = mask
-        while rest:
-            low = rest & -rest
-            if table[mask ^ low] >= value:
-                break
-            rest ^= low
-        else:
-            kept.append(mask)
-    return kept
 
 
 def _program(instance, partition):

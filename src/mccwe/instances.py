@@ -303,8 +303,11 @@ def generate(
 ) -> Instance:
     """Seeded random instance; identical seeds give identical markets.
 
+    The seed is SplitMix64's 64-bit state, so it must lie in [0, 2^64).
     Only random_uniform_budget_additive takes identical budgets."""
     _check_kinds((m, n, seed), _INT, "m, n and the seed must be ints")
+    if not 0 <= seed <= _MASK64:
+        raise BadParams(f"the seed must be in [0, 2^64), got {seed}")
     if identical_budgets and family != "random_uniform_budget_additive":
         raise BadParams(f"{family!r} takes no identical budgets")
     _check_items(m)

@@ -111,6 +111,25 @@ def block_tables(instance: Instance, partition: Partition) -> tuple[tuple[int, .
     return tables
 
 
+def _undominated(table: tuple[int, ...]) -> list[int]:
+    """The nonempty bundle-set masks S with table[S] > table[S minus any one
+    block], in increasing order; table[S] > 0 follows, as table[0] is 0.
+    The one dominance filter: the configuration LP keeps only these columns,
+    and winner determination folds only these bundles for its middle agents."""
+    kept = []
+    for mask in range(1, len(table)):
+        value = table[mask]
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if table[mask ^ low] >= value:
+                break
+            rest ^= low
+        else:
+            kept.append(mask)
+    return kept
+
+
 @dataclass(frozen=True)
 class Allocation:
     """Disjoint item sets (x0, x_1, ..., x_n) covering all items."""

@@ -9,6 +9,11 @@ Pekec and Harstad, 1998) over the agents' integer value tables at the
 market's scale (`Instance.scale`), with the tie-break folded into the same
 integer key, so the DP returns the lexicographically smallest owner vector
 among the optima, item 0 most significant and agents as digits 0..n-1.
+The DP folds each middle agent over its undominated bundles only, those in
+which every unit adds value (`market._undominated`, the one dominance
+filter, which also prunes the configuration LP's columns): handing a unit
+that adds nothing to agent 0 keeps the welfare and lowers the owner vector,
+so no optimal key gives an agent a dominated bundle.
 All three optima share one routine, `_optimum`, which computes each
 (market, partition) optimum once, over the market's `block_tables`; a lone
 agent takes every item or block in closed form, with no table.  The
@@ -30,7 +35,7 @@ from .bits import bits_of, subset_sums
 from .errors import BadParams, CertificateError, NotMCCWE, NotSingleMinded, SizeLimit
 from .lp import LinearProgram, solve_lp
 from .market import Allocation, Instance, Outcome, Partition
-from .market import block_tables, check_fits, induced_partition, singleton_partition
+from .market import _undominated, block_tables, check_fits, induced_partition, singleton_partition
 from .valuations import SingleMinded, _INT, _check_kinds
 
 DEFAULT_STATE_LIMIT = 10_000_000
@@ -148,6 +153,15 @@ def _winner_determination(k, tables):
     n^(k-1-j) over units j in T.  A key's welfare part outweighs every digit
     part, and the digit part is the owner vector read in base n, so the one
     maximal key is the lexicographically smallest optimal owner vector.
+
+    Agents 1..n-2 are folded over their undominated bundles alone
+    (`_undominated`).  When agent i >= 1 holds a bundle with a unit j that
+    adds nothing to it, moving j to agent 0 keeps agent i's value, cannot
+    lower agent 0's (the tables are monotone) and turns j's digit from i
+    into 0: the key rises strictly.  So the maximal key of every unit set
+    gives these agents undominated bundles or none, and the pruned fold
+    finds the same maximum and the same shares.  The last agent is folded
+    for the full set only, over all its bundles.
     """
     n = len(tables)
     size = 1 << k
@@ -161,13 +175,29 @@ def _winner_determination(k, tables):
 
     # best[S]: the maximal key of an assignment of S to the agents folded in
     # so far; choices[i-1][S]: agent i's share of it.  Agent 0 starts the
-    # fold and the last agent is folded in for the full set only.
+    # fold and the last agent is folded in for the full set only.  A middle
+    # agent takes nothing or an undominated bundle t, raising best[r | t]
+    # for every r disjoint from t.
     best = keys[0]
     choices = []
-    for key in keys[1:-1]:
-        splits = [_best_split(s, best, key) for s in range(size)]
-        best = [top for top, _arg in splits]
-        choices.append([arg for _top, arg in splits])
+    for table, key in zip(tables[1:-1], keys[1:-1]):
+        folded = list(best)
+        share = [0] * size
+        for t in _undominated(table):
+            gain = key[t]
+            free = full ^ t
+            r = free
+            while True:
+                val = best[r] + gain
+                s = r | t
+                if val > folded[s]:
+                    folded[s] = val
+                    share[s] = t
+                if not r:
+                    break
+                r = (r - 1) & free
+        best = folded
+        choices.append(share)
     top, arg = _best_split(full, best, keys[-1])
 
     sets = [0] * n

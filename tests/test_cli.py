@@ -427,6 +427,28 @@ def test_gen_defaults_come_from_the_family_makers(tmp_path):
     assert inst.read_text() == seeded.read_text()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_gen_rejects_a_seed_outside_64_bits(tmp_path, capsys, seed):
+    # Before, SplitMix64 masked the seed, so -1 and 2^64 - 1 wrote the
+    # same market and both exited 0.
+    inst = tmp_path / "i.json"
+    gen = ["gen", "random_superadditive", "--m", "3", "--n", "2", "-o", str(inst), "--seed"]
+    assert run([*gen, seed])[0] == 2 and not inst.exists()
+    err = capsys.readouterr().err
+    assert err == f"error=BadParams the seed must be in [0, 2^64), got {seed}\n"
+    assert run([*gen, str((1 << 64) - 1)])[0] == 0
+
+
+def test_bench_rejects_a_trial_seed_outside_64_bits(capsys):
+    # The second trial's seed is 2^64.
+    argv = ["bench", "--family", "random_single_minded", "--m", "3", "--n", "2", "--trials"]
+    top = ["--seed", str((1 << 64) - 1)]
+    assert run([*argv, "2", *top]) == (2, "")
+    assert capsys.readouterr().err.endswith(f"got {1 << 64}\n")
+    assert run([*argv, "1", *top])[0] == 0
+    assert run([*argv, "1", "--seed", "-1"]) == (2, "")
+
+
 def test_deeply_nested_instance_exits_2(tmp_path):
     inst = tmp_path / "deep.json"
     inst.write_text("[" * 100_000 + "]" * 100_000)

@@ -112,6 +112,14 @@ def test_generator_determinism():
     assert a != c
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_the_seed_is_a_64_bit_state(family):
+    generate(family, 3, 2, seed=(1 << 64) - 1)
+    for seed in (-1, 1 << 64, -(1 << 64)):
+        with pytest.raises(BadParams, match=r"the seed must be in \[0, 2\^64\)"):
+            generate(family, 3, 2, seed=seed)
+
+
 def test_random_superadditive_really_is():
     for seed in range(30):
         inst = generate("random_superadditive", 5, 3, seed)

@@ -1,5 +1,6 @@
 """Oracles: optima, budget caps, item-pricing bounds, the subset DP checked
-against the assignment-walk reference, and best_mccwe against brute force."""
+against the assignment-walk reference and against the unpruned fold, and
+best_mccwe against brute force."""
 
 import copy
 import itertools
@@ -670,3 +671,111 @@ def test_best_mccwe_matches_the_reference_without_its_prefilter(monkeypatch):
             walked[group] += (out.allocation, welfare) != optimal_integral(inst)
     assert walked["listed"] >= 5 and walked["sweep"] >= 40, walked
     assert probes["library"] < probes["reference"], probes
+
+
+def dp_agent(kind, m, rng):
+    """One agent over m items of family `kind` (0 additive, 1 budget-additive,
+    2 capped, 3 single-minded, 4 super-additive), with small int values, so
+    that units which add nothing, and ties, are common."""
+    values = tuple(rng.randint(0, 4) for _ in range(m))
+    if kind == 0:
+        return Additive(values)
+    if kind == 1:
+        return BudgetAdditive(rng.randint(0, 3 * m), values)
+    if kind == 2:
+        return CappedCardinalityAdditive(values, rng.randint(0, m))
+    if kind == 3:
+        return SingleMinded(rng.randint(1, (1 << m) - 1), rng.randint(0, 9))
+    return generate("random_superadditive", m, 1, rng.randint(0, 10**6)).agents[0]
+
+
+def dp_markets():
+    """Seeded markets past the leaf walk's reach, at every m in 7-10 and n
+    in 3-6: each of the five families alone, the three random families,
+    mixed families, clones, a worthless agent among the others, and additive
+    agents that value every item, of whom nothing is dominated."""
+    rng = SplitMix64(27)
+    markets = []
+    for seed in range(32):
+        m, n = 7 + seed % 4, 3 + seed // 4 % 4
+        kind = seed % 5
+        markets.append(Instance(m, tuple(dp_agent(kind, m, rng) for _ in range(n))))
+        family = FAMILIES[seed % 3]
+        identical = family == FAMILIES[2] and seed % 2 == 0
+        markets.append(generate(family, m, n, seed, identical_budgets=identical))
+        mixed = [dp_agent(rng.randint(0, 4), m, rng) for _ in range(n)]
+        markets.append(Instance(m, tuple(mixed)))
+        markets.append(Instance(m, (dp_agent(kind, m, rng),) * n))
+        mixed[rng.randint(0, n - 1)] = zero_agents(m, rng)[kind]
+        markets.append(Instance(m, tuple(mixed)))
+        additive = (Additive(tuple(rng.randint(1, 4) for _ in range(m))) for _ in range(n))
+        markets.append(Instance(m, tuple(additive)))
+    return markets
+
+
+def dp_cases():
+    """(k, tables) for each of `dp_markets` over its singletons and over a
+    seeded coarser partition."""
+    rng = SplitMix64(28)
+    cases = []
+    for inst in dp_markets():
+        for partition in (singleton_partition(inst.m), random_partition(inst.m, rng)):
+            if len(partition.blocks) > 1:
+                cases.append((len(partition.blocks), block_tables(inst, partition)))
+    return cases
+
+
+DP_CASES = dp_cases()
+
+
+def test_the_pruned_fold_answers_as_the_unpruned_one():
+    # The same sets and welfare as folding every bundle, n 3^k subset
+    # pairs, wherever the leaf walk cannot reach.
+    pruned = unpruned = 0
+    for k, tables in DP_CASES:
+        assert oracle._winner_determination(k, tables) == oracle_reference._winner_determination(
+            k, tables
+        )
+        kept = sum(len(oracle._undominated(table)) for table in tables[1:-1])
+        if kept < (len(tables) - 2) * ((1 << k) - 1):
+            pruned += 1
+        else:
+            unpruned += 1
+    assert len(DP_CASES) >= 350 and pruned >= 250 and unpruned >= 60, (pruned, unpruned)
+
+
+def test_folding_every_bundle_changes_no_answer(monkeypatch):
+    monkeypatch.setattr(oracle, "_undominated", lambda table: list(range(1, len(table))))
+    for k, tables in DP_CASES[::3]:
+        assert oracle._winner_determination(k, tables) == oracle_reference._winner_determination(
+            k, tables
+        )
+
+
+@pytest.mark.parametrize("drop", ["first", "last"])
+def test_a_filter_that_drops_an_undominated_bundle_is_caught(monkeypatch, drop):
+    undominated = oracle._undominated
+    kept = slice(1, None) if drop == "first" else slice(None, -1)
+    monkeypatch.setattr(oracle, "_undominated", lambda table: undominated(table)[kept])
+    caught = sum(
+        oracle._winner_determination(k, tables)
+        != oracle_reference._winner_determination(k, tables)
+        for k, tables in DP_CASES
+    )
+    assert caught >= 40, caught
+
+
+def test_the_fold_filters_the_middle_agents_only(monkeypatch):
+    # Agents 1..n-2, once each per DP: the first agent starts the fold and
+    # the last is scanned over every bundle, for the full set only.
+    undominated = oracle._undominated
+    filtered = []
+    monkeypatch.setattr(
+        oracle, "_undominated", lambda table: filtered.append(table) or undominated(table)
+    )
+    for n in range(2, 7):
+        inst = generate("random_uniform_budget_additive", 5, n, n)
+        tables = block_tables(inst, singleton_partition(5))
+        filtered.clear()
+        optimal_integral(inst)
+        assert filtered == list(tables[1:-1])

@@ -149,3 +149,28 @@ def test_the_check_sees_an_isdigit_without_isascii():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_digit_test_takes_ascii_digits_only(path):
     assert unpaired_isdigit(path.read_text(encoding="utf-8")) == []
+
+
+def defined_functions(source: str) -> set[str]:
+    return {
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
+def called_names(source: str) -> set[str]:
+    return {
+        node.func.id
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+
+
+def test_one_dominance_filter_serves_the_lp_and_the_dp():
+    # `market._undominated` prunes both the configuration LP's columns and
+    # the bundles winner determination folds.
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    defining = [name for name, text in sources.items() if "_undominated" in defined_functions(text)]
+    calling = [name for name, text in sources.items() if "_undominated" in called_names(text)]
+    assert defining == ["market.py"] and calling == ["configlp.py", "oracle.py"]
