@@ -8,7 +8,6 @@ from .errors import (
     BadParams,
     CertificateError,
     EmptyPool,
-    MalformedLP,
     MarketError,
     NotIdenticalBudgets,
     NotMCCWE,
@@ -18,7 +17,6 @@ from .errors import (
     ParseError,
     SizeLimit,
 )
-from .lp import LinearProgram, LPSolution, solve_lp
 from .market import (
     Allocation,
     Instance,
@@ -44,12 +42,7 @@ from .valuations import (
     relative_demand_query,
 )
 from .equilibria import CWE, MCCWE, WE, VerifyReport, Violation, demand_correspondence, verify
-from .configlp import (
-    ConfigLPSolution,
-    build_config_lp,
-    fractional_opt,
-    supporting_prices,
-)
+from .configlp import ConfigLPSolution, fractional_opt, supporting_prices
 from .oracle import (
     OracleBudget,
     best_mccwe,

@@ -22,8 +22,6 @@ it is priced from agent i's value table and the row multipliers.  It
 re-checks its answer in integers, its dual against every column of the
 full program, and solves each partition of a market once: its solutions
 are kept on the `Instance`, keyed by the partition's blocks.
-`build_config_lp` builds the same program as a `LinearProgram`, for
-`solve_lp`.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from types import MappingProxyType
 
 from .bits import bits_of, subset_sums
 from .errors import CertificateError, NotMCCWE, SizeLimit
-from .lp import MAX_VARIABLES, OPTIMAL, LinearProgram, simplex
+from .lp import OPTIMAL, simplex
 from .market import (
     Allocation,
     Instance,
@@ -47,6 +45,8 @@ from .market import (
     induced_partition,
     social_welfare,
 )
+
+MAX_VARIABLES = 200_000
 
 _ZERO = Fraction(0)
 
@@ -66,34 +66,13 @@ class ConfigLPSolution:
 
 def _program(instance, partition):
     """Every agent's full value table at the market's scale (`block_tables`)
-    and the program's columns (agent, bundle-set mask), after the variable cap."""
+    and the program's undominated columns (agent, bundle-set mask), agent by
+    agent by increasing mask.  The variable cap bounds n 2^k before any
+    table is built, and so keeps k within `value_table`'s 20 blocks."""
     if instance.n << len(partition.blocks) > MAX_VARIABLES:
         raise SizeLimit("configuration LP would exceed the variable cap")
     tables = block_tables(instance, partition)
     return tables, [(i, mask) for i, table in enumerate(tables) for mask in _undominated(table)]
-
-
-def build_config_lp(instance: Instance, partition: Partition) -> LinearProgram:
-    """One variable per agent and undominated nonempty block subset; n + k rows.
-
-    Column (i, S) is kept when v_i(S) > v_i(S minus any one block), so also
-    v_i(S) > 0; columns run agent by agent, by increasing mask.  The
-    objective is each kept value at the market's scale (`Instance.scale`),
-    so the program's optimum and duals are the configuration LP's times
-    that scale; every row is 0/1 with right-hand side 1.  The variable cap
-    bounds n 2^k, past the full program's n(2^k - 1) columns, before any
-    table is built, and so keeps k within `value_table`'s 20 blocks.
-    `fractional_opt` pivots this program without building it.
-    """
-    check_fits(instance, partition, Partition)
-    tables, columns = _program(instance, partition)
-    objective = tuple(tables[i][mask] for i, mask in columns)
-    rows = [(tuple(int(agent == i) for agent, _mask in columns), 1) for i in range(instance.n)]
-    rows += [
-        (tuple(mask >> j & 1 for _agent, mask in columns), 1)
-        for j in range(len(partition.blocks))
-    ]
-    return LinearProgram(objective, tuple(rows))
 
 
 def _check_full_dual(tables, d, dual_u, dual_q) -> None:
@@ -108,7 +87,8 @@ def _check_full_dual(tables, d, dual_u, dual_q) -> None:
 
 
 def _solve(instance, partition):
-    """`build_config_lp`'s program, pivoted by `simplex` on its slack block.
+    """The program over `_program`'s columns, pivoted by `simplex` on its
+    slack block.
 
     Column (i, S) is agent row i plus the block rows in S, so its reduced
     cost is d t_i[S] + lam_i + Q[S], with Q the block multipliers' subset

@@ -9,11 +9,6 @@ class SizeLimit(MarketError):
     """An operation would exceed its enumeration or variable-count cap."""
 
 
-class MalformedLP(MarketError):
-    """A linear program has a non-integer entry, a row of another width than
-    its objective, or a negative right-hand side."""
-
-
 class NotMCCWE(MarketError):
     """Supporting prices were requested for an allocation that admits none.
 

@@ -9,9 +9,8 @@ degenerate programs, and configuration LPs are highly degenerate, so after
 Bland's rule for good.
 The simplex pivots in integers (Edmonds 1967; Bareiss, Math. Comp. 1968):
 
-* Programs come in integral: the objective, every row coefficient and
-  every right-hand side is an `int`, and anything else is rejected when
-  the program is built.  Callers scale their data once, as the
+* Programs come in integral: every objective coefficient, column entry and
+  right-hand side is an `int`.  Callers scale their data once, as the
   configuration LP does with `Instance.scale`.
 * The tableau's entries all share one running denominator d: the last
   pivot element, 1 at the start.  A pivot on p keeps the pivot row as it
@@ -23,81 +22,37 @@ The simplex pivots in integers (Edmonds 1967; Bareiss, Math. Comp. 1968):
   and the objective row's slack part, as in the revised simplex (Dantzig
   and Orchard-Hays 1954).  Every row is a fixed integer combination of the
   starting rows, and the slack block holds its multipliers, so a
-  structural column and its reduced cost are computed from the program's
-  own column when needed (`simplex`).  `solve_lp` prices a
-  `LinearProgram` from its rows; the configuration LP prices its columns
-  from the value tables, without building rows.
+  structural column and its reduced cost are computed from the caller's
+  `price` and `column` closures when needed; no row is built.  The
+  configuration LP prices its columns from the value tables, and the
+  item-pricing LP from its columns.
 * The ratio test cross-multiplies: every candidate pivot is positive.
 
 Conventions
 -----------
 * Programs are packing-shaped: maximize c.x subject to A x <= b, x >= 0,
   with every right-hand side b_i >= 0, so the origin is feasible and the
-  slacks are the starting basis.  A row with a negative right-hand side is
-  rejected when the program is built.
+  slacks are the starting basis.
 * At the optimum a basic variable is its row's right-hand side over d.
   Row i's dual y_i >= 0 is read off the final reduced cost of its slack
   column: y_i = -obj[slack_i] / d.  No separate dual solve runs.
-* For every optimal result, primal feasibility, dual feasibility and exact
-  strong duality (c.x == y.b) are re-checked in integers on the program
-  itself before returning.  A failed check raises `CertificateError`, also
-  under `python -O`.
+* The caller re-checks every optimum in integers on its own program,
+  apart from the loop: primal feasibility, dual feasibility and exact
+  strong duality (c.x == y.b).  A failed check raises `CertificateError`,
+  also under `python -O`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import BadParams, CertificateError, MalformedLP, SizeLimit
+from .errors import CertificateError
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 
-MAX_VARIABLES = 200_000
-
 # Consecutive degenerate pivots after which a solve enters by Bland's rule.
 _DEGENERATE_RUN = 5
-
-_INT = frozenset({int})
-_ZERO = Fraction(0)
-
-
-def _integral(values) -> bool:
-    """Is every value an int?  A bool is not one."""
-    return set(map(type, values)) <= _INT
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    """max objective . x  subject to coeffs . x <= rhs for each row, x >= 0,
-    all in integers; MalformedLP on any other number."""
-
-    objective: tuple[int, ...]
-    constraints: tuple[tuple[tuple[int, ...], int], ...]
-
-    def __post_init__(self):
-        width = len(self.objective)
-        if width > MAX_VARIABLES:
-            raise SizeLimit(f"{width} variables exceeds the {MAX_VARIABLES} cap")
-        if not _integral(self.objective):
-            raise MalformedLP("the objective has a non-integer coefficient")
-        for idx, (coeffs, rhs) in enumerate(self.constraints):
-            if len(coeffs) != width:
-                raise MalformedLP(f"row {idx} has width {len(coeffs)}, expected {width}")
-            if type(rhs) is not int or not _integral(coeffs):
-                raise MalformedLP(f"row {idx} has a non-integer entry")
-            if rhs < 0:
-                raise MalformedLP(f"row {idx} has negative right-hand side {rhs}")
-
-
-@dataclass(frozen=True)
-class LPSolution:
-    status: str
-    primal: tuple[Fraction, ...] | None
-    dual: tuple[Fraction, ...] | None
-    objective_value: Fraction | None
-    pivots: int = 0  # simplex pivots the solve took
 
 
 @dataclass(frozen=True)
@@ -208,68 +163,3 @@ def simplex(ncols, rhs, price, column) -> Basis:
     values = tuple(row[-1] for row in tableau[:size])
     return Basis(status, d, tuple(basis), values, tuple(-y for y in tableau[-1][:size]), pivots)
 
-
-def _check_certificates(lp, primal, dual, d, value):
-    """Re-check an optimum of the integer program in integers.
-
-    primal and dual are numerators over the common denominator d, and value
-    is objective . primal, the primal value's numerator over d.
-    """
-    if any(x < 0 for x in primal):
-        raise CertificateError("primal negativity")
-    columns = [0] * len(primal)
-    for (coeffs, b), y in zip(lp.constraints, dual):
-        lhs = sum(a * x for a, x in zip(coeffs, primal) if x)
-        if not (lhs <= b * d and y >= 0):
-            raise CertificateError("primal/dual sign violation on <= row")
-        if y:
-            columns = [s + a * y for s, a in zip(columns, coeffs)]
-    if any(s < c * d for s, c in zip(columns, lp.objective)):
-        raise CertificateError("dual infeasibility")
-    if sum(b * y for (_coeffs, b), y in zip(lp.constraints, dual)) != value:
-        raise CertificateError("strong duality gap")
-
-
-def solve_lp(lp: LinearProgram) -> LPSolution:
-    """Exact optimum of a packing-shaped LP (see the module conventions).
-
-    Returns status optimal (with primal, dual and value) or unbounded, and
-    the number of pivots taken.  Deterministic: the entering rule, its
-    switch to Bland's rule and the ratio test's tie-break fix every pivot.
-    """
-    if type(lp) is not LinearProgram:
-        raise BadParams(f"the program must be a LinearProgram, got {type(lp).__name__}")
-    objective = lp.objective
-    rows = [coeffs for coeffs, _b in lp.constraints]
-
-    def price(d, lam):
-        costs = [d * c for c in objective]
-        for row, y in zip(rows, lam):
-            if y:
-                costs = [cost + y * a for cost, a in zip(costs, row)]
-        return costs
-
-    def column(j):
-        return [(r, row[j]) for r, row in enumerate(rows) if row[j]]
-
-    n = len(objective)
-    result = simplex(n, [b for _coeffs, b in lp.constraints], price, column)
-    if result.status == UNBOUNDED:
-        return LPSolution(UNBOUNDED, None, None, None, result.pivots)
-
-    d = result.d
-    primal = [0] * n
-    for b, x in zip(result.basis, result.values):
-        if b < n:
-            primal[b] = x
-    dual = result.dual
-    value = sum(c * x for c, x in zip(objective, primal))
-    _check_certificates(lp, primal, dual, d, value)
-
-    return LPSolution(
-        OPTIMAL,
-        tuple(Fraction(x, d) if x else _ZERO for x in primal),
-        tuple(Fraction(y, d) for y in dual),
-        Fraction(value, d),
-        result.pivots,
-    )

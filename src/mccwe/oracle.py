@@ -33,7 +33,7 @@ from fractions import Fraction
 from . import configlp
 from .bits import bits_of, subset_sums
 from .errors import BadParams, CertificateError, NotMCCWE, NotSingleMinded, SizeLimit
-from .lp import LinearProgram, solve_lp
+from .lp import OPTIMAL, simplex
 from .market import Allocation, Instance, Outcome, Partition
 from .market import _undominated, block_tables, check_fits, induced_partition, singleton_partition
 from .valuations import SingleMinded, _INT, _check_kinds
@@ -392,6 +392,50 @@ def best_mccwe(
     return outcome, None if best is None else Fraction(best, instance.scale)
 
 
+def _item_prices_support(m, desired, values, winners):
+    """Does the winner family's item-pricing LP reach t = 1?
+
+    Column j < m is item j's price: +1 in the row of the winner that
+    desires j, -1 in the rows of the losers that do.  Column m is t: v'_l in
+    each loser l's row, and 1 in row n, t <= 1.  A winner's row has
+    right-hand side v'_w, a loser's 0.  The basis is re-checked in integers:
+    no row filled past b d, x >= 0, y >= 0, y.A_j >= d c_j, and y.b = x_t.
+    """
+    n = len(desired)
+    lost = [not winners >> i & 1 for i in range(n)]
+    columns = [
+        [(i, -1 if lost[i] else 1) for i in range(n) if desired[i] >> j & 1] for j in range(m)
+    ]
+    columns.append([(i, v) for i, v in enumerate(values) if lost[i] and v] + [(n, 1)])
+    rhs = [0 if out else v for out, v in zip(lost, values)] + [1]
+
+    def price(d, lam):
+        costs = [sum(lam[r] * a for r, a in col) for col in columns]
+        costs[m] += d
+        return costs
+
+    basic = simplex(m + 1, rhs, price, columns.__getitem__)
+    d, dual = basic.d, basic.dual
+    x = dict(zip(basic.basis, basic.values))
+    filled = [0] * (n + 1)
+    covers = [0] * (m + 1)
+    for j, col in enumerate(columns):
+        for r, a in col:
+            filled[r] += a * x.get(j, 0)
+            covers[j] += a * dual[r]
+    t = x.get(m, 0)
+    if (
+        basic.status != OPTIMAL
+        or min(basic.values + dual) < 0
+        or any(f > b * d for f, b in zip(filled, rhs))
+        or min(covers[:m]) < 0
+        or covers[m] < d
+        or sum(y * b for y, b in zip(dual, rhs)) != t
+    ):
+        raise CertificateError("item-pricing LP basis fails its integer re-check")
+    return t == d
+
+
 def best_single_minded_item_pricing(
     instance: Instance, budget: OracleBudget | None = None
 ) -> Fraction:
@@ -409,25 +453,11 @@ def best_single_minded_item_pricing(
     check_fits(instance)
     if not all(isinstance(v, SingleMinded) for v in instance.agents):
         raise NotSingleMinded("item-pricing bound needs single-minded agents")
-    budget = _allowance(budget)
-    m, n = instance.m, instance.n
-    budget.charge(1 << n)
-    # Each agent's row over (p'_0, ..., p'_{m-1}, t), as a winner and as a loser.
-    just_t = (0,) * m + (1,)
-    as_winner = []
-    as_loser = []
-    for i, v in enumerate(instance.agents):
-        items = tuple(v.desired >> j & 1 for j in range(m))
-        value = instance.scaled_value(i, v.desired)
-        as_winner.append((items + (0,), value))
-        as_loser.append((tuple(-a for a in items) + (value,), 0))
-
+    _allowance(budget).charge(1 << instance.n)
+    desired = [v.desired for v in instance.agents]
+    values = [instance.scaled_value(i, d) for i, d in enumerate(desired)]
     best = 0  # empty winner set is always feasible
     for winners, welfare in _disjoint_winner_sets(instance):
-        if welfare <= best:
-            continue
-        rows = [as_winner[i] if winners >> i & 1 else as_loser[i] for i in range(n)]
-        rows.append((just_t, 1))
-        if solve_lp(LinearProgram(just_t, tuple(rows))).objective_value == 1:
+        if welfare > best and _item_prices_support(instance.m, desired, values, winners):
             best = welfare
     return Fraction(best, instance.scale)

@@ -11,10 +11,11 @@ scales, and `value_table`, the package's one value-table builder, writes a
 valuation's integer table at such a scale, over items (the singleton
 partition) or over up to 20 blocks.  `_utilities` is the one block-utility
 routine: the demand query and correspondence and the verifier read its
-rows, and `preferred` applies the tie-break below to one.  `Partition`, the blocks a table is indexed by, is
-defined here with the tables (`market` re-exports it).  Demand and
-relative-demand queries enumerate subsets, which is exact at desk scale; a
-single-minded valuation answers relative demand in closed form.
+rows, and `preferred` applies the tie-break below to one.  `Partition`,
+the blocks a table is indexed by, is defined here with the tables
+(`market` re-exports it).  Demand and relative-demand queries enumerate
+subsets, which is exact at desk scale; a single-minded valuation answers
+relative demand in closed form.
 
 Tie-breaking is fully deterministic everywhere: maximum utility (or density),
 then fewest elements, then numerically smallest bitmask.

@@ -2,8 +2,9 @@
 
 `build_config_lp` builds every one of the n(2^k - 1) columns (agent,
 nonempty block set), agent by agent in increasing mask order, as the
-library did before it kept undominated columns only.  `dense_opt` solves
-that program with the library's integer simplex, and `covers_every_column`
+library did before it kept undominated columns only; `pruned_config_lp`
+builds the library's program as rows.  `dense_opt` solves the dense
+program with the library's integer simplex, and `covers_every_column`
 checks a dual against each of its columns in `Fraction`s, from the
 valuations' own data (`value_reference`), not from the integer tables.
 `check_full_dual` is the integer re-check the library ran before it read
@@ -15,9 +16,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from lp_reference import LinearProgram, library_solve
 from mccwe.bits import bits_of, subset_sums
+from mccwe.configlp import _program
 from mccwe.errors import CertificateError
-from mccwe.lp import OPTIMAL, LinearProgram, solve_lp
+from mccwe.lp import OPTIMAL
 from mccwe.market import induced_partition, social_welfare
 from mccwe.valuations import value_table
 from value_reference import reduced_value
@@ -44,9 +47,20 @@ def build_config_lp(instance, partition) -> LinearProgram:
     return LinearProgram(tuple(objective), tuple(rows))
 
 
+def pruned_config_lp(instance, partition) -> LinearProgram:
+    """The library's program: its undominated columns, n agent rows and k
+    block rows, each with right-hand side 1."""
+    tables, columns = _program(instance, partition)
+    k = len(partition.blocks)
+    rows = [tuple(int(agent == i) for agent, _mask in columns) for i in range(instance.n)]
+    rows += [tuple(mask >> j & 1 for _agent, mask in columns) for j in range(k)]
+    objective = tuple(tables[i][mask] for i, mask in columns)
+    return LinearProgram(objective, tuple((row, 1) for row in rows))
+
+
 def dense_opt(instance, partition) -> tuple[Fraction, tuple, tuple]:
     """(value, agent duals, block duals) of the dense LP, in market units."""
-    sol = solve_lp(build_config_lp(instance, partition))
+    sol = library_solve(build_config_lp(instance, partition))
     assert sol.status == OPTIMAL
     dual = [d / instance.scale for d in sol.dual]
     return sol.objective_value / instance.scale, tuple(dual[: instance.n]), tuple(dual[instance.n :])

@@ -1,7 +1,7 @@
 """The exact `Fraction` simplex that `mccwe.lp` replaced, kept as a reference.
 
-A dense one-phase primal simplex over `Fraction` entries, on the same
-packing-shaped programs as `mccwe.lp.solve_lp`, with three entering rules:
+A dense one-phase primal simplex over `Fraction` entries, on packing-shaped
+programs given by their rows, with three entering rules:
 
 * `FALLBACK`, the library's: the largest positive reduced cost (Dantzig's
   rule), lowest index on ties, and Bland's rule for good after
@@ -12,18 +12,23 @@ packing-shaped programs as `mccwe.lp.solve_lp`, with three entering rules:
   raises `Cycled` when a basis recurs.
 
 All three share the ratio test and its smallest-basis-index tie-break.
-Tests compare the library's `(status, primal, dual, objective_value)` and
-pivot count with `FALLBACK`'s on the same programs; the integer tableau
-must reproduce every pivot choice, so the answers are identical, not merely
-equal in value.
+Tests compare the library's `simplex` (`library_solve` runs it on the
+rows) with `FALLBACK` on status, primal, dual, value and pivot count; the
+integer tableau must reproduce every pivot choice, so the answers are
+identical, not merely equal in value.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 from mccwe.errors import CertificateError
-from mccwe.lp import OPTIMAL, UNBOUNDED, LinearProgram, LPSolution
+from mccwe.lp import OPTIMAL, UNBOUNDED, simplex
+
+# max objective . x subject to coeffs . x <= rhs for each (coeffs, rhs), x >= 0
+LinearProgram = namedtuple("LinearProgram", "objective constraints")
+LPSolution = namedtuple("LPSolution", "status primal dual objective_value pivots")
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -166,3 +171,31 @@ def solve(lp: LinearProgram, rule: str = FALLBACK) -> tuple[LPSolution, int | No
 def solve_lp(lp: LinearProgram) -> LPSolution:
     """`solve` by the library's rule, FALLBACK."""
     return solve(lp)[0]
+
+
+def library_solve(lp: LinearProgram) -> LPSolution:
+    """The library's integer `simplex` on the program, priced from its rows."""
+    rows = [coeffs for coeffs, _rhs in lp.constraints]
+
+    def price(d, lam):
+        costs = [sum(y * row[j] for y, row in zip(lam, rows)) for j in range(len(lp.objective))]
+        return [d * c + cost for c, cost in zip(lp.objective, costs)]
+
+    def column(j):
+        return [(r, row[j]) for r, row in enumerate(rows) if row[j]]
+
+    rhs = [b for _coeffs, b in lp.constraints]
+    return read_basis(lp.objective, simplex(len(lp.objective), rhs, price, column))
+
+
+def read_basis(objective, basic) -> LPSolution:
+    """A `simplex` basis over these objective coefficients, in `Fraction`s."""
+    if basic.status == UNBOUNDED:
+        return LPSolution(UNBOUNDED, None, None, None, basic.pivots)
+    primal = [_ZERO] * len(objective)
+    for j, x in zip(basic.basis, basic.values):
+        if j < len(objective):
+            primal[j] = Fraction(x, basic.d)
+    value = sum((c * x for c, x in zip(objective, primal)), _ZERO)
+    dual = tuple(Fraction(y, basic.d) for y in basic.dual)
+    return LPSolution(OPTIMAL, tuple(primal), dual, value, basic.pivots)

@@ -25,13 +25,13 @@ from mccwe import (
     singleton_partition,
     social_welfare,
 )
-from configlp_reference import build_config_lp as dense_config_lp
+from configlp_reference import build_config_lp as dense_config_lp, pruned_config_lp
 from mccwe.bits import mask_of
 from mccwe import cli, configlp, oracle
-from mccwe.configlp import build_config_lp, fractional_opt, supporting_prices
+from mccwe.configlp import MAX_VARIABLES, fractional_opt, supporting_prices
 from mccwe.equilibria import MCCWE, verify
 from mccwe.instances import built_in, generate, parse_instance, write_instance
-from mccwe.lp import MAX_VARIABLES, UNBOUNDED, simplex
+from mccwe.lp import UNBOUNDED, simplex
 from mccwe.oracle import optimal_integral, optimal_over_partition
 from value_reference import reduced_value
 
@@ -47,7 +47,7 @@ def _peaks_at(inst, x):
 def test_build_counts_single_agent_single_block():
     inst = Instance(2, (BudgetAdditive(F(5), (F(2), F(2))),))
     p = Partition(2, (0b11,))
-    lp = build_config_lp(inst, p)
+    lp = pruned_config_lp(inst, p)
     assert len(lp.objective) == 1
     assert fractional_opt(inst, p).value == 4
 
@@ -57,7 +57,7 @@ def test_build_counts_two_agents_two_blocks():
         2,
         (BudgetAdditive(F(5), (F(2), F(2))), BudgetAdditive(F(5), (F(1), F(1)))),
     )
-    lp = build_config_lp(inst, singleton_partition(2))
+    lp = pruned_config_lp(inst, singleton_partition(2))
     assert len(lp.objective) == 2 * 3
     assert len(lp.constraints) == 2 + 2
 
@@ -65,7 +65,7 @@ def test_build_counts_two_agents_two_blocks():
 def test_build_counts_fig1a():
     # Only undominated columns are built: 10 of the dense LP's 5 * 15.
     inst = built_in("fig1a")
-    lp = build_config_lp(inst, singleton_partition(4))
+    lp = pruned_config_lp(inst, singleton_partition(4))
     assert len(lp.objective) == 10
     assert len(lp.constraints) == 5 + 4
     dense = dense_config_lp(inst, singleton_partition(4))

@@ -11,10 +11,11 @@ the integer re-check it replaced (`configlp_reference.check_full_dual`)
 does, on random tables and on duals just feasible and just infeasible.
 
 `fractional_opt` pivots the program on its slack block and prices columns
-from the value tables; `build_config_lp` builds the same program, and
-`solve_lp` pivots it with every column priced from its rows.  On every
-(market, partition) that a seed-1 and a seed-2 gap pass solve, and on the
-cases above, both must give the same y, duals, value and pivot count.
+from the value tables; `configlp_reference.pruned_config_lp` builds the
+same program as rows, and `lp_reference.library_solve` pivots it with
+every column priced from them.  On every (market, partition) that a
+seed-1 and a seed-2 gap pass solve, and on the cases above, both must
+give the same y, duals, value and pivot count.
 """
 
 import io
@@ -26,13 +27,14 @@ from math import lcm
 import pytest
 
 from configlp_reference import check_full_dual, covers_every_column, dense_opt
-from configlp_reference import dense_supportable
+from configlp_reference import dense_supportable, pruned_config_lp
+from lp_reference import library_solve
 from mccwe import CertificateError, NotMCCWE, Partition, allocation, induced_partition
 from mccwe import cli, configlp, singleton_partition, social_welfare
 from mccwe.configlp import fractional_opt, supporting_prices
 from mccwe.equilibria import MCCWE, verify
 from mccwe.instances import FAMILIES, built_in, generate, partition_reduction
-from mccwe.lp import simplex, solve_lp
+from mccwe.lp import simplex
 from mccwe.oracle import optimal_integral
 from test_configlp import _gap_workload
 
@@ -132,7 +134,7 @@ def test_the_markets_prune_columns_and_refuse_allocations():
     for instance in _MARKETS:
         partitions, allocations = _cases(instance)
         for partition in partitions:
-            kept = len(configlp.build_config_lp(instance, partition).objective)
+            kept = len(pruned_config_lp(instance, partition).objective)
             pruned += kept < instance.n * ((1 << len(partition.blocks)) - 1)
         refused += sum(not dense_supportable(instance, x) for x in allocations)
     assert pruned >= 200 and refused >= 100
@@ -205,10 +207,10 @@ def test_the_full_dual_recheck_matches_the_integer_reference():
 
 
 def _reference_answer(instance, partition):
-    """(y, dual_u, dual_q, value, pivots) of `solve_lp` on the built program,
+    """(y, dual_u, dual_q, value, pivots) of `library_solve` on the built program,
     each column labelled (agent, mask) from its own rows."""
-    lp = configlp.build_config_lp(instance, partition)
-    sol = solve_lp(lp)
+    lp = pruned_config_lp(instance, partition)
+    sol = library_solve(lp)
     n, scale = instance.n, instance.scale
     rows = [coeffs for coeffs, _rhs in lp.constraints]
     labels = [

@@ -4,22 +4,25 @@ Both solvers pivot by the same rule on the same program (the largest
 reduced cost, then Bland's rule after a run of degenerate pivots), so they
 must agree on every pivot: the tests require identical status, primal,
 dual, value and pivot count, not merely the same optimum.  Bland's rule
-alone, the library's rule before, must reach the same value.
+alone, the library's rule before, must reach the same value.  The
+item-pricing LP hands `simplex` closures, not rows: each program it solves
+is rebuilt as rows from them and solved by the reference too.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
-from configlp_reference import build_config_lp as dense_config_lp
-from lp_reference import BLAND, solve as reference_solve, solve_lp as reference_solve_lp
-from mccwe import induced_partition, singleton_partition
+from configlp_reference import build_config_lp as dense_config_lp, pruned_config_lp
+from lp_reference import BLAND, LinearProgram, library_solve, read_basis
+from lp_reference import solve as reference_solve, solve_lp as reference_solve_lp
+from mccwe import CertificateError, induced_partition, singleton_partition
 from mccwe import oracle
-from mccwe.configlp import build_config_lp
 from mccwe.instances import built_in, generate, partition_reduction
-from mccwe.lp import OPTIMAL, UNBOUNDED, LinearProgram, solve_lp
+from mccwe.lp import OPTIMAL, UNBOUNDED, simplex
 from mccwe.oracle import best_single_minded_item_pricing, optimal_integral
 from test_lp import check_dual_from_outside
 
@@ -31,7 +34,7 @@ def _answer(sol):
 
 
 def _assert_same(lp):
-    sol = solve_lp(lp)
+    sol = library_solve(lp)
     assert _answer(sol) == _answer(reference_solve_lp(lp))
     return sol.status
 
@@ -39,7 +42,7 @@ def _assert_same(lp):
 def _assert_blands_value(lp):
     """The same status and value as Bland's rule alone, and a certificate
     that holds from outside the solver."""
-    sol = solve_lp(lp)
+    sol = library_solve(lp)
     bland, _switched = reference_solve(lp, BLAND)
     assert (sol.status, sol.objective_value) == (bland.status, bland.objective_value)
     if sol.status == OPTIMAL:
@@ -120,7 +123,7 @@ def test_configuration_lps_reach_blands_value_in_fewer_pivots():
     for instance in _gap_markets():
         x, _welfare = optimal_integral(instance)
         for partition in (singleton_partition(instance.m), induced_partition(x)[0]):
-            sol, bland = _assert_blands_value(build_config_lp(instance, partition))
+            sol, bland = _assert_blands_value(pruned_config_lp(instance, partition))
             pivots["library"] += sol.pivots
             pivots["bland"] += bland.pivots
     assert pivots == {"library": 171, "bland": 381}
@@ -129,10 +132,10 @@ def test_configuration_lps_reach_blands_value_in_fewer_pivots():
 def test_fallback_fires_on_a_seeded_configuration_lp():
     # Five degenerate pivots in a row on a random super-additive market's
     # singleton LP: the sixth pivot on enters by Bland's rule.
-    lp = build_config_lp(generate("random_superadditive", 5, 3, 0), singleton_partition(5))
+    lp = pruned_config_lp(generate("random_superadditive", 5, 3, 0), singleton_partition(5))
     reference, switched = reference_solve(lp)
     assert (switched, reference.pivots) == (6, 9)
-    assert _answer(solve_lp(lp)) == _answer(reference)
+    assert _answer(library_solve(lp)) == _answer(reference)
 
 
 @pytest.mark.parametrize("instance", _gap_markets(), ids=lambda inst: inst.name)
@@ -142,19 +145,81 @@ def test_configuration_lps_match_the_reference(instance):
     x, _welfare = optimal_integral(instance)
     for partition in (singleton_partition(instance.m), induced_partition(x)[0]):
         assert _assert_same(dense_config_lp(instance, partition)) == OPTIMAL
-        assert _assert_same(build_config_lp(instance, partition)) == OPTIMAL
+        assert _assert_same(pruned_config_lp(instance, partition)) == OPTIMAL
 
 
-def test_item_pricing_lps_match_the_reference(monkeypatch):
-    programs = []
+def _rows(ncols, rhs, price, column):
+    """The program the closures describe, as rows: the objective is the
+    reduced cost at d = 1 and zero multipliers, each row read off the
+    columns' entries."""
+    objective = tuple(price(1, [0] * len(rhs)))
+    rows = [[0] * ncols for _ in rhs]
+    for j in range(ncols):
+        for r, a in column(j):
+            rows[r][j] = a
+    return LinearProgram(objective, tuple((tuple(row), b) for row, b in zip(rows, rhs)))
 
-    def recording(lp):
-        programs.append(lp)
-        return solve_lp(lp)
 
-    monkeypatch.setattr(oracle, "solve_lp", recording)
+def test_item_pricing_lps_pivot_as_the_reference(monkeypatch):
+    solves = []
+
+    def recording(*program):
+        solves.append((program, simplex(*program)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(oracle, "simplex", recording)
     for seed in range(12):
         best_single_minded_item_pricing(generate("random_single_minded", 5, 4, seed))
-    assert len(programs) > 12
-    for lp in programs:
-        assert _assert_same(lp) == OPTIMAL
+    assert best_single_minded_item_pricing(built_in("bundling_necessity", m=9)) == 7
+    assert len(solves) > 12
+    for program, basic in solves:
+        lp = _rows(*program)
+        assert read_basis(lp.objective, basic) == reference_solve_lp(lp)
+
+
+def _shifted(field, pick, delta):
+    """A corruption of a basis: entry `pick(basis)` of `field` moved by delta."""
+
+    def corrupt(basic):
+        entries = list(getattr(basic, field))
+        entries[pick(basic)] += delta
+        return replace(basic, **{field: tuple(entries)})
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _shifted("dual", lambda basic: 0, 1),
+        _shifted("dual", lambda basic: 1, 1),
+        _shifted("values", lambda basic: basic.basis.index(0), 1),
+        _shifted("values", lambda basic: basic.basis.index(7), -2),
+        lambda basic: _shifted("dual", lambda b: 3, -1)(
+            _shifted("values", lambda b: b.basis.index(4), -1)(basic)
+        ),
+        lambda basic: replace(basic, status=UNBOUNDED),
+    ],
+    ids=["winner-dual", "loser-dual", "price", "negative-slack", "no-t", "unbounded"],
+)
+def test_a_corrupted_item_pricing_basis_is_caught(corrupt, monkeypatch):
+    # bundling_necessity(4) solves one LP, for the winner family {0}: agents
+    # 0 and 1 want overlapping pairs, agent 2 every item.  Its basis prices
+    # item 0 at agent 0's value, 5, and holds t = 1 and agent 2's slack, 1.
+    # Each corruption fails one check of the re-check: a dual raised in the
+    # winner's row breaks strong duality, in a loser's row the cover of the
+    # items it desires; a higher price overfills the winner's row, the slack
+    # turns negative, and t = 0 with a zero dual on t <= 1 leaves t's column
+    # uncovered.  The re-check is no assert, so it holds under -O.
+    inst = built_in("bundling_necessity", m=4)
+    assert best_single_minded_item_pricing(inst) == 5
+    solves = []
+
+    def corrupted(*program):
+        solves.append(program)
+        return corrupt(simplex(*program))
+
+    monkeypatch.setattr(oracle, "simplex", corrupted)
+    with pytest.raises(CertificateError, match="integer re-check"):
+        best_single_minded_item_pricing(inst)
+    assert len(solves) == 1  # refused at the one LP, not a later one

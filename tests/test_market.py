@@ -20,7 +20,6 @@ from mccwe import (
     allocation,
     best_mccwe,
     best_single_minded_item_pricing,
-    build_config_lp,
     built_in,
     bundle_efficient_full_surplus,
     demand_query,
@@ -49,7 +48,6 @@ from mccwe import (
 from mccwe.bits import mask_of
 from mccwe.equilibria import demand_correspondence
 from mccwe.instances import generate, parse_allocation, parse_outcome, write_allocation
-from mccwe.lp import solve_lp
 from mccwe.market import block_tables, check_fits
 from mccwe.mechanisms import MechanismTrace
 from mccwe.valuations import demand_utilities, is_superadditive_family, preferred, value_table
@@ -303,7 +301,6 @@ def test_library_calls_reject_another_markets_shapes():
     fig1a = built_in("fig1a")
     necessity = built_in("bundling_necessity", m=4)
     for call in (
-        lambda: build_config_lp(fig1a, singleton_partition(5)),
         lambda: fractional_opt(fig1a, singleton_partition(5)),
         lambda: optimal_over_partition(fig1a, singleton_partition(3)),
         lambda: bundle_efficient_full_surplus(necessity, singleton_partition(3)),
@@ -521,17 +518,15 @@ def test_entry_points_outside_check_fits_check_their_argument_kinds(call, messag
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: solve_lp(5), "the program must be a LinearProgram, got int"),
         (lambda: preferred(5), "utilities must be a tuple or a list, got int"),
         (lambda: preferred([0, None]), "utilities must be ints"),
         (lambda: check_fits(_FIG1A, _FOUR, 5), "the kind must be Allocation, Outcome or Partition"),
         (lambda: check_fits(_FIG1A, _FOUR, [Partition]), "the kind must be Allocation"),
     ],
-    ids=["solve_lp", "preferred", "preferred-entry", "check_fits-kind", "check_fits-list"],
+    ids=["preferred", "preferred-entry", "check_fits-kind", "check_fits-list"],
 )
-def test_lp_demand_and_fit_entry_points_check_their_argument_kinds(call, message):
-    # These leaked AttributeError ("'int' object has no attribute
-    # 'objective'"), TypeError ("object of type 'int' has no len()") and
+def test_demand_and_fit_entry_points_check_their_argument_kinds(call, message):
+    # These leaked TypeError ("object of type 'int' has no len()") and
     # KeyError (5) before.
     with pytest.raises(BadParams, match=message):
         call()

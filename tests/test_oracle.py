@@ -194,7 +194,7 @@ def test_item_pricing_trivial_and_second_price():
 
 def test_item_pricing_bundling_necessity():
     inst = built_in("bundling_necessity", m=16)
-    assert best_single_minded_item_pricing(inst) == 9
+    assert best_single_minded_item_pricing(inst) == 9 == reference_item_pricing(inst)[0]
 
 
 def test_item_pricing_rejects_other_families():
@@ -281,17 +281,18 @@ def reference_item_pricing(inst):
     return best, rejected
 
 
-def test_item_pricing_matches_the_inequality_system():
+@pytest.mark.parametrize(
+    "least_m, ms, least_n", [(1, 6, 1), (2, 7, 2)], ids=["m1-6_n1-5", "m2-8_n2-6"]
+)
+def test_item_pricing_matches_the_inequality_system(least_m, ms, least_n):
     rejected = 0
     for seed in range(300):
-        m, n = 1 + seed % 6, 1 + seed // 6 % 5
+        m, n = least_m + seed % ms, least_n + seed // ms % 5
         inst = generate("random_single_minded", m, n, seed)
         bound, infeasible = reference_item_pricing(inst)
         assert best_single_minded_item_pricing(inst) == bound
         rejected += infeasible
     assert rejected >= 100  # both LP answers are exercised
-    inst = built_in("bundling_necessity", m=16)
-    assert reference_item_pricing(inst)[0] == best_single_minded_item_pricing(inst) == 9
 
 
 def test_nonuniform_example_bundling_hurts():

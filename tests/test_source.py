@@ -80,11 +80,10 @@ def test_the_check_sees_where_size_limit_is_raised():
 
 
 # One rule per size bound: the table size, the relative-demand walk, the
-# explicit-table validation, the LP width (twice: the configuration LP
-# refuses before it builds a table) and the oracles' budget.
+# explicit-table validation, the configuration LP's width (checked before
+# it builds a table) and the oracles' budget.
 SIZE_RULES = {
     "configlp.py": {"_program"},
-    "lp.py": {"LinearProgram.__post_init__"},
     "oracle.py": {"OracleBudget.charge"},
     "valuations.py": {"value_table", "relative_demand_query", "SuperadditiveExplicit.__post_init__"},
 }
@@ -167,10 +166,21 @@ def called_names(source: str) -> set[str]:
     }
 
 
+def _defining_and_calling(function: str) -> tuple[list[str], list[str]]:
+    """The modules that define `function`, and those that call it by name."""
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    defining = [name for name, text in sources.items() if function in defined_functions(text)]
+    calling = [name for name, text in sources.items() if function in called_names(text)]
+    return defining, calling
+
+
 def test_one_dominance_filter_serves_the_lp_and_the_dp():
     # `market._undominated` prunes both the configuration LP's columns and
     # the bundles winner determination folds.
-    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
-    defining = [name for name, text in sources.items() if "_undominated" in defined_functions(text)]
-    calling = [name for name, text in sources.items() if "_undominated" in called_names(text)]
-    assert defining == ["market.py"] and calling == ["configlp.py", "oracle.py"]
+    assert _defining_and_calling("_undominated") == (["market.py"], ["configlp.py", "oracle.py"])
+
+
+def test_one_pivot_loop_serves_both_lps():
+    # `lp.simplex` is the one LP entry point: the configuration LP and the
+    # item-pricing LP hand it closures, and no module pivots on its own.
+    assert _defining_and_calling("simplex") == (["lp.py"], ["configlp.py", "oracle.py"])
