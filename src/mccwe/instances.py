@@ -229,7 +229,7 @@ def _bound_call(maker, what: str, *args, **params) -> Instance:
 
 
 def built_in(name: str, **params) -> Instance:
-    if name not in BUILTINS:
+    if type(name) is not str or name not in BUILTINS:
         raise BadParams(f"unknown built-in instance {name!r}")
     return _bound_call(BUILTINS[name], f"built-in instance {name!r}", **params)
 
@@ -306,6 +306,7 @@ def generate(
     The seed is SplitMix64's 64-bit state, so it must lie in [0, 2^64).
     Only random_uniform_budget_additive takes identical budgets."""
     _check_kinds((m, n, seed), _INT, "m, n and the seed must be ints")
+    _check_kinds((identical_budgets,), {bool}, "identical_budgets must be a bool")
     if not 0 <= seed <= _MASK64:
         raise BadParams(f"the seed must be in [0, 2^64), got {seed}")
     if identical_budgets and family != "random_uniform_budget_additive":

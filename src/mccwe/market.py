@@ -26,6 +26,7 @@ from .valuations import (
     _check_cover,
     _check_items,
     _check_kinds,
+    _freeze,
     _misfit,
     value_table,
 )
@@ -48,7 +49,8 @@ class Instance:
     per partition: `block_tables` the agents' value tables (see
     `block_tables`), `optima` the oracles' welfare optima and `config_lps`
     `configlp.fractional_opt`'s solutions.  They start empty, and a market
-    never changes, so each entry holds while the instance lives.
+    never changes (its agents are kept as a tuple, a list copied), so each
+    entry holds while the instance lives.
     """
 
     m: int
@@ -69,7 +71,7 @@ class Instance:
             raise BadParams("metadata must be JSON, with string keys")
         _check_items(self.m)
         _check_kinds((self.agents,), _SEQUENCES, "agents must be a tuple or a list")
-        if not self.agents:
+        if not _freeze(self, "agents"):
             raise BadParams("need at least one agent")
         _check_kinds(self.agents, _FAMILIES, "agents must be valuations of the five families")
         for idx, v in enumerate(self.agents):
@@ -140,6 +142,7 @@ class Allocation:
 
     def __post_init__(self):
         _check_cover(self.m, self.bundles, "bundles", self.x0)
+        _freeze(self, "bundles")
 
     @property
     def n(self) -> int:
@@ -203,6 +206,7 @@ class Outcome:
         x, bundle_priced = self.allocation, self.prices is not None
         listed = self.prices if bundle_priced else self.item_prices
         _check_kinds((listed,), _SEQUENCES, "prices must be a tuple or a list")
+        listed = _freeze(self, "prices" if bundle_priced else "item_prices")
         if bundle_priced and len(self.prices) != x.n:
             raise BadParams("one bundle price per agent required")
         if not bundle_priced and len(self.item_prices) != x.m:

@@ -182,9 +182,8 @@ def superadditive_mccwe(
     the blocks in its better bundle set, over the allocation's induced
     partition, so ties go to the largest gap, then the lowest agent, then
     the fewest blocks, then the smallest block-set mask.  More than n*n
-    merges raise CertificateError.  Past 24 items the relative-demand query
-    raises SizeLimit unless every agent is single-minded (a closed form),
-    and past 20 blocks so does `verify`'s value table.
+    merges raise CertificateError.  Past 20 blocks `verify`'s value table
+    raises SizeLimit.
     """
     _require_superadditive(instance)
     m, n = instance.m, instance.n

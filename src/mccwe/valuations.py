@@ -13,9 +13,9 @@ partition) or over up to 20 blocks.  `_utilities` is the one block-utility
 routine: the demand query and correspondence and the verifier read its
 rows, and `preferred` applies the tie-break below to one.  `Partition`,
 the blocks a table is indexed by, is defined here with the tables
-(`market` re-exports it).  Demand and relative-demand queries enumerate
-subsets, which is exact at desk scale; a single-minded valuation answers
-relative demand in closed form.
+(`market` re-exports it).  Demand queries enumerate block subsets.
+Relative demand has a closed form for every family but explicit tables,
+whose pools (at most 12 items) are enumerated.
 
 Tie-breaking is fully deterministic everywhere: maximum utility (or density),
 then fewest elements, then numerically smallest bitmask.
@@ -58,6 +58,17 @@ def _check_items(m) -> None:
         raise BadParams(f"need at least one item and at most {MAX_ITEMS} items, got {m}")
 
 
+def _freeze(obj, name: str):
+    """obj's `name` field, stored back as a tuple when it is a list: no
+    caller's list is kept, and equal data compares and hashes equal.  A
+    tuple is kept as it is."""
+    values = getattr(obj, name)
+    if type(values) is list:
+        values = tuple(values)
+        object.__setattr__(obj, name, values)
+    return values
+
+
 def _scale_data(v, **data) -> None:
     """Set v.scale to the LCM of the data's denominators and each named
     field to its data times v.scale, read off each datum's numerator and
@@ -93,7 +104,7 @@ class Additive(_Scaled):
     item_values: tuple[int | Fraction, ...]
 
     def __post_init__(self):
-        _scale_data(self, scaled_items=self.item_values)
+        _scale_data(self, scaled_items=_freeze(self, "item_values"))
 
     def scaled_value(self, mask: int) -> int:
         items = self.scaled_items
@@ -137,7 +148,7 @@ class SuperadditiveExplicit(_Scaled):
             raise BadParams("table length must be a power of two")
         if m > 12:
             raise SizeLimit("explicit tables are validated only up to 12 items")
-        _scale_data(self, scaled_table=self.table)
+        _scale_data(self, scaled_table=_freeze(self, "table"))
         table = self.scaled_table
         if table[0] != 0:
             raise BadParams("table is not normalized: v(empty) != 0")
@@ -163,7 +174,7 @@ class BudgetAdditive(_Scaled):
     item_values: tuple[int | Fraction, ...]
 
     def __post_init__(self):
-        _scale_data(self, scaled_budget=(self.budget,), scaled_items=self.item_values)
+        _scale_data(self, scaled_budget=(self.budget,), scaled_items=_freeze(self, "item_values"))
 
     def scaled_value(self, mask: int) -> int:
         items, (budget,) = self.scaled_items, self.scaled_budget
@@ -186,7 +197,7 @@ class CappedCardinalityAdditive(_Scaled):
         _check_kinds((self.cap,), _INT, "a cardinality cap must be an int")
         if self.cap < 0:
             raise BadParams("negative cardinality cap")
-        _scale_data(self, scaled_items=self.item_values)
+        _scale_data(self, scaled_items=_freeze(self, "item_values"))
 
     def scaled_value(self, mask: int) -> int:
         picked = sorted((self.scaled_items[j] for j in bits_of(mask)), reverse=True)
@@ -365,14 +376,13 @@ def relative_demand_query(v: Valuation, pool: int) -> tuple[int, Fraction]:
 
     Ties break toward smaller sets, then the numerically smallest mask; an
     all-zero valuation therefore yields the pool's first singleton.  A
-    single-minded valuation answers in closed form: its desired set when
-    the pool holds it and it is worth something, else that singleton.
-    Otherwise the query enumerates the pool, so it raises SizeLimit past
-    24 items: among sets of one size the densest is the most valuable, so
-    one walk over the pool keeps each size's most valuable set (smallest
-    mask on ties), and only those winners are compared by density, all on
-    the valuation's integer values.  Raises BadParams when the pool holds
-    an item the valuation is not over.
+    single-minded valuation answers with its desired set when the pool
+    holds it and it is worth something, else that singleton; the additive
+    families with the pool's most valuable item (lowest index on ties), as
+    v(S) <= |S| * max v({j}).  An explicit table (at most 12 items) walks
+    the pool once, keeping each size's most valuable set (smallest mask on
+    ties), and compares only those by density, all in integers.  Raises
+    BadParams when the pool holds an item the valuation is not over.
     """
     _check_kinds((v,), _FAMILIES, _VALUATION_RULE)
     _check_kinds((pool,), _INT, "a pool must be an int item mask")
@@ -386,10 +396,11 @@ def relative_demand_query(v: Valuation, pool: int) -> tuple[int, Fraction]:
         if pool & v.desired == v.desired and served > 0:
             return v.desired, Fraction(served, v.scale * v.desired.bit_count())
         return pool & -pool, _ZERO
-    k = pool.bit_count()
-    if k > 24:
-        raise SizeLimit("relative-demand enumeration capped at 24 items")
     value = v.scaled_value
+    if not isinstance(v, SuperadditiveExplicit):  # max returns the lowest best item
+        item = 1 << max(bits_of(pool), key=lambda j: value(1 << j))
+        return item, Fraction(value(item), v.scale)
+    k = pool.bit_count()
     top_values = [-1] * (k + 1)  # below every value: valuations are nonnegative
     top_masks = [0] * (k + 1)
     sub = pool

@@ -20,7 +20,6 @@ from mccwe import (
     singleton_partition,
     social_welfare,
 )
-from mccwe.bits import full_mask
 from mccwe.cli import main as cli_main
 from mccwe.configlp import fractional_opt, supporting_prices
 from mccwe.equilibria import MCCWE, WE, verify

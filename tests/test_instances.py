@@ -17,7 +17,7 @@ from mccwe import (
     SuperadditiveExplicit,
     allocation,
 )
-from mccwe.bits import bits_of, items_of
+from mccwe.bits import bits_of
 from mccwe.cli import main
 from mccwe.errors import SizeLimit
 from mccwe.instances import (
@@ -159,6 +159,13 @@ def test_family_names_dispatch():
         built_in("mystery")
     with pytest.raises(BadParams):
         generate("mystery", 3, 2, 4)
+    # Before: an unhashable name leaked TypeError, and any truthy flag
+    # counted as True.
+    for name in (["fig1a"], {}):
+        with pytest.raises(BadParams, match="unknown built-in instance"):
+            built_in(name)
+    with pytest.raises(BadParams, match="identical_budgets must be a bool"):
+        generate("random_uniform_budget_additive", 3, 2, 4, identical_budgets=5)
 
 
 def test_instance_round_trips():

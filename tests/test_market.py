@@ -78,6 +78,36 @@ def test_instance_rejects_agents_not_over_its_items():
             Instance(3, fits + (misfit,))
 
 
+def test_list_built_objects_hold_tuples_and_equal_their_twins():
+    # Before: each kept the caller's list, so it equalled no tuple-built
+    # twin, could not be hashed, and a market could change under its memos.
+    twins = (
+        (Additive([1, 2]), Additive((1, 2))),
+        (BudgetAdditive(3, [1, 2]), BudgetAdditive(3, (1, 2))),
+        (CappedCardinalityAdditive([1, 2], 1), CappedCardinalityAdditive((1, 2), 1)),
+        (SuperadditiveExplicit([0, 1, 1, 3]), SuperadditiveExplicit((0, 1, 1, 3))),
+        (Instance(2, [Additive((1, 2))]), Instance(2, (Additive((1, 2)),))),
+        (Allocation(2, 0, [1, 2]), Allocation(2, 0, (1, 2))),
+        (Outcome(allocation(2, (1, 2)), prices=[1, 2]), Outcome(allocation(2, (1, 2)), (1, 2))),
+        (
+            Outcome(allocation(2, (1, 2)), item_prices=[1, 2]),
+            Outcome(allocation(2, (1, 2)), item_prices=(1, 2)),
+        ),
+    )
+    for listed, tupled in twins:
+        assert listed == tupled and hash(listed) == hash(tupled), listed
+    agents = [Additive((1, 2)), Additive((2, 1))]
+    inst = Instance(2, agents)
+    assert optimal_integral(inst) == (Allocation(2, 0, (0b10, 0b01)), 4)
+    agents.append(Additive((5, 5)))
+    assert inst.agents == tuple(agents[:2])
+    assert optimal_integral(inst) == (Allocation(2, 0, (0b10, 0b01)), 4)
+    assert optimal_integral(Instance(2, agents))[1] == 10
+    # a tuple is kept as it is, with no copy
+    values = (1, 2)
+    assert Additive(values).item_values is values
+
+
 def test_instance_admits_only_the_valuation_families():
     class ValueTable:  # duck-typed, with nothing to show it is monotone
         scale = 1

@@ -8,6 +8,7 @@ from mccwe import (
     Additive,
     BadParams,
     BudgetAdditive,
+    CappedCardinalityAdditive,
     CertificateError,
     Instance,
     NotIdenticalBudgets,
@@ -16,7 +17,6 @@ from mccwe import (
     NotUniformBudgetAdditive,
     Partition,
     SingleMinded,
-    SizeLimit,
     allocation,
     revenue,
     singleton_partition,
@@ -40,7 +40,7 @@ from mccwe.mechanisms import (
     uniform_budget_additive_mccwe,
 )
 from mccwe.oracle import best_mccwe, optimal_integral, optimal_over_partition
-from mccwe.valuations import demand_utilities, relative_demand_query
+from mccwe.valuations import demand_utilities
 
 F = Fraction
 
@@ -180,9 +180,38 @@ def test_superadditive_rejects_budget_capped():
         superadditive_mccwe(built_in("fig1a"))
 
 
-def test_superadditive_stops_at_the_relative_demand_cap():
-    with pytest.raises(SizeLimit, match="24 items"):
-        superadditive_mccwe(Instance(25, (Additive((F(1),) * 25),)))
+def _additive_family_market(kind, m, n, rng):
+    """n agents of one additive family on m items, none binding its budget or
+    cap, so each is super-additive; about a third of the item values are 0."""
+    agents = []
+    for _ in range(n):
+        values = tuple(max(0, rng.randint(-3, 9)) for _ in range(m))
+        if kind == "additive":
+            agents.append(Additive(values))
+        elif kind == "budget":
+            agents.append(BudgetAdditive(sum(values) + rng.randint(0, 5), values))
+        else:
+            positives = sum(1 for x in values if x)
+            agents.append(CappedCardinalityAdditive(values, positives + rng.randint(0, 3)))
+    return Instance(m, tuple(agents))
+
+
+def test_superadditive_additive_families_past_24_items():
+    # Before: the relative-demand query's 24-item cap raised SizeLimit on
+    # every one of these; the best item is now its closed form.
+    lone = Instance(25, (Additive((F(1),) * 25),))
+    out = superadditive_mccwe(lone)
+    assert out.allocation.bundles == (full_mask(25),) and out.prices == (25,)
+    assert verify(lone, out, MCCWE).ok
+    rng = SplitMix64(29)
+    for kind in ("additive", "budget", "capped"):
+        for m in (64, 256):
+            inst = _additive_family_market(kind, m, 3, rng)
+            out = superadditive_mccwe(inst)
+            # each item goes to its top bidder, so the welfare is the optimum
+            top = sum(max(v.item_values[j] for v in inst.agents) for j in range(m))
+            assert social_welfare(inst, out.allocation) == top, (kind, m)
+            assert verify(inst, out, MCCWE).ok, (kind, m)
 
 
 def test_single_minded_one_agent():

@@ -1,13 +1,14 @@
-"""Source hygiene that a grep cannot check: every name a module imports is
-used, each size bound is raised in the one place that holds it, and every
-digit test takes ASCII digits only."""
+"""Source hygiene that a grep cannot check: every name a module or a test
+file imports is used, each size bound is raised in the one place that
+holds it, and every digit test takes ASCII digits only."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "mccwe"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "mccwe"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,7 +41,9 @@ def test_the_check_sees_an_unused_import():
 
 # The package's __init__ imports names only to export them.
 @pytest.mark.parametrize(
-    "path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
+    "path",
+    sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name,
 )
 def test_every_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -79,13 +82,13 @@ def test_the_check_sees_where_size_limit_is_raised():
     assert size_limit_raisers(source) == {"Table.__post_init__", "build.inner"}
 
 
-# One rule per size bound: the table size, the relative-demand walk, the
-# explicit-table validation, the configuration LP's width (checked before
-# it builds a table) and the oracles' budget.
+# One rule per size bound: the table size, the explicit-table validation,
+# the configuration LP's width (checked before it builds a table) and the
+# oracles' budget.
 SIZE_RULES = {
     "configlp.py": {"_program"},
     "oracle.py": {"OracleBudget.charge"},
-    "valuations.py": {"value_table", "relative_demand_query", "SuperadditiveExplicit.__post_init__"},
+    "valuations.py": {"value_table", "SuperadditiveExplicit.__post_init__"},
 }
 
 

@@ -46,6 +46,7 @@ from value_reference import (
     identical_budgets,
     item_table,
     monotone,
+    per_size_relative_demand,
     reduced_value,
     shared_item_values,
     splits_superadditive,
@@ -334,12 +335,20 @@ def test_relative_demand_empty_pool():
         relative_demand_query(Additive((F(1),)), 0)
 
 
-def test_relative_demand_cap_counts_pool_items_not_positions():
-    # One item at position 30: two candidate subsets, not 2^31.
+def test_relative_demand_additive_families_answer_at_any_pool_size():
+    # Before: pools over 24 items raised SizeLimit.  The best item answers,
+    # the lowest on ties, wherever the pool's items sit.
     v = Additive((F(0),) * 30 + (F(3),))
     assert relative_demand_query(v, 1 << 30) == (1 << 30, F(3))
-    with pytest.raises(SizeLimit):
-        relative_demand_query(Additive((F(1),) * 25), (1 << 25) - 1)
+    assert relative_demand_query(Additive((F(1),) * 25), (1 << 25) - 1) == (1, F(1))
+    values = tuple(F(j % 7, 2) for j in range(256))  # the top value, 3, first at item 6
+    pool = (1 << 256) - 1
+    for v in (Additive(values), CappedCardinalityAdditive(values, 200)):
+        assert relative_demand_query(v, pool) == (1 << 6, F(3))
+        assert relative_demand_query(v, pool & ~(1 << 6)) == (1 << 13, F(3))
+    # binding a budget or a cap lowers the best item's density, no set beats it
+    assert relative_demand_query(BudgetAdditive(F(5, 2), values), pool) == (1 << 5, F(5, 2))
+    assert relative_demand_query(CappedCardinalityAdditive(values, 0), pool) == (1, F(0))
 
 
 def test_relative_demand_single_minded_closed_form_needs_no_item_cap():
@@ -349,8 +358,7 @@ def test_relative_demand_single_minded_closed_form_needs_no_item_cap():
     pool = (1 << 64) - 1
     assert relative_demand_query(v, pool) == (desired, F(2))
     assert relative_demand_query(v, pool & ~(1 << 40)) == (1, F(0))
-    with pytest.raises(SizeLimit):
-        relative_demand_query(Additive((F(1),) * 64), pool)
+    assert relative_demand_query(Additive((F(1),) * 64), pool) == (1, F(1))
 
 def test_relative_demand_density_identity():
     v = BudgetAdditive(F(4), (F(3), F(2), F(2)))
@@ -421,6 +429,66 @@ def test_relative_demand_matches_brute_force_on_every_pool():
                     pools += 1
                     tied += len(keys) > 1 and keys[1][0] == neg_density
     assert pools > 10_000 and tied > pools // 2
+
+
+def _additive_family_valuation(family, m, seed, rng):
+    """One valuation of `family` on m items, tie-heavy: values 0 to 4, as
+    ints for even seeds and halves or thirds for odd ones.  The binding
+    budget is below the additive mass, the slack one at or above it, and
+    the cap runs through 0..m as the seed grows."""
+    values = tuple(
+        rng.randint(0, 4) if seed % 2 == 0 else F(rng.randint(0, 4), rng.randint(2, 3))
+        for _ in range(m)
+    )
+    mass = sum(values)
+    if family == "additive":
+        return Additive(values)
+    if family == "budget_binding":
+        return BudgetAdditive(F(rng.randint(0, max(0, int(mass) - 1))), values)
+    if family == "budget_slack":
+        return BudgetAdditive(mass + rng.randint(0, 3), values)
+    return CappedCardinalityAdditive(values, seed // 7 % (m + 1))
+
+
+@pytest.mark.parametrize("family", ["additive", "budget_binding", "budget_slack", "capped"])
+def test_relative_demand_closed_form_matches_the_per_size_walk(family):
+    caps, tied = set(), 0
+    for seed in range(500):
+        rng = SplitMix64(seed)
+        m = 6 + seed % 7
+        v = _additive_family_valuation(family, m, seed, rng)
+        # the whole market on half the seeds, a seeded nonempty pool on the
+        # rest; seed % 4 crosses both with int and fractional values
+        pool = (1 << m) - 1 if seed % 4 < 2 else rng.randint(1, (1 << m) - 1)
+        assert relative_demand_query(v, pool) == per_size_relative_demand(v, pool), (v, pool)
+        singles = [v.scaled_value(1 << j) for j in bits.bits_of(pool)]
+        tied += singles.count(max(singles)) > 1
+        if family == "capped":
+            caps.add((m, v.cap))
+    assert tied > 100
+    if family == "capped":
+        assert caps == {(m, cap) for m in range(6, 13) for cap in range(m + 1)}
+
+
+def test_relative_demand_walks_only_explicit_tables(monkeypatch):
+    # The closed forms read one value per pool item, and the answer's once
+    # more; only an explicit table reads every nonempty subset of the pool.
+    calls = []
+    for family in (Additive, BudgetAdditive, CappedCardinalityAdditive, SuperadditiveExplicit):
+        original = family.scaled_value
+        monkeypatch.setattr(
+            family, "scaled_value", lambda v, mask, f=original: calls.append(mask) or f(v, mask)
+        )
+    pool = 0b1011011011  # 7 items
+    for v, reads in (
+        (Additive((1,) * 10), 8),
+        (BudgetAdditive(3, (1,) * 10), 8),
+        (CappedCardinalityAdditive((1,) * 10, 2), 8),
+        (SuperadditiveExplicit(tuple(s.bit_count() for s in range(1 << 10))), (1 << 7) - 1),
+    ):
+        calls.clear()
+        relative_demand_query(v, pool)
+        assert len(calls) == reads, type(v).__name__
 
 
 def test_classify_single_minded_is_superadditive():

@@ -12,6 +12,8 @@ number as a `Fraction`; the tests compare the integer reader against it.
 datum; the batched digit check and the int-only scaling are compared
 against them.  `subset_sums` and `subset_unions` are the per-mask loops
 that `mccwe.bits` replaced with one doubling pass per bit.
+`per_size_relative_demand` is the subset walk, on the integer values, that
+the additive families' best-item closed form replaced.
 """
 
 from __future__ import annotations
@@ -64,6 +66,29 @@ def utility(v, partition, bundle_set: int, prices) -> Fraction:
     for j in bits_of(bundle_set):
         total -= prices[j]
     return total
+
+
+def per_size_relative_demand(v, pool: int) -> tuple[int, Fraction]:
+    """`relative_demand_query` by the per-size walk that answered it for
+    every family but single-minded: among sets of one size the densest is
+    the most valuable, so one walk over the pool keeps each size's most
+    valuable set (smallest mask on ties), and the densest of those wins,
+    the smallest size on ties, all on the valuation's integer values."""
+    k = pool.bit_count()
+    top_values = [-1] * (k + 1)  # below every value: valuations are nonnegative
+    top_masks = [0] * (k + 1)
+    sub = pool
+    while sub:  # masks descend, so >= leaves the smallest mask of a tie
+        val = v.scaled_value(sub)
+        size = sub.bit_count()
+        if val >= top_values[size]:
+            top_values[size], top_masks[size] = val, sub
+        sub = (sub - 1) & pool
+    best = 1
+    for size in range(2, k + 1):
+        if top_values[size] * best > top_values[best] * size:
+            best = size
+    return top_masks[best], Fraction(top_values[best], v.scale * best)
 
 
 def item_table(v, m: int) -> list[Fraction]:
