@@ -240,14 +240,12 @@ def _cmd_verify(args, out) -> int:
 
 def _cmd_oracle(args, out) -> int:
     inst = _load_instance(args.instance)
-    _x, opt = oracle.optimal_integral(inst)
-    print(f"opt={opt}", file=out)
+    lines = [f"opt={oracle.optimal_integral(inst)[1]}"]  # every answer before any output
     if args.best_mccwe:
-        _outcome, best = oracle.best_mccwe(inst)
-        print(f"best_mccwe={best}", file=out)
+        lines.append(f"best_mccwe={oracle.best_mccwe(inst)[1]}")
     if args.item_pricing:
-        bound = oracle.best_single_minded_item_pricing(inst)
-        print(f"item_pricing={bound}", file=out)
+        lines.append(f"item_pricing={oracle.best_single_minded_item_pricing(inst)}")
+    print("\n".join(lines), file=out)
     return 0
 
 

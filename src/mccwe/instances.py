@@ -43,10 +43,14 @@ _MASK64 = (1 << 64) - 1
 
 
 class SplitMix64:
-    """SplitMix64 stream; randint maps the raw draw by modulo."""
+    """SplitMix64 stream; randint maps the raw draw by modulo.  The seed is
+    the 64-bit state: BadParams unless it is an int in [0, 2^64)."""
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK64
+        _check_kinds((seed,), _INT, "the seed must be an int")
+        if not 0 <= seed <= _MASK64:
+            raise BadParams(f"the seed must be in [0, 2^64), got {seed}")
+        self.state = seed
 
     def next_u64(self) -> int:
         self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
@@ -307,14 +311,12 @@ def generate(
     Only random_uniform_budget_additive takes identical budgets."""
     _check_kinds((m, n, seed), _INT, "m, n and the seed must be ints")
     _check_kinds((identical_budgets,), {bool}, "identical_budgets must be a bool")
-    if not 0 <= seed <= _MASK64:
-        raise BadParams(f"the seed must be in [0, 2^64), got {seed}")
+    rng = SplitMix64(seed)
     if identical_budgets and family != "random_uniform_budget_additive":
         raise BadParams(f"{family!r} takes no identical budgets")
     _check_items(m)
     if n < 1:
         raise BadParams("need at least one agent")
-    rng = SplitMix64(seed)
     if family == "random_superadditive":
         if m > 10:
             raise BadParams("explicit random tables capped at 10 items")

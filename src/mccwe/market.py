@@ -49,8 +49,8 @@ class Instance:
     per partition: `block_tables` the agents' value tables (see
     `block_tables`), `optima` the oracles' welfare optima and `config_lps`
     `configlp.fractional_opt`'s solutions.  They start empty, and a market
-    never changes (its agents are kept as a tuple, a list copied), so each
-    entry holds while the instance lives.
+    never changes (its agents are kept as a tuple, a list copied, and its
+    metadata as a JSON copy), so each entry holds while the instance lives.
     """
 
     m: int
@@ -64,11 +64,13 @@ class Instance:
         if self.metadata is not None and not isinstance(self.metadata, dict):
             raise BadParams("metadata must be an object")
         try:  # JSON, with no NaN or Infinity, must write and read it back as it is
-            ok = json.loads(json.dumps(self.metadata, allow_nan=False)) == self.metadata
+            copy = json.loads(json.dumps(self.metadata, allow_nan=False))
+            ok = copy == self.metadata
         except (TypeError, ValueError, RecursionError):
             ok = False
         if not ok:
             raise BadParams("metadata must be JSON, with string keys")
+        object.__setattr__(self, "metadata", copy)  # the caller's dict is not kept
         _check_items(self.m)
         _check_kinds((self.agents,), _SEQUENCES, "agents must be a tuple or a list")
         if not _freeze(self, "agents"):

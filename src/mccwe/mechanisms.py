@@ -36,6 +36,7 @@ from .market import (
     Instance,
     Outcome,
     Partition,
+    allocation,
     check_fits,
     full_surplus_outcome,
     induced_partition,
@@ -66,19 +67,17 @@ class MechanismTrace:
 
 
 class _State:
-    """Mutable allocation under construction from `start` (nothing sold yet
-    when it is None), recording into a trace labelled `mechanism`."""
+    """Mutable allocation under construction from the Allocation `start`,
+    recording into a trace labelled `mechanism`; the trace is checked
+    first."""
 
-    def __init__(self, instance, start: Allocation | None, trace, mechanism: str):
+    def __init__(self, instance, start: Allocation, trace, mechanism: str):
         _check_kinds((trace,), {MechanismTrace, type(None)}, "a trace must be a MechanismTrace")
         if trace is not None:
             _check_kinds((trace.steps,), {list}, "a trace's steps must be a list")
             trace.mechanism = mechanism
-        if start is None:
-            self.bundles, self.x0 = [0] * instance.n, full_mask(instance.m)
-        else:
-            check_fits(instance, start, Allocation)
-            self.bundles, self.x0 = list(start.bundles), start.x0
+        check_fits(instance, start, Allocation)
+        self.bundles, self.x0 = list(start.bundles), start.x0
         self.instance = instance
         self.trace = trace
 
@@ -144,7 +143,7 @@ def bundle_efficient_full_surplus(
 
 def _sell_blocks(instance, partition, trace, mechanism: str) -> Outcome:
     _require_superadditive(instance)
-    state = _State(instance, None, trace, mechanism)
+    state = _State(instance, allocation(instance.m, [0] * instance.n), trace, mechanism)
     owners, _value = oracle_mod.optimal_over_partition(instance, partition)
     for block, owner in zip(partition.blocks, owners):
         state.give("assign", owner, block)
@@ -187,7 +186,7 @@ def superadditive_mccwe(
     """
     _require_superadditive(instance)
     m, n = instance.m, instance.n
-    state = _State(instance, None, trace, "superadditive")
+    state = _State(instance, allocation(m, [0] * n), trace, "superadditive")
 
     pool = full_mask(m)
     while pool:
@@ -236,7 +235,7 @@ def single_minded_mccwe(
     m, n = instance.m, instance.n
     desired = [v.desired for v in instance.agents]
     values = [instance.scaled_value(i, desired[i]) for i in range(n)]
-    state = _State(instance, None, trace, "singleminded")
+    state = _State(instance, allocation(m, [0] * n), trace, "singleminded")
 
     small = [i for i in range(n) if desired[i].bit_count() ** 2 <= m]
     taken = 0

@@ -101,46 +101,35 @@ def _assignments(k, tables, floor):
     place.  floor[0] is None (no floor) or a welfare, and the caller may
     raise it between yields.
 
-    The walk runs depth first over owner-vector prefixes.  A prefix is
+    The walk recurses depth first over owner-vector prefixes, one unit per
+    level, trying the agents in order and then "unallocated".  A prefix is
     skipped, with every assignment below it, when its completion bound
     sum_i t_i[S_i | R], S_i agent i's units so far and R the units not yet
     assigned, is at most the floor: every table is monotone, so no
-    completion beats it.  At a leaf R is empty and the bound is the welfare.
+    completion beats it.  At depth k R is empty, the bound is the welfare,
+    and the leaf is yielded.
     """
-    n = len(tables)
     full = (1 << k) - 1
-    owners = [0] * k  # 0 for every unit not yet assigned
-    sets = [0] * n
-    rest = 0
-    j = 0  # units 0..j-1 are assigned
-    while True:
+    sets = [0] * len(tables)
+
+    def walk(j, rest):
         free = full >> j << j
         bound = 0
         for table, s in zip(tables, sets):
             bound += table[s | free]
-        if floor[0] is None or bound > floor[0]:
-            if j < k:
-                sets[0] |= 1 << j
-                j += 1
-                continue
-            yield bound, sets, rest
-        # Step the deepest assigned unit that can still advance, unassigning
-        # the "unallocated" units below it.
-        j -= 1
-        while j >= 0 and owners[j] == n:
-            rest ^= 1 << j
-            owners[j] = 0
-            j -= 1
-        if j < 0:
+        if floor[0] is not None and bound <= floor[0]:
             return
-        d = owners[j]
-        sets[d] ^= 1 << j
-        if d + 1 < n:
-            sets[d + 1] |= 1 << j
-        else:
-            rest |= 1 << j
-        owners[j] = d + 1
-        j += 1
+        if j == k:
+            yield bound, sets, rest
+            return
+        unit = 1 << j
+        for i in range(len(sets)):
+            sets[i] |= unit
+            yield from walk(j + 1, rest)
+            sets[i] ^= unit
+        yield from walk(j + 1, rest | unit)
+
+    return walk(0, 0)
 
 
 def _winner_determination(k, tables):
@@ -244,22 +233,20 @@ def _check_assignment(full, sets, keys, top):
 def optimal_integral(
     instance: Instance, budget: OracleBudget | None = None
 ) -> tuple[Allocation, Fraction]:
-    """Welfare-maximal allocation by the exact integer subset DP.
+    """Welfare-maximal allocation by the exact integer subset DP, charged
+    (n+1)^m states, the size of the assignment space.
 
     Ties go to the lexicographically smallest owner vector, which the DP
-    encodes in its integer key.  The budget is charged (n+1)^m states, the
-    size of the assignment space.  Single-minded markets whose assignment
-    space exceeds the budget fall back to exact winner-set search over the
-    2^n disjoint-set families, which returns the same value and the same
-    tie-break.
+    encodes in its integer key.  A single-minded market with fewer winner
+    sets than assignments, 2^n < (n+1)^m, is searched over its disjoint
+    winner sets instead and charged 2^n; the search breaks ties by the DP's
+    own digits, so it returns the same allocation and value.
     """
     check_fits(instance)
     budget = _allowance(budget)
     m, n = instance.m, instance.n
     states = (n + 1) ** m
-    if states > budget.limit - budget.used and all(
-        isinstance(v, SingleMinded) for v in instance.agents
-    ):
+    if 1 << n < states and all(isinstance(v, SingleMinded) for v in instance.agents):
         return _single_minded_optimum(instance, budget)
     budget.charge(states)
     sets, welfare = _optimum(instance, singleton_partition(m))
@@ -285,32 +272,24 @@ def _disjoint_winner_sets(instance):
 
 
 def _single_minded_optimum(instance, budget):
-    n = instance.n
+    """optimal_integral over the disjoint winner sets, charged 2^n.  Each
+    winner takes its desired set and agent 0 the rest.  A set at the best
+    welfare so far is scored by the DP's digits (`_winner_determination`):
+    agent i adds i*n^(m-1-j) for each item j it takes, so the fewest digits
+    are the smallest owner vector."""
+    m, n = instance.m, instance.n
     budget.charge(1 << n)
     desired = [v.desired for v in instance.agents]
-
-    best_welfare = None
-    best_vector = None
+    powers = [n ** (m - 1 - j) for j in range(m)]
+    digits = [i * sum(powers[j] for j in bits_of(d)) for i, d in enumerate(desired)]
+    best = (0, 0, 0)  # (welfare, -digits, winners) of the empty winner set
     for winners, welfare in _disjoint_winner_sets(instance):
-        if best_welfare is not None and welfare < best_welfare:
-            continue
-        vector = []
-        for j in range(instance.m):
-            owner = 0
-            for i in bits_of(winners):
-                if desired[i] >> j & 1:
-                    owner = i
-                    break
-            vector.append(owner)
-        vector = tuple(vector)
-        if best_welfare is None or welfare > best_welfare or vector < best_vector:
-            best_welfare = welfare
-            best_vector = vector
-
-    bundles = [0] * n
-    for j, owner in enumerate(best_vector):
-        bundles[owner] |= 1 << j
-    return Allocation(instance.m, 0, tuple(bundles)), Fraction(best_welfare, instance.scale)
+        if welfare >= best[0]:
+            best = max(best, (welfare, -sum(digits[i] for i in bits_of(winners)), winners))
+    welfare, _digits, winners = best
+    bundles = [desired[i] if winners >> i & 1 else 0 for i in range(n)]
+    bundles[0] |= (1 << m) - 1 ^ sum(bundles)
+    return Allocation(m, 0, tuple(bundles)), Fraction(welfare, instance.scale)
 
 
 def optimal_over_partition(

@@ -24,7 +24,7 @@ from mccwe.errors import (
     NotUniformBudgetAdditive,
     SizeLimit,
 )
-from mccwe.market import full_surplus_outcome
+from mccwe.market import allocation, full_surplus_outcome
 from mccwe.mechanisms import _require_superadditive, _State
 from mccwe.valuations import relative_demand_query
 from value_reference import shared_item_values
@@ -108,7 +108,7 @@ def superadditive_mccwe(instance, trace=None):
     m, n = instance.m, instance.n
     if n > 16:
         raise SizeLimit("merge phase capped at 16 agents")
-    state = _State(instance, None, trace, "superadditive")
+    state = _State(instance, allocation(m, [0] * n), trace, "superadditive")
 
     pool = full_mask(m)
     while pool:

@@ -248,6 +248,19 @@ def test_oracle_flags(tmp_path):
     assert "item_pricing=9\n" in text
 
 
+def test_oracle_prints_nothing_when_a_requested_answer_fails(tmp_path):
+    # Before, opt=16 reached stdout ahead of best_mccwe's SizeLimit, and
+    # opt=79/10 ahead of item pricing's NotSingleMinded.
+    appc, fig1a = tmp_path / "appc.json", tmp_path / "fig1a.json"
+    run(["gen", "bundling_necessity", "--m", "16", "-o", str(appc)])
+    run(["gen", "fig1a", "--eps", "1/10", "-o", str(fig1a)])
+    assert run(["oracle", "-i", str(appc), "--best-mccwe"]) == (2, "")
+    assert run(["oracle", "-i", str(fig1a), "--best-mccwe", "--item-pricing"]) == (2, "")
+    assert run(["oracle", "-i", str(fig1a), "--best-mccwe"]) == (0, "opt=79/10\nbest_mccwe=7\n")
+    argv = ["oracle", "-i", str(appc), "--item-pricing"]
+    assert run(argv) == (0, "opt=16\nitem_pricing=9\n")
+
+
 def test_parse_error_exit_code(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")

@@ -23,6 +23,7 @@ from mccwe.errors import SizeLimit
 from mccwe.instances import (
     BUILTINS,
     FAMILIES,
+    SplitMix64,
     built_in,
     generate,
     parse_allocation,
@@ -118,6 +119,32 @@ def test_the_seed_is_a_64_bit_state(family):
     for seed in (-1, 1 << 64, -(1 << 64)):
         with pytest.raises(BadParams, match=r"the seed must be in \[0, 2\^64\)"):
             generate(family, 3, 2, seed=seed)
+
+
+def test_splitmix64_takes_only_a_64_bit_int_seed():
+    # Before, a str seed leaked TypeError, and -1 and 2^64 silently masked to
+    # the streams of 2^64 - 1 and 0.
+    assert SplitMix64((1 << 64) - 1).next_u64() == SplitMix64((1 << 64) - 1).next_u64()
+    assert SplitMix64(0).state == 0
+    for seed, message in (
+        (True, "^the seed must be an int, got bool$"),
+        ("a", "^the seed must be an int, got str$"),
+        (-1, r"^the seed must be in \[0, 2\^64\), got -1$"),
+        (1 << 64, rf"^the seed must be in \[0, 2\^64\), got {1 << 64}$"),
+    ):
+        with pytest.raises(BadParams, match=message):
+            SplitMix64(seed)
+
+
+def test_an_instance_keeps_a_copy_of_its_metadata():
+    # Before, the caller's dict was kept, so a Fraction put in after the
+    # check made write_instance leak TypeError.
+    meta = {"a": 1, "b": [2]}
+    inst = Instance(1, (Additive((F(1),)),), metadata=meta)
+    meta["b"].append(F(1, 2))
+    meta["c"] = F(1, 2)
+    assert inst.metadata == {"a": 1, "b": [2]}
+    assert json.loads(write_instance(inst))["metadata"] == {"a": 1, "b": [2]}
 
 
 def test_random_superadditive_really_is():

@@ -137,7 +137,7 @@ def test_trace_welfare_is_the_markets_own_welfare():
     for mechanism in (superadditive_mccwe, single_minded_mccwe):
         trace = MechanismTrace()
         out = mechanism(inst, trace)
-        state = _State(inst, None, None, "")
+        state = _State(inst, _empty(inst), None, "")
         welfare = F(0)
         for step in trace.steps:
             assert step.welfare_before == welfare
@@ -472,6 +472,18 @@ def test_start_allocation_must_match_the_instance_shape():
             call()
 
 
+def test_a_start_allocation_of_none_is_refused():
+    # Before, None ran each of these from "nothing sold".
+    fig1b = built_in("fig1b")
+    for call in (
+        lambda: uniform_budget_additive_mccwe(fig1b, None),
+        lambda: identical_budget_cleanup(fig1b, None),
+        lambda: replay_trace(fig1b, None, MechanismTrace()),
+    ):
+        with pytest.raises(BadParams, match="^the allocation must be an Allocation, got NoneType$"):
+            call()
+
+
 def test_replay_trace_rejects_steps_outside_the_market():
     # Before, agent -1 gave the items to agent 4 and True to agent 1 (as
     # list indices), and agent 9 raised IndexError.
@@ -614,7 +626,7 @@ def test_merge_steps_follow_verifys_first_violation():
             inst = generate(family, m, n, seed)
             trace = MechanismTrace()
             out = superadditive_mccwe(inst, trace)
-            state = _State(inst, None, None, "")
+            state = _State(inst, _empty(inst), None, "")
             for step in trace.steps:
                 if step.phase == "merge":
                     x = state.allocation()

@@ -129,6 +129,48 @@ def test_single_minded_fast_path_matches_enumeration():
         assert x_fast == x_slow
 
 
+def test_single_minded_search_matches_the_dp_on_seeded_markets():
+    # Zero and fractional values and repeated desired sets make many welfare
+    # ties, which the search must break by the DP's digits.
+    values = (F(0), F(0), F(1, 2), F(1), F(3, 2), F(2), F(5, 3))
+    mismatches = []
+    for seed in range(4200):
+        rng = SplitMix64(seed)
+        m, n = rng.randint(1, 7), rng.randint(1, 5)
+        pool = [rng.randint(1, (1 << m) - 1) for _ in range(rng.randint(1, n))]
+        agents = tuple(
+            SingleMinded(pool[rng.randint(0, len(pool) - 1)], values[rng.randint(0, 6)])
+            for _ in range(n)
+        )
+        inst = Instance(m, agents)
+        x, welfare = _single_minded_optimum(inst, OracleBudget())
+        sets, dp_welfare = oracle._optimum(inst, singleton_partition(m))
+        if (x.bundles, welfare) != (sets, F(dp_welfare, inst.scale)):
+            mismatches.append(seed)
+    assert mismatches == []
+
+
+def test_optimal_integral_charges_the_smaller_search_on_single_minded_markets():
+    # min(2^n, (n+1)^m), with the DP (which fills the optima memo) on ties.
+    # SizeLimit exactly where choosing the search by the budget left raised
+    # it: when both searches exceed what is left.
+    for m, n in itertools.product(range(1, 5), range(1, 6)):
+        dp, search = (n + 1) ** m, 1 << n
+        for used in (0, 3):
+            for left in sorted({0, 1, search - 1, search, dp - 1, dp}):
+                inst = generate("random_single_minded", m, n, m * 10 + n)
+                budget = OracleBudget(limit=used + left, used=used)
+                if dp > left and search > left:
+                    with pytest.raises(SizeLimit):
+                        optimal_integral(inst, budget)
+                    assert budget.used == used
+                    continue
+                x, welfare = optimal_integral(inst, budget)
+                assert budget.used == used + min(dp, search)
+                assert bool(inst.optima) == (dp <= search)
+                assert (x, welfare) == reference_integral(inst)
+
+
 def test_budget_abort():
     inst = generate("random_single_minded", 6, 3, 1)
     with pytest.raises(SizeLimit):
