@@ -60,6 +60,10 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def randint(self, lo: int, hi: int) -> int:
+        """A draw from lo..hi; BadParams unless both are ints and lo <= hi."""
+        _check_kinds((lo, hi), _INT, "randint bounds must be ints")
+        if hi < lo:
+            raise BadParams(f"randint needs lo <= hi, got {lo} > {hi}")
         return lo + self.next_u64() % (hi - lo + 1)
 
 

@@ -15,7 +15,9 @@ rows, and `preferred` applies the tie-break below to one.  `Partition`,
 the blocks a table is indexed by, is defined here with the tables
 (`market` re-exports it).  Demand queries enumerate block subsets.
 Relative demand has a closed form for every family but explicit tables,
-whose pools (at most 12 items) are enumerated.
+whose pools (at most 12 items) are enumerated.  An explicit table's
+super-additivity is proved where the table carries synergy, on the sets
+worth more than their items apart, not on every split of every set.
 
 Tie-breaking is fully deterministic everywhere: maximum utility (or density),
 then fewest elements, then numerically smallest bitmask.
@@ -25,7 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import lcm
+from operator import ge, sub as minus
 from typing import Union, get_args
 
 from .bits import bits_of, full_mask, subset_sums, subset_unions
@@ -136,6 +140,22 @@ class SuperadditiveExplicit(_Scaled):
     not super-additive on some disjoint pair (so a submodular table fails),
     checking the integer table.  A table that passes is monotone:
     v(S + j) >= v(S) + v({j}) >= v(S).
+
+    Super-additivity is checked on the synergy w = v less its additive
+    part, which is zero on singletons and super-additive exactly when v
+    is.  It holds iff (1) w[S + j] >= w[S] for every S and item j above
+    S's top item, and (2) w[S] + w[T] <= w[S + T] for every S with
+    w[S] > 0 and every nonempty T of the items below S's top item and
+    outside S.  Both are split checks, so no valid table fails.
+    Conversely (1) gives w >= 0, as w climbs from the singleton of a set's
+    lowest item to the set, one item up at a time.  Take a split {S, T},
+    S holding the union's top item: (2) covers it when w[S] > 0, and w >= 0
+    when w[S] = w[T] = 0.  When only w[T] > 0, (2) adds to T the items of
+    S below T's top item without lowering w, and (1) then adds the rest,
+    so w[S + T] >= w[T] = w[S] + w[T].  (1) is 2^m - 1 comparisons, a
+    block of 2^j per item j, and (2) visits a subset of the
+    (3^m - 1)/2 - (2^m - 1) splits, so a table costs at most those splits
+    plus 2^m, and far fewer when few sets carry synergy.
     """
 
     table: tuple[int | Fraction, ...]
@@ -152,15 +172,18 @@ class SuperadditiveExplicit(_Scaled):
         table = self.scaled_table
         if table[0] != 0:
             raise BadParams("table is not normalized: v(empty) != 0")
-        for union in range(1, size):
-            # each split {S, T} once: S is a nonempty set of the items below
-            # union's top item; S = union, T = empty holds since v(empty) = 0
-            top = table[union]
-            sub = lower = union ^ 1 << (union.bit_length() - 1)
-            while sub:
-                if table[sub] + table[union ^ sub] > top:
+        # w = v less its additive part: zero on singletons, super-additive iff v is
+        w = list(map(minus, table, subset_sums([table[1 << j] for j in range(m)])))
+        # (1) a block at a time: w[S + j] >= w[S] for every S below item j
+        if not all(all(map(ge, w[1 << j : 2 << j], w[: 1 << j])) for j in range(m)):
+            raise BadParams("table is not super-additive")
+        for s in compress(range(size), w):  # (2) on the sets with synergy
+            ws = w[s]
+            t = free = ((1 << s.bit_length() - 1) - 1) & ~s  # below S's top item, outside S
+            while t:
+                if ws + w[t] > w[s | t]:
                     raise BadParams("table is not super-additive")
-                sub = (sub - 1) & lower
+                t = (t - 1) & free
 
     def scaled_value(self, mask: int) -> int:
         return self.scaled_table[mask]

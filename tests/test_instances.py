@@ -136,6 +136,26 @@ def test_splitmix64_takes_only_a_64_bit_int_seed():
             SplitMix64(seed)
 
 
+def test_randint_takes_only_ordered_int_bounds():
+    # Before, randint(1, 0) leaked ZeroDivisionError, randint(5, 1) drew
+    # from 3..5, randint(1, 2.5) returned a float and a bool passed as an int.
+    rng = SplitMix64(2014)
+    bounds = ((0, 0), (0, 1), (1, 10), (-5, 5), (3, 3), (0, (1 << 64) - 1), (-(1 << 70), 1 << 70))
+    draws = [rng.randint(lo, hi) for lo, hi in bounds]
+    assert draws == [0, 1, 4, -5, 3, 4283057755417690474, -1170328258129202884061]
+    for lo, hi, message in (
+        (1, 0, "^randint needs lo <= hi, got 1 > 0$"),
+        (5, 1, "^randint needs lo <= hi, got 5 > 1$"),
+        (1, 2.5, "^randint bounds must be ints, got float$"),
+        (True, 3, "^randint bounds must be ints, got bool$"),
+        (0, F(3), "^randint bounds must be ints, got Fraction$"),
+    ):
+        state = rng.state
+        with pytest.raises(BadParams, match=message):
+            rng.randint(lo, hi)
+        assert rng.state == state  # a refused call draws nothing
+
+
 def test_an_instance_keeps_a_copy_of_its_metadata():
     # Before, the caller's dict was kept, so a Fraction put in after the
     # check made write_instance leak TypeError.
