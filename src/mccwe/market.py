@@ -13,8 +13,9 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 
-from .bits import bits_of, full_mask
+from .bits import bits_of, full_mask, subset_unions
 from .errors import BadParams
 from .valuations import (
     _EXACT,
@@ -103,15 +104,22 @@ def block_tables(instance: Instance, partition: Partition) -> tuple[tuple[int, .
     """Every agent's `value_table` over the partition's block subsets at the
     market's scale, as immutable tuples.  They are built on the first call
     per partition and kept in `instance.block_tables`; later calls return
-    the same object."""
+    the same object.  When the singleton partition's tables are kept, a
+    coarser partition's are read off them at the block subsets' unions
+    (`subset_unions`), the same integers, as a table's entry for S is
+    v(union of S) at the market's scale."""
     check_fits(instance, partition, Partition)
     memo = instance.block_tables
     tables = memo.get(partition.blocks)
     if tables is None:
-        scale = instance.scale
-        tables = memo[partition.blocks] = tuple(
-            tuple(value_table(v, partition, scale)) for v in instance.agents
-        )
+        singles = memo.get(tuple(1 << j for j in range(instance.m)))
+        if singles is not None:
+            pick = itemgetter(*subset_unions(partition.blocks))
+            tables = tuple(map(pick, singles))
+        else:
+            scale = instance.scale
+            tables = tuple(tuple(value_table(v, partition, scale)) for v in instance.agents)
+        memo[partition.blocks] = tables
     return tables
 
 

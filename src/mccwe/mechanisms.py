@@ -174,25 +174,31 @@ def superadditive_mccwe(
 
     Phase 1 repeatedly hands the highest value-per-item set to its agent
     until no items remain, then a single winner takes everything if that
-    beats the running welfare.  Phase 2 prices the allocation at full
-    surplus and runs `verify` in MC-CWE mode (phase 1 leaves nothing
-    unsold, so that is the CWE buyer check).  It returns the first outcome
-    that verifies; otherwise the first violation's agent takes the union of
-    the blocks in its better bundle set, over the allocation's induced
-    partition, so ties go to the largest gap, then the lowest agent, then
-    the fewest blocks, then the smallest block-set mask.  More than n*n
-    merges raise CertificateError.  Past 20 blocks `verify`'s value table
-    raises SizeLimit.
+    beats the running welfare.  Relative demand is an argmax over the pool's
+    subsets under one fixed order (`relative_demand_query`), and the pool
+    only shrinks, so an agent's answer stands until a grant takes one of
+    its items, and only then is the agent asked again.  Phase 2 prices the
+    allocation at full surplus and runs `verify` in MC-CWE mode (phase 1
+    leaves nothing unsold, so that is the CWE buyer check).  It returns the
+    first outcome that verifies; otherwise the first violation's agent
+    takes the union of the blocks in its better bundle set, over the
+    allocation's induced partition, so ties go to the largest gap, then the
+    lowest agent, then the fewest blocks, then the smallest block-set mask.
+    More than n*n merges raise CertificateError.  Past 20 blocks `verify`'s
+    value table raises SizeLimit.
     """
     _require_superadditive(instance)
     m, n = instance.m, instance.n
     state = _State(instance, allocation(m, [0] * n), trace, "superadditive")
 
     pool = full_mask(m)
+    answers = [(-1, None)] * n  # each agent's last answer; -1 makes every agent ask first
     while pool:
         best = None
         for i, v in enumerate(instance.agents):
-            found, density = relative_demand_query(v, pool)
+            if answers[i][0] & ~pool:
+                answers[i] = relative_demand_query(v, pool)
+            found, density = answers[i]
             if best is None or density > best[0]:
                 best = (density, i, found)
         _density, agent, found = best

@@ -21,8 +21,10 @@ supportable-optimum search steps through the assignments, "unallocated" as
 the last digit, with one depth-first walk, `_assignments`, that skips every
 owner-vector prefix whose monotone completion bound cannot beat the best
 supportable welfare found so far (branch and bound, after Land and Doig,
-1960).  The budget bounds the work, charged first (SizeLimit rather than
-exceed it), and `value_table`'s 20-block cap bounds each table.
+1960); each prefix bounds its children from one read of each agent's
+table, and one more per agent, before it enters any.  The budget bounds
+the work, charged first (SizeLimit rather than exceed it), and
+`value_table`'s 20-block cap bounds each table.
 """
 
 from __future__ import annotations
@@ -102,34 +104,44 @@ def _assignments(k, tables, floor):
     raise it between yields.
 
     The walk recurses depth first over owner-vector prefixes, one unit per
-    level, trying the agents in order and then "unallocated".  A prefix is
-    skipped, with every assignment below it, when its completion bound
-    sum_i t_i[S_i | R], S_i agent i's units so far and R the units not yet
-    assigned, is at most the floor: every table is monotone, so no
-    completion beats it.  At depth k R is empty, the bound is the welfare,
-    and the leaf is yielded.
+    level, trying the agents in order and then "unallocated".  A prefix's
+    completion bound is sum_i t_i[S_i | R], S_i agent i's units so far and
+    R the units not yet assigned; every table is monotone, so no completion
+    beats it, and a prefix whose bound is at most the floor is skipped with
+    every assignment below it.  The root's bound is sum_i t_i[full].  A
+    prefix at depth j reads each table once, without[i] = t_i[S_i | R'] for
+    R' the units after j, and bounds its children from base = sum(without):
+    the child that gives unit j to agent i by base - without[i] +
+    t_i[S_i | unit j | R'], the "unallocated" child by base.  The floor is
+    read just before each child is entered, so a floor the caller raised
+    since the last yield applies.  At depth k R is empty, the bound is the
+    welfare, and the leaf is yielded without a read.
     """
     full = (1 << k) - 1
     sets = [0] * len(tables)
+    agents = tuple(enumerate(tables))
 
-    def walk(j, rest):
-        free = full >> j << j
-        bound = 0
-        for table, s in zip(tables, sets):
-            bound += table[s | free]
-        if floor[0] is not None and bound <= floor[0]:
-            return
+    def walk(j, rest, bound):
         if j == k:
             yield bound, sets, rest
             return
         unit = 1 << j
-        for i in range(len(sets)):
-            sets[i] |= unit
-            yield from walk(j + 1, rest)
-            sets[i] ^= unit
-        yield from walk(j + 1, rest | unit)
+        free = full >> j + 1 << j + 1
+        without = [table[s | free] for table, s in zip(tables, sets)]
+        base = sum(without)
+        for i, table in agents:
+            s = sets[i]
+            child = base - without[i] + table[s | unit | free]
+            if floor[0] is None or child > floor[0]:
+                sets[i] = s | unit
+                yield from walk(j + 1, rest, child)
+                sets[i] = s
+        if floor[0] is None or base > floor[0]:
+            yield from walk(j + 1, rest | unit, base)
 
-    return walk(0, 0)
+    bound = sum(table[full] for table in tables)
+    if floor[0] is None or bound > floor[0]:
+        yield from walk(0, 0, bound)
 
 
 def _winner_determination(k, tables):

@@ -10,8 +10,10 @@ and every rebalance move recomputes the movable items and the recipient
 from the agents' item values.  The tests require the same traces, outcomes
 and errors from these and from `mccwe.mechanisms`.
 
-`superadditive_mccwe` here runs the library's density phase, then merges
-by `_best_merge`: an n*2^n table of every agent against every group of
+`superadditive_mccwe` here runs the density phase as `density_grants`,
+which asks every agent again after every grant where the library keeps
+each answer until a grant takes one of its items, then merges by
+`_best_merge`: an n*2^n table of every agent against every group of
 bundles, ranked by gap, then group size, then (agent, group mask).
 """
 
@@ -110,16 +112,8 @@ def superadditive_mccwe(instance, trace=None):
         raise SizeLimit("merge phase capped at 16 agents")
     state = _State(instance, allocation(m, [0] * n), trace, "superadditive")
 
-    pool = full_mask(m)
-    while pool:
-        best = None
-        for i, v in enumerate(instance.agents):
-            found, density = relative_demand_query(v, pool)
-            if best is None or density > best[0]:
-                best = (density, i, found)
-        _density, agent, found = best
+    for agent, found in density_grants(instance):
         state.give("density", agent, found)
-        pool &= ~found
 
     whole = [instance.scaled_value(i, full_mask(m)) for i in range(n)]
     top = max(range(n), key=lambda i: (whole[i], -i))
@@ -141,6 +135,23 @@ def superadditive_mccwe(instance, trace=None):
         state.give("merge", agent, union)
 
     return full_surplus_outcome(instance, state.allocation())
+
+
+def density_grants(instance):
+    """The density phase's grants, (agent, items) in order, asking every
+    agent for relative demand over the whole pool after every grant."""
+    grants = []
+    pool = full_mask(instance.m)
+    while pool:
+        best = None
+        for i, v in enumerate(instance.agents):
+            found, density = relative_demand_query(v, pool)
+            if best is None or density > best[0]:
+                best = (density, i, found)
+        _density, agent, found = best
+        grants.append((agent, found))
+        pool &= ~found
+    return grants
 
 
 def _best_merge(instance, bundles):

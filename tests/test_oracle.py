@@ -5,6 +5,7 @@ best_mccwe against brute force."""
 import copy
 import itertools
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,7 @@ from mccwe.oracle import (
 from mccwe.valuations import value_table
 import oracle_reference
 from oracle_reference import _assignments
+from test_valuations import _tie_heavy_valuations
 from value_reference import reduced_value
 
 F = Fraction
@@ -475,6 +477,39 @@ def test_block_tables_are_built_once_per_partition_and_cannot_change():
         tables[0] = ()
 
 
+def test_tables_read_off_the_singleton_tables_match_value_table(monkeypatch):
+    # Once the singleton tables are kept, a coarser partition's tables are
+    # read off them, with no value_table call; a fresh market builds them
+    # with value_table.  Every family, alone and mixed, at mixed scales.
+    def no_tables(v, partition, scale):
+        raise AssertionError("built a table where the singleton tables were kept")
+
+    projected = 0
+    for seed in range(3):
+        rng = SplitMix64(seed)
+        for m in range(1, 6):
+            agents = list(_tie_heavy_valuations(m, rng))
+            markets = [Instance(m, (v,)) for v in agents[:: 1 + len(agents) // 12]]
+            for _ in range(6):
+                n = rng.randint(2, 5)
+                picks = (rng.randint(0, len(agents) - 1) for _ in range(n))
+                markets.append(Instance(m, tuple(agents[i] for i in picks)))
+            for inst in markets:
+                partitions = [random_partition(m, rng) for _ in range(3)]
+                expected = [
+                    tuple(tuple(value_table(v, p, inst.scale)) for v in inst.agents)
+                    for p in partitions
+                ]
+                block_tables(inst, singleton_partition(m))
+                with monkeypatch.context() as patched:
+                    patched.setattr("mccwe.market.value_table", no_tables)
+                    assert [block_tables(inst, p) for p in partitions] == expected
+                fresh = copy.deepcopy(inst)
+                assert [block_tables(fresh, p) for p in partitions] == expected
+                projected += len(partitions)
+    assert projected > 300
+
+
 def test_optimum_is_computed_once_per_partition(monkeypatch):
     runs = []
     real = oracle._winner_determination
@@ -557,25 +592,74 @@ def test_the_walk_yields_the_reference_walk_above_its_floor():
             assert [(w, tuple(sets), rest) for w, sets, rest in walked] == expected
 
 
+def _monotone_table(rng, k):
+    """A random monotone integer table over k units: each set is worth its
+    best one-unit-smaller subset plus 0 to 3."""
+    table = [0] * (1 << k)
+    for s in range(1, 1 << k):
+        table[s] = max(table[s ^ 1 << j] for j in bits_of(s)) + rng.randint(0, 3)
+    return table
+
+
+def test_the_walk_applies_a_floor_raised_between_yields():
+    # The caller may raise the floor between yields, as best_mccwe does
+    # when a probe succeeds.  Each yield must be the plain odometer's next
+    # leaf that beats the floor in force at that moment, and once the walk
+    # ends no such leaf may be left.
+    rng = random.Random(2014)
+    skipped = 0
+    for n, k in itertools.product(range(1, 6), range(1, 7)):
+        for _ in range(2):
+            tables = [_monotone_table(rng, k) for _ in range(n)]
+            floor = [None]
+            reference = _assignments(k, tables)
+            for welfare, sets, rest in oracle._assignments(k, tables, floor):
+                for leaf in reference:
+                    if floor[0] is None or leaf[0] > floor[0]:
+                        break
+                    skipped += 1
+                else:
+                    pytest.fail("the walk yields past the odometer's last leaf")
+                assert (welfare, tuple(sets), rest) == (leaf[0], tuple(leaf[1]), leaf[2])
+                if rng.random() < 0.2:
+                    raised = welfare - rng.randint(0, 8)
+                    floor[0] = raised if floor[0] is None else max(floor[0], raised)
+            assert all(floor[0] is not None and w <= floor[0] for w, _s, _r in reference)
+    assert skipped > 50_000
+
+
 @pytest.mark.parametrize(
-    "name, eps, yields", [("fig1a", F(1, 10), 10), ("nonuniform_identical_budget", F(1, 8), 3)]
+    "name, eps, yields, reads",
+    [
+        pytest.param("fig1a", F(1, 10), 10, 945, id="fig1a-eps0-10"),
+        pytest.param(
+            "nonuniform_identical_budget", F(1, 8), 3, 75, id="nonuniform_identical_budget-eps1-3"
+        ),
+    ],
 )
-def test_best_mccwe_walks_only_what_can_beat_its_best(monkeypatch, name, eps, yields):
+def test_best_mccwe_walks_only_what_can_beat_its_best(monkeypatch, name, eps, yields, reads):
     # The owner-vector walk over fig1a's 6^4 = 1296 and the nonuniform
     # market's 4^3 = 64 assignments yields only those that beat the best
-    # supportable welfare at the time.
+    # supportable welfare at the time.  Bounding each child from its
+    # parent's reads, it reads the tables 945 and 75 times, where a walk
+    # that sums every table at every prefix it enters read 2825 and 147.
     walk = oracle._assignments
-    count = [0]
+    count = [0, 0]  # yields, table reads
+
+    class Counted(tuple):
+        def __getitem__(self, index):
+            count[1] += 1
+            return tuple.__getitem__(self, index)
 
     def counted(k, tables, floor):
-        for leaf in walk(k, tables, floor):
+        for leaf in walk(k, tuple(map(Counted, tables)), floor):
             count[0] += 1
             yield leaf
 
     monkeypatch.setattr(oracle, "_assignments", counted)
     inst = built_in(name, eps=eps)
     assert best_mccwe(inst) == oracle_reference.best_mccwe(copy.deepcopy(inst))
-    assert count[0] == yields
+    assert count == [yields, reads]
 
 
 def brute_force_best_mccwe(inst, lp_cache):

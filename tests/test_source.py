@@ -187,3 +187,56 @@ def test_one_pivot_loop_serves_both_lps():
     # `lp.simplex` is the one LP entry point: the configuration LP and the
     # item-pricing LP hand it closures, and no module pivots on its own.
     assert _defining_and_calling("simplex") == (["lp.py"], ["configlp.py", "oracle.py"])
+
+
+def callers(source: str, name: str) -> set[str]:
+    """The qualified names of the functions whose own bodies call `name`."""
+    found = set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, scope + (child.name,))
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == name
+            ):
+                found.add(".".join(scope))
+            walk(child, scope)
+
+    walk(ast.parse(source), ())
+    return found
+
+
+def test_the_check_sees_who_calls_a_function():
+    source = (
+        "def build(v):\n"
+        "    return [table(v, p) for p in parts]\n"
+        "class Market:\n"
+        "    def tables(self):\n"
+        "        def inner():\n"
+        "            return table(self, 1)\n"
+        "        return inner\n"
+        "def reads(table):\n"
+        "    return table\n"
+    )
+    assert callers(source, "table") == {"build", "Market.tables.inner"}
+
+
+def test_one_value_table_layer_builds_every_table():
+    # Tables are built where a market's tables are kept (`block_tables`,
+    # which also reads coarser tables off the singleton ones), and where
+    # one table is priced at a time: the verifier's utilities and the
+    # demand query's.  A new table builder elsewhere goes through these.
+    found = {
+        f"{path.stem}.{function}"
+        for path in sorted(SRC.glob("*.py"))
+        for function in callers(path.read_text(encoding="utf-8"), "value_table")
+    }
+    assert found == {
+        "market.block_tables",
+        "equilibria.verify",
+        "valuations.demand_utilities",
+    }
