@@ -408,30 +408,6 @@ def _rat_list(values, where):
     return tuple(parsed)
 
 
-def _agent_to_json(v) -> dict:
-    if isinstance(v, Additive):
-        return {"family": "additive", "item_values": [str(x) for x in v.item_values]}
-    if isinstance(v, SingleMinded):
-        return {
-            "family": "single_minded",
-            "desired": items_of(v.desired),
-            "value": str(v.value_if_served),
-        }
-    if isinstance(v, SuperadditiveExplicit):
-        return {"family": "superadditive_explicit", "table": [str(x) for x in v.table]}
-    if isinstance(v, BudgetAdditive):
-        return {
-            "family": "budget_additive",
-            "budget": str(v.budget),
-            "item_values": [str(x) for x in v.item_values],
-        }
-    return {  # CappedCardinalityAdditive, the last family Instance admits
-        "family": "capped_additive",
-        "cap": v.cap,
-        "item_values": [str(x) for x in v.item_values],
-    }
-
-
 def _agent_from_json(obj, where, m):
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object")
@@ -469,7 +445,7 @@ def write_instance(instance: Instance) -> str:
         "format": FORMAT_VERSION,
         "name": instance.name,
         "m": instance.m,
-        "agents": [_agent_to_json(v) for v in instance.agents],
+        "agents": [v.to_json() for v in instance.agents],
     }
     if instance.metadata is not None:
         doc["metadata"] = instance.metadata

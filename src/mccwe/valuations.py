@@ -6,18 +6,17 @@ Each valuation is scaled once, when it is built: `scale` is the LCM of the
 denominators of its data, its `scaled_*` fields hold that data times
 `scale`, and `scaled_value` answers a value query on them, so queries add
 and compare only integers.  `value` rebuilds the exact `Fraction` at the
-API boundary.  A market's `Instance.scale` is the LCM of its agents'
-scales, and `value_table`, the package's one value-table builder, writes a
-valuation's integer table at such a scale, over items (the singleton
-partition) or over up to 20 blocks.  `_utilities` is the one block-utility
-routine: the demand query and correspondence and the verifier read its
-rows, and `preferred` applies the tie-break below to one.  `Partition`,
-the blocks a table is indexed by, is defined here with the tables
-(`market` re-exports it).  Demand queries enumerate block subsets.
-Relative demand has a closed form for every family but explicit tables,
-whose pools (at most 12 items) are enumerated.  An explicit table's
-super-additivity is proved where the table carries synergy, on the sets
-worth more than their items apart, not on every split of every set.
+API boundary.  Each family answers in its class for its value table,
+relative demand, super-additivity and file fields; their base `_Scaled`
+holds the answers most share, and the module functions check their
+arguments, then ask the family.  A market's `Instance.scale` is the LCM of
+its agents' scales, and `value_table`, the package's one value-table
+builder, writes a valuation's integer table at such a scale, over items
+(the singleton partition) or over up to 20 blocks.  `_utilities` is the one
+block-utility routine: the demand query and correspondence and the verifier
+read its rows, and `preferred` applies the tie-break below to one.  Demand
+queries enumerate block subsets.  `Partition`, the blocks a table is
+indexed by, is defined here with the tables (`market` re-exports it).
 
 Tie-breaking is fully deterministic everywhere: maximum utility (or density),
 then fewest elements, then numerically smallest bitmask.
@@ -32,7 +31,7 @@ from math import lcm
 from operator import ge, sub as minus
 from typing import Union, get_args
 
-from .bits import bits_of, full_mask, subset_sums, subset_unions
+from .bits import bits_of, full_mask, items_of, subset_sums, subset_unions
 from .errors import BadParams, EmptyPool, SizeLimit
 
 _ZERO = Fraction(0)
@@ -95,12 +94,44 @@ def _scale_data(v, **data) -> None:
         object.__setattr__(v, name, units)
 
 
+def _check_mask(v, mask, noun: str) -> None:
+    """BadParams unless `mask` is an int mask of items v is over."""
+    _check_kinds((mask,), _INT, f"a {noun} must be an int item mask")
+    count = v.item_count()
+    if mask < 0 or count is not None and mask >> count:
+        raise BadParams(f"the {noun} holds items the valuation is not over")
+
+
 class _Scaled:
-    """The value query every family shares: its integer one over its scale."""
+    """The families' base: the answers a family gives unless it overrides them."""
 
     def value(self, mask: int) -> Fraction:
         """v(mask), exactly."""
+        _check_mask(self, mask, "mask")
         return Fraction(self.scaled_value(mask), self.scale)
+
+    def item_count(self) -> int | None:
+        return len(self.item_values)
+
+    def misfit(self, m: int) -> str | None:
+        count = self.item_count()
+        return None if count == m else f"is over {count} items, expected {m}"
+
+    def table_over(self, partition, factor: int) -> list[int]:
+        """scaled_value times factor at the union of every block subset."""
+        blocks, value = partition.blocks, self.scaled_value
+        unions = range(1 << partition.m) if len(blocks) == partition.m else subset_unions(blocks)
+        return [value(u) * factor for u in unions]
+
+    def relative_demand(self, pool: int) -> tuple[int, Fraction]:
+        """The pool's most valuable item, lowest index on ties: the densest
+        set when v(S) <= |S| * max v({j}), as for the additive families."""
+        value = self.scaled_value
+        item = 1 << max(bits_of(pool), key=lambda j: value(1 << j))  # max keeps the lowest best
+        return item, Fraction(value(item), self.scale)
+
+    def superadditive(self) -> bool:
+        return True
 
 
 @dataclass(frozen=True)
@@ -114,10 +145,17 @@ class Additive(_Scaled):
         items = self.scaled_items
         return sum(items[j] for j in bits_of(mask))
 
+    def table_over(self, partition, factor: int) -> list[int]:
+        items = self.scaled_items
+        return subset_sums([sum(items[j] for j in bits_of(b)) * factor for b in partition.blocks])
+
+    def to_json(self) -> dict:
+        return {"family": "additive", "item_values": [str(x) for x in self.item_values]}
+
 
 @dataclass(frozen=True)
 class SingleMinded(_Scaled):
-    """Worth `value` for any superset of `desired`, zero otherwise."""
+    """Worth `value_if_served` for any superset of `desired`, zero otherwise."""
 
     desired: int
     value_if_served: int | Fraction
@@ -130,6 +168,26 @@ class SingleMinded(_Scaled):
 
     def scaled_value(self, mask: int) -> int:
         return self.scaled_served[0] if mask & self.desired == self.desired else 0
+
+    def item_count(self) -> None:
+        return None  # it fits any market that holds its desired set
+
+    def misfit(self, m: int) -> str | None:
+        return "desires items outside the market" if self.desired >> m else None
+
+    def relative_demand(self, pool: int) -> tuple[int, Fraction]:
+        """The desired set if in the pool and worth something, else the pool's first singleton."""
+        served = self.scaled_served[0]
+        if pool & self.desired == self.desired and served > 0:
+            return self.desired, Fraction(served, self.scale * self.desired.bit_count())
+        return pool & -pool, _ZERO
+
+    def to_json(self) -> dict:
+        return {
+            "family": "single_minded",
+            "desired": items_of(self.desired),
+            "value": str(self.value_if_served),
+        }
 
 
 @dataclass(frozen=True)
@@ -188,6 +246,32 @@ class SuperadditiveExplicit(_Scaled):
     def scaled_value(self, mask: int) -> int:
         return self.scaled_table[mask]
 
+    def item_count(self) -> int:
+        return len(self.table).bit_length() - 1
+
+    def relative_demand(self, pool: int) -> tuple[int, Fraction]:
+        """One walk of the pool keeps each size's most valuable set (smallest
+        mask on ties); only those are compared by density, in integers."""
+        value = self.scaled_value
+        k = pool.bit_count()
+        top_values = [-1] * (k + 1)  # below every value: valuations are nonnegative
+        top_masks = [0] * (k + 1)
+        sub = pool
+        while sub:  # masks descend, so >= leaves the smallest mask of a tie
+            val = value(sub)
+            size = sub.bit_count()
+            if val >= top_values[size]:
+                top_values[size], top_masks[size] = val, sub
+            sub = (sub - 1) & pool
+        best = 1
+        for size in range(2, k + 1):
+            if top_values[size] * best > top_values[best] * size:
+                best = size
+        return top_masks[best], Fraction(top_values[best], self.scale * best)
+
+    def to_json(self) -> dict:
+        return {"family": "superadditive_explicit", "table": [str(x) for x in self.table]}
+
 
 @dataclass(frozen=True)
 class BudgetAdditive(_Scaled):
@@ -208,6 +292,20 @@ class BudgetAdditive(_Scaled):
                 return budget
         return total
 
+    def table_over(self, partition, factor: int) -> list[int]:
+        budget = self.scaled_budget[0] * factor
+        return [s if s < budget else budget for s in Additive.table_over(self, partition, factor)]
+
+    def superadditive(self) -> bool:
+        """Only when the budget never binds on a split: at most one
+        positively valued item, or the budget covers the whole additive mass."""
+        positives = [x for x in self.scaled_items if x > 0]
+        budget = self.scaled_budget[0]
+        return budget == 0 or len(positives) <= 1 or sum(positives) <= budget
+
+    def to_json(self) -> dict:
+        return {**Additive.to_json(self), "family": "budget_additive", "budget": str(self.budget)}
+
 
 @dataclass(frozen=True)
 class CappedCardinalityAdditive(_Scaled):
@@ -226,6 +324,13 @@ class CappedCardinalityAdditive(_Scaled):
         picked = sorted((self.scaled_items[j] for j in bits_of(mask)), reverse=True)
         return sum(picked[: self.cap])
 
+    def superadditive(self) -> bool:
+        """Only when the cap never binds."""
+        return self.cap == 0 or sum(x > 0 for x in self.scaled_items) <= self.cap
+
+    def to_json(self) -> dict:
+        return {**Additive.to_json(self), "family": "capped_additive", "cap": self.cap}
+
 
 Valuation = Union[
     Additive, SingleMinded, SuperadditiveExplicit, BudgetAdditive, CappedCardinalityAdditive
@@ -233,22 +338,9 @@ Valuation = Union[
 _FAMILIES = frozenset(get_args(Valuation))
 
 
-def _item_count(v: Valuation) -> int | None:
-    """How many items the valuation's data covers; None for a single-minded
-    valuation, which fits any market that holds its desired set."""
-    if isinstance(v, SingleMinded):
-        return None
-    if isinstance(v, SuperadditiveExplicit):
-        return len(v.table).bit_length() - 1
-    return len(v.item_values)
-
-
 def _misfit(v: Valuation, m: int) -> str | None:
     """Why v is not a valuation over m items, or None when it is."""
-    count = _item_count(v)
-    if count is None:
-        return "desires items outside the market" if v.desired >> m else None
-    return None if count == m else f"is over {count} items, expected {m}"
+    return v.misfit(m)
 
 
 def _check_cover(m: int, sets, noun: str, x0: int = 0) -> None:
@@ -302,40 +394,13 @@ def value_table(v: Valuation, partition, scale: int) -> list[int]:
         raise BadParams(f"the valuation is not over the partition's {m} items")
     if scale < 1 or scale % v.scale:
         raise BadParams(f"scale {scale} is not a multiple of the valuation's {v.scale}")
-    factor = scale // v.scale
-    blocks = partition.blocks
-    if isinstance(v, (Additive, BudgetAdditive)):
-        items = v.scaled_items
-        sums = subset_sums([sum(items[j] for j in bits_of(b)) * factor for b in blocks])
-        if isinstance(v, Additive):
-            return sums
-        budget = v.scaled_budget[0] * factor
-        return [s if s < budget else budget for s in sums]
-    unions = range(1 << m) if k == m else subset_unions(blocks)
-    if isinstance(v, SuperadditiveExplicit):
-        table = v.scaled_table
-        return [table[u] * factor for u in unions]
-    if isinstance(v, SingleMinded):
-        served, desired = v.scaled_served[0] * factor, v.desired
-        return [served if u & desired == desired else 0 for u in unions]
-    return [v.scaled_value(u) * factor for u in unions]
+    return v.table_over(partition, scale // v.scale)
 
 
 def is_superadditive_family(v: Valuation) -> bool:
-    """Structural super-additivity test; exact for every family here.
-
-    Budget-additive data is super-additive only when the budget never binds
-    on a split (at most one positively valued item, or the budget covers the
-    whole additive mass); capped-additive only when the cap never binds.
-    """
+    """Structural super-additivity test; exact for every family here."""
     _check_kinds((v,), _FAMILIES, _VALUATION_RULE)
-    if isinstance(v, (Additive, SingleMinded, SuperadditiveExplicit)):
-        return True
-    positives = [x for x in v.scaled_items if x > 0]
-    if isinstance(v, BudgetAdditive):
-        budget = v.scaled_budget[0]
-        return budget == 0 or len(positives) <= 1 or sum(positives) <= budget
-    return v.cap == 0 or len(positives) <= v.cap
+    return v.superadditive()
 
 
 def _utilities(tables, scale, prices):
@@ -398,43 +463,11 @@ def relative_demand_query(v: Valuation, pool: int) -> tuple[int, Fraction]:
     """Nonempty S within `pool` maximizing v(S)/|S|, plus that density.
 
     Ties break toward smaller sets, then the numerically smallest mask; an
-    all-zero valuation therefore yields the pool's first singleton.  A
-    single-minded valuation answers with its desired set when the pool
-    holds it and it is worth something, else that singleton; the additive
-    families with the pool's most valuable item (lowest index on ties), as
-    v(S) <= |S| * max v({j}).  An explicit table (at most 12 items) walks
-    the pool once, keeping each size's most valuable set (smallest mask on
-    ties), and compares only those by density, all in integers.  Raises
+    all-zero valuation therefore yields the pool's first singleton.  Raises
     BadParams when the pool holds an item the valuation is not over.
     """
     _check_kinds((v,), _FAMILIES, _VALUATION_RULE)
-    _check_kinds((pool,), _INT, "a pool must be an int item mask")
+    _check_mask(v, pool, "pool")
     if pool == 0:
         raise EmptyPool("relative-demand query over an empty pool")
-    count = _item_count(v)
-    if pool < 0 or count is not None and pool >> count:
-        raise BadParams("the pool holds items the valuation is not over")
-    if isinstance(v, SingleMinded):
-        served = v.scaled_served[0]
-        if pool & v.desired == v.desired and served > 0:
-            return v.desired, Fraction(served, v.scale * v.desired.bit_count())
-        return pool & -pool, _ZERO
-    value = v.scaled_value
-    if not isinstance(v, SuperadditiveExplicit):  # max returns the lowest best item
-        item = 1 << max(bits_of(pool), key=lambda j: value(1 << j))
-        return item, Fraction(value(item), v.scale)
-    k = pool.bit_count()
-    top_values = [-1] * (k + 1)  # below every value: valuations are nonnegative
-    top_masks = [0] * (k + 1)
-    sub = pool
-    while sub:  # masks descend, so >= leaves the smallest mask of a tie
-        val = value(sub)
-        size = sub.bit_count()
-        if val >= top_values[size]:
-            top_values[size], top_masks[size] = val, sub
-        sub = (sub - 1) & pool
-    best = 1
-    for size in range(2, k + 1):
-        if top_values[size] * best > top_values[best] * size:
-            best = size
-    return top_masks[best], Fraction(top_values[best], v.scale * best)
+    return v.relative_demand(pool)

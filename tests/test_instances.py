@@ -11,9 +11,12 @@ import pytest
 from mccwe import (
     Additive,
     BadParams,
+    BudgetAdditive,
+    CappedCardinalityAdditive,
     Instance,
     Outcome,
     ParseError,
+    SingleMinded,
     SuperadditiveExplicit,
     allocation,
 )
@@ -223,6 +226,17 @@ def test_instance_round_trips():
         built_in("bundling_necessity", m=16),
         built_in("nonuniform_identical_budget", eps=F(1, 8)),
         built_in("partition_reduction", weights=(1, 1, 2)),
+        Instance(  # every family's writer, on fractional data
+            2,
+            (
+                Additive((F(1, 2), F(3))),
+                SingleMinded(0b10, F(7, 3)),
+                SuperadditiveExplicit((0, F(1, 2), F(1, 3), F(5, 4))),
+                BudgetAdditive(F(3, 2), (F(1, 4), 2)),
+                CappedCardinalityAdditive((F(2, 5), F(1, 7)), 1),
+            ),
+            name="five families",
+        ),
     ]
     for inst in corpus:
         assert parse_instance(write_instance(inst)) == inst

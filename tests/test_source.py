@@ -1,11 +1,15 @@
 """Source hygiene that a grep cannot check: every name a module or a test
 file imports is used, each size bound is raised in the one place that
-holds it, and every digit test takes ASCII digits only."""
+holds it, every digit test takes ASCII digits only, and no module
+dispatches on a valuation family."""
 
 import ast
 from pathlib import Path
+from typing import get_args
 
 import pytest
+
+from mccwe.valuations import Valuation
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "mccwe"
@@ -49,23 +53,34 @@ def test_every_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def size_limit_raisers(source: str) -> set[str]:
-    """The qualified names of the functions whose own bodies raise SizeLimit."""
-    found = set()
+def sites(source: str, hit) -> list[str]:
+    """The qualified name of the function (or class) whose own body holds
+    each node that `hit` accepts, in source order, one per node."""
+    found = []
 
     def walk(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 walk(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Raise) and child.exc is not None:
-                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-                if isinstance(exc, ast.Name) and exc.id == "SizeLimit":
-                    found.add(".".join(scope))
+            if hit(child):
+                found.append(".".join(scope))
             walk(child, scope)
 
     walk(ast.parse(source), ())
     return found
+
+
+def _raises_size_limit(node) -> bool:
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "SizeLimit"
+
+
+def size_limit_raisers(source: str) -> set[str]:
+    """The qualified names of the functions whose own bodies raise SizeLimit."""
+    return set(sites(source, _raises_size_limit))
 
 
 def test_the_check_sees_where_size_limit_is_raised():
@@ -189,25 +204,14 @@ def test_one_pivot_loop_serves_both_lps():
     assert _defining_and_calling("simplex") == (["lp.py"], ["configlp.py", "oracle.py"])
 
 
+def _calls(node, name: str) -> bool:
+    """Whether node calls `name` by its bare name."""
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+
+
 def callers(source: str, name: str) -> set[str]:
     """The qualified names of the functions whose own bodies call `name`."""
-    found = set()
-
-    def walk(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                walk(child, scope + (child.name,))
-                continue
-            if (
-                isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Name)
-                and child.func.id == name
-            ):
-                found.add(".".join(scope))
-            walk(child, scope)
-
-    walk(ast.parse(source), ())
-    return found
+    return set(sites(source, lambda node: _calls(node, name)))
 
 
 def test_the_check_sees_who_calls_a_function():
@@ -240,3 +244,54 @@ def test_one_value_table_layer_builds_every_table():
         "equilibria.verify",
         "valuations.demand_utilities",
     }
+
+
+FAMILIES = {family.__name__ for family in get_args(Valuation)}
+
+
+def _tests_a_family(node) -> bool:
+    """Whether node is an isinstance call whose class, or one in its tuple,
+    is a valuation family."""
+    if not _calls(node, "isinstance") or len(node.args) != 2:
+        return False
+    kinds = node.args[1]
+    names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+    return any(isinstance(name, ast.Name) and name.id in FAMILIES for name in names)
+
+
+def family_checks(source: str) -> list[str]:
+    """Where the source calls isinstance on a valuation family, one entry
+    per call."""
+    return sites(source, _tests_a_family)
+
+
+def test_the_check_sees_an_isinstance_on_a_family():
+    source = (
+        "def f(v):\n"
+        "    return isinstance(v, SingleMinded)\n"
+        "class Agent:\n"
+        "    def g(self, v):\n"
+        "        if isinstance(v, (int, BudgetAdditive)) or isinstance(v, dict):\n"
+        "            return isinstance(v, Additive)\n"
+        "def h(v):\n"
+        "    return isinstance(v, Partition), SingleMinded\n"
+    )
+    assert family_checks(source) == ["f", "Agent.g", "Agent.g"]
+
+
+def test_only_membership_checks_test_a_family():
+    # Each family answers for itself in its class (its table, relative
+    # demand, super-additivity and file fields), so no module dispatches on
+    # one.  What is left asks whether a whole market is of one family, which
+    # a mechanism or an oracle needs before it may run.
+    found = [
+        f"{path.stem}.{function}"
+        for path in sorted(SRC.glob("*.py"))
+        for function in family_checks(path.read_text(encoding="utf-8"))
+    ]
+    assert found == [
+        "mechanisms.single_minded_mccwe",
+        "mechanisms._uniform_market",
+        "oracle.optimal_integral",
+        "oracle.best_single_minded_item_pricing",
+    ]

@@ -239,9 +239,19 @@ def test_constructors_check_exactness_before_comparing_data():
 def test_entry_points_reject_inexact_prices_and_non_int_masks_and_counts():
     # Before: floats and bools slipped into masks, counts and the seed, and
     # inexact prices, as TypeError or AttributeError or, for n=True, as a
-    # one-agent market.
+    # one-agent market.  A value query trusted its mask: a negative one read
+    # an explicit table from its end, one past the items raised IndexError,
+    # 1.5 raised TypeError, and True answered for item 0.
     v, items = Additive((F(1),)), singleton_partition(1)
+    pair, table = Additive((1, 2)), SuperadditiveExplicit((0, 1, 1, 3))
     for call in (
+        lambda: pair.value(0b100),
+        lambda: pair.value(-1),
+        lambda: pair.value(1.5),
+        lambda: pair.value(True),
+        lambda: table.value(-1),
+        lambda: table.value(-3),
+        lambda: SingleMinded(1, 3).value(-2),
         lambda: generate("random_single_minded", 2.0, 2, 1),
         lambda: generate("random_single_minded", 2, True, 1),
         lambda: generate("random_single_minded", 2, 2, 1.5),
@@ -262,6 +272,7 @@ def test_entry_points_reject_inexact_prices_and_non_int_masks_and_counts():
     assert demand_query(v, items, [F(1, 2)]) == 1
     assert relative_demand_query(v, 1) == (1, F(1))
     assert generate("random_single_minded", 2, 2, 1).n == 2
+    assert (pair.value(0b11), table.value(0b11), SingleMinded(1, 3).value(0b110)) == (3, 3, 0)
 
 def test_demand_query_prefers_small_maximizers_at_zero_prices():
     v = Additive((F(0), F(2), F(2)))
