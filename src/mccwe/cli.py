@@ -253,7 +253,16 @@ def _cmd_gap(args, out) -> int:
     inst = _load_instance(args.instance)
     frac = configlp.fractional_opt(inst, singleton_partition(inst.m)).value
     _x, integral = oracle.optimal_integral(inst)
-    _outcome, best = oracle.best_mccwe(inst)
+    # An integral singleton LP answers best_mccwe without its search: a
+    # Walrasian optimum is its own MC-CWE (Bikhchandani and Mamer, 1997).
+    # Let x be the DP optimum that best_mccwe probes first, P_x its induced
+    # partition.  Column (i, T) of the LP over P_x is singleton column
+    # (i, union of T): the same value, and each item row it fills is the row
+    # of a block in T, so every point feasible over P_x is feasible over the
+    # singletons, and LP(P_x) <= frac.  x is feasible over P_x, so
+    # LP(P_x) >= welfare(x) = integral.  So frac == integral makes the first
+    # probe succeed, and best_mccwe returns integral.
+    best = integral if frac == integral else oracle.best_mccwe(inst)[1]
     print(f"instance={inst.name}", file=out)
     print(f"fractional={frac}", file=out)
     print(f"integral={integral}", file=out)

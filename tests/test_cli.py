@@ -49,6 +49,19 @@ def test_gap_fig1a(tmp_path):
     assert "best_mccwe=7\n" in text
 
 
+def test_gap_charges_no_search_that_does_not_run(tmp_path):
+    # optimal_integral's 14^6 states fit the default budget and best_mccwe's
+    # 2 * 14^6 do not; the singleton LP is integral, so gap runs no search.
+    inst = tmp_path / "uba.json"
+    gen = ["gen", "random_uniform_budget_additive", "--m", "6", "--n", "13", "--seed", "1"]
+    assert run([*gen, "-o", str(inst)])[0] == 0
+    assert run(["gap", "-i", str(inst)]) == (
+        0,
+        "instance=random_uniform_budget_additive\nfractional=24\nintegral=24\nbest_mccwe=24\n",
+    )
+    assert run(["oracle", "-i", str(inst), "--best-mccwe"]) == (2, "")
+
+
 def test_verify_failure_exit_code_and_report(tmp_path):
     inst = tmp_path / "duel.json"
     outcome = tmp_path / "bad.json"

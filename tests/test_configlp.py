@@ -123,10 +123,12 @@ def _gap_workload(seed, workdir, monkeypatch):
     return [list(request) for market in markets for request in market.requests]
 
 
-@pytest.mark.parametrize("seed, lps, pivots", [(1, 434, 2375), (2, 430, 2518)])
+@pytest.mark.parametrize("seed, lps, pivots", [(1, 290, 1855), (2, 286, 1978)])
 def test_gap_pass_pivots_and_lp_solves(seed, lps, pivots, tmp_path, monkeypatch):
     # One pass over the benchmark's gap markets; at seed 1 Bland's rule
-    # alone takes 5069 pivots over the same 434 LPs.
+    # alone takes 4340 pivots over the same 290 LPs.  Where the singleton
+    # LP is integral (161 of the 216 markets at seed 1), gap runs no
+    # best_mccwe search and so no second LP.
     requests = _gap_workload(seed, tmp_path, monkeypatch)
     solutions = _counting_solves(monkeypatch)
     for argv in requests:
@@ -134,6 +136,24 @@ def test_gap_pass_pivots_and_lp_solves(seed, lps, pivots, tmp_path, monkeypatch)
     assert len(requests) == 216
     assert len(solutions) == lps
     assert sum(sol.pivots for sol in solutions) == pivots
+
+
+def test_gap_on_an_integral_singleton_lp_runs_no_search(tmp_path, monkeypatch):
+    path = tmp_path / "pr.json"
+    argv = ["gen", "partition_reduction", "--a", "1,1,2", "-o", str(path)]
+    assert cli.main(argv, out=io.StringIO()) == 0
+    solutions = _counting_solves(monkeypatch)
+
+    def refused(*_args, **_kwargs):
+        raise AssertionError("gap entered best_mccwe")
+
+    monkeypatch.setattr(oracle, "best_mccwe", refused)
+    out = io.StringIO()
+    assert cli.main(["gap", "-i", str(path)], out=out) == 0
+    assert out.getvalue() == (
+        "instance=partition_reduction\nfractional=4\nintegral=4\nbest_mccwe=4\n"
+    )
+    assert len(solutions) == 1
 
 
 def test_fractional_opt_returns_the_memoized_solution(monkeypatch):

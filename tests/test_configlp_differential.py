@@ -14,8 +14,9 @@ does, on random tables and on duals just feasible and just infeasible.
 from the value tables; `configlp_reference.pruned_config_lp` builds the
 same program as rows, and `lp_reference.library_solve` pivots it with
 every column priced from them.  On every (market, partition) that a
-seed-1 and a seed-2 gap pass solve, and on the cases above, both must
-give the same y, duals, value and pivot count.
+seed-1 and a seed-2 gap pass and `best_mccwe` on each of its markets
+solve, and on the cases above, both must give the same y, duals, value
+and pivot count.
 """
 
 import io
@@ -35,7 +36,7 @@ from mccwe.configlp import fractional_opt, supporting_prices
 from mccwe.equilibria import MCCWE, verify
 from mccwe.instances import FAMILIES, built_in, generate, partition_reduction
 from mccwe.lp import simplex
-from mccwe.oracle import optimal_integral
+from mccwe.oracle import best_mccwe, optimal_integral
 from test_configlp import _gap_workload
 
 F = Fraction
@@ -246,10 +247,22 @@ def _comparing_solves(monkeypatch):
 
 @pytest.mark.parametrize("seed, lps", [(1, 434), (2, 430)])
 def test_gap_pass_lps_pivot_as_the_built_program(seed, lps, tmp_path, monkeypatch):
+    # gap skips best_mccwe where the singleton LP is integral, so each
+    # market's search runs here too, on the instance gap loaded: its probes
+    # are compared, and the LPs gap solved are not solved again.
     requests = _gap_workload(seed, tmp_path, monkeypatch)
     seen = _comparing_solves(monkeypatch)
+    loaded = []
+    load = cli._load_instance
+
+    def kept(path):
+        loaded.append(load(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "_load_instance", kept)
     for argv in requests:
         assert cli.main(argv, out=io.StringIO()) == 0
+        best_mccwe(loaded[-1])
     assert len(seen) == lps
     assert [case for case in seen if not case[2]] == []
 
