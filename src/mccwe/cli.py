@@ -255,13 +255,13 @@ def _cmd_gap(args, out) -> int:
     _x, integral = oracle.optimal_integral(inst)
     # An integral singleton LP answers best_mccwe without its search: a
     # Walrasian optimum is its own MC-CWE (Bikhchandani and Mamer, 1997).
-    # Let x be the DP optimum that best_mccwe probes first, P_x its induced
-    # partition.  Column (i, T) of the LP over P_x is singleton column
-    # (i, union of T): the same value, and each item row it fills is the row
-    # of a block in T, so every point feasible over P_x is feasible over the
-    # singletons, and LP(P_x) <= frac.  x is feasible over P_x, so
-    # LP(P_x) >= welfare(x) = integral.  So frac == integral makes the first
-    # probe succeed, and best_mccwe returns integral.
+    # Let x be the optimum optimal_integral returns, which best_mccwe probes
+    # first, and P_x its induced partition.  Column (i, T) of the LP over P_x
+    # is singleton column (i, union of T): the same value, and each item row
+    # it fills is the row of a block in T, so every point feasible over P_x
+    # is feasible over the singletons, and LP(P_x) <= frac.  x is feasible
+    # over P_x, so LP(P_x) >= welfare(x) = integral.  So frac == integral
+    # makes the first probe succeed, and best_mccwe returns integral.
     best = integral if frac == integral else oracle.best_mccwe(inst)[1]
     print(f"instance={inst.name}", file=out)
     print(f"fractional={frac}", file=out)

@@ -28,7 +28,6 @@ from .valuations import (
     _check_items,
     _check_kinds,
     _freeze,
-    _misfit,
     value_table,
 )
 
@@ -78,7 +77,7 @@ class Instance:
             raise BadParams("need at least one agent")
         _check_kinds(self.agents, _FAMILIES, "agents must be valuations of the five families")
         for idx, v in enumerate(self.agents):
-            misfit = _misfit(v, self.m)
+            misfit = v.misfit(self.m)
             if misfit:
                 raise BadParams(f"agent {idx} {misfit}")
         object.__setattr__(self, "scale", lcm(*(v.scale for v in self.agents)))

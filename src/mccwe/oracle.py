@@ -23,8 +23,8 @@ owner-vector prefix whose monotone completion bound cannot beat the best
 supportable welfare found so far (branch and bound, after Land and Doig,
 1960); each prefix bounds its children from one read of each agent's
 table, and one more per agent, before it enters any.  The budget bounds
-the work, charged first (SizeLimit rather than exceed it), and
-`value_table`'s 20-block cap bounds each table.
+the work: each search charges it before it starts (SizeLimit rather than
+exceed it), and `value_table`'s 20-block cap bounds each table.
 """
 
 from __future__ import annotations
@@ -342,10 +342,11 @@ def best_mccwe(
     """Max welfare over all supportable allocations, with supporting prices.
 
     Ties go to the first supportable allocation in enumeration order at the
-    winning welfare.  The search first tries the unconstrained optimum x
-    (where super-additive markets always succeed), then walks the
-    assignments in owner-vector order: at x's welfare it returns the first
-    other supportable allocation, and below it probes only strict
+    winning welfare.  The search first tries the optimum x that
+    `optimal_integral` returns, under that call's charge (super-additive
+    markets always succeed here), then walks the assignments in
+    owner-vector order: at x's welfare it returns the first other
+    supportable allocation, and below it probes only strict
     improvements on the best supportable welfare so far, which it returns
     when the walk ends.  That best is the walk's floor: every assignment the
     walk skips has welfare at most the floor, and would have been passed
@@ -354,33 +355,36 @@ def best_mccwe(
     the candidate's induced partition: when some whole-block assignment
     beats the candidate, the LP's value, which is at least that, does too,
     and the candidate is refused without an LP.  Otherwise the probe solves
-    the LP once.  The budget is charged the DP and the walk, 2(n+1)^m
-    states, up front; like the probes' LPs, their block DPs are not charged.
+    the LP once.  The walk is charged (n+1)^m states when it starts, after
+    x's probe fails; like the probes' LPs, their block DPs are not charged.
+    Raises CertificateError if the walk supports no candidate, which
+    cannot happen.
     """
-    check_fits(instance)
     budget = _allowance(budget)
-    m = instance.m
-    budget.charge(2 * (instance.n + 1) ** m)
-    singletons = singleton_partition(m)
-    sets, top = _optimum(instance, singletons)
-    x = Allocation(m, 0, sets)
+    x, best = optimal_integral(instance, budget)
     outcome = _supported(instance, x)
     if outcome is not None:
-        return outcome, Fraction(top, instance.scale)
+        return outcome, best
     # A lone agent never walks: its optimum is supportable, as its LP over
-    # the one block peaks at v(full) = top.
+    # the one block peaks at v(full), its welfare.
+    m, top = instance.m, best * instance.scale
+    budget.charge((instance.n + 1) ** m)
+    tables = block_tables(instance, singleton_partition(m))
     floor = [None]  # the best supportable welfare so far, raised as probes succeed
-    for welfare, sets, rest in _assignments(m, block_tables(instance, singletons), floor):
+    for welfare, sets, rest in _assignments(m, tables, floor):
         candidate = Allocation(m, rest, tuple(sets))
         if candidate == x or _optimum(instance, induced_partition(candidate)[0])[1] > welfare:
             continue
         found = _supported(instance, candidate)
         if found is not None:
             if welfare == top:
-                return found, Fraction(top, instance.scale)
+                return found, best
             outcome, floor[0] = found, welfare
-    best = floor[0]
-    return outcome, None if best is None else Fraction(best, instance.scale)
+    # The grand bundle given to an agent of largest v(full) passes the block
+    # DP and its one-block LP supports it, so the walk finds a candidate.
+    if floor[0] is None:
+        raise CertificateError("the walk found no supportable allocation")
+    return outcome, Fraction(floor[0], instance.scale)
 
 
 def _item_prices_support(m, desired, values, winners):

@@ -114,6 +114,7 @@ class _Scaled:
         return len(self.item_values)
 
     def misfit(self, m: int) -> str | None:
+        """Why this is not a valuation over m items, or None when it is."""
         count = self.item_count()
         return None if count == m else f"is over {count} items, expected {m}"
 
@@ -338,11 +339,6 @@ Valuation = Union[
 _FAMILIES = frozenset(get_args(Valuation))
 
 
-def _misfit(v: Valuation, m: int) -> str | None:
-    """Why v is not a valuation over m items, or None when it is."""
-    return v.misfit(m)
-
-
 def _check_cover(m: int, sets, noun: str, x0: int = 0) -> None:
     """BadParams unless m is an item count, the sets are a tuple or a list,
     and they and x0 are int masks, pairwise disjoint and covering all m items."""
@@ -390,7 +386,7 @@ def value_table(v: Valuation, partition, scale: int) -> list[int]:
     m, k = partition.m, len(partition.blocks)
     if k > 20:
         raise SizeLimit(f"{k} blocks exceeds the 20-block table cap")
-    if _misfit(v, m):
+    if v.misfit(m):
         raise BadParams(f"the valuation is not over the partition's {m} items")
     if scale < 1 or scale % v.scale:
         raise BadParams(f"scale {scale} is not a multiple of the valuation's {v.scale}")

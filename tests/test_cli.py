@@ -6,8 +6,9 @@ import json
 
 import pytest
 
-from mccwe import CertificateError
+from mccwe import Additive, CertificateError, Instance
 from mccwe import cli
+from mccwe.instances import built_in, write_instance
 from mccwe.cli import main
 
 
@@ -50,8 +51,9 @@ def test_gap_fig1a(tmp_path):
 
 
 def test_gap_charges_no_search_that_does_not_run(tmp_path):
-    # optimal_integral's 14^6 states fit the default budget and best_mccwe's
-    # 2 * 14^6 do not; the singleton LP is integral, so gap runs no search.
+    # optimal_integral's 14^6 states fit the default budget and two such
+    # charges do not; the singleton LP is integral, so gap runs no search,
+    # and best_mccwe's first probe succeeds, so it charges no walk.
     inst = tmp_path / "uba.json"
     gen = ["gen", "random_uniform_budget_additive", "--m", "6", "--n", "13", "--seed", "1"]
     assert run([*gen, "-o", str(inst)])[0] == 0
@@ -59,7 +61,7 @@ def test_gap_charges_no_search_that_does_not_run(tmp_path):
         0,
         "instance=random_uniform_budget_additive\nfractional=24\nintegral=24\nbest_mccwe=24\n",
     )
-    assert run(["oracle", "-i", str(inst), "--best-mccwe"]) == (2, "")
+    assert run(["oracle", "-i", str(inst), "--best-mccwe"]) == (0, "opt=24\nbest_mccwe=24\n")
 
 
 def test_verify_failure_exit_code_and_report(tmp_path):
@@ -262,12 +264,18 @@ def test_oracle_flags(tmp_path):
 
 
 def test_oracle_prints_nothing_when_a_requested_answer_fails(tmp_path):
-    # Before, opt=16 reached stdout ahead of best_mccwe's SizeLimit, and
-    # opt=79/10 ahead of item pricing's NotSingleMinded.
+    # Before, opt reached stdout ahead of best_mccwe's SizeLimit, and
+    # opt=79/10 ahead of item pricing's NotSingleMinded.  fig1a with 50
+    # agents who value nothing: the DP's 56^4 states fit the default
+    # budget, its optimum is not supportable, and the walk's 56^4 do not fit.
     appc, fig1a = tmp_path / "appc.json", tmp_path / "fig1a.json"
+    padded = tmp_path / "padded.json"
     run(["gen", "bundling_necessity", "--m", "16", "-o", str(appc)])
     run(["gen", "fig1a", "--eps", "1/10", "-o", str(fig1a)])
-    assert run(["oracle", "-i", str(appc), "--best-mccwe"]) == (2, "")
+    market = built_in("fig1a")
+    zeros = (Additive((0,) * market.m),) * 50
+    padded.write_text(write_instance(Instance(market.m, market.agents + zeros)))
+    assert run(["oracle", "-i", str(padded), "--best-mccwe"]) == (2, "")
     assert run(["oracle", "-i", str(fig1a), "--best-mccwe", "--item-pricing"]) == (2, "")
     assert run(["oracle", "-i", str(fig1a), "--best-mccwe"]) == (0, "opt=79/10\nbest_mccwe=7\n")
     argv = ["oracle", "-i", str(appc), "--item-pricing"]
@@ -296,6 +304,13 @@ def test_certificate_error_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr("mccwe.oracle.optimal_integral", failed_check)
     code, _ = run(["oracle", "-i", str(inst)])
     assert code == 3
+
+
+def test_best_mccwe_without_a_supported_candidate_exits_3(tmp_path, monkeypatch):
+    inst = tmp_path / "fig1a.json"
+    run(["gen", "fig1a", "-o", str(inst)])
+    monkeypatch.setattr("mccwe.oracle._supported", lambda _instance, _x: None)
+    assert run(["oracle", "-i", str(inst), "--best-mccwe"]) == (3, "")
 
 
 def test_solve_uba_uses_bruteforce_optimum_by_default(tmp_path):

@@ -221,6 +221,50 @@ def test_best_mccwe_charges_the_dp_and_one_walk():
     assert budget.used == budget.limit
 
 
+def test_best_mccwe_charges_its_walk_only_when_the_walk_starts(monkeypatch):
+    # fig1a with 50 agents who value nothing: optimal_integral's 56^4 states
+    # fit the default budget, the optimum is not supportable, and the
+    # walk's 56^4 more do not fit, so SizeLimit comes before any walk probe.
+    market = built_in("fig1a")
+    padded = Instance(market.m, market.agents + (Additive((0,) * market.m),) * 50)
+    calls, supported = [], oracle._supported
+    monkeypatch.setattr(oracle, "_supported", lambda inst, x: calls.append(x) or supported(inst, x))
+    budget = OracleBudget()
+    with pytest.raises(SizeLimit):
+        best_mccwe(padded, budget)
+    assert budget.used == 56**4
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_best_mccwe_answers_a_supportable_optimum_at_optimal_integrals_charge(family):
+    # Each of these optima is supportable, so the first probe answers and
+    # the charge is optimal_integral's: 5^10 for the DP, 2^4 for the
+    # single-minded winner-set search.
+    for seed in (1, 2, 3):
+        inst = generate(family, 10, 4, seed)
+        budget = OracleBudget()
+        outcome, welfare = best_mccwe(inst, budget)
+        assert welfare == optimal_integral(inst)[1]
+        assert verify(inst, outcome, MCCWE).ok
+        assert budget.used == (16 if family == "random_single_minded" else 5**10)
+
+
+def test_best_mccwe_on_bundling_necessity_charges_the_winner_set_search():
+    # 6^16 assignments, 2^5 winner sets, and a supportable optimum
+    budget = OracleBudget()
+    assert best_mccwe(built_in("bundling_necessity", m=16), budget)[1] == 16
+    assert budget.used == 32
+
+
+def test_best_mccwe_raises_when_the_walk_finds_nothing(monkeypatch):
+    # The walk always finds the grand bundle at an agent of largest v(full)
+    # supportable, so a walk without any supported candidate is a bug.
+    monkeypatch.setattr(oracle, "_supported", lambda instance, x: None)
+    with pytest.raises(CertificateError):
+        best_mccwe(built_in("fig1a"))
+
+
 def test_best_mccwe_never_exceeds_integral_optimum():
     for seed in range(10):
         inst = generate("random_uniform_budget_additive", 4, 3, seed + 500)

@@ -1,7 +1,7 @@
 """Source hygiene that a grep cannot check: every name a module or a test
 file imports is used, each size bound is raised in the one place that
-holds it, every digit test takes ASCII digits only, and no module
-dispatches on a valuation family."""
+holds it, each search charges its budget once, every digit test takes
+ASCII digits only, and no module dispatches on a valuation family."""
 
 import ast
 from pathlib import Path
@@ -113,6 +113,58 @@ def test_size_limit_is_raised_only_where_a_size_rule_lives():
         for path in sorted(SRC.glob("*.py"))
     }
     assert {name: found for name, found in raisers.items() if found} == SIZE_RULES
+
+
+def _charges(node) -> bool:
+    """Whether node calls a method named `charge`."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "charge"
+    )
+
+
+def chargers(source: str) -> list[str]:
+    """Where the source calls `.charge(`, one entry per call, in source order."""
+    return sites(source, _charges)
+
+
+def test_the_check_sees_where_a_budget_is_charged():
+    source = (
+        "def search(instance, budget):\n"
+        "    budget.charge(2 ** instance.n)\n"
+        "    def walk():\n"
+        "        _allowance(budget).charge(1)\n"
+        "    budget.charge(1)\n"
+        "    return charge, budget.used\n"
+        "class Budget:\n"
+        "    def charge(self, states):\n"
+        "        self.used += states\n"
+    )
+    assert chargers(source) == ["search", "search.walk", "search"]
+
+
+# One charge per search: optimal_integral's (n+1)^m, or the winner-set
+# search's 2^n in its place, which also pays for best_mccwe's first probe;
+# the block DP's (n+1)^k; best_mccwe's walk, charged when it starts; and the
+# item-pricing bound's 2^n.  A second copy of a charge fails here.
+CHARGE_RULES = {
+    "oracle.py": [
+        "optimal_integral",
+        "_single_minded_optimum",
+        "optimal_over_partition",
+        "best_mccwe",
+        "best_single_minded_item_pricing",
+    ],
+}
+
+
+def test_each_search_charges_its_budget_in_one_place():
+    found = {
+        path.name: chargers(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: calls for name, calls in found.items() if calls} == CHARGE_RULES
 
 
 def _method_call(node, name: str) -> bool:
