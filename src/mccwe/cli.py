@@ -251,8 +251,10 @@ def _cmd_oracle(args, out) -> int:
 
 def _cmd_gap(args, out) -> int:
     inst = _load_instance(args.instance)
-    frac = configlp.fractional_opt(inst, singleton_partition(inst.m)).value
+    # The optimum first: its charge is made before any DP runs, and the
+    # singleton LP starts from the DP optimum it leaves in the memo.
     _x, integral = oracle.optimal_integral(inst)
+    frac = configlp.fractional_opt(inst, singleton_partition(inst.m)).value
     # An integral singleton LP answers best_mccwe without its search: a
     # Walrasian optimum is its own MC-CWE (Bikhchandani and Mamer, 1997).
     # Let x be the optimum optimal_integral returns, which best_mccwe probes

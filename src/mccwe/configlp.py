@@ -11,21 +11,26 @@ dual block variables by complementary slackness.
 
 The program is built over undominated columns only: (i, S) is kept when
 v_i(S) exceeds v_i of S minus any one block (`market._undominated`, the one
-dominance filter, which winner determination's fold shares).  Valuations
-are monotone and block duals nonnegative, so a dual that covers the
-undominated columns covers the rest (u_i + q(S) >= u_i + q(S - j) >=
+dominance filter, whose masks winner determination's fold shares).
+Valuations are monotone and block duals nonnegative, so a dual that covers
+the undominated columns covers the rest (u_i + q(S) >= u_i + q(S - j) >=
 v_i(S - j) = v_i(S)), and the smaller program has the full one's value and
 optimal duals.
 `fractional_opt` pivots the program with `lp.simplex` without building its
 rows: column (i, S) is agent i's row plus the rows of the blocks in S, so
-it is priced from agent i's value table and the row multipliers.  It
-re-checks its answer in integers, its dual against every column of the
-full program, and solves each partition of a market once: its solutions
-are kept on the `Instance`, keyed by the partition's blocks.
+it is priced from agent i's value table and the row multipliers.  The
+solve starts at the block DP's optimum over the partition
+(`market._optimum`), an integral vertex of the program, not at the slack
+basis; the DP is a function of the market and the partition alone, so the
+solution is too, whatever ran before.  It re-checks its answer in
+integers, its dual against every column of the full program, and solves
+each partition of a market once: its solutions are kept on the
+`Instance`, keyed by the partition's blocks.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -39,7 +44,8 @@ from .market import (
     Outcome,
     Partition,
     UNALLOCATED,
-    _undominated,
+    _optimum,
+    _undominated_masks,
     block_tables,
     check_fits,
     induced_partition,
@@ -72,7 +78,35 @@ def _program(instance, partition):
     if instance.n << len(partition.blocks) > MAX_VARIABLES:
         raise SizeLimit("configuration LP would exceed the variable cap")
     tables = block_tables(instance, partition)
-    return tables, [(i, mask) for i, table in enumerate(tables) for mask in _undominated(table)]
+    masks = (_undominated_masks(instance, partition, i) for i in range(instance.n))
+    return tables, [(i, mask) for i, kept in enumerate(masks) for mask in kept]
+
+
+def _start(instance, partition, tables):
+    """`simplex`'s start basis at the block DP's optimum over the partition:
+    (agent row i, column, t_i[S]) for each agent i whose DP bundle S_i has
+    t_i[S_i] > 0, with S the largest undominated mask within S_i of the
+    same value.  S is S_i itself when S_i is undominated (a strict subset
+    of the same value would dominate it), as it is for agents 1..n-2; the
+    first and last agents' bundles may be dominated, and S drops the blocks
+    that add nothing to them.  The DP's bundles are disjoint, so each
+    column meets only its own agent row among the start rows, and every
+    block row keeps its slack: the block rows of the S's start at
+    right-hand side 0, the others at 1."""
+    start = []
+    offset = 0
+    for i, (table, s) in enumerate(zip(tables, _optimum(instance, partition)[0])):
+        masks = _undominated_masks(instance, partition, i)
+        value = table[s]
+        pos = bisect_right(masks, s) if value else 0
+        while pos:
+            pos -= 1
+            mask = masks[pos]
+            if mask | s == s and table[mask] == value:
+                start.append((i, offset + pos, value))
+                break
+        offset += len(masks)
+    return start
 
 
 def _check_full_dual(tables, d, dual_u, dual_q) -> None:
@@ -88,7 +122,7 @@ def _check_full_dual(tables, d, dual_u, dual_q) -> None:
 
 def _solve(instance, partition):
     """The program over `_program`'s columns, pivoted by `simplex` on its
-    slack block.
+    slack block from `_start`.
 
     Column (i, S) is agent row i plus the block rows in S, so its reduced
     cost is d t_i[S] + lam_i + Q[S], with Q the block multipliers' subset
@@ -108,7 +142,7 @@ def _solve(instance, partition):
         return [(i, 1)] + [(n + b, 1) for b in bits_of(mask)]
 
     rows = n + len(partition.blocks)
-    basic = simplex(len(columns), [1] * rows, price, column)
+    basic = simplex(len(columns), [1] * rows, price, column, _start(instance, partition, tables))
     if basic.status != OPTIMAL:
         raise CertificateError("configuration LPs are feasible and bounded")
     d = basic.d

@@ -16,12 +16,12 @@ The simplex pivots in integers (Edmonds 1967; Bareiss, Math. Comp. 1968):
   pivot element, 1 at the start.  A pivot on p keeps the pivot row as it
   is, replaces each entry a of every other row by (a*p - a_c*r_k) // d,
   where a_c is the row's entry in the pivot column and r_k the pivot row's
-  entry below a, and sets d = p.  Every entry is a minor of the starting
+  entry below a, and sets d = p.  Every entry is a minor of the program's
   matrix, so the division is exact; p > 0, so d stays positive.
 * Only the slack block of the tableau is kept, with the right-hand side
   and the objective row's slack part, as in the revised simplex (Dantzig
   and Orchard-Hays 1954).  Every row is a fixed integer combination of the
-  starting rows, and the slack block holds its multipliers, so a
+  program's rows, and the slack block holds its multipliers, so a
   structural column and its reduced cost are computed from the caller's
   `price` and `column` closures when needed; no row is built.  The
   configuration LP prices its columns from the value tables, and the
@@ -31,8 +31,13 @@ The simplex pivots in integers (Edmonds 1967; Bareiss, Math. Comp. 1968):
 Conventions
 -----------
 * Programs are packing-shaped: maximize c.x subject to A x <= b, x >= 0,
-  with every right-hand side b_i >= 0, so the origin is feasible and the
-  slacks are the starting basis.
+  with every right-hand side b_i >= 0, so the origin is feasible.
+* A solve starts from the slacks, or from a caller's feasible basis
+  ("advanced starting basis", Dantzig and Orchard-Hays 1954): each start
+  row basic in a structural column with entry 1 there and none in another
+  start row, every other row in its slack.  Such a basis matrix is I + N
+  with N^2 = 0, so its inverse is I - N and its tableau is written down in
+  closed form, with d = 1 and no factorization.
 * At the optimum a basic variable is its row's right-hand side over d.
   Row i's dual y_i >= 0 is read off the final reduced cost of its slack
   column: y_i = -obj[slack_i] / d.  No separate dual solve runs.
@@ -70,13 +75,23 @@ class Basis:
     pivots: int
 
 
-def simplex(ncols, rhs, price, column) -> Basis:
+def simplex(ncols, rhs, price, column, start=()) -> Basis:
     """The one-phase simplex over ncols structural columns and one row, and
-    one slack, per right-hand side, from the slack basis.
+    one slack, per right-hand side, from the slack basis but for `start`.
+
+    `start` holds (row r, column j, c_j) triples: row r starts basic in
+    structural column j, of objective coefficient c_j.  Column j's entry in
+    row r must be 1 and its entries in the other start rows 0, and the
+    start rows must differ; else, or when the start is infeasible, the
+    solve raises CertificateError.  With a_s column j's entry in row s, the
+    start tableau is closed form (see the module docstring): slack row s
+    is e_s - sum_r a_s e_r with right-hand side b_s - sum_r a_s b_r, start
+    row r keeps e_r and b_r, and lam_r = -c_j.  A wrong c_j leaves column j
+    a nonzero reduced cost, which the first pricing refuses.
 
     Only the slack block M of the fraction-free tableau, its right-hand
     side and the objective row's slack part (the multipliers lam) are kept.
-    Every tableau row is a fixed integer combination of the starting rows,
+    Every tableau row is a fixed integer combination of the program's rows,
     so structural column j of the tableau is M times the program's column
     A_j, and its reduced cost is d c_j + lam . A_j; slack r's is lam[r].
     `price(d, lam)` returns the structural reduced costs in column order,
@@ -97,10 +112,27 @@ def simplex(ncols, rhs, price, column) -> Basis:
     """
     size = len(rhs)
     # Rows of M with the right-hand side last; the last row is the objective
-    # row's slack part, with its right-hand side (minus the value) last.
+    # row's slack part, lam, without a right-hand side: nothing reads the value.
     tableau = [[0] * r + [1] + [0] * (size - r - 1) + [b] for r, b in enumerate(rhs)]
-    tableau.append([0] * (size + 1))
+    objective = [0] * size
+    tableau.append(objective)
     basis = list(range(ncols, ncols + size))
+    rows = {r for r, _j, _c in start}
+    if len(rows) != len(start) or not rows <= set(range(size)):
+        raise CertificateError("start rows must be distinct rows of the program")
+    for r, j, cost in start:
+        if not 0 <= j < ncols:
+            raise CertificateError(f"start column {j} is not a structural column")
+        entries = dict(column(j))
+        if entries.pop(r, 0) != 1 or not rows.isdisjoint(entries):
+            raise CertificateError(f"start column {j} is not a unit column of its start row {r}")
+        for s, a in entries.items():
+            tableau[s][r] -= a
+            tableau[s][-1] -= a * rhs[r]
+        basis[r] = j
+        objective[r] = -cost
+    if min([row[-1] for row in tableau[:size]], default=0) < 0:
+        raise CertificateError("the start basis is infeasible")
     d = 1
     pivots = degenerate = 0
     status = OPTIMAL

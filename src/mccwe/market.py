@@ -5,6 +5,10 @@ An allocation always carries the unallocated pool x0 as a first-class set,
 and the induced partition keeps x0 (when nonempty) as a single block.
 `Partition` itself is defined with the value tables it indexes, in
 `valuations`, so that the table builders can check their arguments' kinds.
+What a market computes once per partition lives here, next to the memos
+that keep it: the block tables, their dominance scans and the welfare
+optimum by winner determination (`_optimum`), which the oracles return
+and the configuration LP starts from.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from fractions import Fraction
 from math import lcm
 from operator import itemgetter
 
-from .bits import bits_of, full_mask, subset_unions
-from .errors import BadParams
+from .bits import bits_of, full_mask, subset_sums, subset_unions
+from .errors import BadParams, CertificateError
 from .valuations import (
     _EXACT,
     _FAMILIES,
@@ -46,9 +50,9 @@ class Instance:
     monotone.  `scale`, the LCM of the agents' scales, is the market's one
     integer unit: every agent's values times `scale` are integers.
     Three memos, each keyed by partition blocks, hold what is computed once
-    per partition: `block_tables` the agents' value tables (see
-    `block_tables`), `optima` the oracles' welfare optima and `config_lps`
-    `configlp.fractional_opt`'s solutions.  They start empty, and a market
+    per partition: `block_tables` the agents' value tables and their
+    `_undominated_masks` (see `block_tables`), `optima` the welfare optima
+    (`_optimum`) and `config_lps` `configlp.fractional_opt`'s solutions.  They start empty, and a market
     never changes (its agents are kept as a tuple, a list copied, and its
     metadata as a JSON copy), so each entry holds while the instance lives.
     """
@@ -106,20 +110,33 @@ def block_tables(instance: Instance, partition: Partition) -> tuple[tuple[int, .
     the same object.  When the singleton partition's tables are kept, a
     coarser partition's are read off them at the block subsets' unions
     (`subset_unions`), the same integers, as a table's entry for S is
-    v(union of S) at the market's scale."""
+    v(union of S) at the market's scale.  The memo entry also holds one
+    slot per agent for `_undominated_masks`."""
     check_fits(instance, partition, Partition)
     memo = instance.block_tables
-    tables = memo.get(partition.blocks)
-    if tables is None:
+    entry = memo.get(partition.blocks)
+    if entry is None:
         singles = memo.get(tuple(1 << j for j in range(instance.m)))
         if singles is not None:
             pick = itemgetter(*subset_unions(partition.blocks))
-            tables = tuple(map(pick, singles))
+            tables = tuple(map(pick, singles[0]))
         else:
             scale = instance.scale
             tables = tuple(tuple(value_table(v, partition, scale)) for v in instance.agents)
-        memo[partition.blocks] = tables
-    return tables
+        entry = memo[partition.blocks] = tables, [None] * instance.n
+    return entry[0]
+
+
+def _undominated_masks(instance, partition, agent) -> list[int]:
+    """`_undominated` over the agent's table for the partition, which
+    `block_tables` has built, scanned on the first call and kept in the
+    tables' memo entry: winner determination's fold and the configuration
+    LP's columns read the same list."""
+    tables, masks = instance.block_tables[partition.blocks]
+    kept = masks[agent]
+    if kept is None:
+        kept = masks[agent] = _undominated(tables[agent])
+    return kept
 
 
 def _undominated(table: tuple[int, ...]) -> list[int]:
@@ -139,6 +156,126 @@ def _undominated(table: tuple[int, ...]) -> list[int]:
         else:
             kept.append(mask)
     return kept
+
+
+def _optimum(instance, partition):
+    """(sets, welfare): the welfare optimum over the partition's blocks as
+    one block mask per agent, and its welfare in the market's units, charging
+    no budget.  A lone agent takes every block at v(full), with no table.
+    The first call per partition computes it, over the instance's
+    `block_tables` and the middle agents' `_undominated_masks`, and later
+    calls return the same object (`Instance.optima`)."""
+    memo = instance.optima
+    found = memo.get(partition.blocks)
+    if found is None:
+        k = len(partition.blocks)
+        if instance.n == 1:
+            found = ((1 << k) - 1,), instance.scaled_value(0, (1 << instance.m) - 1)
+        else:
+            tables = block_tables(instance, partition)
+            middle = [_undominated_masks(instance, partition, i) for i in range(1, instance.n - 1)]
+            found = _winner_determination(k, tables, middle)
+        memo[partition.blocks] = found
+    return found
+
+
+def _winner_determination(k, tables, middle):
+    """Welfare-maximal assignment of all k units to the two or more agents
+    behind the integer value `tables`, all at one scale; `middle` holds the
+    `_undominated` masks of agents 1..n-2.
+
+    Returns (sets, welfare): one unit mask per agent, and the welfare as the
+    sum of the chosen table entries.  The DP runs on integer keys
+    t_i(T)*n^k - i*W(T), where t_i is agent i's table and W(T) is the sum of
+    n^(k-1-j) over units j in T.  A key's welfare part outweighs every digit
+    part, and the digit part is the owner vector read in base n, so the one
+    maximal key is the lexicographically smallest optimal owner vector.
+
+    Agents 1..n-2 are folded over their undominated bundles alone.  When
+    agent i >= 1 holds a bundle with a unit j that adds nothing to it,
+    moving j to agent 0 keeps agent i's value, cannot lower agent 0's (the
+    tables are monotone) and turns j's digit from i into 0: the key rises
+    strictly.  So the maximal key of every unit set
+    gives these agents undominated bundles or none, and the pruned fold
+    finds the same maximum and the same shares.  The last agent is folded
+    for the full set only, over all its bundles.
+    """
+    n = len(tables)
+    size = 1 << k
+    full = size - 1
+    weights = subset_sums([n ** (k - 1 - j) for j in range(k)])
+    unit = n**k
+    keys = [
+        [value * unit - i * w for value, w in zip(table, weights)]
+        for i, table in enumerate(tables)
+    ]
+
+    # best[S]: the maximal key of an assignment of S to the agents folded in
+    # so far; choices[i-1][S]: agent i's share of it.  Agent 0 starts the
+    # fold and the last agent is folded in for the full set only.  A middle
+    # agent takes nothing or an undominated bundle t, raising best[r | t]
+    # for every r disjoint from t.
+    best = keys[0]
+    choices = []
+    for masks, key in zip(middle, keys[1:-1]):
+        folded = list(best)
+        share = [0] * size
+        for t in masks:
+            gain = key[t]
+            free = full ^ t
+            r = free
+            while True:
+                val = best[r] + gain
+                s = r | t
+                if val > folded[s]:
+                    folded[s] = val
+                    share[s] = t
+                if not r:
+                    break
+                r = (r - 1) & free
+        best = folded
+        choices.append(share)
+    top, arg = _best_split(full, best, keys[-1])
+
+    sets = [0] * n
+    sets[-1] = arg
+    rest = full ^ arg
+    for i in range(n - 2, 0, -1):
+        sets[i] = choices[i - 1][rest]
+        rest ^= sets[i]
+    sets[0] = rest
+
+    _check_assignment(full, sets, keys, top)
+    return tuple(sets), sum(table[t] for table, t in zip(tables, sets))
+
+
+def _best_split(s, best, key):
+    """max over t ⊆ s of best[s ^ t] + key[t], and the t that attains it."""
+    top = best[0] + key[s]
+    arg = t = s
+    while t:
+        t = (t - 1) & s
+        val = best[s ^ t] + key[t]
+        if val > top:
+            top, arg = val, t
+    return top, arg
+
+
+def _check_assignment(full, sets, keys, top):
+    """Raise CertificateError unless `sets` are pairwise disjoint, cover
+    `full`, and their keys add up to the DP maximum."""
+    covered = total = 0
+    for i, t in enumerate(sets):
+        if covered & t:
+            raise CertificateError(f"reconstructed bundle of agent {i} overlaps another set")
+        covered |= t
+        total += keys[i][t]
+    if covered != full:
+        raise CertificateError("reconstructed sets do not cover every unit")
+    if total != top:
+        raise CertificateError(
+            f"reconstructed key {total} differs from the DP maximum {top}"
+        )
 
 
 @dataclass(frozen=True)

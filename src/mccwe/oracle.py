@@ -5,18 +5,20 @@ Every valuation family is normalized and monotone, so handing an
 unallocated unit to agent 0 keeps the welfare and lowers the owner vector:
 the lexicographically smallest optimum assigns every unit.  Optima come
 from an exact integer subset DP for winner determination (after Rothkopf,
-Pekec and Harstad, 1998) over the agents' integer value tables at the
-market's scale (`Instance.scale`), with the tie-break folded into the same
-integer key, so the DP returns the lexicographically smallest owner vector
-among the optima, item 0 most significant and agents as digits 0..n-1.
-The DP folds each middle agent over its undominated bundles only, those in
-which every unit adds value (`market._undominated`, the one dominance
-filter, which also prunes the configuration LP's columns): handing a unit
-that adds nothing to agent 0 keeps the welfare and lowers the owner vector,
-so no optimal key gives an agent a dominated bundle.
-All three optima share one routine, `_optimum`, which computes each
-(market, partition) optimum once, over the market's `block_tables`; a lone
-agent takes every item or block in closed form, with no table.  The
+Pekec and Harstad, 1998; `market._winner_determination`) over the agents'
+integer value tables at the market's scale (`Instance.scale`), with the
+tie-break folded into the same integer key, so the DP returns the
+lexicographically smallest owner vector among the optima, item 0 most
+significant and agents as digits 0..n-1.  The DP folds each middle agent
+over its undominated bundles only, those in which every unit adds value
+(`market._undominated`, the one dominance filter, whose masks the
+configuration LP's columns share): handing a unit that adds nothing to
+agent 0 keeps the welfare and lowers the owner vector, so no optimal key
+gives an agent a dominated bundle.
+All three optima share one routine, `market._optimum`, which computes
+each (market, partition) optimum once, over the market's `block_tables`,
+and also gives the configuration LP its start; a lone agent takes every
+item or block in closed form, with no table.  The
 supportable-optimum search steps through the assignments, "unallocated" as
 the last digit, with one depth-first walk, `_assignments`, that skips every
 owner-vector prefix whose monotone completion bound cannot beat the best
@@ -33,11 +35,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import configlp
-from .bits import bits_of, subset_sums
+from .bits import bits_of
 from .errors import BadParams, CertificateError, NotMCCWE, NotSingleMinded, SizeLimit
 from .lp import OPTIMAL, simplex
 from .market import Allocation, Instance, Outcome, Partition
-from .market import _undominated, block_tables, check_fits, induced_partition, singleton_partition
+from .market import _optimum, block_tables, check_fits, induced_partition, singleton_partition
 from .valuations import SingleMinded, _INT, _check_kinds
 
 DEFAULT_STATE_LIMIT = 10_000_000
@@ -73,25 +75,6 @@ def _allowance(budget) -> OracleBudget:
         return OracleBudget()
     _check_kinds((budget,), {OracleBudget}, "the budget must be an OracleBudget")
     return budget
-
-
-def _optimum(instance, partition):
-    """(sets, welfare): the welfare optimum over the partition's blocks as
-    one block mask per agent, and its welfare in the market's units, charging
-    no budget.  A lone agent takes every block at v(full), with no table.
-    The first call per partition computes it, over the instance's
-    `block_tables`, and later calls return the same object
-    (`Instance.optima`)."""
-    memo = instance.optima
-    found = memo.get(partition.blocks)
-    if found is None:
-        k = len(partition.blocks)
-        if instance.n == 1:
-            found = ((1 << k) - 1,), instance.scaled_value(0, (1 << instance.m) - 1)
-        else:
-            found = _winner_determination(k, block_tables(instance, partition))
-        memo[partition.blocks] = found
-    return found
 
 
 def _assignments(k, tables, floor):
@@ -144,104 +127,6 @@ def _assignments(k, tables, floor):
         yield from walk(0, 0, bound)
 
 
-def _winner_determination(k, tables):
-    """Welfare-maximal assignment of all k units to the two or more agents
-    behind the integer value `tables`, all at one scale.
-
-    Returns (sets, welfare): one unit mask per agent, and the welfare as the
-    sum of the chosen table entries.  The DP runs on integer keys
-    t_i(T)*n^k - i*W(T), where t_i is agent i's table and W(T) is the sum of
-    n^(k-1-j) over units j in T.  A key's welfare part outweighs every digit
-    part, and the digit part is the owner vector read in base n, so the one
-    maximal key is the lexicographically smallest optimal owner vector.
-
-    Agents 1..n-2 are folded over their undominated bundles alone
-    (`_undominated`).  When agent i >= 1 holds a bundle with a unit j that
-    adds nothing to it, moving j to agent 0 keeps agent i's value, cannot
-    lower agent 0's (the tables are monotone) and turns j's digit from i
-    into 0: the key rises strictly.  So the maximal key of every unit set
-    gives these agents undominated bundles or none, and the pruned fold
-    finds the same maximum and the same shares.  The last agent is folded
-    for the full set only, over all its bundles.
-    """
-    n = len(tables)
-    size = 1 << k
-    full = size - 1
-    weights = subset_sums([n ** (k - 1 - j) for j in range(k)])
-    unit = n**k
-    keys = [
-        [value * unit - i * w for value, w in zip(table, weights)]
-        for i, table in enumerate(tables)
-    ]
-
-    # best[S]: the maximal key of an assignment of S to the agents folded in
-    # so far; choices[i-1][S]: agent i's share of it.  Agent 0 starts the
-    # fold and the last agent is folded in for the full set only.  A middle
-    # agent takes nothing or an undominated bundle t, raising best[r | t]
-    # for every r disjoint from t.
-    best = keys[0]
-    choices = []
-    for table, key in zip(tables[1:-1], keys[1:-1]):
-        folded = list(best)
-        share = [0] * size
-        for t in _undominated(table):
-            gain = key[t]
-            free = full ^ t
-            r = free
-            while True:
-                val = best[r] + gain
-                s = r | t
-                if val > folded[s]:
-                    folded[s] = val
-                    share[s] = t
-                if not r:
-                    break
-                r = (r - 1) & free
-        best = folded
-        choices.append(share)
-    top, arg = _best_split(full, best, keys[-1])
-
-    sets = [0] * n
-    sets[-1] = arg
-    rest = full ^ arg
-    for i in range(n - 2, 0, -1):
-        sets[i] = choices[i - 1][rest]
-        rest ^= sets[i]
-    sets[0] = rest
-
-    _check_assignment(full, sets, keys, top)
-    return tuple(sets), sum(table[t] for table, t in zip(tables, sets))
-
-
-def _best_split(s, best, key):
-    """max over t ⊆ s of best[s ^ t] + key[t], and the t that attains it."""
-    top = best[0] + key[s]
-    arg = t = s
-    while t:
-        t = (t - 1) & s
-        val = best[s ^ t] + key[t]
-        if val > top:
-            top, arg = val, t
-    return top, arg
-
-
-def _check_assignment(full, sets, keys, top):
-    """Raise CertificateError unless `sets` are pairwise disjoint, cover
-    `full`, and their keys add up to the DP maximum."""
-    covered = total = 0
-    for i, t in enumerate(sets):
-        if covered & t:
-            raise CertificateError(f"reconstructed bundle of agent {i} overlaps another set")
-        covered |= t
-        total += keys[i][t]
-    if covered != full:
-        raise CertificateError("reconstructed sets do not cover every unit")
-    if total != top:
-        raise CertificateError(
-            f"reconstructed key {total} differs from the DP maximum {top}"
-        )
-
-
 def optimal_integral(
     instance: Instance, budget: OracleBudget | None = None
 ) -> tuple[Allocation, Fraction]:
@@ -286,7 +171,7 @@ def _disjoint_winner_sets(instance):
 def _single_minded_optimum(instance, budget):
     """optimal_integral over the disjoint winner sets, charged 2^n.  Each
     winner takes its desired set and agent 0 the rest.  A set at the best
-    welfare so far is scored by the DP's digits (`_winner_determination`):
+    welfare so far is scored by the DP's digits (`market._winner_determination`):
     agent i adds i*n^(m-1-j) for each item j it takes, so the fewest digits
     are the smallest owner vector."""
     m, n = instance.m, instance.n

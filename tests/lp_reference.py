@@ -12,10 +12,12 @@ programs given by their rows, with three entering rules:
   raises `Cycled` when a basis recurs.
 
 All three share the ratio test and its smallest-basis-index tie-break.
-Tests compare the library's `simplex` (`library_solve` runs it on the
-rows) with `FALLBACK` on status, primal, dual, value and pivot count; the
-integer tableau must reproduce every pivot choice, so the answers are
-identical, not merely equal in value.
+A solve may start from a caller's basis instead of the slacks: the dense
+tableau is first pivoted on each (row, column) of the start, and those
+pivots are not counted.  Tests compare the library's `simplex`
+(`library_solve` runs it on the rows) with `FALLBACK` on status, primal,
+dual, value and pivot count; the integer tableau must reproduce every
+pivot choice, so the answers are identical, not merely equal in value.
 """
 
 from __future__ import annotations
@@ -134,10 +136,12 @@ def _check_certificates(lp, primal, dual, value):
         raise CertificateError("strong duality gap")
 
 
-def solve(lp: LinearProgram, rule: str = FALLBACK) -> tuple[LPSolution, int | None]:
+def solve(lp: LinearProgram, rule: str = FALLBACK, start=()) -> tuple[LPSolution, int | None]:
     """Exact optimum of a packing-shaped LP by `rule`, and the pivot count at
     which FALLBACK switched to Bland's rule (None if it did not).
 
+    `start` holds (row, column) pairs: the slack tableau is pivoted on each
+    in turn, uncounted, and the run starts from the basis that leaves.
     Returns status optimal (with primal, dual, value and pivots) or
     unbounded (with pivots).
     """
@@ -153,6 +157,9 @@ def solve(lp: LinearProgram, rule: str = FALLBACK) -> tuple[LPSolution, int | No
         tableau.append(row)
     basis = list(range(n, n + n_rows))
     obj = list(lp.objective) + [_ZERO] * (n_rows + 1)
+    for row, col in start:
+        _pivot(tableau, obj, row, col)
+        basis[row] = col
     status, pivots, switched = _run_simplex(tableau, basis, obj, rule)
     if status == UNBOUNDED:
         return LPSolution(UNBOUNDED, None, None, None, pivots), switched
@@ -168,13 +175,14 @@ def solve(lp: LinearProgram, rule: str = FALLBACK) -> tuple[LPSolution, int | No
     return LPSolution(OPTIMAL, tuple(primal), tuple(dual), value, pivots), switched
 
 
-def solve_lp(lp: LinearProgram) -> LPSolution:
+def solve_lp(lp: LinearProgram, start=()) -> LPSolution:
     """`solve` by the library's rule, FALLBACK."""
-    return solve(lp)[0]
+    return solve(lp, FALLBACK, start)[0]
 
 
-def library_solve(lp: LinearProgram) -> LPSolution:
-    """The library's integer `simplex` on the program, priced from its rows."""
+def library_solve(lp: LinearProgram, start=()) -> LPSolution:
+    """The library's integer `simplex` on the program, priced from its rows,
+    from the (row, column) pairs of `start`."""
     rows = [coeffs for coeffs, _rhs in lp.constraints]
 
     def price(d, lam):
@@ -185,7 +193,8 @@ def library_solve(lp: LinearProgram) -> LPSolution:
         return [(r, row[j]) for r, row in enumerate(rows) if row[j]]
 
     rhs = [b for _coeffs, b in lp.constraints]
-    return read_basis(lp.objective, simplex(len(lp.objective), rhs, price, column))
+    triples = [(r, j, lp.objective[j]) for r, j in start]
+    return read_basis(lp.objective, simplex(len(lp.objective), rhs, price, column, triples))
 
 
 def read_basis(objective, basic) -> LPSolution:

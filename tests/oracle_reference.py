@@ -22,7 +22,8 @@ from mccwe.bits import subset_sums
 from mccwe.configlp import supporting_prices
 from mccwe.errors import NotMCCWE
 from mccwe.market import Allocation, singleton_partition
-from mccwe.oracle import _best_split, _check_assignment, optimal_integral
+from mccwe.market import _best_split, _check_assignment
+from mccwe.oracle import optimal_integral
 from mccwe.valuations import value_table
 
 

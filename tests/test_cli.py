@@ -7,7 +7,7 @@ import json
 import pytest
 
 from mccwe import Additive, CertificateError, Instance
-from mccwe import cli
+from mccwe import cli, configlp, market
 from mccwe.instances import built_in, write_instance
 from mccwe.cli import main
 
@@ -62,6 +62,26 @@ def test_gap_charges_no_search_that_does_not_run(tmp_path):
         "instance=random_uniform_budget_additive\nfractional=24\nintegral=24\nbest_mccwe=24\n",
     )
     assert run(["oracle", "-i", str(inst), "--best-mccwe"]) == (0, "opt=24\nbest_mccwe=24\n")
+
+
+
+def test_gap_charges_the_optimum_before_any_dp_or_lp_runs(tmp_path, monkeypatch, capsys):
+    # 4^12 assignments exceed the default budget: gap refuses the market
+    # before the DP or the singleton LP, which starts from the DP, runs.
+    inst = tmp_path / "uba.json"
+    gen = ["gen", "random_uniform_budget_additive", "--m", "12", "--n", "3", "--seed", "1"]
+    assert run([*gen, "-o", str(inst)])[0] == 0
+    capsys.readouterr()
+
+    def refused(*_args):
+        raise AssertionError("a DP or an LP ran before the charge")
+
+    monkeypatch.setattr(market, "_winner_determination", refused)
+    monkeypatch.setattr(configlp, "simplex", refused)
+    assert run(["gap", "-i", str(inst)]) == (2, "")
+    assert capsys.readouterr().err == (
+        "error=SizeLimit 16777216 enumeration states exceed the remaining budget (10000000)\n"
+    )
 
 
 def test_verify_failure_exit_code_and_report(tmp_path):

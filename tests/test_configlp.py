@@ -27,12 +27,13 @@ from mccwe import (
 )
 from configlp_reference import build_config_lp as dense_config_lp, pruned_config_lp
 from mccwe.bits import mask_of
-from mccwe import cli, configlp, oracle
+from mccwe import cli, configlp, market, oracle
 from mccwe.configlp import MAX_VARIABLES, fractional_opt, supporting_prices
 from mccwe.equilibria import MCCWE, verify
-from mccwe.instances import built_in, generate, parse_instance, write_instance
+from mccwe.instances import BUILTINS, built_in, generate, parse_instance, write_instance
 from mccwe.lp import UNBOUNDED, simplex
-from mccwe.oracle import optimal_integral, optimal_over_partition
+from mccwe.market import block_tables
+from mccwe.oracle import best_mccwe, optimal_integral, optimal_over_partition
 from value_reference import reduced_value
 
 F = Fraction
@@ -88,23 +89,26 @@ def _counting_solves(monkeypatch):
 def test_gap_on_fig1a_solves_one_lp_per_partition(tmp_path, monkeypatch):
     # The fractional line and the optimum's probe share the singleton LP,
     # and the block DP refuses all but one of the other probes without an LP.
+    # Each LP starts at its partition's DP optimum (from the slack basis
+    # the two took 7 and 4 pivots).
     path = tmp_path / "fig1a.json"
     path.write_text(write_instance(built_in("fig1a")))
     solutions = _counting_solves(monkeypatch)
     runs = []
-    real = oracle._winner_determination
+    real = market._winner_determination
 
-    def counted(k, tables):
+    def counted(k, tables, middle):
         runs.append(k)
-        return real(k, tables)
+        return real(k, tables, middle)
 
-    monkeypatch.setattr(oracle, "_winner_determination", counted)
+    monkeypatch.setattr(market, "_winner_determination", counted)
     assert cli.main(["gap", "-i", str(path)], out=io.StringIO()) == 0
     assert len(solutions) == 2
-    assert [sol.pivots for sol in solutions] == [7, 4]
-    # one singleton DP (4 blocks) for optimal_integral and best_mccwe
-    # together, then one DP per probe over its induced partition: three of
-    # the four probes are refused without an LP
+    assert [sol.pivots for sol in solutions] == [4, 2]
+    # one singleton DP (4 blocks) for optimal_integral, best_mccwe and the
+    # singleton LP's start together, then one DP per probe over its induced
+    # partition, which also starts the one LP solved: three of the four
+    # probes are refused without an LP
     assert runs == [4, 1, 2, 2, 2]
 
 
@@ -123,12 +127,14 @@ def _gap_workload(seed, workdir, monkeypatch):
     return [list(request) for market in markets for request in market.requests]
 
 
-@pytest.mark.parametrize("seed, lps, pivots", [(1, 290, 1855), (2, 286, 1978)])
+@pytest.mark.parametrize("seed, lps, pivots", [(1, 290, 1046), (2, 286, 1109)])
 def test_gap_pass_pivots_and_lp_solves(seed, lps, pivots, tmp_path, monkeypatch):
-    # One pass over the benchmark's gap markets; at seed 1 Bland's rule
-    # alone takes 4340 pivots over the same 290 LPs.  Where the singleton
-    # LP is integral (161 of the 216 markets at seed 1), gap runs no
-    # best_mccwe search and so no second LP.
+    # One pass over the benchmark's gap markets, every LP started at its
+    # partition's DP optimum.  From the slack basis the same LPs take 1855
+    # and 1978 pivots; at seed 1 Bland's rule alone takes 1168 from the
+    # start and 4340 from the slack basis.  Where the singleton LP is
+    # integral (161 of the 216 markets at seed 1), gap runs no best_mccwe
+    # search and so no second LP.
     requests = _gap_workload(seed, tmp_path, monkeypatch)
     solutions = _counting_solves(monkeypatch)
     for argv in requests:
@@ -168,6 +174,64 @@ def test_fractional_opt_returns_the_memoized_solution(monkeypatch):
     assert built_in("fig1a").config_lps == {}
     with pytest.raises(TypeError):
         first.y[(0, 1)] = F(1)
+
+
+def _solved_fresh(instance, before):
+    """`fractional_opt` over the singleton partition and every partition
+    that `best_mccwe` solves, on a fresh copy of the market on which
+    `before` ran first."""
+    probed = copy.deepcopy(instance)
+    best_mccwe(probed)
+    fresh = copy.deepcopy(instance)
+    before(fresh)
+    partitions = [singleton_partition(instance.m)]
+    partitions += [Partition(instance.m, blocks) for blocks in probed.config_lps]
+    return [fractional_opt(fresh, partition) for partition in partitions]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_fractional_opt_does_not_depend_on_what_ran_before(seed, tmp_path, monkeypatch):
+    # Each LP starts at its partition's DP optimum, which is computed when
+    # it is not kept: the same solution, duals included, whether or not
+    # optimal_integral or best_mccwe filled the memos first.
+    markets = []
+    if seed == 1:
+        params = {"partition_reduction": {"weights": [3, 1, 4, 1, 5]}, "bundling_necessity": {"m": 4}}
+        markets = [built_in(name, **params.get(name, {})) for name in BUILTINS]
+    for argv in _gap_workload(seed, tmp_path, monkeypatch):
+        with open(argv[-1], encoding="utf-8") as handle:
+            markets.append(parse_instance(handle.read()))
+    runs = (lambda inst: None, optimal_integral, best_mccwe)
+    for inst in markets:
+        first, *others = (_solved_fresh(inst, before) for before in runs)
+        assert all(other == first for other in others), inst.name
+    assert len(markets) == 216 + (len(BUILTINS) if seed == 1 else 0)
+
+
+def test_the_dp_and_the_lp_scan_each_table_once(monkeypatch):
+    # The DP scans the middle agents' tables, the singleton LP's columns
+    # the first and last agents' and reuse the rest; a second partition's
+    # tables are scanned on their own.
+    undominated = market._undominated
+    scanned = []
+    monkeypatch.setattr(
+        market, "_undominated", lambda table: scanned.append(table) or undominated(table)
+    )
+    for n in range(1, 6):
+        inst = generate("random_uniform_budget_additive", 5, n, n)
+        singles = singleton_partition(5)
+        tables = block_tables(inst, singles)
+        scanned.clear()
+        optimal_integral(inst)
+        fractional_opt(inst, singles)
+        best_mccwe(inst)
+        first_and_last = [tables[0], tables[-1]] if n > 1 else [tables[0]]
+        assert scanned[:n] == [*tables[1:-1], *first_and_last]
+        assert len({id(table) for table in scanned}) == len(scanned)
+        partition = Partition(5, (0b00011, 0b11100))
+        scanned.clear()
+        fractional_opt(inst, partition)
+        assert scanned == list(block_tables(inst, partition))
 
 
 def test_copies_of_a_market_start_an_empty_memo():

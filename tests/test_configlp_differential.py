@@ -10,13 +10,14 @@ The full-column dual re-check must accept and refuse exactly the duals that
 the integer re-check it replaced (`configlp_reference.check_full_dual`)
 does, on random tables and on duals just feasible and just infeasible.
 
-`fractional_opt` pivots the program on its slack block and prices columns
-from the value tables; `configlp_reference.pruned_config_lp` builds the
-same program as rows, and `lp_reference.library_solve` pivots it with
-every column priced from them.  On every (market, partition) that a
-seed-1 and a seed-2 gap pass and `best_mccwe` on each of its markets
-solve, and on the cases above, both must give the same y, duals, value
-and pivot count.
+`fractional_opt` pivots the program on its slack block from the block
+DP's optimum and prices columns from the value tables;
+`configlp_reference.pruned_config_lp` builds the same program as rows, and
+`lp_reference.solve_lp`, the dense `Fraction` simplex, pivots it from the
+same start, taken from the unpruned reference DP.  On every (market,
+partition) that a seed-1 and a seed-2 gap pass and `best_mccwe` on each of
+its markets solve, and on the cases above, both must give the same y,
+duals, value and pivot count, and the value of the slack-basis solve.
 """
 
 import io
@@ -29,13 +30,15 @@ import pytest
 
 from configlp_reference import check_full_dual, covers_every_column, dense_opt
 from configlp_reference import dense_supportable, pruned_config_lp
-from lp_reference import library_solve
+import oracle_reference
+from lp_reference import library_solve, solve_lp
 from mccwe import CertificateError, NotMCCWE, Partition, allocation, induced_partition
-from mccwe import cli, configlp, singleton_partition, social_welfare
+from mccwe import cli, configlp, market, singleton_partition, social_welfare
 from mccwe.configlp import fractional_opt, supporting_prices
 from mccwe.equilibria import MCCWE, verify
 from mccwe.instances import FAMILIES, built_in, generate, partition_reduction
 from mccwe.lp import simplex
+from mccwe.market import block_tables
 from mccwe.oracle import best_mccwe, optimal_integral
 from test_configlp import _gap_workload
 
@@ -142,9 +145,11 @@ def test_the_markets_prune_columns_and_refuse_allocations():
 
 
 def _drop_last_column(monkeypatch):
-    """A mutant filter that also drops each agent's last undominated column."""
-    undominated = configlp._undominated
-    monkeypatch.setattr(configlp, "_undominated", lambda table: undominated(table)[:-1])
+    """A mutant filter that also drops each agent's last undominated column
+    (and, as the DP's fold shares the scan, each middle agent's last
+    undominated bundle)."""
+    undominated = market._undominated
+    monkeypatch.setattr(market, "_undominated", lambda table: undominated(table)[:-1])
 
 
 def test_a_filter_that_drops_an_undominated_column_is_caught(monkeypatch):
@@ -207,20 +212,41 @@ def test_the_full_dual_recheck_matches_the_integer_reference():
         assert expected[:2] == [True, False]  # just feasible, just infeasible
 
 
+def _reference_start(instance, partition, lp, labels):
+    """`configlp`'s start restated over the built program: the reference
+    DP's optimum over the partition (a lone agent takes every block), and
+    for each agent i whose bundle S_i has value > 0, row i basic in the
+    highest of its columns within S_i of S_i's value."""
+    k = len(partition.blocks)
+    tables = block_tables(instance, partition)
+    sets = ((1 << k) - 1,)
+    if instance.n > 1:
+        sets = oracle_reference._winner_determination(k, tables)[0]
+    start = {}
+    for j, (i, mask) in enumerate(labels):
+        if mask | sets[i] == sets[i] and lp.objective[j] == tables[i][sets[i]] > 0:
+            start[i] = j
+    return sorted(start.items())
+
+
 def _reference_answer(instance, partition):
-    """(y, dual_u, dual_q, value, pivots) of `library_solve` on the built program,
-    each column labelled (agent, mask) from its own rows."""
+    """(y, dual_u, dual_q, value, pivots) of the dense `Fraction` simplex on
+    the built program from `_reference_start`, each column labelled (agent,
+    mask) from its own rows, and the value of `library_solve` from the
+    slack basis."""
     lp = pruned_config_lp(instance, partition)
-    sol = library_solve(lp)
     n, scale = instance.n, instance.scale
     rows = [coeffs for coeffs, _rhs in lp.constraints]
     labels = [
         (next(i for i in range(n) if rows[i][j]), sum(row[j] << b for b, row in enumerate(rows[n:])))
         for j in range(len(lp.objective))
     ]
+    sol = solve_lp(lp, _reference_start(instance, partition, lp, labels))
     y = {labels[j]: x for j, x in enumerate(sol.primal) if x}
     dual = [d / scale for d in sol.dual]
-    return y, tuple(dual[:n]), tuple(dual[n:]), sol.objective_value / scale, sol.pivots
+    value = sol.objective_value / scale
+    answer = y, tuple(dual[:n]), tuple(dual[n:]), value, sol.pivots
+    return answer, library_solve(lp).objective_value / scale
 
 
 def _comparing_solves(monkeypatch):
@@ -237,7 +263,8 @@ def _comparing_solves(monkeypatch):
     def compared(instance, partition):
         sol = solve(instance, partition)
         answer = (dict(sol.y), sol.dual_u, sol.dual_q, sol.value, pivots[-1])
-        seen.append((instance.name, partition.blocks, answer == _reference_answer(instance, partition)))
+        reference = _reference_answer(instance, partition)
+        seen.append((instance.name, partition.blocks, reference == (answer, sol.value)))
         return sol
 
     monkeypatch.setattr(configlp, "simplex", counting)

@@ -167,6 +167,52 @@ def test_a_pricing_that_misses_a_basic_column_raises():
         simplex(1, [1], lambda d, lam: [4 * d], lambda j: [(0, 1)])
 
 
+def _unit_program():
+    """max 3x + 2y subject to x + y <= 1, x + z <= 1, y <= 1, with a
+    costless z: the closures `simplex` takes, x, y and z as columns 0-2."""
+    columns = [[(0, 1), (1, 1)], [(0, 1), (2, 1)], [(1, 1)]]
+
+    def price(d, lam):
+        return [d * c + sum(lam[r] * a for r, a in col) for c, col in zip((3, 2, 0), columns)]
+
+    return 3, [1, 1, 1], price, columns.__getitem__
+
+
+def test_a_start_basis_is_taken_in_closed_form():
+    # Row 0 basic in x: x's entry in row 1 makes row 1's slack e_1 - e_0,
+    # at right-hand side 0, and lam_0 = -3.  x = 1 is optimal, so no pivot;
+    # from the slacks x enters and row 0's slack leaves, the same basis.
+    start = simplex(*_unit_program(), start=[(0, 0, 3)])
+    assert (start.basis, start.values, start.dual, start.pivots) == ((0, 4, 5), (1, 0, 1), (3, 0, 0), 0)
+    slack = simplex(*_unit_program())
+    assert (slack.basis, slack.values, slack.dual) == (start.basis, start.values, start.dual)
+    assert slack.pivots == 1
+
+
+@pytest.mark.parametrize(
+    "start, match",
+    [
+        ([(0, 0, 3), (0, 1, 2)], "distinct rows"),  # two start columns in one row
+        ([(3, 2, 0)], "distinct rows"),  # the program has no row 3
+        ([(0, 0, 3), (1, 2, 0)], "unit column"),  # x has an entry in start row 1
+        ([(2, 1, 2), (0, 0, 3)], "unit column"),  # y has an entry in start row 0
+        ([(1, 1, 2)], "unit column"),  # y has no entry in row 1
+        ([(0, 3, 0)], "not a structural column"),
+        ([(0, 0, 2)], "basic column a nonzero reduced cost"),  # x's cost is 3
+    ],
+)
+def test_a_malformed_start_raises(start, match):
+    with pytest.raises(CertificateError, match=match):
+        simplex(*_unit_program(), start)
+
+
+def test_an_infeasible_start_raises():
+    # Row 0 basic in x, whose entry 2 in row 1 overdraws row 1's capacity.
+    columns = [[(0, 1), (1, 2)]]
+    with pytest.raises(CertificateError, match="infeasible"):
+        simplex(1, [1, 1], lambda d, lam: [d + lam[0] + 2 * lam[1]], columns.__getitem__, [(0, 0, 1)])
+
+
 def test_no_constraints():
     assert library_solve(_lp([0, 0], [])).objective_value == 0
     assert library_solve(_lp([1, 0], [])).status == UNBOUNDED

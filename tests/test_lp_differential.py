@@ -94,6 +94,51 @@ def test_random_fractional_lps_match_the_reference(seed):
     assert {OPTIMAL, UNBOUNDED} <= set(statuses)
 
 
+def _random_started_lp(rng):
+    """A packing program with a feasible start planted in it: each start
+    row's column has entry 1 there and 0 in the other start rows, and every
+    other row's right-hand side covers what the start draws from it.  Rows
+    are mixed-sign and only some columns are boxed, so some programs are
+    unbounded.  Returns the program and its (row, column) start pairs."""
+    n, n_rows = rng.randint(1, 5), rng.randint(1, 5)
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n_rows)]
+    rhs = [rng.choice((0, rng.randint(0, 9))) for _ in range(n_rows)]
+    picks = rng.randint(1, min(n, n_rows))
+    start = list(zip(rng.sample(range(n_rows), picks), rng.sample(range(n), picks)))
+    for j in range(n):
+        if rng.random() < 0.6:
+            rows.append([int(k == j) for k in range(n)])
+            rhs.append(rng.randint(1, 12))
+    starts = {r for r, _j in start}
+    for r, j in start:
+        for s in starts:
+            rows[s][j] = int(s == r)
+    for s in range(len(rows)):
+        if s not in starts:
+            drawn = sum(rows[s][j] * rhs[r] for r, j in start)
+            rhs[s] = max(rhs[s], drawn + rng.choice((0, rng.randint(0, 4))))
+    objective = tuple(rng.randint(-5, 8) for _ in range(n))
+    return LinearProgram(objective, tuple(zip(map(tuple, rows), rhs))), start
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_started_lps_match_the_reference(seed):
+    # The dense tableau pivoted into the start, uncounted, then run by the
+    # same rule: every pivot the same, and the slack-basis solve's value.
+    rng = random.Random(f"lp-differential/started/{seed}")
+    statuses = []
+    for _ in range(150):
+        lp, start = _random_started_lp(rng)
+        sol = library_solve(lp, start)
+        assert _answer(sol) == _answer(reference_solve_lp(lp, start))
+        slack = library_solve(lp)
+        assert (sol.status, sol.objective_value) == (slack.status, slack.objective_value)
+        if sol.status == OPTIMAL:
+            check_dual_from_outside(lp, sol)
+        statuses.append(sol.status)
+    assert {OPTIMAL, UNBOUNDED} <= set(statuses)
+
+
 def _gap_markets():
     """Every market shape of the `gap` benchmark workload, at small seeds."""
     rng = random.Random("lp-differential/gap")

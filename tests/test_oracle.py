@@ -31,12 +31,11 @@ from mccwe import (
 )
 from mccwe.bits import bits_of, mask_of
 from mccwe.equilibria import MCCWE, verify
-from mccwe import oracle
+from mccwe import market, oracle
 from mccwe.instances import SplitMix64, built_in, generate, parse_instance, write_instance
-from mccwe.market import UNALLOCATED, block_tables
+from mccwe.market import UNALLOCATED, _check_assignment, _undominated, block_tables
 from mccwe.oracle import (
     OracleBudget,
-    _check_assignment,
     _single_minded_optimum,
     best_mccwe,
     best_single_minded_item_pricing,
@@ -146,7 +145,7 @@ def test_single_minded_search_matches_the_dp_on_seeded_markets():
         )
         inst = Instance(m, agents)
         x, welfare = _single_minded_optimum(inst, OracleBudget())
-        sets, dp_welfare = oracle._optimum(inst, singleton_partition(m))
+        sets, dp_welfare = market._optimum(inst, singleton_partition(m))
         if (x.bundles, welfare) != (sets, F(dp_welfare, inst.scale)):
             mismatches.append(seed)
     assert mismatches == []
@@ -556,16 +555,16 @@ def test_tables_read_off_the_singleton_tables_match_value_table(monkeypatch):
 
 def test_optimum_is_computed_once_per_partition(monkeypatch):
     runs = []
-    real = oracle._winner_determination
+    real = market._winner_determination
 
-    def counted(k, tables):
+    def counted(k, tables, middle):
         runs.append(k)
-        return real(k, tables)
+        return real(k, tables, middle)
 
-    monkeypatch.setattr(oracle, "_winner_determination", counted)
+    monkeypatch.setattr(market, "_winner_determination", counted)
     inst = built_in("fig1a")
-    first = oracle._optimum(inst, singleton_partition(4))
-    assert oracle._optimum(inst, singleton_partition(4)) is first
+    first = market._optimum(inst, singleton_partition(4))
+    assert market._optimum(inst, singleton_partition(4)) is first
     assert inst.optima == {singleton_partition(4).blocks: first}
     assert optimal_integral(inst) == (allocation(4, first[0]), F(first[1], inst.scale))
     assert runs == [4]
@@ -899,15 +898,18 @@ def dp_cases():
 DP_CASES = dp_cases()
 
 
+def _library_fold(k, tables, masks=_undominated):
+    """The library's DP with each middle agent folded over masks(table)."""
+    return market._winner_determination(k, tables, [masks(table) for table in tables[1:-1]])
+
+
 def test_the_pruned_fold_answers_as_the_unpruned_one():
     # The same sets and welfare as folding every bundle, n 3^k subset
     # pairs, wherever the leaf walk cannot reach.
     pruned = unpruned = 0
     for k, tables in DP_CASES:
-        assert oracle._winner_determination(k, tables) == oracle_reference._winner_determination(
-            k, tables
-        )
-        kept = sum(len(oracle._undominated(table)) for table in tables[1:-1])
+        assert _library_fold(k, tables) == oracle_reference._winner_determination(k, tables)
+        kept = sum(len(_undominated(table)) for table in tables[1:-1])
         if kept < (len(tables) - 2) * ((1 << k) - 1):
             pruned += 1
         else:
@@ -915,21 +917,19 @@ def test_the_pruned_fold_answers_as_the_unpruned_one():
     assert len(DP_CASES) >= 350 and pruned >= 250 and unpruned >= 60, (pruned, unpruned)
 
 
-def test_folding_every_bundle_changes_no_answer(monkeypatch):
-    monkeypatch.setattr(oracle, "_undominated", lambda table: list(range(1, len(table))))
+def test_folding_every_bundle_changes_no_answer():
+    def every(table):
+        return list(range(1, len(table)))
+
     for k, tables in DP_CASES[::3]:
-        assert oracle._winner_determination(k, tables) == oracle_reference._winner_determination(
-            k, tables
-        )
+        assert _library_fold(k, tables, every) == oracle_reference._winner_determination(k, tables)
 
 
 @pytest.mark.parametrize("drop", ["first", "last"])
-def test_a_filter_that_drops_an_undominated_bundle_is_caught(monkeypatch, drop):
-    undominated = oracle._undominated
+def test_a_filter_that_drops_an_undominated_bundle_is_caught(drop):
     kept = slice(1, None) if drop == "first" else slice(None, -1)
-    monkeypatch.setattr(oracle, "_undominated", lambda table: undominated(table)[kept])
     caught = sum(
-        oracle._winner_determination(k, tables)
+        _library_fold(k, tables, lambda table: _undominated(table)[kept])
         != oracle_reference._winner_determination(k, tables)
         for k, tables in DP_CASES
     )
@@ -939,10 +939,9 @@ def test_a_filter_that_drops_an_undominated_bundle_is_caught(monkeypatch, drop):
 def test_the_fold_filters_the_middle_agents_only(monkeypatch):
     # Agents 1..n-2, once each per DP: the first agent starts the fold and
     # the last is scanned over every bundle, for the full set only.
-    undominated = oracle._undominated
     filtered = []
     monkeypatch.setattr(
-        oracle, "_undominated", lambda table: filtered.append(table) or undominated(table)
+        market, "_undominated", lambda table: filtered.append(table) or _undominated(table)
     )
     for n in range(2, 7):
         inst = generate("random_uniform_budget_additive", 5, n, n)

@@ -246,8 +246,13 @@ def _defining_and_calling(function: str) -> tuple[list[str], list[str]]:
 
 def test_one_dominance_filter_serves_the_lp_and_the_dp():
     # `market._undominated` prunes both the configuration LP's columns and
-    # the bundles winner determination folds.
-    assert _defining_and_calling("_undominated") == (["market.py"], ["configlp.py", "oracle.py"])
+    # the bundles winner determination folds, through one scan per table
+    # that both read (`market._undominated_masks`).
+    assert _defining_and_calling("_undominated") == (["market.py"], ["market.py"])
+    assert _defining_and_calling("_undominated_masks") == (
+        ["market.py"],
+        ["configlp.py", "market.py"],
+    )
 
 
 def test_one_pivot_loop_serves_both_lps():
