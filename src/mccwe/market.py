@@ -52,9 +52,12 @@ class Instance:
     Three memos, each keyed by partition blocks, hold what is computed once
     per partition: `block_tables` the agents' value tables and their
     `_undominated_masks` (see `block_tables`), `optima` the welfare optima
-    (`_optimum`) and `config_lps` `configlp.fractional_opt`'s solutions.  They start empty, and a market
-    never changes (its agents are kept as a tuple, a list copied, and its
-    metadata as a JSON copy), so each entry holds while the instance lives.
+    (`_optimum`; `oracle.optimal_integral`'s single-minded winner-set
+    search fills the singleton entry with the same answer) and
+    `config_lps` `configlp.fractional_opt`'s solutions.  They start empty,
+    and a market never changes (its agents are kept as a tuple, a list
+    copied, and its metadata as a JSON copy), so each entry holds while the
+    instance lives.
     """
 
     m: int

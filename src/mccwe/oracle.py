@@ -18,13 +18,16 @@ gives an agent a dominated bundle.
 All three optima share one routine, `market._optimum`, which computes
 each (market, partition) optimum once, over the market's `block_tables`,
 and also gives the configuration LP its start; a lone agent takes every
-item or block in closed form, with no table.  The
+item or block in closed form, with no table, and the single-minded
+winner-set search keeps its optimum in the same memo.  The
 supportable-optimum search steps through the assignments, "unallocated" as
 the last digit, with one depth-first walk, `_assignments`, that skips every
-owner-vector prefix whose monotone completion bound cannot beat the best
-supportable welfare found so far (branch and bound, after Land and Doig,
-1960); each prefix bounds its children from one read of each agent's
-table, and one more per agent, before it enters any.  The budget bounds
+owner-vector prefix whose monotone completion bound cannot beat its floor
+(branch and bound, after Land and Doig, 1960): max_i v_i(M) - 1 at first,
+as the grand bundle M sold to an agent of largest v(M) is always
+supportable, then the best supportable welfare found so far.  Each prefix
+bounds its children from one read of each agent's table, and one more per
+agent, before it enters any.  The budget bounds
 the work: each search charges it before it starts (SizeLimit rather than
 exceed it), and `value_table`'s 20-block cap bounds each table.
 """
@@ -39,7 +42,7 @@ from .bits import bits_of
 from .errors import BadParams, CertificateError, NotMCCWE, NotSingleMinded, SizeLimit
 from .lp import OPTIMAL, simplex
 from .market import Allocation, Instance, Outcome, Partition
-from .market import _optimum, block_tables, check_fits, induced_partition, singleton_partition
+from .market import _optimum, block_tables, check_fits, singleton_partition
 from .valuations import SingleMinded, _INT, _check_kinds
 
 DEFAULT_STATE_LIMIT = 10_000_000
@@ -83,8 +86,8 @@ def _assignments(k, tables, floor):
     `floor[0]`, in lexicographic owner-vector order: unit 0 most significant,
     agents as digits 0..n-1, "unallocated" last.  The welfare is in the
     tables' units; `sets` holds the agents' unit masks and is updated in
-    place.  floor[0] is None (no floor) or a welfare, and the caller may
-    raise it between yields.
+    place.  floor[0] is a welfare, and the caller may raise it between
+    yields.
 
     The walk recurses depth first over owner-vector prefixes, one unit per
     level, trying the agents in order and then "unallocated".  A prefix's
@@ -115,15 +118,15 @@ def _assignments(k, tables, floor):
         for i, table in agents:
             s = sets[i]
             child = base - without[i] + table[s | unit | free]
-            if floor[0] is None or child > floor[0]:
+            if child > floor[0]:
                 sets[i] = s | unit
                 yield from walk(j + 1, rest, child)
                 sets[i] = s
-        if floor[0] is None or base > floor[0]:
+        if base > floor[0]:
             yield from walk(j + 1, rest | unit, base)
 
     bound = sum(table[full] for table in tables)
-    if floor[0] is None or bound > floor[0]:
+    if bound > floor[0]:
         yield from walk(0, 0, bound)
 
 
@@ -173,7 +176,9 @@ def _single_minded_optimum(instance, budget):
     winner takes its desired set and agent 0 the rest.  A set at the best
     welfare so far is scored by the DP's digits (`market._winner_determination`):
     agent i adds i*n^(m-1-j) for each item j it takes, so the fewest digits
-    are the smallest owner vector."""
+    are the smallest owner vector.  The answer is kept in `Instance.optima`
+    under the singleton partition's blocks, as `market._optimum` keeps the
+    DP's, so the singleton configuration LP starts from it without a DP."""
     m, n = instance.m, instance.n
     budget.charge(1 << n)
     desired = [v.desired for v in instance.agents]
@@ -186,6 +191,7 @@ def _single_minded_optimum(instance, budget):
     welfare, _digits, winners = best
     bundles = [desired[i] if winners >> i & 1 else 0 for i in range(n)]
     bundles[0] |= (1 << m) - 1 ^ sum(bundles)
+    instance.optima.setdefault(singleton_partition(m).blocks, (tuple(bundles), welfare))
     return Allocation(m, 0, tuple(bundles)), Fraction(welfare, instance.scale)
 
 
@@ -227,23 +233,43 @@ def best_mccwe(
     """Max welfare over all supportable allocations, with supporting prices.
 
     Ties go to the first supportable allocation in enumeration order at the
-    winning welfare.  The search first tries the optimum x that
+    winning welfare W*.  The search first tries the optimum x that
     `optimal_integral` returns, under that call's charge (super-additive
     markets always succeed here), then walks the assignments in
-    owner-vector order: at x's welfare it returns the first other
-    supportable allocation, and below it probes only strict
-    improvements on the best supportable welfare so far, which it returns
-    when the walk ends.  That best is the walk's floor: every assignment the
-    walk skips has welfare at most the floor, and would have been passed
-    over as no strict improvement, so the same candidates are probed in the
-    same order as over the full walk.  A probe first runs the block DP over
-    the candidate's induced partition: when some whole-block assignment
-    beats the candidate, the LP's value, which is at least that, does too,
-    and the candidate is refused without an LP.  Otherwise the probe solves
-    the LP once.  The walk is charged (n+1)^m states when it starts, after
-    x's probe fails; like the probes' LPs, their block DPs are not charged.
-    Raises CertificateError if the walk supports no candidate, which
-    cannot happen.
+    owner-vector order (`_assignments`) above a floor, in the market's
+    integer units: at x's welfare it returns the first other supportable
+    allocation, and below it probes only strict improvements on the floor,
+    which rises to each supported candidate's welfare, and returns the last
+    one when the walk ends.
+
+    The floor starts at W_g - 1, where W_g = max_i v_i(M).  The grand
+    bundle M sold to an agent of largest v(M) is supportable (see the
+    comment at the end), so W* >= W_g, and the floor changes no answer.
+    Take the walk with no floor, which probes each candidate that beats F,
+    the best supportable welfare so far.  Candidate by candidate, the floor
+    here is max(W_g - 1, F): a candidate at W_g or above beats it exactly
+    when it beats F, and if supported raises both to its welfare; one below
+    W_g is probed by the unfloored walk alone and raises F to at most
+    W_g - 1.  The unfloored walk's answer is the first supportable
+    candidate at W*, and every floor in force before it is below W*: F is,
+    as no earlier candidate is supportable at W*, and W_g - 1 is.  So this
+    walk probes that candidate too, and keeps it, as no later one beats
+    W*.  `_assignments` skips only assignments at or below the floor in
+    force, which would not be probed.
+
+    Each candidate is probed in integers, through the memos keyed by its
+    induced partition's blocks, built straight from the walk's masks; a
+    `Partition` is built only on a miss.  The block DP over those blocks
+    comes first: when some whole-block assignment beats the candidate, the
+    LP's value, which is at least that, does too, and the candidate is
+    refused without an LP.  Otherwise the LP is solved once per partition
+    and its value compared with the candidate's welfare.  Only a candidate
+    whose LP value equals its welfare is built as an `Allocation` and
+    priced by `configlp.supporting_prices`, with all its re-checks.  The
+    walk is charged (n+1)^m states when it starts, after x's probe fails;
+    like the probes' LPs, their block DPs are not charged.  Raises
+    CertificateError if the walk supports no candidate, which cannot
+    happen.
     """
     budget = _allowance(budget)
     x, best = optimal_integral(instance, budget)
@@ -252,24 +278,37 @@ def best_mccwe(
         return outcome, best
     # A lone agent never walks: its optimum is supportable, as its LP over
     # the one block peaks at v(full), its welfare.
-    m, top = instance.m, best * instance.scale
+    m, scale = instance.m, instance.scale
+    top = best.numerator * (scale // best.denominator)
     budget.charge((instance.n + 1) ** m)
     tables = block_tables(instance, singleton_partition(m))
-    floor = [None]  # the best supportable welfare so far, raised as probes succeed
+    full = (1 << m) - 1
+    floor = [max(table[full] for table in tables) - 1]  # raised as probes succeed
+    skip = (x.x0, list(x.bundles))
+    optima, lps = instance.optima, instance.config_lps
     for welfare, sets, rest in _assignments(m, tables, floor):
-        candidate = Allocation(m, rest, tuple(sets))
-        if candidate == x or _optimum(instance, induced_partition(candidate)[0])[1] > welfare:
+        if (rest, sets) == skip:
             continue
-        found = _supported(instance, candidate)
+        # the induced partition's blocks, in `Partition`'s order: by lowest item
+        blocks = tuple(sorted([s for s in (*sets, rest) if s], key=lambda b: b & -b))
+        dp = optima.get(blocks) or _optimum(instance, Partition(m, blocks))
+        if dp[1] > welfare:
+            continue
+        lp = lps.get(blocks) or configlp.fractional_opt(instance, Partition(m, blocks))
+        if lp.value.numerator * scale != welfare * lp.value.denominator:
+            continue
+        found = _supported(instance, Allocation(m, rest, tuple(sets)))
         if found is not None:
             if welfare == top:
                 return found, best
             outcome, floor[0] = found, welfare
-    # The grand bundle given to an agent of largest v(full) passes the block
-    # DP and its one-block LP supports it, so the walk finds a candidate.
-    if floor[0] is None:
+    # The grand bundle M given to an agent of largest v(M) has welfare W_g,
+    # above the first floor, and it is not x, or x would be supported.  Its
+    # one-block DP and LP both peak at W_g, so it is supported: the walk
+    # finds an outcome, there or at an earlier success that raised the floor.
+    if outcome is None:
         raise CertificateError("the walk found no supportable allocation")
-    return outcome, Fraction(floor[0], instance.scale)
+    return outcome, Fraction(floor[0], scale)
 
 
 def _item_prices_support(m, desired, values, winners):

@@ -107,9 +107,10 @@ def test_gap_on_fig1a_solves_one_lp_per_partition(tmp_path, monkeypatch):
     assert [sol.pivots for sol in solutions] == [4, 2]
     # one singleton DP (4 blocks) for optimal_integral, best_mccwe and the
     # singleton LP's start together, then one DP per probe over its induced
-    # partition, which also starts the one LP solved: three of the four
-    # probes are refused without an LP
-    assert runs == [4, 1, 2, 2, 2]
+    # partition, which also starts the one LP solved: two of the three
+    # probes are refused without an LP.  The grand bundle to agent 0 (one
+    # block) is below best_mccwe's floor, max_i v_i(M) - 1, and is not probed.
+    assert runs == [4, 2, 2, 2]
 
 
 def _gap_workload(seed, workdir, monkeypatch):
@@ -125,6 +126,48 @@ def _gap_workload(seed, workdir, monkeypatch):
     for market in markets:
         assert cli.main([*market.gen, "-o", market.instance], out=io.StringIO()) == 0
     return [list(request) for market in markets for request in market.requests]
+
+
+def test_gap_runs_no_dp_over_the_items_of_a_winner_set_market(tmp_path, monkeypatch):
+    # optimal_integral searches these single-minded markets over their 2^n
+    # winner sets, as 2^n < (n+1)^m, and keeps its answer in Instance.optima
+    # as the DP would, so the singleton LP's start reads it there: gap runs
+    # no block DP over the items.  The gap workload's single-minded markets
+    # at seeds 1 and 2, and larger seeded ones.
+    paths = []
+    for seed in (1, 2):
+        workdir = tmp_path / f"gap{seed}"
+        workdir.mkdir()
+        paths += [argv[-1] for argv in _gap_workload(seed, workdir, monkeypatch)]
+    for m, n, seed in ((15, 6, 1), (8, 4, 1), (8, 4, 2), (10, 5, 3)):
+        paths.append(str(tmp_path / f"sm_{m}_{n}_{seed}.json"))
+        argv = ["gen", "random_single_minded", "--m", str(m), "--n", str(n)]
+        assert cli.main([*argv, "--seed", str(seed), "-o", paths[-1]], out=io.StringIO()) == 0
+    markets = []
+    for path in paths:
+        text = Path(path).read_text()
+        inst = parse_instance(text)
+        if not all(isinstance(v, SingleMinded) for v in inst.agents):
+            continue
+        assert 1 << inst.n < (inst.n + 1) ** inst.m
+        optimal_integral(inst)
+        items = singleton_partition(inst.m)
+        fresh = parse_instance(text)
+        assert inst.optima == {items.blocks: market._optimum(fresh, items)}
+        markets.append((path, inst.m))
+    assert len(markets) == 2 * 36 + 4
+    runs = []
+    real = market._winner_determination
+
+    def counted(k, tables, middle):
+        runs.append(k)
+        return real(k, tables, middle)
+
+    monkeypatch.setattr(market, "_winner_determination", counted)
+    for path, m in markets:
+        runs.clear()
+        assert cli.main(["gap", "-i", path], out=io.StringIO()) == 0
+        assert m not in runs, path
 
 
 @pytest.mark.parametrize("seed, lps, pivots", [(1, 290, 1046), (2, 286, 1109)])

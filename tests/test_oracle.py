@@ -31,7 +31,7 @@ from mccwe import (
 )
 from mccwe.bits import bits_of, mask_of
 from mccwe.equilibria import MCCWE, verify
-from mccwe import market, oracle
+from mccwe import configlp, market, oracle
 from mccwe.instances import SplitMix64, built_in, generate, parse_instance, write_instance
 from mccwe.market import UNALLOCATED, _check_assignment, _undominated, block_tables
 from mccwe.oracle import (
@@ -144,17 +144,26 @@ def test_single_minded_search_matches_the_dp_on_seeded_markets():
             for _ in range(n)
         )
         inst = Instance(m, agents)
-        x, welfare = _single_minded_optimum(inst, OracleBudget())
+        # the DP first: the search keeps its answer in the memo the DP reads
         sets, dp_welfare = market._optimum(inst, singleton_partition(m))
+        x, welfare = _single_minded_optimum(inst, OracleBudget())
         if (x.bundles, welfare) != (sets, F(dp_welfare, inst.scale)):
             mismatches.append(seed)
     assert mismatches == []
 
 
-def test_optimal_integral_charges_the_smaller_search_on_single_minded_markets():
-    # min(2^n, (n+1)^m), with the DP (which fills the optima memo) on ties.
-    # SizeLimit exactly where choosing the search by the budget left raised
-    # it: when both searches exceed what is left.
+def test_optimal_integral_charges_the_smaller_search_on_single_minded_markets(monkeypatch):
+    # min(2^n, (n+1)^m), with the DP on ties.  SizeLimit exactly where
+    # choosing the search by the budget left raised it: when both searches
+    # exceed what is left.
+    searches = []
+    winner_sets = oracle._single_minded_optimum
+
+    def counted(inst, budget):
+        searches.append(inst)
+        return winner_sets(inst, budget)
+
+    monkeypatch.setattr(oracle, "_single_minded_optimum", counted)
     for m, n in itertools.product(range(1, 5), range(1, 6)):
         dp, search = (n + 1) ** m, 1 << n
         for used in (0, 3):
@@ -166,9 +175,10 @@ def test_optimal_integral_charges_the_smaller_search_on_single_minded_markets():
                         optimal_integral(inst, budget)
                     assert budget.used == used
                     continue
+                searches.clear()
                 x, welfare = optimal_integral(inst, budget)
                 assert budget.used == used + min(dp, search)
-                assert bool(inst.optima) == (dp <= search)
+                assert len(searches) == (dp > search)
                 assert (x, welfare) == reference_integral(inst)
 
 
@@ -615,8 +625,9 @@ def test_assignments_follow_owner_vector_order():
 
 
 def test_the_walk_yields_the_reference_walk_above_its_floor():
-    # Without a floor the walk yields every assignment in the plain
-    # odometer's order; with a floor F, exactly those whose welfare beats F.
+    # Below every welfare (-1) the floor lets the walk yield every
+    # assignment in the plain odometer's order; with a floor F, exactly
+    # those whose welfare beats F.
     markets = [built_in("fig1a", eps=F(1, 10))]
     markets.append(built_in("nonuniform_identical_budget", eps=F(1, 8)))
     markets += [
@@ -629,9 +640,9 @@ def test_the_walk_yields_the_reference_walk_above_its_floor():
         tables = block_tables(inst, singleton_partition(inst.m))
         walk = [(w, tuple(sets), rest) for w, sets, rest in _assignments(inst.m, tables)]
         welfares = sorted({w for w, _sets, _rest in walk})
-        for floor in [None, welfares[0] - 1] + welfares[:: max(1, len(welfares) // 5)]:
+        for floor in [-1, welfares[0] - 1] + welfares[:: max(1, len(welfares) // 5)]:
             walked = oracle._assignments(inst.m, tables, [floor])
-            expected = [leaf for leaf in walk if floor is None or leaf[0] > floor]
+            expected = [leaf for leaf in walk if leaf[0] > floor]
             assert [(w, tuple(sets), rest) for w, sets, rest in walked] == expected
 
 
@@ -654,11 +665,11 @@ def test_the_walk_applies_a_floor_raised_between_yields():
     for n, k in itertools.product(range(1, 6), range(1, 7)):
         for _ in range(2):
             tables = [_monotone_table(rng, k) for _ in range(n)]
-            floor = [None]
+            floor = [-1]
             reference = _assignments(k, tables)
             for welfare, sets, rest in oracle._assignments(k, tables, floor):
                 for leaf in reference:
-                    if floor[0] is None or leaf[0] > floor[0]:
+                    if leaf[0] > floor[0]:
                         break
                     skipped += 1
                 else:
@@ -666,15 +677,15 @@ def test_the_walk_applies_a_floor_raised_between_yields():
                 assert (welfare, tuple(sets), rest) == (leaf[0], tuple(leaf[1]), leaf[2])
                 if rng.random() < 0.2:
                     raised = welfare - rng.randint(0, 8)
-                    floor[0] = raised if floor[0] is None else max(floor[0], raised)
-            assert all(floor[0] is not None and w <= floor[0] for w, _s, _r in reference)
+                    floor[0] = max(floor[0], raised)
+            assert all(w <= floor[0] for w, _s, _r in reference)
     assert skipped > 50_000
 
 
 @pytest.mark.parametrize(
     "name, eps, yields, reads",
     [
-        pytest.param("fig1a", F(1, 10), 10, 945, id="fig1a-eps0-10"),
+        pytest.param("fig1a", F(1, 10), 6, 945, id="fig1a-eps0-10"),
         pytest.param(
             "nonuniform_identical_budget", F(1, 8), 3, 75, id="nonuniform_identical_budget-eps1-3"
         ),
@@ -682,10 +693,12 @@ def test_the_walk_applies_a_floor_raised_between_yields():
 )
 def test_best_mccwe_walks_only_what_can_beat_its_best(monkeypatch, name, eps, yields, reads):
     # The owner-vector walk over fig1a's 6^4 = 1296 and the nonuniform
-    # market's 4^3 = 64 assignments yields only those that beat the best
-    # supportable welfare at the time.  Bounding each child from its
-    # parent's reads, it reads the tables 945 and 75 times, where a walk
-    # that sums every table at every prefix it enters read 2825 and 147.
+    # market's 4^3 = 64 assignments yields only those that beat its floor
+    # at the time: max_i v_i(M) - 1 at first, then the best supportable
+    # welfare.  On fig1a a walk that starts with no floor yields 10.
+    # Bounding each child from its parent's reads, it reads the tables 945
+    # and 75 times, where a walk that sums every table at every prefix it
+    # enters read 2825 and 147.
     walk = oracle._assignments
     count = [0, 0]  # yields, table reads
 
@@ -703,6 +716,97 @@ def test_best_mccwe_walks_only_what_can_beat_its_best(monkeypatch, name, eps, yi
     inst = built_in(name, eps=eps)
     assert best_mccwe(inst) == oracle_reference.best_mccwe(copy.deepcopy(inst))
     assert count == [yields, reads]
+
+
+# The walk's first floor is W_g - 1, W_g = max_i v_i(M).  Here the optimum
+# x = (0, 0, 1) is not supportable, and the best MC-CWE, (0, 1, 1), has
+# welfare W_g = 4, agent 1's v(M).  A floor of W_g would skip it, and the
+# grand bundle to agent 1, (1, 1, 1), comes after it in owner-vector order.
+FLOOR_MARKET = Instance(3, (SingleMinded(0b111, F(1)), CappedCardinalityAdditive((0, 4, 4), 1)))
+
+
+def floor_markets():
+    """Every built-in, some at more than one parameter, the three random
+    families at m <= 6 and n <= 4 over seeded draws, and seeded markets of
+    budget-additive, capped and single-minded agents at m 2-6 and n 2-4,
+    a few of which walk."""
+    markets = [FLOOR_MARKET]
+    markets += [built_in("fig1a", eps=F(1, d)) for d in (2, 3, 10, 100)]
+    markets += [built_in("nonuniform_identical_budget", eps=F(1, d)) for d in (2, 3, 8, 20)]
+    markets += [built_in("fig1b"), built_in("revenue_example")]
+    markets += [built_in("revenue_example", big=big) for big in (2, 5)]
+    markets += [built_in("bundling_necessity"), built_in("bundling_necessity", m=4)]
+    markets += [
+        built_in("partition_reduction", weights=weights)
+        for weights in ([1, 1, 2], [3, 1, 1, 2, 3], [2, 2, 3])
+    ]
+    markets += [
+        generate(family, m, n, seed)
+        for family in FAMILIES
+        for m in range(1, 7)
+        for n in range(1, 5)
+        for seed in range(2)
+    ]
+    rng = SplitMix64(38)
+    for draw in range(2500):
+        m, n = 2 + draw % 5, rng.randint(2, 4)
+        markets.append(Instance(m, tuple(dp_agent(rng.randint(1, 3), m, rng) for _ in range(n))))
+    return markets
+
+
+def test_best_mccwe_walks_above_the_grand_bundles_floor(monkeypatch):
+    # The walk starts at floor max_i v_i(M) - 1 in the market's units, and
+    # best_mccwe answers as the reference, which walks with no floor: the
+    # same outcome, prices and welfare.
+    floors = []
+    walk = oracle._assignments
+
+    def recorded(k, tables, floor):
+        floors.append(floor[0])
+        return walk(k, tables, floor)
+
+    monkeypatch.setattr(oracle, "_assignments", recorded)
+    walked = 0
+    for inst in floor_markets():
+        floors.clear()
+        out, welfare = best_mccwe(inst)
+        assert (out, welfare) == oracle_reference.best_mccwe(copy.deepcopy(inst))
+        full = (1 << inst.m) - 1
+        if floors:
+            grand = max(inst.scaled_value(i, full) for i in range(inst.n))
+            assert floors == [grand - 1]
+            walked += 1
+    assert walked >= 12, walked
+    # the floor market's answer is at W_g, before the grand bundle
+    out, welfare = best_mccwe(FLOOR_MARKET)
+    assert (out.allocation.bundles, welfare) == ((0b001, 0b110), 4)
+    assert oracle.optimal_integral(FLOOR_MARKET)[0].bundles == (0b011, 0b100)
+
+
+@pytest.mark.parametrize("name", ["fig1a", "nonuniform_identical_budget"])
+def test_best_mccwe_prices_x_and_each_supported_candidate_once(monkeypatch, name):
+    # The walk compares each candidate's LP value with its welfare in
+    # integers, and builds and prices only a candidate whose LP peaks there.
+    results = []
+    supporting = configlp.supporting_prices
+
+    def counted(instance, x):
+        results.append(False)
+        outcome = supporting(instance, x)
+        results[-1] = True
+        return outcome
+
+    monkeypatch.setattr(configlp, "supporting_prices", counted)
+    walked = 0
+    for j in range(1, 100, 3):
+        results.clear()
+        inst = built_in(name, eps=F(j, 100))
+        out, welfare = best_mccwe(inst)
+        assert (out, welfare) == oracle_reference.best_mccwe(copy.deepcopy(inst))
+        # once for x, which answers or not, then only calls that answer
+        assert results[1:] == [True] * (len(results) - 1)
+        walked += not results[0]
+    assert walked >= 10, walked
 
 
 def brute_force_best_mccwe(inst, lp_cache):
