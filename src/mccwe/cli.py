@@ -18,11 +18,12 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from math import isqrt, lcm
 
 from . import configlp, mechanisms, oracle
 from .bits import items_of
 from .equilibria import MODES, verify
-from .errors import BadParams, CertificateError, MarketError, ParseError
+from .errors import BadParams, CertificateError, MarketError, ParseError, SizeLimit
 from .instances import (
     BUILTINS,
     FAMILIES,
@@ -86,6 +87,48 @@ def _read(path: str) -> str:
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
+
+
+def _digits_past_limit(inst: Instance, prices=(), lp_items: int = 0) -> int:
+    """The interpreter's int-to-string digit limit when a number that a verb
+    prints about the market, or about an outcome of it at these prices,
+    could have more digits than `str` converts; else 0, as when there is no
+    limit.  Each welfare, price, revenue and buyer's gap is a multiple of
+    1/U, U the LCM of the market's scale and the prices' denominators, and
+    at most the market's total value sum_i v_i(M) plus P, the prices'
+    absolute sum: a welfare, or a price a mechanism sets, is at most the
+    total value, a given price or the revenue at most P, and a gap, one
+    utility v(S) - p(S) less another, at most v_i(M) + P.
+
+    `lp_items` > 0 also covers the value of a singleton configuration LP
+    over that many item rows: at most the total value, and a multiple of
+    1/(scale |det B|), B a basis.  Each column of B is a slack or an agent
+    row's 1 plus its bundle's item rows.  Expand along the basic slacks;
+    then, in each agent row left, subtracting one of the agent's columns
+    from its others leaves the row a single 1.  So |det B| is the
+    determinant of a matrix over at most `lp_items` item rows with entries
+    in {-1, 0, 1}, at most lp_items^(lp_items/2) (Hadamard).  No numerator
+    or denominator printed thus exceeds max(U, U (total + P)) times that
+    bound."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # no limit before 3.10.7
+    if not limit:
+        return 0
+    unit = lcm(inst.scale, *(p.denominator for p in prices))
+    items = (1 << inst.m) - 1
+    total = sum(inst.scaled_value(i, items) for i in range(inst.n)) * (unit // inst.scale)
+    paid = sum(abs(p.numerator) * (unit // p.denominator) for p in prices)
+    top = max(unit, total + paid) * isqrt(lp_items**lp_items)
+    return limit if top.bit_length() > 3 * limit and top >= 10**limit else 0  # 2^(3k) < 10^k
+
+
+def _check_digits(path: str, inst: Instance, prices=(), lp_items: int = 0) -> None:
+    """SizeLimit, naming the file, when `_digits_past_limit`: run once per
+    verb, before any work."""
+    limit = _digits_past_limit(inst, prices, lp_items)
+    if limit:
+        raise SizeLimit(
+            f"{path}: its numbers could print past the {limit}-digit int-to-string limit"
+        )
 
 
 def _load_instance(path: str) -> Instance:
@@ -171,6 +214,7 @@ def _cmd_gen(args, out) -> int:
 
 def _cmd_solve(args, out) -> int:
     inst = _load_instance(args.instance)
+    _check_digits(args.instance, inst)
     trace = mechanisms.MechanismTrace() if args.trace else None
     call, takes_allocation = _MECHANISMS[args.mechanism]
     x = None
@@ -205,6 +249,10 @@ def _cmd_solve(args, out) -> int:
 def _cmd_verify(args, out) -> int:
     inst = _load_instance(args.instance)
     outcome = parse_outcome(_read(args.outcome), inst.m)
+    prices = outcome.item_prices if outcome.prices is None else (*outcome.prices, outcome.x0_price)
+    if _digits_past_limit(inst, prices):  # one check over both files
+        _check_digits(args.instance, inst)  # named for the market when it alone fails
+        _check_digits(args.outcome, inst, prices)
     report = verify(inst, outcome, args.mode)
     forms = (("better_bundle", items_of), ("gap", str), ("block", items_of), ("price", str))
     records = []
@@ -240,6 +288,7 @@ def _cmd_verify(args, out) -> int:
 
 def _cmd_oracle(args, out) -> int:
     inst = _load_instance(args.instance)
+    _check_digits(args.instance, inst)
     lines = [f"opt={oracle.optimal_integral(inst)[1]}"]  # every answer before any output
     if args.best_mccwe:
         lines.append(f"best_mccwe={oracle.best_mccwe(inst)[1]}")
@@ -251,6 +300,9 @@ def _cmd_oracle(args, out) -> int:
 
 def _cmd_gap(args, out) -> int:
     inst = _load_instance(args.instance)
+    # Past the variable cap, fractional_opt refuses the LP before its value prints.
+    fits = inst.n << inst.m <= configlp.MAX_VARIABLES
+    _check_digits(args.instance, inst, lp_items=inst.m if fits else 0)
     # The optimum first: its charge is made before any DP runs, and the
     # singleton LP starts from the DP optimum it leaves in the memo.
     _x, integral = oracle.optimal_integral(inst)

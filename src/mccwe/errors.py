@@ -6,7 +6,8 @@ class MarketError(Exception):
 
 
 class SizeLimit(MarketError):
-    """An operation would exceed its enumeration or variable-count cap."""
+    """An operation would exceed its enumeration or variable-count cap, or
+    print a number past the interpreter's int-to-string digit limit."""
 
 
 class NotMCCWE(MarketError):

@@ -3,10 +3,10 @@
 There is no floating point anywhere in the package.  The solver is a
 one-phase primal simplex.  The entering column is the one with the largest
 positive reduced cost (Dantzig's rule), which takes far fewer pivots than
-Bland's rule (Math. Oper. Res. 1977).  Dantzig's rule can cycle on
-degenerate programs, and configuration LPs are highly degenerate, so after
-`_DEGENERATE_RUN` consecutive degenerate pivots the solve switches to
-Bland's rule for good.
+Bland's rule (Math. Oper. Res. 1977).  Dantzig's rule alone can cycle on
+degenerate programs, and configuration LPs are highly degenerate, so the
+ratio test breaks ties lexicographically (Dantzig, Orden and Wolfe,
+Pacific J. Math. 1955), which terminates under any entering rule.
 The simplex pivots in integers (Edmonds 1967; Bareiss, Math. Comp. 1968):
 
 * Programs come in integral: every objective coefficient, column entry and
@@ -26,7 +26,8 @@ The simplex pivots in integers (Edmonds 1967; Bareiss, Math. Comp. 1968):
   `price` and `column` closures when needed; no row is built.  The
   configuration LP prices its columns from the value tables, and the
   item-pricing LP from its columns.
-* The ratio test cross-multiplies: every candidate pivot is positive.
+* The ratio test cross-multiplies: every candidate pivot is positive, and
+  all rows share d, so a row's ratios compare as its integers do.
 
 Conventions
 -----------
@@ -55,9 +56,6 @@ from .errors import CertificateError
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
-
-# Consecutive degenerate pivots after which a solve enters by Bland's rule.
-_DEGENERATE_RUN = 5
 
 
 @dataclass(frozen=True)
@@ -99,16 +97,23 @@ def simplex(ncols, rhs, price, column, start=()) -> Basis:
     the integers a full tableau would hold, so the pivots are its pivots.
 
     The entering column has the largest positive reduced cost, the lowest
-    index on ties, slacks after the structural columns; the leaving row
-    passes the ratio test, the smallest basis index on ties.  A pivot is
-    degenerate when the leaving row's right-hand side is 0.  After
-    `_DEGENERATE_RUN` degenerate pivots in a row, the entering column is
-    the first with a positive reduced cost (Bland's rule) until the end.
-    This terminates.  No pivot lowers the objective, each nondegenerate
-    pivot strictly raises it, and a basis fixes it, so only finitely many
-    pivots are nondegenerate.  An endless run would thus be all degenerate
-    from some pivot on, which switches to Bland's rule, and Bland's rule
-    terminates from any basis.
+    index on ties, slacks after the structural columns.  The leaving row is
+    the lexicographic minimum, over the rows with a positive entry in the
+    entering column, of (right-hand side, M's row) over that entry, M's
+    columns in this order: the slack columns of the rows that start in
+    their slacks, then the start rows' columns, each by row.  The rows of
+    M are linearly independent, so no two rows tie.
+
+    This terminates (Dantzig, Orden and Wolfe 1955).  Call a row positive
+    when its first nonzero entry in that order is positive.  At the start
+    every row is: each right-hand side is >= 0, slack row s has its 1 at
+    column s, before the start rows' columns where its other entries lie,
+    and start row r is e_r; the plain slack basis is the case of no start
+    rows.  The lexicographic minimum keeps every row positive, so each
+    pivot takes a positive multiple of a positive row from the objective
+    row (minus the objective value, then lam in that order), which thus
+    falls strictly in the lexicographic order.  The objective row is fixed
+    by the basis, so no basis recurs, and there are finitely many.
     """
     size = len(rhs)
     # Rows of M with the right-hand side last; the last row is the objective
@@ -134,25 +139,19 @@ def simplex(ncols, rhs, price, column, start=()) -> Basis:
     if min([row[-1] for row in tableau[:size]], default=0) < 0:
         raise CertificateError("the start basis is infeasible")
     d = 1
-    pivots = degenerate = 0
+    pivots = 0
     status = OPTIMAL
+    # The right-hand side, then M's columns in the lexicographic order.
+    order = [-1] + sorted(range(size), key=rows.__contains__)
     while True:
         lam = tableau[-1][:size]
         reduced = price(d, lam) + lam
         if any(reduced[b] for b in basis):
             raise CertificateError("the pricing gives a basic column a nonzero reduced cost")
-        entering = -1
-        if degenerate < _DEGENERATE_RUN:
-            top = max(reduced, default=0)
-            if top > 0:
-                entering = reduced.index(top)
-        else:
-            for j, cost in enumerate(reduced):
-                if cost > 0:
-                    entering = j
-                    break
-        if entering < 0:
+        top = max(reduced, default=0)
+        if top <= 0:
             break
+        entering = reduced.index(top)
         if entering < ncols:
             factors = [0] * size
             for s, a in column(entering):
@@ -161,24 +160,23 @@ def simplex(ncols, rhs, price, column, start=()) -> Basis:
         else:
             factors = [row[entering - ncols] for row in tableau]
         leaving = -1
-        for r, b in enumerate(basis):
-            coeff = factors[r]
+        for r, coeff in enumerate(factors[:size]):
             if coeff > 0:
-                row_rhs = tableau[r][-1]
-                if leaving < 0:
-                    leaving, best_rhs, best_coeff = r, row_rhs, coeff
-                    continue
-                # rhs / coeff against best_rhs / best_coeff; both pivots are positive
-                lhs, right = row_rhs * best_coeff, best_rhs * coeff
-                if lhs < right or (lhs == right and b < basis[leaving]):
-                    leaving, best_rhs, best_coeff = r, row_rhs, coeff
+                if leaving >= 0:
+                    # row r over coeff against the leader's row over its entry
+                    row, best, lead = tableau[r], tableau[leaving], factors[leaving]
+                    for k in order:  # M's rows are independent: some k differs
+                        if diff := row[k] * lead - best[k] * coeff:
+                            break
+                    if diff > 0:
+                        continue
+                leaving = r
         if leaving < 0:
             status = UNBOUNDED
             break
         pivrow = tableau[leaving]
         p = factors[leaving]
         pivots += 1
-        degenerate = 0 if pivrow[-1] else degenerate + 1
         for r, row in enumerate(tableau):
             if r == leaving:
                 continue

@@ -1,23 +1,26 @@
 """The exact `Fraction` simplex that `mccwe.lp` replaced, kept as a reference.
 
 A dense one-phase primal simplex over `Fraction` entries, on packing-shaped
-programs given by their rows, with three entering rules:
+programs given by their rows, with three pivot rules:
 
-* `FALLBACK`, the library's: the largest positive reduced cost (Dantzig's
-  rule), lowest index on ties, and Bland's rule for good after
-  `DEGENERATE_RUN` consecutive degenerate pivots;
-* `BLAND`: the first positive reduced cost, the rule the library used
-  before and still falls back to;
-* `DANTZIG`: the largest positive reduced cost with no fallback, which
-  raises `Cycled` when a basis recurs.
+* `LEXICOGRAPHIC`, the library's: the largest positive reduced cost
+  (Dantzig's rule), lowest index on ties, and the lexicographic ratio test
+  (Dantzig, Orden and Wolfe 1955) over the right-hand side, then the slack
+  columns of the rows that do not start basic in a structural column, then
+  those of the rows that do, each by row;
+* `BLAND`: the first positive reduced cost, the rule the library entered
+  by before Dantzig's;
+* `DANTZIG`: the largest positive reduced cost, as the library enters.
 
-All three share the ratio test and its smallest-basis-index tie-break.
-A solve may start from a caller's basis instead of the slacks: the dense
-tableau is first pivoted on each (row, column) of the start, and those
-pivots are not counted.  Tests compare the library's `simplex`
-(`library_solve` runs it on the rows) with `FALLBACK` on status, primal,
-dual, value and pivot count; the integer tableau must reproduce every
-pivot choice, so the answers are identical, not merely equal in value.
+`BLAND` and `DANTZIG` break ratio-test ties by the smallest basis index,
+under which `DANTZIG` can cycle.  Every rule raises `Cycled` when a basis
+recurs.  A solve may start from a caller's basis instead of the slacks: the
+dense tableau is first pivoted on each (row, column) of the start, and
+those pivots are not counted.  Tests compare the library's `simplex`
+(`library_solve` runs it on the rows) with `LEXICOGRAPHIC` on status,
+primal, dual, value and pivot count; the integer tableau must reproduce
+every pivot choice, so the answers are identical, not merely equal in
+value.
 """
 
 from __future__ import annotations
@@ -35,17 +38,16 @@ LPSolution = namedtuple("LPSolution", "status primal dual objective_value pivots
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-FALLBACK = "fallback"
+LEXICOGRAPHIC = "lexicographic"
 BLAND = "bland"
 DANTZIG = "dantzig"
 
-# The library's `_DEGENERATE_RUN`, restated.
-DEGENERATE_RUN = 5
+# Far more pivots than any program of the tests takes.
+MAX_PIVOTS = 10_000
 
 
 class Cycled(Exception):
-    """The plain largest-coefficient rule met a basis it had left before, so
-    it would pivot forever."""
+    """A rule met a basis it had left before, so it would pivot forever."""
 
 
 def _pivot(tableau, obj, row, col):
@@ -80,43 +82,35 @@ def _entering(obj, ncols, first):
     return entering
 
 
-def _run_simplex(tableau, basis, obj, rule):
-    """Simplex to optimality by `rule`: (OPTIMAL or UNBOUNDED, pivots, and
-    the pivot count at which FALLBACK switched to Bland's rule, or None)."""
+def _run_simplex(tableau, basis, obj, rule, order):
+    """Simplex to optimality by `rule`: OPTIMAL or UNBOUNDED, and the pivots.
+    `order` lists the tableau's columns after the right-hand side that the
+    lexicographic ratio test compares."""
     ncols = len(obj) - 1
-    pivots = degenerate = 0
-    switched = None
+    pivots = 0
     seen = {tuple(basis)}
     while True:
-        bland = rule == BLAND or (rule == FALLBACK and degenerate >= DEGENERATE_RUN)
-        if bland and rule == FALLBACK and switched is None:
-            switched = pivots
-        entering = _entering(obj, ncols, bland)
+        entering = _entering(obj, ncols, rule == BLAND)
         if entering < 0:
-            return OPTIMAL, pivots, switched
-        leaving = -1
-        best_ratio = None
+            return OPTIMAL, pivots
+        candidates = []
         for r, row in enumerate(tableau):
             coeff = row[entering]
             if coeff > 0:
-                ratio = row[-1] / coeff
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[r] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = r
-        if leaving < 0:
-            return UNBOUNDED, pivots, switched
-        degenerate = degenerate + 1 if tableau[leaving][-1] == 0 else 0
+                if rule == LEXICOGRAPHIC:
+                    key = tuple(row[k] / coeff for k in [-1, *order])
+                else:
+                    key = (row[-1] / coeff, basis[r])
+                candidates.append((key, r))
+        if not candidates:
+            return UNBOUNDED, pivots
+        leaving = min(candidates)[1]
         _pivot(tableau, obj, leaving, entering)
         basis[leaving] = entering
         pivots += 1
-        if rule == DANTZIG:
-            if tuple(basis) in seen:
-                raise Cycled(f"basis {basis} recurs after {pivots} pivots")
-            seen.add(tuple(basis))
+        if tuple(basis) in seen:
+            raise Cycled(f"basis {basis} recurs after {pivots} pivots")
+        seen.add(tuple(basis))
 
 
 def _check_certificates(lp, primal, dual, value):
@@ -136,9 +130,8 @@ def _check_certificates(lp, primal, dual, value):
         raise CertificateError("strong duality gap")
 
 
-def solve(lp: LinearProgram, rule: str = FALLBACK, start=()) -> tuple[LPSolution, int | None]:
-    """Exact optimum of a packing-shaped LP by `rule`, and the pivot count at
-    which FALLBACK switched to Bland's rule (None if it did not).
+def solve(lp: LinearProgram, rule: str = LEXICOGRAPHIC, start=()) -> LPSolution:
+    """Exact optimum of a packing-shaped LP by `rule`.
 
     `start` holds (row, column) pairs: the slack tableau is pivoted on each
     in turn, uncounted, and the run starts from the basis that leaves.
@@ -160,9 +153,12 @@ def solve(lp: LinearProgram, rule: str = FALLBACK, start=()) -> tuple[LPSolution
     for row, col in start:
         _pivot(tableau, obj, row, col)
         basis[row] = col
-    status, pivots, switched = _run_simplex(tableau, basis, obj, rule)
+    starts = {row for row, _col in start}
+    order = [n + i for i in range(n_rows) if i not in starts]
+    order += [n + i for i in range(n_rows) if i in starts]
+    status, pivots = _run_simplex(tableau, basis, obj, rule, order)
     if status == UNBOUNDED:
-        return LPSolution(UNBOUNDED, None, None, None, pivots), switched
+        return LPSolution(UNBOUNDED, None, None, None, pivots)
 
     primal = [_ZERO] * n
     for r, b in enumerate(basis):
@@ -172,20 +168,25 @@ def solve(lp: LinearProgram, rule: str = FALLBACK, start=()) -> tuple[LPSolution
     dual = [-obj[n + i] for i in range(n_rows)]
 
     _check_certificates(lp, primal, dual, value)
-    return LPSolution(OPTIMAL, tuple(primal), tuple(dual), value, pivots), switched
+    return LPSolution(OPTIMAL, tuple(primal), tuple(dual), value, pivots)
 
 
 def solve_lp(lp: LinearProgram, start=()) -> LPSolution:
-    """`solve` by the library's rule, FALLBACK."""
-    return solve(lp, FALLBACK, start)[0]
+    """`solve` by the library's rule, LEXICOGRAPHIC."""
+    return solve(lp, LEXICOGRAPHIC, start)
 
 
 def library_solve(lp: LinearProgram, start=()) -> LPSolution:
     """The library's integer `simplex` on the program, priced from its rows,
-    from the (row, column) pairs of `start`."""
+    from the (row, column) pairs of `start`.  `simplex` prices once per
+    pivot and once more to stop, so a rule that cycles raises `Cycled`
+    after `MAX_PIVOTS` pivots instead of running forever."""
     rows = [coeffs for coeffs, _rhs in lp.constraints]
+    pricings = iter(range(MAX_PIVOTS + 1))
 
     def price(d, lam):
+        if next(pricings, None) is None:
+            raise Cycled(f"no optimum after {MAX_PIVOTS} pivots")
         costs = [sum(y * row[j] for y, row in zip(lam, rows)) for j in range(len(lp.objective))]
         return [d * c + cost for c, cost in zip(lp.objective, costs)]
 

@@ -9,6 +9,7 @@ import pytest
 from mccwe import Additive, CertificateError, Instance
 from mccwe import cli, configlp, market
 from mccwe.instances import built_in, write_instance
+from mccwe.valuations import MAX_ITEMS
 from mccwe.cli import main
 
 
@@ -242,6 +243,110 @@ def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, argv):
     assert run([arg.format(**files) for arg in argv])[0] == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error=ParseError {files['bad']}: not UTF-8 text"), err
+
+
+# Each value parses, being under the 4300 digits `int` converts, but the
+# LCM of the two denominators has about 8000.
+_LONG_VALUES = ["1/" + "9" * 4000 + "7", "1/" + "9" * 3999 + "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["oracle", "-i", "{long}"], "long"),
+        (["gap", "-i", "{long}"], "long"),
+        (["solve", "superadditive", "-i", "{long}", "-o", "{out}"], "long"),
+        (["verify", "-i", "{unit}", "-a", "{outcome}", "--mode", "mccwe"], "outcome"),
+        (["verify", "-i", "{long}", "-a", "{outcome}", "--mode", "mccwe"], "long"),
+        (["gap", "-i", "{triangle}"], "triangle"),
+    ],
+)
+def test_numbers_past_the_int_to_string_limit_exit_2_before_any_work(
+    tmp_path, monkeypatch, capsys, argv, bad
+):
+    # The market's scale, or the LCM of the outcome's prices' denominators
+    # with it, has more digits than str() prints: refused as the files load,
+    # naming the market when it alone is past the limit.
+    # On the triangle, three single-minded agents each wanting two of three
+    # items at 1/q, q of 4300 digits, every welfare prints, but the
+    # singleton LP's value is 3/(2q), whose denominator has 4301.
+    names = ("long", "unit", "outcome", "triangle", "out")
+    files = {name: tmp_path / f"{name}.json" for name in names}
+    additive = [{"family": "additive", "item_values": _LONG_VALUES}]
+    files["long"].write_text(json.dumps({"format": 1, "m": 2, "agents": additive}))
+    units = [{"family": "additive", "item_values": ["1", "1"]}] * 2
+    files["unit"].write_text(json.dumps({"format": 1, "m": 2, "agents": units}))
+    outcome = {"allocation": {"x0": [], "x": [[0], [1]]}, "prices": {"agents": _LONG_VALUES}}
+    files["outcome"].write_text(json.dumps({"format": 1, **outcome}))
+    value = "1/" + "9" * 4299 + "7"
+    pairs = ([0, 1], [0, 2], [1, 2])
+    agents = [{"family": "single_minded", "desired": pair, "value": value} for pair in pairs]
+    files["triangle"].write_text(json.dumps({"format": 1, "m": 3, "agents": agents}))
+
+    def refused(*args):
+        pytest.fail("work began")
+
+    monkeypatch.setattr(cli.oracle, "optimal_integral", refused)
+    monkeypatch.setattr(cli.mechanisms, "superadditive_mccwe", refused)
+    monkeypatch.setattr(cli, "verify", refused)
+    assert run([arg.format(**files) for arg in argv]) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error=SizeLimit {files[bad]}: its numbers could print past the 4300-digit int-to-string limit\n"
+    )
+    assert not files["out"].exists()
+
+
+def test_numbers_at_the_int_to_string_limit_print(tmp_path):
+    # A total value of 4300 digits, and an outcome priced in a unit of 4300.
+    big, small, outcome = tmp_path / "big.json", tmp_path / "small.json", tmp_path / "o.json"
+    for path, value in ((big, "9" * 4300), (small, "1/" + "9" * 4300)):
+        agents = [{"family": "additive", "item_values": [value]}]
+        path.write_text(json.dumps({"format": 1, "m": 1, "agents": agents}))
+    code, text = run(["gap", "-i", str(big)])
+    assert code == 0 and f"integral={'9' * 4300}\n" in text
+    assert run(["solve", "superadditive", "-i", str(small), "-o", str(outcome)])[0] == 0
+    code, text = run(["verify", "-i", str(small), "-a", str(outcome), "--mode", "mccwe"])
+    assert code == 0 and f"revenue=1/{'9' * 4300}\n" in text
+
+
+def test_each_verb_checks_the_digits_once(tmp_path, monkeypatch):
+    market, outcome = tmp_path / "market.json", tmp_path / "outcome.json"
+    run(["gen", "bundling_necessity", "--m", "9", "-o", str(market)])
+    run(["solve", "superadditive", "-i", str(market), "-o", str(outcome)])
+    calls = []
+    check = cli._digits_past_limit
+    monkeypatch.setattr(
+        cli, "_digits_past_limit", lambda *args: calls.append(args) or check(*args)
+    )
+    verbs = (
+        ["solve", "singleminded", "-i", str(market), "-o", str(tmp_path / "again.json")],
+        ["verify", "-i", str(market), "-a", str(outcome), "--mode", "mccwe"],
+        ["oracle", "-i", str(market)],
+        ["gap", "-i", str(market)],
+    )
+    for argv in verbs:
+        calls.clear()
+        assert run(argv)[0] == 0
+        assert len(calls) == 1, argv
+
+
+@pytest.mark.parametrize(
+    "make, mechanism",
+    [
+        (lambda m: built_in("bundling_necessity", m=m), "singleminded"),
+        (lambda m: Instance(m, (Additive((1,) * m),)), "logbundle"),
+    ],
+    ids=["bundling_necessity", "unit_additive"],
+)
+def test_a_market_of_thousands_of_unit_values_solves_and_verifies(tmp_path, make, mechanism):
+    # Its numbers are small, however many items it has: only gap's LP value
+    # takes a bound on a basis determinant, and that bound grows with m.
+    market, outcome = tmp_path / "market.json", tmp_path / "outcome.json"
+    market.write_text(write_instance(make(MAX_ITEMS)))
+    code, text = run(["solve", mechanism, "-i", str(market), "-o", str(outcome)])
+    assert code == 0 and f"welfare={MAX_ITEMS}\n" in text
+    code, text = run(["verify", "-i", str(market), "-a", str(outcome), "--mode", "mccwe"])
+    assert code == 0 and f"welfare={MAX_ITEMS}\n" in text
 
 
 @pytest.mark.parametrize(

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lp_reference import BLAND, DANTZIG, Cycled, LinearProgram, library_solve
+from lp_reference import BLAND, DANTZIG, Cycled, LinearProgram, library_solve, read_basis
 from lp_reference import solve as reference_solve
 from mccwe.errors import CertificateError
-from mccwe.lp import _DEGENERATE_RUN, OPTIMAL, UNBOUNDED, simplex
+from mccwe.lp import OPTIMAL, UNBOUNDED, simplex
 
 F = Fraction
 
@@ -127,24 +127,26 @@ def test_unbounded():
 
 
 def test_duplicated_row_gets_zero_dual():
-    # x1 has the larger reduced cost and enters; the two copies tie in the
-    # ratio test, so the first copy's slack, the smaller basis index, leaves.
-    # The second copy stays slack-basic at level 0, so its dual is 0.
+    # x1 has the larger reduced cost and enters; the two copies tie on
+    # right-hand side 2 in the ratio test, and the second copy's row,
+    # (2, e_1), is lexicographically below the first's, (2, e_0), so the
+    # second copy's slack leaves.  The first copy stays slack-basic at level
+    # 0, so its dual is 0.
     lp = _lp([2, 3], [([1, 1], 2), ([1, 1], 2)])
     sol = library_solve(lp)
     assert (sol.status, sol.primal, sol.dual, sol.objective_value) == (
-        OPTIMAL, (F(0), F(2)), (F(3), F(0)), F(6)
+        OPTIMAL, (F(0), F(2)), (F(0), F(3)), F(6)
     )
     check_dual_from_outside(lp, sol)
 
 
-def test_largest_coefficient_rule_cycles_where_the_fallback_terminates():
+def test_largest_coefficient_rule_cycles_where_the_lexicographic_test_terminates():
     # Chvatal's cycling example (Linear Programming, 1983, p. 31) in
     # integers: its two degenerate rows doubled, with their slacks written
     # as explicit columns of coefficient 2, so every reduced cost compares as
-    # in the original.  The largest-coefficient rule alone meets the basis it
-    # had after pivot 2 again after pivot 8; the solver switches to Bland's
-    # rule after 5 degenerate pivots and stops 2 pivots later.
+    # in the original.  The largest-coefficient rule with basis-index ties
+    # meets the basis it had after pivot 2 again after pivot 8; the same
+    # entering rule with the lexicographic ratio test stops after 2 pivots.
     lp = _lp(
         [10, -57, -9, -24, 0, 0],
         [([1, -11, -5, 18, 2, 0], 0), ([1, -3, -1, 2, 0, 2], 0), ([1, 0, 0, 0, 0, 0], 1)],
@@ -152,12 +154,47 @@ def test_largest_coefficient_rule_cycles_where_the_fallback_terminates():
     with pytest.raises(Cycled, match="recurs after 8 pivots"):
         reference_solve(lp, DANTZIG)
     sol = library_solve(lp)
-    reference, switched = reference_solve(lp)
-    assert sol == reference
-    assert (switched, _DEGENERATE_RUN, sol.pivots) == (5, 5, 7)
+    assert sol == reference_solve(lp)
+    assert sol.pivots == 2
     assert sol.objective_value == 1 == vertex_enumeration_optimum(lp.objective, lp.constraints)
     check_dual_from_outside(lp, sol)
-    assert reference_solve(lp, BLAND)[0].objective_value == 1
+    assert reference_solve(lp, BLAND).objective_value == 1
+
+
+def _disguised_chvatal(rng):
+    """Chvatal's example above with up to two zero right-hand-side rows and
+    up to two costly columns of random entries added, and every row scaled
+    by a random positive factor, which changes no reduced cost."""
+    objective = [10, -57, -9, -24, 0, 0]
+    rows = [[1, -11, -5, 18, 2, 0, 0], [1, -3, -1, 2, 0, 2, 0], [1, 0, 0, 0, 0, 0, 1]]
+    for _ in range(rng.randint(0, 2)):
+        objective.append(rng.randint(-60, -30))
+        for row in rows:
+            row.insert(-1, rng.randint(-4, 4))
+    for _ in range(rng.randint(0, 2)):
+        rows.insert(rng.randint(0, len(rows)), [rng.randint(-3, 3) for _ in objective] + [0])
+    rows = [[a * k for a in row] for row, k in zip(rows, (rng.randint(1, 3) for _ in rows))]
+    return _lp(objective, [(row[:-1], row[-1]) for row in rows])
+
+
+def test_the_lexicographic_test_terminates_where_the_largest_coefficient_rule_cycles():
+    # Seeded disguises of Chvatal's example: the largest-coefficient rule
+    # with basis-index ties cycles on 50 of these 100, and the library's
+    # rule stops on every one at Bland's value, pivoting as the reference.
+    rng = random.Random("lp/chvatal")
+    cycled = 0
+    for _ in range(100):
+        lp = _disguised_chvatal(rng)
+        try:
+            reference_solve(lp, DANTZIG)
+        except Cycled:
+            cycled += 1
+        sol = library_solve(lp)
+        assert sol == reference_solve(lp)
+        bland = reference_solve(lp, BLAND)
+        assert (sol.status, sol.objective_value) == (OPTIMAL, bland.objective_value)
+        check_dual_from_outside(lp, sol)
+    assert cycled == 50
 
 
 def test_a_pricing_that_misses_a_basic_column_raises():
@@ -180,13 +217,17 @@ def _unit_program():
 
 def test_a_start_basis_is_taken_in_closed_form():
     # Row 0 basic in x: x's entry in row 1 makes row 1's slack e_1 - e_0,
-    # at right-hand side 0, and lam_0 = -3.  x = 1 is optimal, so no pivot;
-    # from the slacks x enters and row 0's slack leaves, the same basis.
+    # at right-hand side 0, and lam_0 = -3.  x = 1 is optimal, so no pivot.
     start = simplex(*_unit_program(), start=[(0, 0, 3)])
     assert (start.basis, start.values, start.dual, start.pivots) == ((0, 4, 5), (1, 0, 1), (3, 0, 0), 0)
+    # From the slacks x enters, rows 0 and 1 tie at right-hand side 1, and
+    # row 1's slack leaves, e_1 being lexicographically below e_0; y then
+    # enters row 0 at level 0: another optimal basis, of the same value 3.
     slack = simplex(*_unit_program())
-    assert (slack.basis, slack.values, slack.dual) == (start.basis, start.values, start.dual)
-    assert slack.pivots == 1
+    assert (slack.basis, slack.values, slack.dual) == ((1, 0, 5), (0, 1, 1), (2, 1, 0))
+    assert slack.pivots == 2
+    value = read_basis((3, 2, 0), start).objective_value
+    assert read_basis((3, 2, 0), slack).objective_value == value == 3
 
 
 @pytest.mark.parametrize(

@@ -98,9 +98,10 @@ def test_the_check_sees_where_size_limit_is_raised():
 
 
 # One rule per size bound: the table size, the explicit-table validation,
-# the configuration LP's width (checked before it builds a table) and the
-# oracles' budget.
+# the configuration LP's width (checked before it builds a table), the
+# oracles' budget and the digits of the numbers the CLI prints.
 SIZE_RULES = {
+    "cli.py": {"_check_digits"},
     "configlp.py": {"_program"},
     "oracle.py": {"OracleBudget.charge"},
     "valuations.py": {"value_table", "SuperadditiveExplicit.__post_init__"},
